@@ -21,7 +21,7 @@ cx = SymplecticComplex(algebra, omega)
 ht = HodgeTheory(cx)
 calc = CohomologyCalculator(cx)
 
-print("splitting operator on sample forms (exact, complex types internal):")
+print("splitting operator on sample forms (exact, over the rationals):")
 print("  on 1:", ht.triple.jay(Form.scalar(6, 1)))
 print("  on omega:", ht.triple.jay(omega) == omega)
 

@@ -197,6 +197,22 @@ def parse_salamon(text: str) -> LieAlgebraSpec:
     return LieAlgebraSpec(diffs)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_coefficient(c, term) -> Fraction:
+    if _is_int(c):
+        return Fraction(c)
+    if isinstance(c, str):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise AlgebraValidationError(f"coefficient must be an integer or 'p/q': {term!r}")
+
+
 def parse_algebra_json(text: str) -> LieAlgebraSpec:
     """Parse the JSON structure-constant format (see module docstring)."""
     try:
@@ -206,7 +222,7 @@ def parse_algebra_json(text: str) -> LieAlgebraSpec:
     if not isinstance(data, dict) or "dim" not in data:
         raise AlgebraValidationError('JSON algebra needs a "dim" field')
     dim = data["dim"]
-    if not isinstance(dim, int) or dim <= 0 or dim % 2 or dim > 15:
+    if not _is_int(dim) or dim <= 0 or dim % 2 or dim > 15:
         raise AlgebraValidationError(f'"dim" must be a positive even integer <= 15, got {dim!r}')
     table = data.get("d", {})
     if not isinstance(table, dict):
@@ -219,19 +235,16 @@ def parse_algebra_json(text: str) -> LieAlgebraSpec:
             raise AlgebraValidationError(f"bad generator index {key!r}") from None
         if not 1 <= gen <= dim:
             raise AlgebraValidationError(f"generator index {gen} out of range 1..{dim}")
+        if not isinstance(terms, list):
+            raise AlgebraValidationError(f"d({key}) must be a list of terms, got {terms!r}")
         coeffs: dict[int, Fraction] = {}
         for term in terms:
             if not (isinstance(term, (list, tuple)) and len(term) == 3):
                 raise AlgebraValidationError(f"term {term!r} is not a [a, b, c] triple")
             a, b, c = term
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not (_is_int(a) and _is_int(b)):
                 raise AlgebraValidationError(f"term indices must be integers: {term!r}")
-            if isinstance(c, str):
-                c = Fraction(c)
-            elif isinstance(c, int):
-                c = Fraction(c)
-            else:
-                raise AlgebraValidationError(f"coefficient must be an integer or 'p/q': {term!r}")
+            c = _json_coefficient(c, term)
             if a == b or not (1 <= a <= dim and 1 <= b <= dim):
                 raise AlgebraValidationError(f"bad indices in term {term!r}")
             if a > b:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -43,21 +42,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     symbol_n: int = 3
     out: str | None = None
-
-
-def _threads_cap() -> int:
-    """Upper bound for internal parallelism; all computation is serial, which
-    respects any cap, but the value is still validated."""
-    raw = os.environ.get("SYMCOH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"SYMCOH_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise InputError(f"SYMCOH_THREADS must be positive, got {val}")
-    return val
 
 
 def _build_complex(cfg: RunConfig) -> SymplecticComplex:
@@ -257,7 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         cfg = _config_from_args(args)
         if cfg.command == "compute":
             code, text = cmd_compute(cfg)
@@ -270,8 +253,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -18,7 +18,7 @@ numerator; a failure indicates a broken operator, never bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cealgebra import LieAlgebraSpec
@@ -51,14 +51,6 @@ class CohomologyGroup:
     representatives: list[Form]
     numerator: Subspace
     denominator: Subspace
-
-
-@dataclass
-class CohomologyReport:
-    algebra_source: str
-    omega_source: str
-    groups: dict[tuple[str, int], CohomologyGroup] = field(default_factory=dict)
-    checks: dict[str, CheckResult] = field(default_factory=dict)
 
 
 class CohomologyCalculator:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable
-
-from .scalars import GaussianRational
+from typing import Iterable
 
 MAX_DIM = 15
 
@@ -114,7 +112,7 @@ def all_blades(dim: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _coerce_scalar(c):
-    if isinstance(c, (Fraction, GaussianRational)):
+    if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
         return Fraction(c)
@@ -192,9 +190,6 @@ class Form:
 
     def grade(self, k: int) -> "Form":
         return Form(self.dim, {m: c for m, c in self._c.items() if blade_degree(m) == k})
-
-    def map_coeffs(self, fn: Callable) -> "Form":
-        return Form(self.dim, {m: fn(c) for m, c in self._c.items()})
 
     # -- algebra ---------------------------------------------------------
 
@@ -314,10 +309,6 @@ def form_to_str(a: Form) -> str:
         return "0"
     parts = []
     for mask, c in a.items():
-        if isinstance(c, GaussianRational):
-            if not c.is_real:
-                raise ValueError("the printed grammar covers rational coefficients only")
-            c = c.re
         neg = c < 0
         mag = -c if neg else c
         if mask == 0:

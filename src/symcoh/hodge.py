@@ -3,13 +3,14 @@
 A compatible triple (omega, J, g) is built exactly: a symplectic basis is
 computed by linear symplectic Gram-Schmidt over the rationals, J is the
 standard rotation in that basis, and g(x, y) = omega(x, Jy).  The complex
-splitting operator multiplies each (p, q) component by i^(p-q); it needs
-Gaussian-rational coefficients internally but returns real forms for real
-input.  The Riemannian star is the splitting operator composed with the
-symplectic star, and the inner product is integration of a ^ *a' against the
-Liouville volume (normalized so the pairing of 1 with itself is 1, which
-keeps the Gram matrices positive definite regardless of how omega^n sits
-against the reference orientation).
+splitting operator multiplies each (p, q) component by i^(p-q); that is the
+algebra automorphism induced by J on covectors, so it is computed over the
+rationals by wedging the images of each blade's factors.  The Riemannian
+star is the splitting operator composed with the symplectic star, and the
+inner product is integration of a ^ *a' against the Liouville volume
+(normalized so the pairing of 1 with itself is 1, which keeps the Gram
+matrices positive definite regardless of how omega^n sits against the
+reference orientation).
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
 computations over the primitive bases.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import Form, blade_degree, blade_indices, blades, form_to_coords
+from .exterior import Form, blades, form_to_coords
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -30,7 +31,6 @@ from .linalg import (
     vec_dot,
 )
 from .reports import CheckResult
-from .scalars import GaussianRational, i_power, imag_part, real_part
 from .symplectic import (
     SymplecticComplex,
     SymplecticStructure,
@@ -116,23 +116,11 @@ class CompatibleTriple:
         g = w_mat @ self.J
         self.metric = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
         self._validate(w_mat)
-        # complex cobasis: theta_j = u*_j + i v*_j, then the conjugates
-        dual = [ {j: basis_inv.entry(a, j) for j in range(dim) if basis_inv.entry(a, j)}
-                 for a in range(dim) ]
-        t_rows = []
-        for j in range(n):
-            t_rows.append({b: GaussianRational(dual[2 * j].get(b, 0), dual[2 * j + 1].get(b, 0))
-                           for b in set(dual[2 * j]) | set(dual[2 * j + 1])})
-        for j in range(n):
-            t_rows.append({b: GaussianRational(dual[2 * j].get(b, 0), -dual[2 * j + 1].get(b, 0))
-                           for b in set(dual[2 * j]) | set(dual[2 * j + 1])})
-        t = OperatorMatrix.from_rows(t_rows, dim)
-        t_inv = t.invert()
-        self._f_in_e = [Form(dim, {1 << b: t.entry(a, b) for b in range(dim)})
-                        for a in range(dim)]
-        self._e_in_f = [Form(dim, {1 << a: t_inv.entry(b, a) for a in range(dim)})
-                        for b in range(dim)]
-        self._p_mask = (1 << n) - 1
+        # the covector e_i goes to row i of J; the empty blade is fixed
+        self._jay_blade = {0: Form.scalar(dim, 1)}
+        for i in range(dim):
+            self._jay_blade[1 << i] = Form(dim, {1 << j: self.J.entry(i, j)
+                                                 for j in range(dim)})
 
     def _validate(self, w_mat: OperatorMatrix):
         dim = self.structure.dim
@@ -151,43 +139,22 @@ class CompatibleTriple:
 
     # -- the complex splitting operator ---------------------------------
 
-    def _substitute(self, a: Form, images: list[Form]) -> Form:
-        out = Form.zero(a.dim)
-        for mask, c in a.items():
-            term = Form.scalar(a.dim, c)
-            for i in blade_indices(mask):
-                term = term.wedge(images[i - 1])
-            out = out + term
-        return out
-
-    def jay_complex(self, a: Form, direction: int = 1) -> Form:
-        """Multiply each (p, q) component by i^(direction * (p - q))."""
-        in_f = self._substitute(a, self._e_in_f)
-        scaled = {}
-        for mask, c in in_f.items():
-            p = (mask & self._p_mask).bit_count()
-            q = blade_degree(mask) - p
-            scaled[mask] = c * i_power(direction * (p - q))
-        return self._substitute(Form(a.dim, scaled), self._f_in_e)
+    def _jay_of_blade(self, mask: int) -> Form:
+        """Image of one blade: the lowest factor's image wedged onto the
+        image of the rest."""
+        cached = self._jay_blade.get(mask)
+        if cached is None:
+            low = mask & -mask
+            cached = self._jay_blade[low].wedge(self._jay_of_blade(mask ^ low))
+            self._jay_blade[mask] = cached
+        return cached
 
     def jay(self, a: Form) -> Form:
-        """Real form of the splitting operator; real input gives real output."""
-        z = self.jay_complex(a)
-        coeffs = {}
-        for mask, c in z.items():
-            if imag_part(c):
-                raise AssertionError(f"complex residue in splitting operator: {z}")
-            coeffs[mask] = real_part(c)
-        return Form(a.dim, coeffs)
-
-    def jay_inverse(self, a: Form) -> Form:
-        z = self.jay_complex(a, direction=-1)
-        coeffs = {}
-        for mask, c in z.items():
-            if imag_part(c):
-                raise AssertionError(f"complex residue in splitting operator: {z}")
-            coeffs[mask] = real_part(c)
-        return Form(a.dim, coeffs)
+        """Multiply each (p, q) component by i^(p - q); real in, real out."""
+        out = Form.zero(a.dim)
+        for mask, c in a.items():
+            out = out + self._jay_of_blade(mask) * c
+        return out
 
     def hodge_star(self, a: Form) -> Form:
         """Riemannian star of the triple: splitting operator after the
@@ -345,13 +312,6 @@ class HodgeTheory:
         self._prim_matrix[key] = m
         return m
 
-    def _prim_to_ambient(self, sub: Subspace, k: int) -> Subspace:
-        order = blades(self.dim, k)
-        idx = {b: i for i, b in enumerate(order)}
-        bm = OperatorMatrix.from_columns(
-            [form_to_coords(f, idx) for f in self.prim_basis(k)], len(order))
-        return Subspace(len(order), [bm.apply(r) for r in sub.rows])
-
     def _forms_from_prim_coords(self, rows: list[dict], k: int) -> list[Form]:
         basis = self.prim_basis(k)
         out = []
@@ -440,11 +400,11 @@ class HodgeTheory:
 
     def check_jay_conjugation(self, k: int) -> CheckResult:
         """Conjugating del_plus by the splitting operator gives the adjoint of
-        del_minus times the eigenvalue of H+R, and dually; exact over Q(i)."""
+        del_minus times the eigenvalue of H+R, and dually; exact over Q."""
         name = f"jay-conjugation(k={k})"
         dim, n = self.dim, self.n
-        jk = matrix_on_blades(self.triple.jay_complex, dim, k, k)
-        jk1 = matrix_on_blades(self.triple.jay_complex, dim, k + 1, k + 1)
+        jk = matrix_on_blades(self.triple.jay, dim, k, k)
+        jk1 = matrix_on_blades(self.triple.jay, dim, k + 1, k + 1)
         m_dp = matrix_on_blades(self.cx.del_plus, dim, k, k + 1)
         m_dm = matrix_on_blades(self.cx.del_minus, dim, k + 1, k)
         g_k = self.ip.gram(k)

@@ -1,9 +1,9 @@
-"""Exact sparse linear algebra over Q and Q(i).
+"""Exact sparse linear algebra over Q.
 
-Vectors are sparse ``{index: scalar}`` dicts; scalars are ints, Fractions or
-GaussianRationals (never floats).  Row reduction clears denominators and then
-runs fraction-free (Bareiss) elimination so intermediate entries stay
-integral; reduced echelon normalization happens once at the end.
+Vectors are sparse ``{index: scalar}`` dicts; scalars are ints or Fractions
+(never floats).  Row reduction clears denominators and then runs
+fraction-free (Bareiss) elimination so intermediate entries stay integral;
+reduced echelon normalization happens once at the end.
 
 Pivot choice is frozen: leftmost column first, then first row.  A Subspace is
 stored as its reduced-row-echelon basis, which is a canonical representation:
@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
-
-from .scalars import GaussianRational
 
 Vec = dict
 
@@ -34,20 +32,13 @@ class InclusionError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _exact_div(a, b):
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        if not isinstance(a, GaussianRational):
-            a = GaussianRational(a)
-        return a / b
     return Fraction(a) / b
 
 
 def _denominator_lcm(row: Vec) -> int:
     d = 1
     for v in row.values():
-        if isinstance(v, GaussianRational):
-            d = lcm(d, v.re.denominator, v.im.denominator)
-        else:
-            d = lcm(d, v.denominator)
+        d = lcm(d, v.denominator)
     return d
 
 
@@ -73,9 +64,6 @@ def vec_scale(a: Vec, s) -> Vec:
     if not s:
         return {}
     return {j: v * s for j, v in a.items()}
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return vec_add(a, vec_scale(b, -1))
 
 
 def vec_dot(a: Vec, b: Vec):
@@ -164,8 +152,7 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
 
 def det(rows: Sequence[Sequence], n: int):
     """Determinant of a dense n x n matrix via fraction-free elimination."""
-    m = [[Fraction(rows[i][j]) if not isinstance(rows[i][j], GaussianRational)
-          else rows[i][j] for j in range(n)] for i in range(n)]
+    m = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):

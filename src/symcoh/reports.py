@@ -10,15 +10,3 @@ class CheckResult:
     name: str
     passed: bool
     details: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": list(self.details)}
-
-
-def combine(name: str, results: list[CheckResult]) -> CheckResult:
-    details = []
-    for r in results:
-        details.extend(f"{r.name}: {line}" for line in r.details)
-        if not r.passed and not r.details:
-            details.append(f"{r.name}: failed")
-    return CheckResult(name, all(r.passed for r in results), details)

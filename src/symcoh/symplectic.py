@@ -125,11 +125,6 @@ class SymplecticStructure:
             out = out + contract(i + 1, contract(j + 1, a)) * c
         return out
 
-    def Lambda_power(self, a: Form, r: int) -> Form:
-        for _ in range(r):
-            a = self.Lambda(a)
-        return a
-
     def H(self, a: Form) -> Form:
         """Grading operator: multiplies the degree-k part by n-k."""
         out = Form.zero(a.dim)
@@ -181,12 +176,6 @@ class SymplecticStructure:
         for k in a.degrees():
             for r, b in self._decompose_degree(a.grade(k), k).items():
                 out[(r, k - 2 * r)] = b
-        return out
-
-    def assemble(self, components: dict[tuple[int, int], Form]) -> Form:
-        out = Form.zero(self.dim)
-        for (r, _s), b in components.items():
-            out = out + self.L_power(b, r) / _factorial(r)
         return out
 
     def apply_rs(self, a: Form, fn: RS) -> Form:
@@ -261,7 +250,10 @@ def parse_omega(text: str, dim: int) -> Form:
     shorthand ``16+25-34`` (index pairs with optional integer coefficients)."""
     from .cealgebra import _parse_structure_entry
     from .exterior import parse_form
-    if "e" in text:
+    # a shorthand 'e' is index 14, the second index of a pair; a full-grammar
+    # 'e' starts a blade and never follows an index character
+    if any(ch == "e" and (i == 0 or text[i - 1] not in "123456789abcd")
+           for i, ch in enumerate(text)):
         return parse_form(text, dim)
     return _parse_structure_entry(text, dim, text, 0)
 

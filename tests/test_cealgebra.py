@@ -81,10 +81,24 @@ def test_json_reversed_indices_negate():
     '{"dim": 6, "d": {"4": [[1, 1, 1]]}}',
     '{"dim": 6, "d": {"4": [[1, 2]]}}',
     'not json',
+    # JSON booleans load as Python bools, which are ints
+    '{"dim": 4, "d": {"3": [[true, 2, 1]]}}',
+    '{"dim": 4, "d": {"3": [[1, 2, false]]}}',
+    '{"dim": 4, "d": {"3": [[1, 2, true]]}}',
+    '{"dim": 4, "d": {"3": [[1, 2, "x"]]}}',
+    '{"dim": 4, "d": {"3": [[1, 2, "1/0"]]}}',
+    '{"dim": 4, "d": {"3": 5}}',
 ])
 def test_json_errors(bad):
     with pytest.raises(AlgebraValidationError):
         parse_algebra_json(bad)
+
+
+def test_json_string_coefficients_still_parse():
+    a = parse_algebra_json(json.dumps({"dim": 4, "d": {"3": [[1, 2, "-1/2"]]}}))
+    b = parse_algebra_json(json.dumps({"dim": 4, "d": {"3": [[2, 1, "1/2"]]}}))
+    assert a == b
+    assert a.differentials[2] == Form(4, {0b11: Fraction(-1, 2)})
 
 
 # -- validation ---------------------------------------------------------------

@@ -171,11 +171,20 @@ def test_check_requires_suite(capsys):
     assert code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SYMCOH_THREADS", "zero")
-    code, _, err = run_cli(capsys, "compute", "--groups", "p+")
-    assert code == 2
-    assert "SYMCOH_THREADS" in err
-    monkeypatch.setenv("SYMCOH_THREADS", "2")
-    code, out, _ = run_cli(capsys, "compute", "--groups", "p+")
-    assert code == 0
+def test_out_to_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "compute", "--groups", "p+", "--out", str(target))
+    assert code == 2 and out == ""
+    assert "error: cannot write" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("terms", [
+    '[[true, 2, 1]]', '[[1, 2, false]]', '[[1, 2, "x"]]', '[[1, 2, "1/0"]]', '5',
+])
+def test_bad_json_algebra_is_input_error(capsys, terms):
+    algebra = '{"dim": 4, "d": {"3": ' + terms + '}}'
+    code, out, err = run_cli(capsys, "compute", "--algebra", algebra,
+                             "--omega", "14+23", "--groups", "dR")
+    assert code == 2 and out == ""
+    assert "bad algebra" in err

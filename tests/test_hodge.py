@@ -9,6 +9,7 @@ from symcoh import (
     Form,
     HodgeTheory,
     InnerProduct,
+    SymplecticComplex,
     SymplecticStructure,
     build_triple,
     parse_form,
@@ -18,6 +19,8 @@ from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.hodge import adjoint_in_bases, run_hodge_suite
 from symcoh.linalg import OperatorMatrix, Subspace, det
 from symcoh.symplectic import matrix_on_blades
+
+from qi_oracle import ComplexSplitting, imag_part, real_part
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +113,19 @@ def test_jay_squared_is_degree_parity(nil_hodge):
             assert tr.jay(tr.jay(f)) == f * ((-1) ** k)
 
 
-def test_jay_inverse(nil_hodge):
-    tr = nil_hodge.triple
-    rng = random.Random(52)
-    for _ in range(15):
-        coeffs = {rng.randrange(64): Fraction(rng.randint(-3, 3)) for _ in range(4)}
-        f = Form(6, coeffs)
-        assert tr.jay_inverse(tr.jay(f)) == f
+@pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+@pytest.mark.parametrize("omega_text", ["e16 + e25 - e34", "e13 + e26 - e45"])
+def test_jay_matches_complex_cobasis_oracle(nil_algebra, omega_text, reverse):
+    """The real splitting operator equals i^(p-q) computed over Q(i)."""
+    cx = SymplecticComplex(nil_algebra, parse_form(omega_text, 6))
+    order = list(range(6))[::-1] if reverse else None
+    tr = CompatibleTriple(cx.structure, order=order)
+    oracle = ComplexSplitting(tr)
+    for mask in range(1 << 6):
+        z = oracle({mask: 1})
+        assert not any(imag_part(c) for c in z.values()), z
+        assert tr.jay(Form(6, {mask: 1})) == \
+            Form(6, {m: real_part(c) for m, c in z.items()})
 
 
 def test_jay_preserves_primitivity(nil_cx, nil_hodge):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcoh.scalars import GaussianRational, I, i_power, imag_part, real_part
+from qi_oracle import GaussianRational, I, i_power, imag_part, real_part
 
 
 def test_construction_and_equality():

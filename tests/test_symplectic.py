@@ -21,7 +21,7 @@ from symcoh import (
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.identities import run_identity_suite
 from symcoh.linalg import OperatorMatrix, Subspace, det, solve
-from symcoh.symplectic import _factorial, matrix_on_blades
+from symcoh.symplectic import _factorial, matrix_on_blades, parse_omega
 
 from conftest import wedge_chain
 
@@ -371,3 +371,13 @@ def test_identity_suite(fixture, request):
     cx = request.getfixturevalue(fixture)
     result = run_identity_suite(cx)
     assert result.passed, result.details
+
+
+def test_parse_omega_shorthand_with_index_e():
+    # in the shorthand 'e' is index 14, always the second index of a pair
+    assert parse_omega("12+34+56+78+9a+bc+de", 14) == standard_omega(7)
+    assert parse_omega("1e-2d", 14) == \
+        Form.e(14, 1, 14) - Form.e(14, 2, 13)
+    # in the full grammar 'e' starts a blade
+    assert parse_omega("e12+e34", 4) == standard_omega(2)
+    assert parse_omega("2*e12 - e34", 4) == Form.e(4, 1, 2) * 2 - Form.e(4, 3, 4)
