@@ -219,6 +219,8 @@ def parse_algebra_json(text: str) -> LieAlgebraSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraValidationError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise AlgebraValidationError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "dim" not in data:
         raise AlgebraValidationError('JSON algebra needs a "dim" field')
     dim = data["dim"]

@@ -214,6 +214,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 algebra_source = fh.read().strip()
         except OSError as exc:
             raise InputError(f"cannot read algebra file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"bad algebra: file is not UTF-8 text ({exc})") from exc
     else:
         algebra_source = args.algebra if args.algebra is not None else DEFAULT_ALGEBRA
     cfg = RunConfig(command=args.command, algebra_source=algebra_source,
@@ -232,6 +234,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for s in cfg.suites:
             if s not in SUITES:
                 raise InputError(f"unknown suite {s!r}; expected one of {', '.join(SUITES)}")
+        if "symbol" in cfg.suites and not 1 <= args.symbol_n <= 7:
+            # 2n is capped at 15 by the single-character index grammar
+            raise InputError(f"--n must be in 1..7, got {args.symbol_n}")
         cfg.seed = args.seed
         cfg.symbol_n = args.symbol_n
     return cfg

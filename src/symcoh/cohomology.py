@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cealgebra import LieAlgebraSpec
-from .exterior import Form, blades, form_to_coords
+from .exterior import Form, blade_index, form_from_coords, form_to_coords
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -61,28 +61,18 @@ class CohomologyCalculator:
         self.st = cx.structure
         self.dim = cx.dim
         self.n = cx.n
-        self._blades: dict[int, list[int]] = {}
-        self._index: dict[int, dict[int, int]] = {}
         self._cache: dict = {}
 
     # -- coordinates -------------------------------------------------------
 
     def blade_order(self, k: int) -> list[int]:
-        if k not in self._blades:
-            self._blades[k] = blades(self.dim, k)
-            self._index[k] = {m: i for i, m in enumerate(self._blades[k])}
-        return self._blades[k]
-
-    def _idx(self, k: int) -> dict[int, int]:
-        self.blade_order(k)
-        return self._index[k]
+        return blade_index(self.dim, k)[0]
 
     def to_vec(self, f: Form, k: int) -> dict:
-        return form_to_coords(f, self._idx(k))
+        return form_to_coords(f, blade_index(self.dim, k)[1])
 
     def to_form(self, vec: dict, k: int) -> Form:
-        order = self.blade_order(k)
-        return Form(self.dim, {order[j]: c for j, c in vec.items()})
+        return form_from_coords(vec, self.blade_order(k), self.dim)
 
     def span_of_forms(self, forms: list[Form], k: int) -> Subspace:
         return Subspace(len(self.blade_order(k)), [self.to_vec(f, k) for f in forms])
@@ -125,52 +115,43 @@ class CohomologyCalculator:
         return self.st.primitive_subspace(k)
 
     # -- primitive operator spaces -------------------------------------------
+    # The pieces of d are matrices between primitive coordinates (see
+    # ``SymplecticComplex.del_matrices``); their images and kernels are
+    # lifted to blade coordinates so they compare with the full complex.
 
-    def _prim_op_matrix(self, op, k: int, k_to: int) -> OperatorMatrix:
-        """op applied to the primitive basis of degree k, in blade coords of k_to."""
-        dom = self.st.primitive_basis(k)
-        idx = self._idx(k_to)
-        cols = [form_to_coords(op(f), idx) for f in dom]
-        return OperatorMatrix.from_columns(cols, len(self.blade_order(k_to)))
+    def _lifted(self, vecs: list[dict], k: int) -> Subspace:
+        """Span of primitive-coordinate vectors, in degree-k blade coordinates."""
+        return Subspace(len(self.blade_order(k)), [self.st.lift(v, k) for v in vecs])
+
+    def _dpdm(self, k: int) -> OperatorMatrix:
+        """del_plus del_minus: P^k -> P^k."""
+        return self._memo(("dpdm", k), lambda: (self.cx.del_matrices(k - 1)[0]
+                                                @ self.cx.del_matrices(k)[1]))
 
     def dp_span(self, k: int) -> Subspace:
         """Image of the degree +1 piece on primitive degree-k forms."""
-        if not 0 <= k <= self.n:
-            return Subspace.zero(len(self.blade_order(k + 1)))
-        return self._memo(("dp_span", k), lambda: image(
-            self._prim_op_matrix(self.cx.del_plus, k, k + 1)))
+        return self._memo(("dp_span", k), lambda: self._lifted(
+            self.cx.del_matrices(k)[0].cols, k + 1))
 
     def dm_span(self, k: int) -> Subspace:
         """Image of the degree -1 piece on primitive degree-k forms."""
-        if not 0 <= k <= self.n:
-            return Subspace.zero(len(self.blade_order(k - 1)))
-        return self._memo(("dm_span", k), lambda: image(
-            self._prim_op_matrix(self.cx.del_minus, k, k - 1)))
+        return self._memo(("dm_span", k), lambda: self._lifted(
+            self.cx.del_matrices(k)[1].cols, k - 1))
 
     def dpdm_span(self, k: int) -> Subspace:
-        return self._memo(("dpdm_span", k), lambda: image(
-            self._prim_op_matrix(self.cx.del_plus_del_minus, k, k)))
-
-    def _restricted_kernel(self, op, k: int, k_to: int) -> Subspace:
-        """ker(op) intersected with the primitive forms, in degree-k coords."""
-        m = self._prim_op_matrix(op, k, k_to)
-        coords = kernel(m)
-        order = self.blade_order(k)
-        basis = OperatorMatrix.from_columns(
-            [self.to_vec(f, k) for f in self.st.primitive_basis(k)], len(order))
-        return Subspace(len(order), [basis.apply(r) for r in coords.rows])
+        return self._memo(("dpdm_span", k), lambda: self._lifted(self._dpdm(k).cols, k))
 
     def ker_dp(self, k: int) -> Subspace:
-        return self._memo(("ker_dp", k), lambda: self._restricted_kernel(
-            self.cx.del_plus, k, k + 1))
+        return self._memo(("ker_dp", k), lambda: self._lifted(
+            kernel(self.cx.del_matrices(k)[0]).rows, k))
 
     def ker_dm(self, k: int) -> Subspace:
-        return self._memo(("ker_dm", k), lambda: self._restricted_kernel(
-            self.cx.del_minus, k, k - 1))
+        return self._memo(("ker_dm", k), lambda: self._lifted(
+            kernel(self.cx.del_matrices(k)[1]).rows, k))
 
     def ker_dpdm(self, k: int) -> Subspace:
-        return self._memo(("ker_dpdm", k), lambda: self._restricted_kernel(
-            self.cx.del_plus_del_minus, k, k))
+        return self._memo(("ker_dpdm", k), lambda: self._lifted(
+            kernel(self._dpdm(k)).rows, k))
 
     # -- groups ----------------------------------------------------------------
 

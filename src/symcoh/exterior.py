@@ -19,6 +19,7 @@ inverts ``form_to_str`` exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -101,10 +102,15 @@ def blades(dim: int, k: int) -> list[int]:
     return out
 
 
-def all_blades(dim: int) -> list[int]:
-    out = list(range(1 << dim))
-    out.sort(key=blade_sort_key)
-    return out
+@lru_cache(maxsize=None)
+def blade_index(dim: int, k: int) -> tuple[list[int], dict[int, int]]:
+    """Canonical degree-k blade order and each blade's position in it.
+
+    Built once per (dim, k) and shared by every caller, which must not
+    mutate either.
+    """
+    order = blades(dim, k)
+    return order, {m: i for i, m in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import Form, blades, form_to_coords
+from .exterior import Form, blade_index, form_from_coords
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -203,17 +203,8 @@ class InnerProduct:
         cached = self._gram.get(k)
         if cached is not None:
             return cached
-        basis = blades(self.dim, k)
-        stars = [self.triple.hodge_star(Form(self.dim, {m: 1})) for m in basis]
-        cols = []
-        for j in range(len(basis)):
-            col = {}
-            for i, m in enumerate(basis):
-                v = Form(self.dim, {m: 1}).wedge(stars[j]).coeff(self._top) / self._norm
-                if v:
-                    col[i] = v
-            cols.append(col)
-        g = OperatorMatrix.from_columns(cols, len(basis))
+        g = gram_of_forms(self, [Form(self.dim, {m: 1})
+                                 for m in blade_index(self.dim, k)[0]])
         if g != g.transpose():
             raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
         self._gram[k] = g
@@ -268,14 +259,12 @@ class HodgeTheory:
             raise ValueError("triple was built for a different omega")
         self.ip = InnerProduct(self.triple)
         self._prim_gram: dict[int, OperatorMatrix] = {}
-        self._prim_matrix: dict[tuple[str, int], OperatorMatrix] = {}
+        self._harmonic: dict[tuple[int, str], tuple[Subspace, list[Form]]] = {}
 
     # -- primitive-basis plumbing ----------------------------------------
 
     def prim_basis(self, k: int) -> list[Form]:
-        if 0 <= k <= self.n:
-            return self.st.primitive_basis(k)
-        return []
+        return self.st._prim_forms(k)
 
     def prim_gram(self, k: int) -> OperatorMatrix:
         cached = self._prim_gram.get(k)
@@ -284,61 +273,18 @@ class HodgeTheory:
             self._prim_gram[k] = cached
         return cached
 
-    def prim_matrix(self, which: str, k: int) -> OperatorMatrix:
-        """del_plus: P^k -> P^{k+1} or del_minus: P^k -> P^{k-1}."""
-        key = (which, k)
-        cached = self._prim_matrix.get(key)
-        if cached is not None:
-            return cached
-        op = self.cx.del_plus if which == "plus" else self.cx.del_minus
-        k_to = k + 1 if which == "plus" else k - 1
-        dom = self.prim_basis(k)
-        cod_forms = self.prim_basis(k_to)
-        if not cod_forms:
-            for f in dom:
-                if op(f):
-                    raise AssertionError("operator image outside primitive range")
-            m = OperatorMatrix(0, len(dom), [{} for _ in dom])
-        else:
-            sub = self.st.primitive_subspace(k_to)
-            idx = {b: i for i, b in enumerate(blades(self.dim, k_to))}
-            cols = []
-            for f in dom:
-                coords = sub.coordinates(form_to_coords(op(f), idx))
-                if coords is None:
-                    raise AssertionError(f"image is not primitive: {op(f)}")
-                cols.append({i: c for i, c in enumerate(coords) if c})
-            m = OperatorMatrix.from_columns(cols, len(cod_forms))
-        self._prim_matrix[key] = m
-        return m
-
-    def _forms_from_prim_coords(self, rows: list[dict], k: int) -> list[Form]:
-        basis = self.prim_basis(k)
-        out = []
-        for r in rows:
-            f = Form.zero(self.dim)
-            for j, c in r.items():
-                f = f + basis[j] * c
-            out.append(f)
-        return out
-
     # -- harmonic spaces ---------------------------------------------------
 
     def _updown(self, which: str, k: int):
-        if which == "plus":
-            d_out = self.prim_matrix("plus", k)            # P^k -> P^{k+1}
-            d_in = self.prim_matrix("plus", k - 1) if k >= 1 else \
-                OperatorMatrix(len(self.prim_basis(k)), 0, [])
-            g_out = self.prim_gram(k + 1)
-            g_in = self.prim_gram(k - 1) if k >= 1 else OperatorMatrix.identity(0)
-        elif which == "minus":
-            d_out = self.prim_matrix("minus", k)           # P^k -> P^{k-1}
-            d_in = self.prim_matrix("minus", k + 1)        # P^{k+1} -> P^k
-            g_out = self.prim_gram(k - 1) if k >= 1 else OperatorMatrix.identity(0)
-            g_in = self.prim_gram(k + 1)
-        else:
-            raise ValueError("which must be 'plus' or 'minus'")
-        return d_out, d_in, g_out, g_in
+        """The piece of d leaving P^k, the one arriving in P^k, and the Gram
+        matrices of their far ends; outside 0..n a primitive space is 0."""
+        if which == "plus":      # P^k -> P^{k+1} and P^{k-1} -> P^k
+            return (self.cx.del_matrices(k)[0], self.cx.del_matrices(k - 1)[0],
+                    self.prim_gram(k + 1), self.prim_gram(k - 1))
+        if which == "minus":     # P^k -> P^{k-1} and P^{k+1} -> P^k
+            return (self.cx.del_matrices(k)[1], self.cx.del_matrices(k + 1)[1],
+                    self.prim_gram(k - 1), self.prim_gram(k + 1))
+        raise ValueError("which must be 'plus' or 'minus'")
 
     def laplacian(self, k: int, which: str) -> OperatorMatrix:
         if not 0 <= k < self.n:
@@ -352,8 +298,12 @@ class HodgeTheory:
     def harmonic_space(self, k: int, which: str) -> tuple[Subspace, list[Form]]:
         """Kernel of the Laplacian on P^k; checked against ker(d) ^ ker(d*).
 
-        Returns the subspace in primitive coordinates plus its basis forms.
+        Returns the subspace in primitive coordinates plus its basis forms;
+        computed once per (k, which).
         """
+        cached = self._harmonic.get((k, which))
+        if cached is not None:
+            return cached
         if not 0 <= k < self.n:
             raise ValueError(f"harmonic degree must be in 0..{self.n - 1}, got {k}")
         g_k = self.prim_gram(k)
@@ -364,7 +314,11 @@ class HodgeTheory:
         if via_laplacian != via_kernels:
             raise AssertionError(
                 "harmonic space differs between Laplacian kernel and ker(d) ^ ker(d*)")
-        return via_laplacian, self._forms_from_prim_coords(via_laplacian.rows, k)
+        order = blade_index(self.dim, k)[0]
+        cached = (via_laplacian, [form_from_coords(self.st.lift(r, k), order, self.dim)
+                                  for r in via_laplacian.rows])
+        self._harmonic[(k, which)] = cached
+        return cached
 
     def harmonic_dimension(self, k: int, which: str) -> int:
         return self.harmonic_space(k, which)[0].dim
@@ -425,18 +379,11 @@ class HodgeTheory:
             hp, hp_forms = self.harmonic_space(k, "plus")
             hm, _ = self.harmonic_space(k, "minus")
             mapped = Subspace(len(self.prim_basis(k)), [
-                self._prim_coords(self.triple.jay(f), k) for f in hp_forms])
+                self.st.prim_coords(self.triple.jay(f), k) for f in hp_forms])
             if mapped != hm:
                 ok = False
                 details.append("splitting operator does not map harmonic(+) onto harmonic(-)")
         return CheckResult(name, ok, details)
-
-    def _prim_coords(self, f: Form, k: int) -> dict:
-        idx = {b: i for i, b in enumerate(blades(self.dim, k))}
-        coords = self.st.primitive_subspace(k).coordinates(form_to_coords(f, idx))
-        if coords is None:
-            raise AssertionError(f"form is not primitive: {f}")
-        return {i: c for i, c in enumerate(coords) if c}
 
     def pairing_matrix(self, k: int, reps_plus: list[Form],
                        reps_minus: list[Form]) -> OperatorMatrix:

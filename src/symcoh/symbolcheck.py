@@ -17,8 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exterior import Form, blades, form_to_coords
+from .exterior import Form
 from .linalg import OperatorMatrix, Subspace, image, kernel
 from .reports import CheckResult
 from .symplectic import SymplecticStructure, standard_omega
@@ -58,19 +59,11 @@ def _symbol_middle(st: SymplecticStructure, xi: Form, mu: Form) -> Form:
     return xi.wedge(st.Lambda(xi.wedge(mu))) * Fraction(1, st.n - k + 1)
 
 
-def _matrix(st: SymplecticStructure, op, k_from: int, k_to: int) -> OperatorMatrix:
-    dom = st.primitive_basis(k_from)
-    cod = st.primitive_subspace(k_to)
-    idx = {m: i for i, m in enumerate(blades(st.dim, k_to))}
-    cols = []
-    for mu in dom:
-        out = op(mu)
-        vec = form_to_coords(out, idx)
-        coords = cod.coordinates(vec)
-        if coords is None:
-            raise AssertionError(f"symbol image is not primitive: {out}")
-        cols.append({i: c for i, c in enumerate(coords) if c})
-    return OperatorMatrix.from_columns(cols, cod.dim)
+@lru_cache(maxsize=None)
+def _standard_structure(n: int) -> SymplecticStructure:
+    """The standard structure of dimension 2n, with its primitive bases
+    cached, shared by every covector."""
+    return SymplecticStructure(standard_omega(n))
 
 
 def build_symbols(n: int, xi: Form) -> SymbolComplex:
@@ -81,15 +74,15 @@ def build_symbols(n: int, xi: Form) -> SymbolComplex:
         raise ValueError(f"covector must be a 1-form, got {xi}")
     if xi.dim != 2 * n:
         raise ValueError(f"covector dimension {xi.dim} != 2n = {2 * n}")
-    st = SymplecticStructure(standard_omega(n))
+    st = _standard_structure(n)
     asc = [st.primitive_basis(k) for k in range(n + 1)]
     spaces = asc + asc[::-1][:]
     maps: list[OperatorMatrix] = []
     for k in range(n):
-        maps.append(_matrix(st, lambda m: _symbol_plus(st, xi, m), k, k + 1))
-    maps.append(_matrix(st, lambda m: _symbol_middle(st, xi, m), n, n))
+        maps.append(st.prim_op_matrix(lambda m: _symbol_plus(st, xi, m), k, k + 1))
+    maps.append(st.prim_op_matrix(lambda m: _symbol_middle(st, xi, m), n, n))
     for k in range(n, 0, -1):
-        maps.append(_matrix(st, lambda m: _symbol_minus(st, xi, m), k, k - 1))
+        maps.append(st.prim_op_matrix(lambda m: _symbol_minus(st, xi, m), k, k - 1))
     return SymbolComplex(n=n, xi=xi, structure=st, spaces=spaces, maps=maps)
 
 

@@ -3,11 +3,13 @@
 ``SymplecticStructure`` wraps a non-degenerate 2-form: the sl(2) triple
 (L, Lambda, H), the component-count operator R, the Lefschetz decomposition
 into primitive pieces, primitive-form tests and bases, and the symplectic
-star.  ``SymplecticComplex`` combines it with a Lie-algebra differential and
+star.  It owns primitive coordinates: every operator between primitive
+spaces becomes a matrix over the primitive bases through ``prim_op_matrix``.
+``SymplecticComplex`` combines it with a Lie-algebra differential and
 carries d, its symplectic adjoint, and the degree +1/-1 pieces of d on
-primitive components.
+primitive components, both form by form and as one matrix per degree.
 
-Every operator here acts on exact Forms and returns exact Forms.  Scalar
+Every form-level operator here returns exact Forms.  Scalar
 operators such as 1/(H+2R+1) act by eigenvalue on each Lefschetz component:
 a component built from r copies of omega wedged onto a primitive s-form is
 scaled by the value of the symbol at that (r, s).
@@ -20,7 +22,7 @@ from math import factorial as _factorial
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
-from .exterior import Form, blades, contract, form_to_coords
+from .exterior import Form, blade_index, contract, form_from_coords, form_to_coords
 from .linalg import OperatorMatrix, Subspace, det, kernel
 
 RS = Callable[[int, int], Fraction]
@@ -105,7 +107,7 @@ class SymplecticStructure:
                            if self.inverse[i][j]]
         if not self.L_power(Form.scalar(self.dim, 1), self.n):
             raise NotSymplecticError("omega^n vanishes", "degenerate")
-        self._primitive: dict[int, tuple[Subspace, list[Form]]] = {}
+        self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
 
     # -- sl(2) action ----------------------------------------------------
 
@@ -194,24 +196,24 @@ class SymplecticStructure:
     def is_primitive(self, a: Form) -> bool:
         return self.Lambda(a).is_zero()
 
-    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form]]:
+    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form], OperatorMatrix]:
+        """Kernel of Lambda in blade coordinates, its basis forms, and the
+        matrix B_k whose columns are those forms' blade coordinates."""
         cached = self._primitive.get(k)
         if cached is not None:
             return cached
         if not 0 <= k <= self.n:
             raise ValueError(f"primitive degree must be in 0..{self.n}, got {k}")
-        order = blades(self.dim, k)
-        index = {m: i for i, m in enumerate(order)}
-        cod = blades(self.dim, k - 2)
-        cod_index = {m: i for i, m in enumerate(cod)}
-        cols = [form_to_coords(self.Lambda(Form(self.dim, {m: 1})), cod_index)
-                for m in order]
-        sub = kernel(OperatorMatrix.from_columns(cols, len(cod)))
-        forms = [Form(self.dim, {order[j]: c for j, c in row.items()})
-                 for row in sub.rows]
-        data = (sub, forms)
+        order = blade_index(self.dim, k)[0]
+        sub = kernel(matrix_on_blades(self.Lambda, self.dim, k, k - 2))
+        forms = [form_from_coords(row, order, self.dim) for row in sub.rows]
+        data = (sub, forms, OperatorMatrix.from_columns(sub.rows, len(order)))
         self._primitive[k] = data
         return data
+
+    def _prim_forms(self, k: int) -> list[Form]:
+        """The primitive basis of degree k; empty outside 0..n."""
+        return self._primitive_data(k)[1] if 0 <= k <= self.n else []
 
     def primitive_basis(self, k: int) -> list[Form]:
         """Canonical basis of the primitive degree-k forms (kernel of Lambda)."""
@@ -220,6 +222,34 @@ class SymplecticStructure:
     def primitive_subspace(self, k: int) -> Subspace:
         """Primitive forms as a subspace over the degree-k blade basis."""
         return self._primitive_data(k)[0]
+
+    # -- primitive coordinates -----------------------------------------------
+
+    def prim_coords(self, f: Form, k: int) -> dict:
+        """Coordinates of a primitive degree-k form over ``primitive_basis(k)``.
+
+        Outside 0..n only the zero form is primitive.  Raises AssertionError
+        on a form that is not primitive.
+        """
+        if 0 <= k <= self.n:
+            coords = self._primitive_data(k)[0].coordinates(
+                form_to_coords(f, blade_index(self.dim, k)[1]))
+        else:
+            coords = None if f else []
+        if coords is None:
+            raise AssertionError(f"form is not primitive in degree {k}: {f}")
+        return {i: c for i, c in enumerate(coords) if c}
+
+    def lift(self, vec: dict, k: int) -> dict:
+        """Degree-k blade coordinates of the form with primitive coordinates
+        ``vec``; inverse of ``prim_coords``."""
+        return self._primitive_data(k)[2].apply(vec) if vec else {}
+
+    def prim_op_matrix(self, op, k_from: int, k_to: int) -> OperatorMatrix:
+        """Matrix of a form operator from the primitive k_from-forms to the
+        primitive k_to-forms, both in primitive coordinates."""
+        cols = [self.prim_coords(op(b), k_to) for b in self._prim_forms(k_from)]
+        return OperatorMatrix.from_columns(cols, len(self._prim_forms(k_to)))
 
     # -- symplectic star ----------------------------------------------------
 
@@ -313,7 +343,8 @@ class SymplecticComplex:
     to each primitive Lefschetz component and split the result into its
     primitive part and its single omega-wedge part.  Closed-formula versions
     in terms of d and the adjoint differential are provided separately and
-    must agree (they are cross-checked in the test suite).
+    must agree (they are cross-checked in the test suite).  Production code
+    uses ``del_matrices``; the form-level routes are its oracles.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, omega: Form):
@@ -329,6 +360,7 @@ class SymplecticComplex:
         self.omega = omega
         self.dim = algebra.dim
         self.n = self.structure.n
+        self._del_matrices: dict[int, tuple[OperatorMatrix, OperatorMatrix]] = {}
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -407,6 +439,29 @@ class SymplecticComplex:
     def del_plus_del_minus(self, a: Form) -> Form:
         return self.del_plus(self.del_minus(a))
 
+    def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+        """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive
+        coordinates, built once per degree.
+
+        Each primitive basis form is split once by the closed primitive
+        formulas del_minus = (1/H) Lambda d and del_plus = d - L del_minus;
+        the projection routes ``del_plus``/``del_minus`` are their oracle.
+        """
+        cached = self._del_matrices.get(k)
+        if cached is None:
+            minus: dict[Form, Form] = {}
+
+            def plus(b: Form) -> Form:
+                db = self.d(b)
+                minus[b] = self.Lambda(db) / (self.n - k + 1)
+                return db - self.L(minus[b])
+
+            st = self.structure
+            dp = st.prim_op_matrix(plus, k, k + 1)
+            cached = (dp, st.prim_op_matrix(minus.__getitem__, k, k - 1))
+            self._del_matrices[k] = cached
+        return cached
+
     # -- closed-formula routes (cross-checks) --------------------------------
 
     def del_plus_formula(self, a: Form) -> Form:
@@ -454,8 +509,7 @@ def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
 
     Raises if the operator's image on some blade leaves degree ``k_to``.
     """
-    dom = blades(dim, k_from)
-    cod = blades(dim, k_to)
-    idx = {m: i for i, m in enumerate(cod)}
+    dom = blade_index(dim, k_from)[0]
+    cod, idx = blade_index(dim, k_to)
     cols = [form_to_coords(op(Form(dim, {m: 1})), idx) for m in dom]
     return OperatorMatrix.from_columns(cols, len(cod), domain=dom, codomain=cod)

@@ -88,6 +88,7 @@ def test_json_reversed_indices_negate():
     '{"dim": 4, "d": {"3": [[1, 2, "x"]]}}',
     '{"dim": 4, "d": {"3": [[1, 2, "1/0"]]}}',
     '{"dim": 4, "d": {"3": 5}}',
+    pytest.param('{"dim": 4, "d": ' + "[" * 100000, id="deeply-nested"),
 ])
 def test_json_errors(bad):
     with pytest.raises(AlgebraValidationError):

@@ -125,6 +125,13 @@ def test_check_symbol(capsys):
     assert json.loads(out)["checks"]["symbol"]["passed"]
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "8"])
+def test_symbol_n_out_of_range_is_input_error(capsys, n):
+    code, out, err = run_cli(capsys, "check", "--suite", "symbol", "--n", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --n must be in 1..7")
+
+
 def test_check_symbol_seed_flag(capsys):
     code, first, _ = run_cli(capsys, "check", "--suite", "symbol", "--n", "2",
                              "--seed", "7")
@@ -181,10 +188,18 @@ def test_out_to_unwritable_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("terms", [
     '[[true, 2, 1]]', '[[1, 2, false]]', '[[1, 2, "x"]]', '[[1, 2, "1/0"]]', '5',
+    pytest.param("[" * 100000, id="deeply-nested"),
+    # bytes go through --algebra-file
+    pytest.param(b'[[1, 2, "\xff\xfe"]]', id="file-not-utf8"),
 ])
-def test_bad_json_algebra_is_input_error(capsys, terms):
-    algebra = '{"dim": 4, "d": {"3": ' + terms + '}}'
-    code, out, err = run_cli(capsys, "compute", "--algebra", algebra,
+def test_bad_json_algebra_is_input_error(capsys, tmp_path, terms):
+    if isinstance(terms, bytes):
+        path = tmp_path / "algebra.json"
+        path.write_bytes(b'{"dim": 4, "d": {"3": ' + terms + b'}}')
+        source = ("--algebra-file", str(path))
+    else:
+        source = ("--algebra", '{"dim": 4, "d": {"3": ' + terms + '}}')
+    code, out, err = run_cli(capsys, "compute", *source,
                              "--omega", "14+23", "--groups", "dR")
     assert code == 2 and out == ""
     assert "bad algebra" in err

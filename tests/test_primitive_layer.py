@@ -1,0 +1,78 @@
+"""The per-degree primitive operator layer against its form-level oracles.
+
+``SymplecticComplex.del_matrices`` splits each primitive basis form once by
+the closed primitive formulas; the projection routes ``del_plus`` and
+``del_minus`` decompose every form into Lefschetz components instead.  The
+two must give the same matrix in every degree.
+"""
+
+import pytest
+
+from symcoh import Form, SymplecticComplex, parse_form, parse_salamon, standard_omega
+from symcoh.exterior import blade_index, form_to_coords
+from symcoh.hodge import HodgeTheory
+from symcoh.symbolcheck import build_symbols
+
+from conftest import NIL_ALGEBRA, OMEGA, OMEGA_PRIME, TORUS_ALGEBRA
+
+FIXTURES = {
+    "N6": (NIL_ALGEBRA, OMEGA),
+    "N6-prime": (NIL_ALGEBRA, OMEGA_PRIME),
+    "T6": (TORUS_ALGEBRA, None),
+    "KT4": ("(0,0,0,12)", "e13 + e24"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FIXTURES))
+def cx(request):
+    algebra, omega = FIXTURES[request.param]
+    alg = parse_salamon(algebra)
+    w = standard_omega(alg.dim // 2) if omega is None else parse_form(omega, alg.dim)
+    return SymplecticComplex(alg, w)
+
+
+def test_del_matrices_match_projection_routes(cx):
+    st = cx.structure
+    for k in range(cx.n + 1):
+        dp, dm = cx.del_matrices(k)
+        basis = st.primitive_basis(k)
+        assert dp.ncols == dm.ncols == len(basis)
+        assert dp.nrows == (len(st.primitive_basis(k + 1)) if k < cx.n else 0)
+        assert dm.nrows == (len(st.primitive_basis(k - 1)) if k > 0 else 0)
+        for j, b in enumerate(basis):
+            assert dp.cols[j] == st.prim_coords(cx.del_plus(b), k + 1)
+            assert dm.cols[j] == st.prim_coords(cx.del_minus(b), k - 1)
+
+
+def test_del_matrices_built_once_per_degree(cx):
+    assert cx.del_matrices(1) is cx.del_matrices(1)
+
+
+def test_lift_inverts_prim_coords(cx):
+    st = cx.structure
+    for k in range(cx.n + 1):
+        index = blade_index(cx.dim, k)[1]
+        for j, b in enumerate(st.primitive_basis(k)):
+            coords = st.prim_coords(b, k)
+            assert coords == {j: 1}
+            assert st.lift(coords, k) == form_to_coords(b, index)
+
+
+def test_prim_coords_rejects_non_primitive(cx):
+    st = cx.structure
+    with pytest.raises(AssertionError):
+        st.prim_coords(cx.omega, 2)
+    with pytest.raises(AssertionError):
+        st.prim_coords(Form.scalar(cx.dim, 1), -1)
+    assert st.prim_coords(Form.zero(cx.dim), cx.n + 1) == {}
+
+
+def test_harmonic_space_computed_once(nil_cx):
+    ht = HodgeTheory(nil_cx)
+    assert ht.harmonic_space(1, "plus") is ht.harmonic_space(1, "plus")
+
+
+def test_symbol_structure_shared_across_covectors():
+    a = build_symbols(2, Form.e(4, 1))
+    b = build_symbols(2, Form.e(4, 3))
+    assert a.structure is b.structure
