@@ -222,10 +222,11 @@ class InnerProduct:
         return self.gram_inverse(dom_degree) @ op.transpose() @ self.gram(cod_degree)
 
 
-def adjoint_in_bases(op: OperatorMatrix, gram_dom: OperatorMatrix,
+def adjoint_in_bases(op: OperatorMatrix, gram_dom_inverse: OperatorMatrix,
                      gram_cod: OperatorMatrix) -> OperatorMatrix:
-    """Adjoint of op: dom -> cod for arbitrary basis Gram matrices."""
-    return gram_dom.invert() @ op.transpose() @ gram_cod
+    """Adjoint of op: dom -> cod, given the inverse of the domain's Gram
+    matrix and the codomain's Gram matrix in arbitrary bases."""
+    return gram_dom_inverse @ op.transpose() @ gram_cod
 
 
 def gram_of_forms(ip: InnerProduct, forms: list[Form]) -> OperatorMatrix:
@@ -259,6 +260,7 @@ class HodgeTheory:
             raise ValueError("triple was built for a different omega")
         self.ip = InnerProduct(self.triple)
         self._prim_gram: dict[int, OperatorMatrix] = {}
+        self._prim_gram_inv: dict[int, OperatorMatrix] = {}
         self._harmonic: dict[tuple[int, str], tuple[Subspace, list[Form]]] = {}
 
     # -- primitive-basis plumbing ----------------------------------------
@@ -273,26 +275,33 @@ class HodgeTheory:
             self._prim_gram[k] = cached
         return cached
 
+    def prim_gram_inverse(self, k: int) -> OperatorMatrix:
+        cached = self._prim_gram_inv.get(k)
+        if cached is None:
+            cached = self.prim_gram(k).invert()
+            self._prim_gram_inv[k] = cached
+        return cached
+
     # -- harmonic spaces ---------------------------------------------------
 
     def _updown(self, which: str, k: int):
-        """The piece of d leaving P^k, the one arriving in P^k, and the Gram
-        matrices of their far ends; outside 0..n a primitive space is 0."""
+        """The piece of d leaving P^k, the one arriving in P^k, the Gram
+        matrix of the first one's target and the inverse Gram matrix of the
+        second one's source; outside 0..n a primitive space is 0."""
         if which == "plus":      # P^k -> P^{k+1} and P^{k-1} -> P^k
             return (self.cx.del_matrices(k)[0], self.cx.del_matrices(k - 1)[0],
-                    self.prim_gram(k + 1), self.prim_gram(k - 1))
+                    self.prim_gram(k + 1), self.prim_gram_inverse(k - 1))
         if which == "minus":     # P^k -> P^{k-1} and P^{k+1} -> P^k
             return (self.cx.del_matrices(k)[1], self.cx.del_matrices(k + 1)[1],
-                    self.prim_gram(k - 1), self.prim_gram(k + 1))
+                    self.prim_gram(k - 1), self.prim_gram_inverse(k + 1))
         raise ValueError("which must be 'plus' or 'minus'")
 
     def laplacian(self, k: int, which: str) -> OperatorMatrix:
         if not 0 <= k < self.n:
             raise ValueError(f"harmonic degree must be in 0..{self.n - 1}, got {k}")
-        g_k = self.prim_gram(k)
-        d_out, d_in, g_out, g_in = self._updown(which, k)
-        d_out_star = adjoint_in_bases(d_out, g_k, g_out)
-        d_in_star = adjoint_in_bases(d_in, g_in, g_k)
+        d_out, d_in, g_out, g_in_inv = self._updown(which, k)
+        d_out_star = adjoint_in_bases(d_out, self.prim_gram_inverse(k), g_out)
+        d_in_star = adjoint_in_bases(d_in, g_in_inv, self.prim_gram(k))
         return d_in @ d_in_star + d_out_star @ d_out
 
     def harmonic_space(self, k: int, which: str) -> tuple[Subspace, list[Form]]:
@@ -306,9 +315,8 @@ class HodgeTheory:
             return cached
         if not 0 <= k < self.n:
             raise ValueError(f"harmonic degree must be in 0..{self.n - 1}, got {k}")
-        g_k = self.prim_gram(k)
-        d_out, d_in, g_out, g_in = self._updown(which, k)
-        d_in_star = adjoint_in_bases(d_in, g_in, g_k)
+        d_out, d_in, _, g_in_inv = self._updown(which, k)
+        d_in_star = adjoint_in_bases(d_in, g_in_inv, self.prim_gram(k))
         via_laplacian = kernel(self.laplacian(k, which))
         via_kernels = subspace_intersect(kernel(d_out), kernel(d_in_star))
         if via_laplacian != via_kernels:
@@ -329,8 +337,8 @@ class HodgeTheory:
         """P^k = harmonic + image + coimage, orthogonal with matching dims."""
         name = f"hodge-decomposition(k={k}, {which})"
         g_k = self.prim_gram(k)
-        d_out, d_in, g_out, g_in = self._updown(which, k)
-        d_out_star = adjoint_in_bases(d_out, g_k, g_out)
+        d_out, d_in, g_out, _ = self._updown(which, k)
+        d_out_star = adjoint_in_bases(d_out, self.prim_gram_inverse(k), g_out)
         harm, _ = self.harmonic_space(k, which)
         im_in = image(d_in)
         im_adj = image(d_out_star)
@@ -361,18 +369,19 @@ class HodgeTheory:
         jk1 = matrix_on_blades(self.triple.jay, dim, k + 1, k + 1)
         m_dp = matrix_on_blades(self.cx.del_plus, dim, k, k + 1)
         m_dm = matrix_on_blades(self.cx.del_minus, dim, k + 1, k)
-        g_k = self.ip.gram(k)
-        g_k1 = self.ip.gram(k + 1)
-        m_dm_star = g_k1.invert() @ m_dm.transpose() @ g_k      # k -> k+1
-        m_dp_star = g_k.invert() @ m_dp.transpose() @ g_k1      # k+1 -> k
+        m_dm_star = self.ip.adjoint(m_dm, k + 1, k)      # k -> k+1
+        m_dp_star = self.ip.adjoint(m_dp, k, k + 1)      # k+1 -> k
         s_hr_k = matrix_on_blades(
             lambda a: self.st.apply_rs(a, lambda r, s: Fraction(n - r - s)), dim, k, k)
         details = []
         ok = True
-        if (jk1 @ m_dp @ jk.invert()) != (m_dm_star @ s_hr_k):
+        # the splitting operator squares to (-1)^k on degree k
+        jk_inv = jk.scale((-1) ** k)
+        jk1_inv = jk1.scale((-1) ** (k + 1))
+        if (jk1 @ m_dp @ jk_inv) != (m_dm_star @ s_hr_k):
             ok = False
             details.append("conjugate of del_plus != adjoint(del_minus) (H+R)")
-        if (jk @ m_dp_star @ jk1.invert()) != (s_hr_k @ m_dm):
+        if (jk @ m_dp_star @ jk1_inv) != (s_hr_k @ m_dm):
             ok = False
             details.append("conjugate of adjoint(del_plus) != (H+R) del_minus")
         if k < n:

@@ -1,19 +1,22 @@
 """Exact sparse linear algebra over Q.
 
 Vectors are sparse ``{index: scalar}`` dicts; scalars are ints or Fractions
-(never floats).  Row reduction clears denominators and then runs
-fraction-free (Bareiss) elimination so intermediate entries stay integral;
-reduced echelon normalization happens once at the end.
+(never floats).  Row reduction clears each row's denominators once and then
+works on Python ints: rows are kept primitive (divided by the gcd of their
+entries) and filed by leading column, and a pivot touches only the rows that
+share its column.  The Fraction form is produced once, at the end.
 
-Pivot choice is frozen: leftmost column first, then first row.  A Subspace is
-stored as its reduced-row-echelon basis, which is a canonical representation:
-two subspaces are equal iff their stored bases are identical.
+A Subspace is stored as its reduced-row-echelon basis.  The reduced row
+echelon form of a row space is unique, so this is a canonical
+representation: two subspaces are equal iff their stored bases are
+identical, whichever rows elimination happened to pivot on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = dict
@@ -30,24 +33,6 @@ class InclusionError(ValueError):
 # ---------------------------------------------------------------------------
 # scalar/vector helpers
 # ---------------------------------------------------------------------------
-
-def _exact_div(a, b):
-    return Fraction(a) / b
-
-
-def _denominator_lcm(row: Vec) -> int:
-    d = 1
-    for v in row.values():
-        d = lcm(d, v.denominator)
-    return d
-
-
-def _clear_denominators(row: Vec) -> Vec:
-    d = _denominator_lcm(row)
-    if d == 1:
-        return dict(row)
-    return {j: v * d for j, v in row.items()}
-
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     out = dict(a)
@@ -80,73 +65,95 @@ def vec_dot(a: Vec, b: Vec):
 # elimination
 # ---------------------------------------------------------------------------
 
-def echelon(rows: Iterable[Vec], ncols: int) -> list[tuple[int, Vec]]:
-    """Fraction-free forward elimination; returns (pivot column, row) pairs.
+def _primitive(row: Vec) -> Vec:
+    """An int row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: v // g for j, v in row.items()}
 
-    Rows are combined via the Bareiss update, so entries stay integral once
-    denominators are cleared.  Pivots come out in ascending column order.
+
+def _int_row(row: Vec) -> Vec:
+    """The non-zero entries scaled to coprime ints, spanning the same line."""
+    row = {j: v for j, v in row.items() if v}
+    if not row:
+        return row
+    d = lcm(*(v.denominator for v in row.values()))
+    return _primitive({j: v.numerator * (d // v.denominator)
+                       for j, v in row.items()})
+
+
+def _eliminate(r: Vec, p: Vec, col: int) -> Vec:
+    """The primitive row (a/g)·r − (b/g)·p with a = p[col], b = r[col] and
+    g = gcd(a, b); it is 0 in ``col``."""
+    a, b = p[col], r[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    out = {j: a * v for j, v in r.items()}
+    for j, v in p.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def echelon(rows: Iterable[Vec], ncols: int) -> list[tuple[int, Vec]]:
+    """Forward elimination on primitive int rows; returns (pivot column,
+    row) pairs with pivots in ascending column order.
+
+    Rows wait in buckets keyed by their leading column.  At each pivot
+    column the sparsest row of that bucket is the pivot; only the other rows
+    of the bucket are combined with it, and each result is re-filed by its
+    new leading column.  Rows that are 0 in the pivot column are untouched.
     """
-    work = []
+    buckets: dict[int, list[Vec]] = {}
+    heap: list[int] = []
+
+    def file(r: Vec):
+        lead = min(r)
+        bucket = buckets.get(lead)
+        if bucket is None:
+            buckets[lead] = [r]
+            heappush(heap, lead)
+        else:
+            bucket.append(r)
+
     for r in rows:
-        r = {j: v for j, v in r.items() if v}
+        r = _int_row(r)
         if r:
-            work.append(_clear_denominators(r))
+            file(r)
     pivots: list[tuple[int, Vec]] = []
-    prev = 1
-    col = 0
-    while work and col < ncols:
-        pr = None
-        rest = []
-        for r in work:
-            if pr is None and r.get(col):
-                pr = r
-            else:
-                rest.append(r)
-        if pr is None:
-            col += 1
-            continue
-        piv = pr[col]
-        nxt = []
-        for r in rest:
-            rc = r.get(col, 0)
-            nr = {}
-            for j in r.keys() | pr.keys():
-                v = piv * r.get(j, 0) - rc * pr.get(j, 0)
-                if v:
-                    nr[j] = _exact_div(v, prev)
-            if nr:
-                nxt.append(nr)
-        pivots.append((col, pr))
-        work = nxt
-        prev = piv
-        col += 1
+    while heap and heap[0] < ncols:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        piv = min(bucket, key=len)
+        for r in bucket:
+            if r is not piv:
+                r = _eliminate(r, piv, col)
+                if r:
+                    file(r)
+        pivots.append((col, piv))
     return pivots
 
 
 def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     """Canonical reduced row echelon form: (pivot columns, normalized rows)."""
     pivoted = echelon(rows, ncols)
-    # eliminate above each pivot, then normalize leading entries to 1
-    for t in range(len(pivoted) - 1, -1, -1):
-        col_t, row_t = pivoted[t]
-        pv = row_t[col_t]
-        for s in range(t):
-            col_s, row_s = pivoted[s]
-            f = row_s.get(col_t)
-            if f:
-                factor = _exact_div(f, pv)
-                for j, v in row_t.items():
-                    w = row_s.get(j, 0) - factor * v
-                    if w:
-                        row_s[j] = w
-                    else:
-                        row_s.pop(j, None)
-    pivots = []
+    # clear each pivot column from the rows above it, bottom row first: a
+    # row below is already 0 in every other pivot column, so no elimination
+    # refills a pivot column
+    reduced: dict[int, Vec] = {}
+    for col, row in reversed(pivoted):
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[col] = row
+    pivots = [col for col, _ in pivoted]
     out = []
-    for col, row in pivoted:
+    for col in pivots:
+        row = reduced[col]
         pv = row[col]
-        out.append({j: _exact_div(v, pv) for j, v in row.items()})
-        pivots.append(col)
+        out.append({j: Fraction(v, pv) for j, v in row.items()})
     return pivots, out
 
 
@@ -166,7 +173,7 @@ def det(rows: Sequence[Sequence], n: int):
                 return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = _exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else Fraction(1)

@@ -1,7 +1,10 @@
 """Byte-identity gate: pinned stdout hashes and exit codes of the CLI.
 
-Every hash was recorded from the engine before the per-degree primitive
-operator layer replaced the form-by-form routes.  Any change of a
+The 4- and 6-dim hashes were recorded from the engine before the
+per-degree primitive operator layer replaced the form-by-form routes; the
+N8, T8 and N10 ladder hashes before sparse integer elimination replaced the
+Bareiss kernel, and they equal the ``compute`` entries of
+``perfbench/reference.json``.  Any change of a
 representative, a dimension or a check detail moves a hash.  A refactor
 that moves one has changed an answer.  Regenerate only for a deliberate
 output change, and say why in CHANGES.md.
@@ -36,6 +39,12 @@ GOLDEN = [
      "338e0a84761a4cdd2c25eb07374dbcd295fc14cfd99a427d0533dadce0c5471e"),
     ("(0,0,0,0,0,0)", "12+34+56", "hodge",
      "70e1e1cc6ab53ff43304090dcbc9104e99bf4796725c89ef6da6a4ba96a3a984"),
+    ("(0,0,0,12,14,15+23+24,0,0)", "16+25-34+78", "compute",
+     "7800ad32375f69c36c062774665e3f050aa3689ba5198f734c1ed3b50524c4c5"),
+    ("(0,0,0,0,0,0,0,0)", "12+34+56+78", "compute",
+     "2d27576c09e0a29c15c8769d95daa94d5e8d36925061cb53d170a3ccc088b243"),
+    ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", "compute",
+     "f17955738b71980eee14b3793a62216f3f3963e770d492facd9ecca76f5f9c1e"),
 ]
 
 

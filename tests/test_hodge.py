@@ -242,7 +242,8 @@ def test_full_space_adjoint_restricts_to_primitive(nil_cx, nil_hodge):
         m_dp = matrix_on_blades(nil_cx.del_plus, 6, k, k + 1)
         full_adj = ip.adjoint(m_dp, k, k + 1)
         prim_adj = adjoint_in_bases(nil_cx.del_matrices(k)[0],
-                                    nil_hodge.prim_gram(k), nil_hodge.prim_gram(k + 1))
+                                    nil_hodge.prim_gram(k).invert(),
+                                    nil_hodge.prim_gram(k + 1))
         idxk1 = {m: i for i, m in enumerate(blades(6, k + 1))}
         basis_k1 = nil_hodge.prim_basis(k + 1)
         for j, b in enumerate(basis_k1):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bareiss_oracle
 from symcoh import parse_form, parse_salamon
 from symcoh.exterior import Form, blades
 from symcoh.linalg import (
@@ -10,6 +13,7 @@ from symcoh.linalg import (
     OperatorMatrix,
     Subspace,
     det,
+    echelon,
     image,
     kernel,
     quotient,
@@ -90,6 +94,40 @@ def test_rank_matches_naive_oracle_random():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert m.rank() == naive_rank(m.rows(), m.ncols)
+
+
+# small entries include 0; large ones sit over small denominators
+ENTRIES = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(1, 6)))
+
+
+@st.composite
+def sparse_rational_rows(draw):
+    """Wide or tall sparse rows with empty rows, explicit zeros, and
+    repeated and rescaled copies of drawn rows."""
+    ncols = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), ENTRIES, max_size=ncols),
+        max_size=12))
+    if rows:
+        for r in draw(st.lists(st.sampled_from(rows), max_size=3)):
+            s = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        {j: v * s for j, v in r.items()})
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rational_rows())
+def test_rref_matches_bareiss_oracle(case):
+    rows, ncols = case
+    before = [dict(r) for r in rows]
+    pivots, out = rref(rows, ncols)
+    assert rows == before
+    assert (pivots, out) == bareiss_oracle.rref(before, ncols)
+    assert all(type(v) is Fraction for r in out for v in r.values())
+    assert len(echelon(rows, ncols)) == len(bareiss_oracle.echelon(before, ncols))
 
 
 def test_rank_nullity():

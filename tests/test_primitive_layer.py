@@ -11,6 +11,7 @@ import pytest
 from symcoh import Form, SymplecticComplex, parse_form, parse_salamon, standard_omega
 from symcoh.exterior import blade_index, form_to_coords
 from symcoh.hodge import HodgeTheory
+from symcoh.linalg import OperatorMatrix
 from symcoh.symbolcheck import build_symbols
 
 from conftest import NIL_ALGEBRA, OMEGA, OMEGA_PRIME, TORUS_ALGEBRA
@@ -70,6 +71,29 @@ def test_prim_coords_rejects_non_primitive(cx):
 def test_harmonic_space_computed_once(nil_cx):
     ht = HodgeTheory(nil_cx)
     assert ht.harmonic_space(1, "plus") is ht.harmonic_space(1, "plus")
+
+
+def test_gram_inverses_computed_once_per_degree(nil_cx, monkeypatch):
+    """The Hodge checks invert each primitive Gram matrix (degrees -1..n)
+    and each blade Gram matrix (degrees 0..n) once, however many adjoints
+    they form."""
+    ht = HodgeTheory(nil_cx)
+    inverted = []
+    invert = OperatorMatrix.invert
+
+    def counting_invert(m):
+        inverted.append(m.nrows)
+        return invert(m)
+
+    monkeypatch.setattr(OperatorMatrix, "invert", counting_invert)
+    for k in range(ht.n):
+        for which in ("plus", "minus"):
+            ht.laplacian(k, which)
+            ht.harmonic_space(k, which)
+            assert ht.check_hodge_decomposition(k, which).passed
+        assert ht.check_jay_conjugation(k).passed
+    assert len(inverted) == (ht.n + 2) + (ht.n + 1)
+    assert ht.prim_gram_inverse(1) is ht.prim_gram_inverse(1)
 
 
 def test_symbol_structure_shared_across_covectors():
