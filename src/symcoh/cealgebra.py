@@ -26,10 +26,10 @@ import json
 from fractions import Fraction
 
 from .exterior import (
+    BladeMap,
     Form,
     FormParseError,
     blade_from_indices,
-    blade_indices,
     blades,
     _CHAR_TO_INDEX,
 )
@@ -56,7 +56,8 @@ class LieAlgebraSpec:
                 raise AlgebraValidationError(f"d(e_{i}) must be a 2-form, got {f}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "differentials", tuple(differentials))
-        object.__setattr__(self, "_d_blade", {})
+        object.__setattr__(self, "_d_blade", BladeMap(dim, self._d_of_blade, {0: Form.zero(dim)}))
+        self._d_blade.update({1 << i: f for i, f in enumerate(differentials)})
         self._validate()
 
     def __setattr__(self, name, value):
@@ -78,33 +79,18 @@ class LieAlgebraSpec:
 
     # -- the differential ----------------------------------------------
 
-    def _d_of_blade(self, mask: int) -> Form:
-        cached = self._d_blade.get(mask)
-        if cached is not None:
-            return cached
-        out = Form.zero(self.dim)
-        sign = 1
-        for t, i in enumerate(blade_indices(mask)):
-            rest = mask ^ (1 << (i - 1))
-            prefix = rest & ((1 << (i - 1)) - 1)
-            suffix = rest ^ prefix
-            term = Form(self.dim, {prefix: sign})
-            term = term.wedge(self.differentials[i - 1])
-            term = term.wedge(Form(self.dim, {suffix: 1}))
-            out = out + term
-            sign = -sign
-        self._d_blade[mask] = out
-        return out
+    @staticmethod
+    def _d_of_blade(images: BladeMap, mask: int) -> Form:
+        """Image of a blade of degree >= 2 by the Leibniz rule on its lowest
+        factor e_i: d(e_i ^ rest) = d(e_i) ^ rest - e_i ^ d(rest)."""
+        low = mask & -mask
+        rest = mask ^ low
+        return (images[low].wedge(Form(images.dim, {rest: 1}))
+                - Form(images.dim, {low: 1}).wedge(images[rest]))
 
     def d(self, a: Form) -> Form:
         """Exterior derivative, extended as an anti-derivation."""
-        if a.dim != self.dim:
-            raise ValueError(f"form has dimension {a.dim}, algebra has {self.dim}")
-        out = Form.zero(self.dim)
-        for mask, c in a.items():
-            if mask:
-                out = out + self._d_of_blade(mask) * c
-        return out
+        return self._d_blade(a)
 
     def integrate(self, a: Form):
         """Coefficient of e_{1..2n}; the volume class is normalized to 1."""

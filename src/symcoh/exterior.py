@@ -296,6 +296,32 @@ def contract(i: int, a: Form) -> Form:
     return Form(a.dim, c)
 
 
+class BladeMap(dict):
+    """A linear map on dimension ``dim``, kept as its blade images: from
+    ``known`` on, each is built once, by ``image_of_blade(images, mask)``.
+    The builder must not hold this mapping or its owner, so that no
+    reference cycle keeps the memo alive after its owner is gone."""
+
+    def __init__(self, dim: int, image_of_blade, known=()):
+        super().__init__(known)
+        self.dim = dim
+        self._image_of_blade = image_of_blade
+
+    def __missing__(self, mask: int) -> Form:
+        image = self[mask] = self._image_of_blade(self, mask)
+        return image
+
+    def __call__(self, a: Form) -> Form:
+        """Apply the map in one pass over ``a`` that builds one Form."""
+        if a.dim != self.dim:
+            raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {self.dim}")
+        c: dict[int, object] = {}
+        for mask, v in a._c.items():
+            for m, w in self[mask]._c.items():
+                c[m] = c.get(m, 0) + v * w
+        return Form(a.dim, c)
+
+
 def grade_project(a: Form, k: int) -> Form:
     if not 0 <= k <= a.dim:
         raise ValueError(f"degree {k} out of range 0..{a.dim}")

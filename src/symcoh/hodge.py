@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import Form, blade_index, form_from_coords
+from .exterior import BladeMap, Form, blade_index, form_from_coords
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -117,7 +117,7 @@ class CompatibleTriple:
         self.metric = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
         self._validate(w_mat)
         # the covector e_i goes to row i of J; the empty blade is fixed
-        self._jay_blade = {0: Form.scalar(dim, 1)}
+        self._jay_blade = BladeMap(dim, self._jay_of_blade, {0: Form.scalar(dim, 1)})
         for i in range(dim):
             self._jay_blade[1 << i] = Form(dim, {1 << j: self.J.entry(i, j)
                                                  for j in range(dim)})
@@ -139,22 +139,16 @@ class CompatibleTriple:
 
     # -- the complex splitting operator ---------------------------------
 
-    def _jay_of_blade(self, mask: int) -> Form:
+    @staticmethod
+    def _jay_of_blade(images: BladeMap, mask: int) -> Form:
         """Image of one blade: the lowest factor's image wedged onto the
         image of the rest."""
-        cached = self._jay_blade.get(mask)
-        if cached is None:
-            low = mask & -mask
-            cached = self._jay_blade[low].wedge(self._jay_of_blade(mask ^ low))
-            self._jay_blade[mask] = cached
-        return cached
+        low = mask & -mask
+        return images[low].wedge(images[mask ^ low])
 
     def jay(self, a: Form) -> Form:
         """Multiply each (p, q) component by i^(p - q); real in, real out."""
-        out = Form.zero(a.dim)
-        for mask, c in a.items():
-            out = out + self._jay_of_blade(mask) * c
-        return out
+        return self._jay_blade(a)
 
     def hodge_star(self, a: Form) -> Form:
         """Riemannian star of the triple: splitting operator after the

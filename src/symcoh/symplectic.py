@@ -9,8 +9,10 @@ spaces becomes a matrix over the primitive bases through ``prim_op_matrix``.
 carries d, its symplectic adjoint, and the degree +1/-1 pieces of d on
 primitive components, both form by form and as one matrix per degree.
 
-Every form-level operator here returns exact Forms.  Scalar
-operators such as 1/(H+2R+1) act by eigenvalue on each Lefschetz component:
+Every form-level operator here returns exact Forms.  L and Lambda are
+memoised per blade: each blade's image is built on first use and applied
+through ``exterior.BladeMap``.  Scalar operators such as
+1/(H+2R+1) act by eigenvalue on each Lefschetz component:
 a component built from r copies of omega wedged onto a primitive s-form is
 scaled by the value of the symbol at that (r, s).
 """
@@ -18,11 +20,12 @@ scaled by the value of the symbol at that (r, s).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial as _factorial
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
-from .exterior import Form, blade_index, contract, form_from_coords, form_to_coords
+from .exterior import BladeMap, Form, blade_index, form_from_coords, form_to_coords
 from .linalg import OperatorMatrix, Subspace, det, kernel
 
 RS = Callable[[int, int], Fraction]
@@ -102,30 +105,40 @@ class SymplecticStructure:
                 acc = sum(self.inverse[i][t] * w[t][j] for t in range(self.dim))
                 if acc != (1 if i == j else 0):
                     raise AssertionError("inverse bivector check failed")
-        self._inv_pairs = [(i, j, self.inverse[i][j])
-                           for i in range(self.dim) for j in range(i + 1, self.dim)
-                           if self.inverse[i][j]]
+        pairs = [(i, j, self.inverse[i][j])
+                 for i in range(self.dim) for j in range(i + 1, self.dim) if self.inverse[i][j]]
+        self._L_blade = BladeMap(self.dim, lambda _, m: omega.wedge(Form(omega.dim, {m: 1})))
+        self._Lambda_blade = BladeMap(self.dim, partial(self._Lambda_of_blade, pairs))
         if not self.L_power(Form.scalar(self.dim, 1), self.n):
             raise NotSymplecticError("omega^n vanishes", "degenerate")
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
 
     # -- sl(2) action ----------------------------------------------------
 
+    @staticmethod
+    def _Lambda_of_blade(pairs, images: BladeMap, mask: int) -> Form:
+        """Contract e_j, then e_i, for each pair i < j of the bivector.  The
+        two signs count the factors before e_j and before e_i, so together,
+        mod 2, the factors from e_i up to but not including e_j."""
+        c = {}
+        for i, j, v in pairs:
+            if mask >> i & 1 and mask >> j & 1:
+                odd = (mask & ((1 << j) - (1 << i))).bit_count() & 1
+                c[mask ^ (1 << i) ^ (1 << j)] = -v if odd else v
+        return Form(images.dim, c)
+
     def L(self, a: Form) -> Form:
         """Wedge with omega."""
-        return self.omega.wedge(a)
+        return self._L_blade(a)
 
     def L_power(self, a: Form, r: int) -> Form:
         for _ in range(r):
-            a = self.omega.wedge(a)
+            a = self.L(a)
         return a
 
     def Lambda(self, a: Form) -> Form:
         """Contraction with the inverse bivector (degree -2)."""
-        out = Form.zero(a.dim)
-        for i, j, c in self._inv_pairs:
-            out = out + contract(i + 1, contract(j + 1, a)) * c
-        return out
+        return self._Lambda_blade(a)
 
     def H(self, a: Form) -> Form:
         """Grading operator: multiplies the degree-k part by n-k."""
