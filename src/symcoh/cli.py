@@ -206,6 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads the value "--" as []
+            option = {"fmt": "format", "symbol_n": "n"}.get(name, name).replace("_", "-")
+            raise InputError(f"--{option} needs a value, got '--'")
     if args.algebra is not None and args.algebra_file is not None:
         raise InputError("use either --algebra or --algebra-file, not both")
     if args.algebra_file is not None:

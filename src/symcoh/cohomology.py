@@ -34,7 +34,7 @@ from .linalg import (
     subspace_sum,
 )
 from .reports import CheckResult
-from .symplectic import SymplecticComplex, matrix_on_blades
+from .symplectic import SymplecticComplex
 
 GROUP_NAMES = ("dR", "dL", "p+", "p-", "d+dL", "ddL")
 
@@ -84,13 +84,13 @@ class CohomologyCalculator:
             self._cache[key] = fn()
         return self._cache[key]
 
+    # Positive multiples of d and dLambda, with the same kernels and images.
+
     def d_matrix(self, k: int) -> OperatorMatrix:
-        return self._memo(("d", k),
-                          lambda: matrix_on_blades(self.cx.d, self.dim, k, k + 1))
+        return self.cx.op("d", k)[0]
 
     def dl_matrix(self, k: int) -> OperatorMatrix:
-        return self._memo(("dl", k),
-                          lambda: matrix_on_blades(self.cx.d_lambda, self.dim, k, k - 1))
+        return self.cx.op("dLambda", k)[0]
 
     # -- full-complex subspaces ----------------------------------------------
 
@@ -115,43 +115,48 @@ class CohomologyCalculator:
         return self.st.primitive_subspace(k)
 
     # -- primitive operator spaces -------------------------------------------
-    # The pieces of d are matrices between primitive coordinates (see
-    # ``SymplecticComplex.del_matrices``); their images and kernels are
-    # lifted to blade coordinates so they compare with the full complex.
+    # The pieces of d on the primitive basis, as blade coordinates times a
+    # positive int (``SymplecticComplex.del_images``), span their images;
+    # kernels are taken in primitive coordinates and lifted back.
 
-    def _lifted(self, vecs: list[dict], k: int) -> Subspace:
-        """Span of primitive-coordinate vectors, in degree-k blade coordinates."""
-        return Subspace(len(self.blade_order(k)), [self.st.lift(v, k) for v in vecs])
+    def _prim_kernel(self, cols: list[dict], k_to: int, k: int) -> Subspace:
+        """Kernel, in degree-k blades, of the map sending the primitive basis
+        to the primitive degree-``k_to`` forms ``cols``."""
+        prim = self.st.primitive_subspace(k_to)
+        m = OperatorMatrix.from_columns([prim.at_pivots(c) for c in cols], prim.dim)
+        return Subspace(len(self.blade_order(k)), [self.st.lift(r, k) for r in kernel(m).rows])
 
-    def _dpdm(self, k: int) -> OperatorMatrix:
-        """del_plus del_minus: P^k -> P^k."""
-        return self._memo(("dpdm", k), lambda: (self.cx.del_matrices(k - 1)[0]
-                                                @ self.cx.del_matrices(k)[1]))
+    def _dpdm(self, k: int) -> list[dict]:
+        """Blade coordinates of del_plus del_minus of the primitive degree-k
+        basis, times one positive int."""
+        dp, dm = self.cx.del_images(k - 1)[0], self.cx.del_images(k)[1]
+        prim = self.st.primitive_subspace(k - 1)
+        return self._memo(("dpdm", k), lambda: [dp.apply(prim.at_pivots(c)) for c in dm.cols])
 
     def dp_span(self, k: int) -> Subspace:
         """Image of the degree +1 piece on primitive degree-k forms."""
-        return self._memo(("dp_span", k), lambda: self._lifted(
-            self.cx.del_matrices(k)[0].cols, k + 1))
+        return self._memo(("dp_span", k), lambda: Subspace(
+            len(self.blade_order(k + 1)), self.cx.del_images(k)[0].cols))
 
     def dm_span(self, k: int) -> Subspace:
         """Image of the degree -1 piece on primitive degree-k forms."""
-        return self._memo(("dm_span", k), lambda: self._lifted(
-            self.cx.del_matrices(k)[1].cols, k - 1))
+        return self._memo(("dm_span", k), lambda: Subspace(
+            len(self.blade_order(k - 1)), self.cx.del_images(k)[1].cols))
 
     def dpdm_span(self, k: int) -> Subspace:
-        return self._memo(("dpdm_span", k), lambda: self._lifted(self._dpdm(k).cols, k))
+        return self._memo(("dpdm_span", k), lambda: Subspace(
+            len(self.blade_order(k)), self._dpdm(k)))
 
     def ker_dp(self, k: int) -> Subspace:
-        return self._memo(("ker_dp", k), lambda: self._lifted(
-            kernel(self.cx.del_matrices(k)[0]).rows, k))
+        return self._memo(("ker_dp", k), lambda: self._prim_kernel(
+            self.cx.del_images(k)[0].cols, k + 1, k))
 
     def ker_dm(self, k: int) -> Subspace:
-        return self._memo(("ker_dm", k), lambda: self._lifted(
-            kernel(self.cx.del_matrices(k)[1]).rows, k))
+        return self._memo(("ker_dm", k), lambda: self._prim_kernel(
+            self.cx.del_images(k)[1].cols, k - 1, k))
 
     def ker_dpdm(self, k: int) -> Subspace:
-        return self._memo(("ker_dpdm", k), lambda: self._lifted(
-            kernel(self._dpdm(k)).rows, k))
+        return self._memo(("ker_dpdm", k), lambda: self._prim_kernel(self._dpdm(k), k, k))
 
     # -- groups ----------------------------------------------------------------
 

@@ -9,7 +9,8 @@ share its column.  The Fraction form is produced once, at the end.
 A Subspace is stored as its reduced-row-echelon basis.  The reduced row
 echelon form of a row space is unique, so this is a canonical
 representation: two subspaces are equal iff their stored bases are
-identical, whichever rows elimination happened to pivot on.
+identical, whichever rows elimination happened to pivot on.  A basis row
+is 0 at the other pivots, so ``reduce`` visits a vector's own pivot entries.
 """
 
 from __future__ import annotations
@@ -220,11 +221,6 @@ class OperatorMatrix:
     def identity(cls, n: int) -> "OperatorMatrix":
         return cls(n, n, [{i: Fraction(1)} for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "OperatorMatrix":
-        n = len(values)
-        return cls(n, n, [{i: values[i]} if values[i] else {} for i in range(n)])
-
     def entry(self, i: int, j: int):
         return self.cols[j].get(i, Fraction(0))
 
@@ -304,6 +300,14 @@ class OperatorMatrix:
         return f"OperatorMatrix({self.nrows}x{self.ncols})"
 
 
+def int_matrix(cols: list[Vec], nrows: int) -> tuple[OperatorMatrix, int]:
+    """``(M, den)``: den is the least positive int that clears every
+    denominator in the rational columns ``cols``, and M = den * cols."""
+    den = lcm(*(v.denominator for c in cols for v in c.values()))
+    return OperatorMatrix(nrows, len(cols), [
+        {i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]), den
+
+
 def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
     """A particular solution of M x = target (free variables 0), or None."""
     aug = []
@@ -332,11 +336,12 @@ def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
 class Subspace:
     """A subspace in canonical reduced-row-echelon basis form."""
 
-    __slots__ = ("ambient", "pivots", "rows")
+    __slots__ = ("ambient", "pivots", "rows", "_index")
 
     def __init__(self, ambient: int, vectors: Iterable[Vec] = ()):
         self.ambient = ambient
         self.pivots, self.rows = rref(vectors, ambient)
+        self._index = None
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -358,13 +363,20 @@ class Subspace:
             raise AmbientMismatchError(
                 f"ambient dimensions differ: {self.ambient} vs {other.ambient}")
 
+    @property
+    def index(self) -> dict[int, int]:
+        """Each pivot column's position in the basis; built on first use."""
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.pivots)}
+        return self._index
+
     def reduce(self, vec: Vec) -> Vec:
-        """Residual of ``vec`` after eliminating this subspace's pivots."""
+        """Residual of ``vec`` modulo the subspace: row p's multiple is vec[p]."""
+        index = self.index
         out = dict(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if c:
-                for j, v in row.items():
+        for p, c in vec.items():
+            if c and p in index:
+                for j, v in self.rows[index[p]].items():
                     w = out.get(j, 0) - c * v
                     if w:
                         out[j] = w
@@ -379,11 +391,14 @@ class Subspace:
         self._check(other)
         return all(self.contains(r) for r in other.rows)
 
-    def coordinates(self, vec: Vec) -> list | None:
-        """Coefficients of ``vec`` over the canonical basis, or None."""
-        if not self.contains(vec):
-            return None
-        return [vec.get(p, Fraction(0)) for p in self.pivots]
+    def at_pivots(self, vec: Vec) -> Vec:
+        """Non-zero pivot entries by pivot position: coordinates if vec is in."""
+        index = self.index
+        return {index[p]: c for p, c in vec.items() if c and p in index}
+
+    def coordinates(self, vec: Vec) -> Vec | None:
+        """Sparse coefficients of ``vec`` over the canonical basis, or None."""
+        return None if self.reduce(vec) else self.at_pivots(vec)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -418,20 +433,15 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def kernel(m: OperatorMatrix) -> Subspace:
-    """Exact null space of the operator."""
+    """Exact null space; row p's entry c at free column f is -c at p in f's vector."""
     pivots, rows = rref(m.rows(), m.ncols)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        v: Vec = {f: Fraction(1)}
-        for p, row in zip(pivots, rows):
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return Subspace(m.ncols, basis)
+    basis = {f: {f: Fraction(1)} for f in range(m.ncols) if f not in pivot_set}
+    for p, row in zip(pivots, rows):
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = -c
+    return Subspace(m.ncols, list(basis.values()))
 
 
 def image(m: OperatorMatrix) -> Subspace:

@@ -35,9 +35,6 @@ class SymbolComplex:
     spaces: list[list[Form]]          # primitive bases, first ascending then descending
     maps: list[OperatorMatrix]        # maps[i]: spaces[i] -> spaces[i+1]
 
-    def positions(self) -> int:
-        return len(self.spaces)
-
 
 def _symbol_plus(st: SymplecticStructure, xi: Form, mu: Form) -> Form:
     """(1 - L H^{-1} Lambda)(xi ^ mu)."""

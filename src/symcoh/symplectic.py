@@ -2,19 +2,19 @@
 
 ``SymplecticStructure`` wraps a non-degenerate 2-form: the sl(2) triple
 (L, Lambda, H), the component-count operator R, the Lefschetz decomposition
-into primitive pieces, primitive-form tests and bases, and the symplectic
-star.  It owns primitive coordinates: every operator between primitive
-spaces becomes a matrix over the primitive bases through ``prim_op_matrix``.
-``SymplecticComplex`` combines it with a Lie-algebra differential and
-carries d, its symplectic adjoint, and the degree +1/-1 pieces of d on
-primitive components, both form by form and as one matrix per degree.
+into primitive pieces, primitive-form tests, bases and coordinates, and the
+symplectic star.  ``SymplecticComplex`` adds a Lie-algebra differential: d,
+its symplectic adjoint dLambda, and the degree +1/-1 pieces of d.
 
-Every form-level operator here returns exact Forms.  L and Lambda are
-memoised per blade: each blade's image is built on first use and applied
-through ``exterior.BladeMap``.  Scalar operators such as
-1/(H+2R+1) act by eigenvalue on each Lefschetz component:
-a component built from r copies of omega wedged onto a primitive s-form is
-scaled by the value of the symbol at that (r, s).
+L, Lambda and d are memoised per blade in ``exterior.BladeMap``s.  The
+complex's one operator cache (``op``) reads d, L and Lambda on each degree
+off those images once, as int matrices over one int denominator; dLambda
+and the pieces of d on the primitive bases (``del_images``,
+``del_matrices``) are their products.  The form-level routes (``d_lambda``,
+``del_plus``/``del_minus``, the closed formulas, ``matrix_on_blades``) are
+their oracles.  Scalar operators such as 1/(H+2R+1) act by eigenvalue on
+each Lefschetz component: a component built from r copies of omega wedged
+onto a primitive s-form is scaled by the value of the symbol at that (r, s).
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import factorial as _factorial
+from math import lcm
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import BladeMap, Form, blade_index, form_from_coords, form_to_coords
-from .linalg import OperatorMatrix, Subspace, det, kernel
+from .linalg import OperatorMatrix, Subspace, det, int_matrix, kernel
 
 RS = Callable[[int, int], Fraction]
 
@@ -65,8 +66,6 @@ class LefschetzComponents:
         for r, b in self.components.items():
             out = out + self.structure.L_power(b, r) / _factorial(r)
         return out
-
-
 
 
 class SymplecticStructure:
@@ -111,7 +110,8 @@ class SymplecticStructure:
         self._Lambda_blade = BladeMap(self.dim, partial(self._Lambda_of_blade, pairs))
         if not self.L_power(Form.scalar(self.dim, 1), self.n):
             raise NotSymplecticError("omega^n vanishes", "degenerate")
-        self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
+        self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix, int]] = {}
+        self._ops: dict[tuple[str, int], tuple[OperatorMatrix, int]] = {}
 
     # -- sl(2) action ----------------------------------------------------
 
@@ -139,6 +139,13 @@ class SymplecticStructure:
     def Lambda(self, a: Form) -> Form:
         """Contraction with the inverse bivector (degree -2)."""
         return self._Lambda_blade(a)
+
+    def op(self, name: str, k: int) -> tuple[OperatorMatrix, int]:
+        """L or Lambda on degree k as in ``SymplecticComplex.op``."""
+        if (name, k) not in self._ops:
+            images, step = {"L": (self._L_blade, 2), "Lambda": (self._Lambda_blade, -2)}[name]
+            self._ops[name, k] = _blade_matrix(images, k, k + step)
+        return self._ops[name, k]
 
     def H(self, a: Form) -> Form:
         """Grading operator: multiplies the degree-k part by n-k."""
@@ -209,31 +216,32 @@ class SymplecticStructure:
     def is_primitive(self, a: Form) -> bool:
         return self.Lambda(a).is_zero()
 
-    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form], OperatorMatrix]:
-        """Kernel of Lambda in blade coordinates, its basis forms, and the
+    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form], OperatorMatrix, int]:
+        """Kernel of Lambda in blade coordinates (0 outside 0..n), its basis
+        forms, and the int matrix B and int beta such that B/beta is the
         matrix B_k whose columns are those forms' blade coordinates."""
         cached = self._primitive.get(k)
         if cached is not None:
             return cached
-        if not 0 <= k <= self.n:
-            raise ValueError(f"primitive degree must be in 0..{self.n}, got {k}")
         order = blade_index(self.dim, k)[0]
-        sub = kernel(matrix_on_blades(self.Lambda, self.dim, k, k - 2))
+        sub = kernel(self.op("Lambda", k)[0]) if 0 <= k <= self.n else Subspace(len(order))
         forms = [form_from_coords(row, order, self.dim) for row in sub.rows]
-        data = (sub, forms, OperatorMatrix.from_columns(sub.rows, len(order)))
-        self._primitive[k] = data
+        data = self._primitive[k] = (sub, forms, *int_matrix(sub.rows, len(order)))
         return data
 
     def _prim_forms(self, k: int) -> list[Form]:
         """The primitive basis of degree k; empty outside 0..n."""
-        return self._primitive_data(k)[1] if 0 <= k <= self.n else []
+        return self._primitive_data(k)[1]
 
     def primitive_basis(self, k: int) -> list[Form]:
         """Canonical basis of the primitive degree-k forms (kernel of Lambda)."""
+        if not 0 <= k <= self.n:
+            raise ValueError(f"primitive degree must be in 0..{self.n}, got {k}")
         return list(self._primitive_data(k)[1])
 
     def primitive_subspace(self, k: int) -> Subspace:
-        """Primitive forms as a subspace over the degree-k blade basis."""
+        """Primitive forms as a subspace over the degree-k blade basis; its
+        ``at_pivots`` reads a primitive form's ``prim_coords`` unchecked."""
         return self._primitive_data(k)[0]
 
     # -- primitive coordinates -----------------------------------------------
@@ -248,15 +256,16 @@ class SymplecticStructure:
             coords = self._primitive_data(k)[0].coordinates(
                 form_to_coords(f, blade_index(self.dim, k)[1]))
         else:
-            coords = None if f else []
+            coords = None if f else {}
         if coords is None:
             raise AssertionError(f"form is not primitive in degree {k}: {f}")
-        return {i: c for i, c in enumerate(coords) if c}
+        return coords
 
     def lift(self, vec: dict, k: int) -> dict:
         """Degree-k blade coordinates of the form with primitive coordinates
         ``vec``; inverse of ``prim_coords``."""
-        return self._primitive_data(k)[2].apply(vec) if vec else {}
+        _, _, b, beta = self._primitive_data(k)
+        return {i: Fraction(v, beta) for i, v in b.apply(vec).items()}
 
     def prim_op_matrix(self, op, k_from: int, k_to: int) -> OperatorMatrix:
         """Matrix of a form operator from the primitive k_from-forms to the
@@ -373,7 +382,7 @@ class SymplecticComplex:
         self.omega = omega
         self.dim = algebra.dim
         self.n = self.structure.n
-        self._del_matrices: dict[int, tuple[OperatorMatrix, OperatorMatrix]] = {}
+        self._ops: dict[tuple, tuple] = {}
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -393,6 +402,23 @@ class SymplecticComplex:
 
     def star(self, a: Form) -> Form:
         return self.structure.star(a)
+
+    def op(self, name: str, k: int) -> tuple[OperatorMatrix, int]:
+        """Int matrix M and int den > 0: M/den is "d", "L", "Lambda" or
+        "dLambda" on the degree-k blades, built once per complex, with
+        dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
+        if name not in ("d", "dLambda"):
+            return self.structure.op(name, k)
+        if (name, k) not in self._ops:
+            if name == "d":
+                self._ops[name, k] = _blade_matrix(self.algebra._d_blade, k, k + 1)
+            else:
+                (d0, x0), (l0, y0) = self.op("d", k - 2), self.op("Lambda", k)
+                (l1, y1), (d1, x1) = self.op("Lambda", k + 1), self.op("d", k)
+                den = lcm(x0 * y0, x1 * y1)
+                self._ops[name, k] = ((d0 @ l0).scale(den // (x0 * y0))
+                                      - (l1 @ d1).scale(den // (x1 * y1)), den)
+        return self._ops[name, k]
 
     def integrate(self, a: Form):
         return self.algebra.integrate(a)
@@ -452,27 +478,37 @@ class SymplecticComplex:
     def del_plus_del_minus(self, a: Form) -> Form:
         return self.del_plus(self.del_minus(a))
 
+    def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
+        """Int matrices P, M and int den: the j-th columns of P/den and M/den
+        are del_plus and del_minus of primitive basis form j, in blade
+        coordinates, from D = d_k B_k by the closed primitive formulas
+        Lambda_{k+1} D/(n-k+1) and D - L_{k-1} del_minus; Lambda kills both."""
+        cached = self._ops.get(("del", k))
+        if cached is None:
+            b, beta = self.structure._primitive_data(k)[2:]
+            (d, x), (lam, y), (ell, z) = (self.op("d", k), self.op("Lambda", k + 1),
+                                          self.op("L", k - 1))
+            db = d @ b
+            dm = lam @ db
+            scale = z * y * (self.n - k + 1)
+            dp = db.scale(scale) - ell @ dm
+            dm = dm.scale(z)
+            if not ((lam @ dp).is_zero() and (self.op("Lambda", k - 1)[0] @ dm).is_zero()):
+                raise AssertionError(f"a piece of d leaves the primitive forms in degree {k}")
+            cached = self._ops["del", k] = (dp, dm, scale * x * beta)
+        return cached
+
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive
-        coordinates, built once per degree.
-
-        Each primitive basis form is split once by the closed primitive
-        formulas del_minus = (1/H) Lambda d and del_plus = d - L del_minus;
-        the projection routes ``del_plus``/``del_minus`` are their oracle.
-        """
-        cached = self._del_matrices.get(k)
+        coordinates, exact, built once per degree from ``del_images``; the
+        projection routes ``del_plus``/``del_minus`` are their oracle."""
+        cached = self._ops.get(("del_matrices", k))
         if cached is None:
-            minus: dict[Form, Form] = {}
-
-            def plus(b: Form) -> Form:
-                db = self.d(b)
-                minus[b] = self.Lambda(db) / (self.n - k + 1)
-                return db - self.L(minus[b])
-
-            st = self.structure
-            dp = st.prim_op_matrix(plus, k, k + 1)
-            cached = (dp, st.prim_op_matrix(minus.__getitem__, k, k - 1))
-            self._del_matrices[k] = cached
+            dp, dm, den = self.del_images(k)
+            prim = self.structure.primitive_subspace
+            cached = self._ops["del_matrices", k] = tuple(
+                OperatorMatrix.from_columns([p.at_pivots(c) for c in m.cols], p.dim)
+                .scale(Fraction(1, den)) for m, p in ((dp, prim(k + 1)), (dm, prim(k - 1))))
         return cached
 
     # -- closed-formula routes (cross-checks) --------------------------------
@@ -515,6 +551,14 @@ class SymplecticComplex:
         if not self.structure.is_primitive(b):
             raise ValueError("argument must be primitive")
         return self.d(b) - self.L(self.del_minus_primitive(b))
+
+
+def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> tuple[OperatorMatrix, int]:
+    """``(M, den)``: M/den is the matrix of a blade map from degree k_from
+    to k_to, M an int matrix, read off the map's memoised blade images."""
+    idx = blade_index(images.dim, k_to)[1]
+    return int_matrix([form_to_coords(images[m], idx)
+                       for m in blade_index(images.dim, k_from)[0]], len(idx))
 
 
 def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:

@@ -203,3 +203,23 @@ def test_bad_json_algebra_is_input_error(capsys, tmp_path, terms):
                              "--omega", "14+23", "--groups", "dR")
     assert code == 2 and out == ""
     assert "bad algebra" in err
+
+
+# argparse turns the option value "--" into [] and skips its type and
+# choices checks, so every option gets its own case here
+@pytest.mark.parametrize("argv", [
+    ["compute", "--algebra=--"],
+    ["compute", "--algebra-file=--"],
+    ["compute", "--omega=--"],
+    ["compute", "--format=--"],
+    ["compute", "--out=--"],
+    ["compute", "--groups=--"],
+    ["compute", "--degrees=--"],
+    ["check", "--suite=--"],
+    ["check", "--suite=symbol", "--n=--"],
+    ["check", "--suite=symbol", "--seed=--"],
+], ids=lambda argv: argv[-1])
+def test_double_dash_option_value_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -5,8 +5,11 @@ engine before the per-degree primitive operator layer replaced the
 form-by-form routes; the N8, T8 and N10 ladder hashes before sparse integer
 elimination replaced the Bareiss kernel; the ``identities``, ``lefschetz``,
 ``ddlambda`` and ``index`` hashes before blade maps replaced the form-level
-L, Lambda, d and splitting operator.  The ladder and check hashes equal the
-matching entries of ``perfbench/reference.json``.  A check suite that finds
+L, Lambda, d and splitting operator; the fixtures with a non-integer
+omega^-1 (the ``2*`` forms) and N12 ``compute`` before the per-complex
+integer operator cache replaced the form-by-form operator matrices.  The
+ladder and check hashes equal the matching entries of
+``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
 representative, a dimension or a check detail moves a hash.  A refactor
 that moves one has changed an answer.  Regenerate only for a deliberate
@@ -57,6 +60,18 @@ GOLDEN = [
      "04e8480b84745bda6631a577fcdd8b085dbc8b51984b9c5df7bc0323c43ef673"),
     (N6, "16+25-34", "index", 0,
      "bad2d3eef79899f754d7b5882c9a1458485a6eeb82980838d86690af72b8ba77"),
+    (N6, "2*16+2*25-2*34", "compute", 0,
+     "9f3807b4230ab46bc5da6741624a87318ec0ca2c403a20c7ed16982bc090ac72"),
+    (N6, "2*16+2*25-2*34", "hodge", 0,
+     "489f412184d44c2fc09a018d68e278d61416f89aa7d8c7f6f0ba771eadebaedf"),
+    ("(0,0,0,12)", "2*13+24", "compute", 0,
+     "253131de6942d9a47b89403f2857285787e5d5e7a595ad18c8d67ccbaed6f1f8"),
+    ("(0,0,0,12)", "2*13+24", "hodge", 0,
+     "6f38835bd22f89633807578d3eb3c84c27921b89d36e9412f05f19d1ecb4f51f"),
+    ("(0,0,0,0,0,0)", "2*12+34+56", "compute", 0,
+     "7843b8c8f57012813b520836e0e836b35736fcfa57f22995e7471426a58db114"),
+    ("(0,0,0,12,14,15+23+24,0,0,0,0,0,0)", "16+25-34+78+9a+bc", "compute", 0,
+     "9b88b986eb77a344c54388d450d51378c97e683dcf32f3fe0a9c5e7f603dfcec"),
 ]
 
 

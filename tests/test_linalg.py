@@ -260,7 +260,7 @@ def test_coordinates_and_reduce():
     s = Subspace(3, [{0: 1, 2: Fraction(1, 2)}, {1: 1}])
     v = {0: Fraction(2), 1: Fraction(-1), 2: Fraction(1)}
     coords = s.coordinates(v)
-    assert coords == [Fraction(2), Fraction(-1)]
+    assert coords == {0: Fraction(2), 1: Fraction(-1)}
     assert not s.reduce(v)
     assert s.coordinates({2: Fraction(1)}) is None
 
