@@ -17,7 +17,6 @@ from .cohomology import GROUP_NAMES, CohomologyCalculator
 from .exterior import FormParseError, form_to_str
 from .identities import run_identity_suite
 from .hodge import run_hodge_suite
-from .reports import CheckResult
 from .symbolcheck import DEFAULT_SEED, run_symbol_suite
 from .symplectic import NotSymplecticError, SymplecticComplex, parse_omega
 
@@ -127,30 +126,18 @@ def _markdown_table(report: dict) -> str:
 # check
 # ---------------------------------------------------------------------------
 
-def _run_suite(name: str, cfg: RunConfig) -> CheckResult:
-    if name == "symbol":
-        return run_symbol_suite(cfg.symbol_n, count=20, seed=cfg.seed)
-    cx = _build_complex(cfg)
-    if name == "identities":
-        return run_identity_suite(cx)
-    if name == "hodge":
-        return run_hodge_suite(cx)
-    calc = CohomologyCalculator(cx)
-    if name == "lefschetz":
-        return calc.check_strong_lefschetz()
-    if name == "ddlambda":
-        return calc.check_ddlambda_lemma()
-    if name == "index":
-        return calc.check_index()
-    raise InputError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-
-
 def cmd_check(cfg: RunConfig) -> tuple[int, str]:
     if not cfg.suites:
         raise InputError("check requires --suite")
-    results = {}
-    for name in cfg.suites:
-        results[name] = _run_suite(name, cfg)
+    cx = _build_complex(cfg)
+    calc = CohomologyCalculator(cx)
+    suites = {"identities": lambda: run_identity_suite(cx),
+              "symbol": lambda: run_symbol_suite(cfg.symbol_n, count=20, seed=cfg.seed),
+              "hodge": lambda: run_hodge_suite(cx),
+              "lefschetz": calc.check_strong_lefschetz,
+              "ddlambda": calc.check_ddlambda_lemma,
+              "index": calc.check_index}
+    results = {name: suites[name]() for name in cfg.suites}
     report = {"algebra": cfg.algebra_source, "omega": cfg.omega_source,
               "checks": {name: {"passed": r.passed, "details": list(r.details)}
                          for name, r in results.items()}}

@@ -119,19 +119,17 @@ class CohomologyCalculator:
     # positive int (``SymplecticComplex.del_images``), span their images;
     # kernels are taken in primitive coordinates and lifted back.
 
-    def _prim_kernel(self, cols: list[dict], k_to: int, k: int) -> Subspace:
+    def _prim_kernel(self, m: OperatorMatrix, k_to: int, k: int) -> Subspace:
         """Kernel, in degree-k blades, of the map sending the primitive basis
-        to the primitive degree-``k_to`` forms ``cols``."""
-        prim = self.st.primitive_subspace(k_to)
-        m = OperatorMatrix.from_columns([prim.at_pivots(c) for c in cols], prim.dim)
-        return Subspace(len(self.blade_order(k)), [self.st.lift(r, k) for r in kernel(m).rows])
+        to the primitive degree-``k_to`` forms, the columns of ``m``."""
+        kern = kernel(self.st.prim_matrix(m, k_to))
+        return Subspace(len(self.blade_order(k)), [self.st.lift(r, k) for r in kern.rows])
 
-    def _dpdm(self, k: int) -> list[dict]:
+    def _dpdm(self, k: int) -> OperatorMatrix:
         """Blade coordinates of del_plus del_minus of the primitive degree-k
         basis, times one positive int."""
-        dp, dm = self.cx.del_images(k - 1)[0], self.cx.del_images(k)[1]
-        prim = self.st.primitive_subspace(k - 1)
-        return self._memo(("dpdm", k), lambda: [dp.apply(prim.at_pivots(c)) for c in dm.cols])
+        return self._memo(("dpdm", k), lambda: self.cx.del_images(k - 1)[0]
+                          @ self.st.prim_matrix(self.cx.del_images(k)[1], k - 1))
 
     def dp_span(self, k: int) -> Subspace:
         """Image of the degree +1 piece on primitive degree-k forms."""
@@ -145,15 +143,15 @@ class CohomologyCalculator:
 
     def dpdm_span(self, k: int) -> Subspace:
         return self._memo(("dpdm_span", k), lambda: Subspace(
-            len(self.blade_order(k)), self._dpdm(k)))
+            len(self.blade_order(k)), self._dpdm(k).cols))
 
     def ker_dp(self, k: int) -> Subspace:
         return self._memo(("ker_dp", k), lambda: self._prim_kernel(
-            self.cx.del_images(k)[0].cols, k + 1, k))
+            self.cx.del_images(k)[0], k + 1, k))
 
     def ker_dm(self, k: int) -> Subspace:
         return self._memo(("ker_dm", k), lambda: self._prim_kernel(
-            self.cx.del_images(k)[1].cols, k - 1, k))
+            self.cx.del_images(k)[1], k - 1, k))
 
     def ker_dpdm(self, k: int) -> Subspace:
         return self._memo(("ker_dpdm", k), lambda: self._prim_kernel(self._dpdm(k), k, k))

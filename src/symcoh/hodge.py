@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import BladeMap, Form, blade_index, form_from_coords
+from .exterior import BladeMap, Form, blade_index
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -213,7 +213,7 @@ class InnerProduct:
 
     def adjoint(self, op: OperatorMatrix, dom_degree: int, cod_degree: int) -> OperatorMatrix:
         """Adjoint over blade bases: <Op a, b> = <a, adjoint(Op) b>."""
-        return self.gram_inverse(dom_degree) @ op.transpose() @ self.gram(cod_degree)
+        return adjoint_in_bases(op, self.gram_inverse(dom_degree), self.gram(cod_degree))
 
 
 def adjoint_in_bases(op: OperatorMatrix, gram_dom_inverse: OperatorMatrix,
@@ -255,7 +255,7 @@ class HodgeTheory:
         self.ip = InnerProduct(self.triple)
         self._prim_gram: dict[int, OperatorMatrix] = {}
         self._prim_gram_inv: dict[int, OperatorMatrix] = {}
-        self._harmonic: dict[tuple[int, str], tuple[Subspace, list[Form]]] = {}
+        self._harmonic: dict[tuple[int, str], Subspace] = {}
 
     # -- primitive-basis plumbing ----------------------------------------
 
@@ -298,12 +298,9 @@ class HodgeTheory:
         d_in_star = adjoint_in_bases(d_in, g_in_inv, self.prim_gram(k))
         return d_in @ d_in_star + d_out_star @ d_out
 
-    def harmonic_space(self, k: int, which: str) -> tuple[Subspace, list[Form]]:
-        """Kernel of the Laplacian on P^k; checked against ker(d) ^ ker(d*).
-
-        Returns the subspace in primitive coordinates plus its basis forms;
-        computed once per (k, which).
-        """
+    def harmonic_space(self, k: int, which: str) -> Subspace:
+        """Kernel of the Laplacian on P^k in primitive coordinates, computed
+        once per (k, which); checked against ker(d) ^ ker(d*)."""
         cached = self._harmonic.get((k, which))
         if cached is not None:
             return cached
@@ -316,14 +313,11 @@ class HodgeTheory:
         if via_laplacian != via_kernels:
             raise AssertionError(
                 "harmonic space differs between Laplacian kernel and ker(d) ^ ker(d*)")
-        order = blade_index(self.dim, k)[0]
-        cached = (via_laplacian, [form_from_coords(self.st.lift(r, k), order, self.dim)
-                                  for r in via_laplacian.rows])
-        self._harmonic[(k, which)] = cached
-        return cached
+        self._harmonic[(k, which)] = via_laplacian
+        return via_laplacian
 
     def harmonic_dimension(self, k: int, which: str) -> int:
-        return self.harmonic_space(k, which)[0].dim
+        return self.harmonic_space(k, which).dim
 
     # -- structure checks ----------------------------------------------------
 
@@ -333,7 +327,7 @@ class HodgeTheory:
         g_k = self.prim_gram(k)
         d_out, d_in, g_out, _ = self._updown(which, k)
         d_out_star = adjoint_in_bases(d_out, self.prim_gram_inverse(k), g_out)
-        harm, _ = self.harmonic_space(k, which)
+        harm = self.harmonic_space(k, which)
         im_in = image(d_in)
         im_adj = image(d_out_star)
         details = []
@@ -379,11 +373,10 @@ class HodgeTheory:
             ok = False
             details.append("conjugate of adjoint(del_plus) != (H+R) del_minus")
         if k < n:
-            hp, hp_forms = self.harmonic_space(k, "plus")
-            hm, _ = self.harmonic_space(k, "minus")
-            mapped = Subspace(len(self.prim_basis(k)), [
-                self.st.prim_coords(self.triple.jay(f), k) for f in hp_forms])
-            if mapped != hm:
+            harm = self.harmonic_space(k, "plus").rows
+            mapped = jk @ OperatorMatrix.from_columns([self.st.lift(r, k) for r in harm], jk.nrows)
+            self.st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
+            if image(self.st.prim_matrix(mapped, k)) != self.harmonic_space(k, "minus"):
                 ok = False
                 details.append("splitting operator does not map harmonic(+) onto harmonic(-)")
         return CheckResult(name, ok, details)

@@ -188,34 +188,30 @@ class OperatorMatrix:
     """A linear operator materialized column-by-column over chosen bases.
 
     ``cols[j]`` is the sparse coordinate vector of the image of the j-th
-    domain basis element.  ``domain``/``codomain`` are optional basis labels
-    carried along for reporting.
+    domain basis element.
     """
 
-    __slots__ = ("nrows", "ncols", "cols", "domain", "codomain")
+    __slots__ = ("nrows", "ncols", "cols")
 
-    def __init__(self, nrows: int, ncols: int, cols: list[Vec],
-                 domain=None, codomain=None):
+    def __init__(self, nrows: int, ncols: int, cols: list[Vec]):
         if len(cols) != ncols:
             raise ValueError("column count mismatch")
         self.nrows = nrows
         self.ncols = ncols
         self.cols = [{i: v for i, v in c.items() if v} for c in cols]
-        self.domain = domain
-        self.codomain = codomain
 
     @classmethod
-    def from_columns(cls, cols: list[Vec], nrows: int, **kw) -> "OperatorMatrix":
-        return cls(nrows, len(cols), cols, **kw)
+    def from_columns(cls, cols: list[Vec], nrows: int) -> "OperatorMatrix":
+        return cls(nrows, len(cols), cols)
 
     @classmethod
-    def from_rows(cls, rows: list[Vec], ncols: int, **kw) -> "OperatorMatrix":
+    def from_rows(cls, rows: list[Vec], ncols: int) -> "OperatorMatrix":
         cols: list[Vec] = [{} for _ in range(ncols)]
         for i, r in enumerate(rows):
             for j, v in r.items():
                 if v:
                     cols[j][i] = v
-        return cls(len(rows), ncols, cols, **kw)
+        return cls(len(rows), ncols, cols)
 
     @classmethod
     def identity(cls, n: int) -> "OperatorMatrix":

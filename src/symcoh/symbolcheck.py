@@ -6,10 +6,15 @@ second-order middle composition assemble into the sequence
 
     0 -> P^0 -> ... -> P^{n-1} -> P^n -> P^n -> P^{n-1} -> ... -> P^0 -> 0
 
-(ascending maps, one middle map, descending maps).  ``check_exactness``
-verifies by exact linear algebra that consecutive compositions vanish and
-that the sequence is exact at every position, which is the pointwise content
-of ellipticity for the associated differential complex.
+(ascending maps, one middle map, descending maps).  The symbol of d is
+xi ^, and the symbols of its two primitive pieces are the
+``SymplecticStructure.split`` of xi ^, just as del_plus and del_minus are
+the split of d: the ascending maps are the degree +1 pieces, the descending
+maps the degree -1 pieces, and the middle map is xi ^ after the degree -1
+piece on P^n.  ``check_exactness`` verifies by exact linear algebra that
+consecutive compositions vanish and that the sequence is exact at every
+position, which is the pointwise content of ellipticity for the associated
+differential complex.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exterior import Form
+from .exterior import BladeMap, Form
 from .linalg import OperatorMatrix, Subspace, image, kernel
 from .reports import CheckResult
-from .symplectic import SymplecticStructure, standard_omega
+from .symplectic import SymplecticStructure, _blade_matrix, standard_omega
 
 DEFAULT_SEED = 1729
 
@@ -36,30 +41,10 @@ class SymbolComplex:
     maps: list[OperatorMatrix]        # maps[i]: spaces[i] -> spaces[i+1]
 
 
-def _symbol_plus(st: SymplecticStructure, xi: Form, mu: Form) -> Form:
-    """(1 - L H^{-1} Lambda)(xi ^ mu)."""
-    k = 0 if mu.is_zero() else mu.degree()
-    t = xi.wedge(mu)
-    u = st.Lambda(t)                      # degree k-1
-    return t - st.L(u) * Fraction(1, st.n - k + 1)
-
-
-def _symbol_minus(st: SymplecticStructure, xi: Form, mu: Form) -> Form:
-    """H^{-1} Lambda (xi ^ mu)."""
-    k = 0 if mu.is_zero() else mu.degree()
-    return st.Lambda(xi.wedge(mu)) * Fraction(1, st.n - k + 1)
-
-
-def _symbol_middle(st: SymplecticStructure, xi: Form, mu: Form) -> Form:
-    """(H+1)^{-1} [ xi ^ (Lambda (xi ^ mu)) ]."""
-    k = 0 if mu.is_zero() else mu.degree()
-    return xi.wedge(st.Lambda(xi.wedge(mu))) * Fraction(1, st.n - k + 1)
-
-
 @lru_cache(maxsize=None)
 def _standard_structure(n: int) -> SymplecticStructure:
-    """The standard structure of dimension 2n, with its primitive bases
-    cached, shared by every covector."""
+    """The standard structure of dimension 2n, with its primitive bases and
+    its L and Lambda matrices cached, shared by every covector."""
     return SymplecticStructure(standard_omega(n))
 
 
@@ -72,14 +57,19 @@ def build_symbols(n: int, xi: Form) -> SymbolComplex:
     if xi.dim != 2 * n:
         raise ValueError(f"covector dimension {xi.dim} != 2n = {2 * n}")
     st = _standard_structure(n)
+    wedge = BladeMap(2 * n, lambda _, m: xi.wedge(Form(2 * n, {m: 1})))
+    ws = [_blade_matrix(wedge, k, k + 1) for k in range(n + 1)]
+    pieces = [st.split(w, x, k) for k, (w, x) in enumerate(ws)]
     asc = [st.primitive_basis(k) for k in range(n + 1)]
-    spaces = asc + asc[::-1][:]
-    maps: list[OperatorMatrix] = []
-    for k in range(n):
-        maps.append(st.prim_op_matrix(lambda m: _symbol_plus(st, xi, m), k, k + 1))
-    maps.append(st.prim_op_matrix(lambda m: _symbol_middle(st, xi, m), n, n))
-    for k in range(n, 0, -1):
-        maps.append(st.prim_op_matrix(lambda m: _symbol_minus(st, xi, m), k, k - 1))
+    spaces = asc + asc[::-1]
+    maps = [st.prim_matrix(dp, k + 1).scale(Fraction(1, den))
+            for k, (dp, _, den) in enumerate(pieces[:n])]
+    (w, x), (_, dm, den) = ws[n - 1], pieces[n]
+    middle = w @ dm
+    st.check_primitive(middle, n, "the middle symbol")
+    maps.append(st.prim_matrix(middle, n).scale(Fraction(1, x * den)))
+    maps += [st.prim_matrix(pieces[k][1], k - 1).scale(Fraction(1, pieces[k][2]))
+             for k in range(n, 0, -1)]
     return SymbolComplex(n=n, xi=xi, structure=st, spaces=spaces, maps=maps)
 
 

@@ -8,13 +8,17 @@ its symplectic adjoint dLambda, and the degree +1/-1 pieces of d.
 
 L, Lambda and d are memoised per blade in ``exterior.BladeMap``s.  The
 complex's one operator cache (``op``) reads d, L and Lambda on each degree
-off those images once, as int matrices over one int denominator; dLambda
-and the pieces of d on the primitive bases (``del_images``,
-``del_matrices``) are their products.  The form-level routes (``d_lambda``,
-``del_plus``/``del_minus``, the closed formulas, ``matrix_on_blades``) are
-their oracles.  Scalar operators such as 1/(H+2R+1) act by eigenvalue on
-each Lefschetz component: a component built from r copies of omega wedged
-onto a primitive s-form is scaled by the value of the symbol at that (r, s).
+off those images once, as int matrices over one int denominator; dLambda is
+their product.  ``SymplecticStructure.split`` splits any degree +1 operator
+that commutes with L into its two pieces on the primitive basis; applied to
+d it gives del_plus and del_minus (``del_images``), applied to xi ^ it gives
+the symbols of the primitive complex (``symbolcheck``).  ``prim_matrix``
+reads such blade-coordinate columns in primitive coordinates.  The
+form-level routes (``d_lambda``, ``del_plus``/``del_minus``, the closed
+formulas, ``matrix_on_blades``) are their oracles.  Scalar operators such as
+1/(H+2R+1) act by eigenvalue on each Lefschetz component: a component built
+from r copies of omega wedged onto a primitive s-form is scaled by the value
+of the symbol at that (r, s).
 """
 
 from __future__ import annotations
@@ -240,38 +244,49 @@ class SymplecticStructure:
         return list(self._primitive_data(k)[1])
 
     def primitive_subspace(self, k: int) -> Subspace:
-        """Primitive forms as a subspace over the degree-k blade basis; its
-        ``at_pivots`` reads a primitive form's ``prim_coords`` unchecked."""
+        """Primitive forms as a subspace over the degree-k blade basis, in
+        which ``prim_matrix`` reads primitive coordinates."""
         return self._primitive_data(k)[0]
 
     # -- primitive coordinates -----------------------------------------------
 
-    def prim_coords(self, f: Form, k: int) -> dict:
-        """Coordinates of a primitive degree-k form over ``primitive_basis(k)``.
-
-        Outside 0..n only the zero form is primitive.  Raises AssertionError
-        on a form that is not primitive.
-        """
-        if 0 <= k <= self.n:
-            coords = self._primitive_data(k)[0].coordinates(
-                form_to_coords(f, blade_index(self.dim, k)[1]))
-        else:
-            coords = None if f else {}
-        if coords is None:
-            raise AssertionError(f"form is not primitive in degree {k}: {f}")
-        return coords
-
     def lift(self, vec: dict, k: int) -> dict:
         """Degree-k blade coordinates of the form with primitive coordinates
-        ``vec``; inverse of ``prim_coords``."""
+        ``vec``."""
         _, _, b, beta = self._primitive_data(k)
         return {i: Fraction(v, beta) for i, v in b.apply(vec).items()}
 
-    def prim_op_matrix(self, op, k_from: int, k_to: int) -> OperatorMatrix:
-        """Matrix of a form operator from the primitive k_from-forms to the
-        primitive k_to-forms, both in primitive coordinates."""
-        cols = [self.prim_coords(op(b), k_to) for b in self._prim_forms(k_from)]
-        return OperatorMatrix.from_columns(cols, len(self._prim_forms(k_to)))
+    def prim_matrix(self, m: OperatorMatrix, k: int) -> OperatorMatrix:
+        """The columns of m, blade coordinates of primitive degree-k forms,
+        read at the primitive pivots: m in primitive coordinates.  Unchecked;
+        see ``check_primitive``."""
+        p = self.primitive_subspace(k)
+        return OperatorMatrix.from_columns([p.at_pivots(c) for c in m.cols], p.dim)
+
+    def check_primitive(self, m: OperatorMatrix, k: int, what: str) -> None:
+        """Raise AssertionError unless Lambda kills every column of m, in
+        degree-k blade coordinates."""
+        if not (self.op("Lambda", k)[0] @ m).is_zero():
+            raise AssertionError(f"{what} leaves the primitive forms in degree {k}")
+
+    def split(self, d: OperatorMatrix, x: int,
+              k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
+        """Int matrices P, M and int den for a degree +1 operator d/x on the
+        degree-k blades that commutes with L: the j-th columns of P/den and
+        M/den are the two primitive pieces of d on primitive basis form j, in
+        blade coordinates, from D = d B_k by the closed primitive formulas
+        del_minus = Lambda_{k+1} D/(n-k+1) and del_plus = D - L_{k-1}
+        del_minus; Lambda kills both."""
+        b, beta = self._primitive_data(k)[2:]
+        (lam, y), (ell, z) = self.op("Lambda", k + 1), self.op("L", k - 1)
+        db = d @ b
+        dm = lam @ db
+        scale = z * y * (self.n - k + 1)
+        dp = db.scale(scale) - ell @ dm
+        dm = dm.scale(z)
+        self.check_primitive(dp, k + 1, f"a primitive piece from degree {k}")
+        self.check_primitive(dm, k - 1, f"a primitive piece from degree {k}")
+        return dp, dm, scale * x * beta
 
     # -- symplectic star ----------------------------------------------------
 
@@ -479,23 +494,12 @@ class SymplecticComplex:
         return self.del_plus(self.del_minus(a))
 
     def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
-        """Int matrices P, M and int den: the j-th columns of P/den and M/den
-        are del_plus and del_minus of primitive basis form j, in blade
-        coordinates, from D = d_k B_k by the closed primitive formulas
-        Lambda_{k+1} D/(n-k+1) and D - L_{k-1} del_minus; Lambda kills both."""
+        """``SymplecticStructure.split`` of d on degree k, built once: the
+        columns of P/den and M/den are del_plus and del_minus of the
+        primitive basis in blade coordinates."""
         cached = self._ops.get(("del", k))
         if cached is None:
-            b, beta = self.structure._primitive_data(k)[2:]
-            (d, x), (lam, y), (ell, z) = (self.op("d", k), self.op("Lambda", k + 1),
-                                          self.op("L", k - 1))
-            db = d @ b
-            dm = lam @ db
-            scale = z * y * (self.n - k + 1)
-            dp = db.scale(scale) - ell @ dm
-            dm = dm.scale(z)
-            if not ((lam @ dp).is_zero() and (self.op("Lambda", k - 1)[0] @ dm).is_zero()):
-                raise AssertionError(f"a piece of d leaves the primitive forms in degree {k}")
-            cached = self._ops["del", k] = (dp, dm, scale * x * beta)
+            cached = self._ops["del", k] = self.structure.split(*self.op("d", k), k)
         return cached
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -505,10 +509,9 @@ class SymplecticComplex:
         cached = self._ops.get(("del_matrices", k))
         if cached is None:
             dp, dm, den = self.del_images(k)
-            prim = self.structure.primitive_subspace
-            cached = self._ops["del_matrices", k] = tuple(
-                OperatorMatrix.from_columns([p.at_pivots(c) for c in m.cols], p.dim)
-                .scale(Fraction(1, den)) for m, p in ((dp, prim(k + 1)), (dm, prim(k - 1))))
+            prim = self.structure.prim_matrix
+            cached = self._ops["del_matrices", k] = (
+                prim(dp, k + 1).scale(Fraction(1, den)), prim(dm, k - 1).scale(Fraction(1, den)))
         return cached
 
     # -- closed-formula routes (cross-checks) --------------------------------
@@ -569,4 +572,4 @@ def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
     dom = blade_index(dim, k_from)[0]
     cod, idx = blade_index(dim, k_to)
     cols = [form_to_coords(op(Form(dim, {m: 1})), idx) for m in dom]
-    return OperatorMatrix.from_columns(cols, len(cod), domain=dom, codomain=cod)
+    return OperatorMatrix.from_columns(cols, len(cod))

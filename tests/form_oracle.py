@@ -14,11 +14,24 @@ and keep nothing between calls:
 
 Sums of exact Fractions do not depend on their order, so both routes must
 return equal Forms.
+
+It also keeps the form-level primitive-coordinate route the engine used
+before ``SymplecticStructure.split`` and ``prim_matrix``:
+
+* ``prim_coords`` reads a primitive form's coordinates over the primitive
+  basis, checking that it is primitive;
+* ``_symbol_plus``/``_symbol_minus``/``_symbol_middle`` apply the symbols of
+  the primitive complex to one form by the closed formulas;
+* ``prim_op_matrix`` builds a matrix in primitive coordinates one basis
+  form at a time, and ``symbol_maps`` the whole symbol sequence with it.
 """
 
 from __future__ import annotations
 
-from symcoh.exterior import Form, blade_indices, contract
+from fractions import Fraction
+
+from symcoh.exterior import Form, blade_index, blade_indices, contract, form_to_coords
+from symcoh.linalg import OperatorMatrix
 
 
 def Lambda(st, a: Form) -> Form:
@@ -67,3 +80,57 @@ def jay(triple, a: Form) -> Form:
             term = term.wedge(Form(dim, {1 << j: triple.J.entry(i - 1, j) for j in range(dim)}))
         out = out + term
     return out
+
+
+def prim_coords(st, f: Form, k: int) -> dict:
+    """Coordinates of a primitive degree-k form over ``primitive_basis(k)``.
+
+    Outside 0..n only the zero form is primitive.  Raises AssertionError
+    on a form that is not primitive.
+    """
+    if 0 <= k <= st.n:
+        coords = st.primitive_subspace(k).coordinates(
+            form_to_coords(f, blade_index(st.dim, k)[1]))
+    else:
+        coords = None if f else {}
+    if coords is None:
+        raise AssertionError(f"form is not primitive in degree {k}: {f}")
+    return coords
+
+
+def prim_op_matrix(st, op, k_from: int, k_to: int) -> OperatorMatrix:
+    """Matrix of a form operator from the primitive k_from-forms to the
+    primitive k_to-forms, both in primitive coordinates."""
+    cols = [prim_coords(st, op(b), k_to) for b in st._prim_forms(k_from)]
+    return OperatorMatrix.from_columns(cols, len(st._prim_forms(k_to)))
+
+
+def _symbol_plus(st, xi: Form, mu: Form) -> Form:
+    """(1 - L H^{-1} Lambda)(xi ^ mu)."""
+    k = 0 if mu.is_zero() else mu.degree()
+    t = xi.wedge(mu)
+    u = st.Lambda(t)                      # degree k-1
+    return t - st.L(u) * Fraction(1, st.n - k + 1)
+
+
+def _symbol_minus(st, xi: Form, mu: Form) -> Form:
+    """H^{-1} Lambda (xi ^ mu)."""
+    k = 0 if mu.is_zero() else mu.degree()
+    return st.Lambda(xi.wedge(mu)) * Fraction(1, st.n - k + 1)
+
+
+def _symbol_middle(st, xi: Form, mu: Form) -> Form:
+    """(H+1)^{-1} [ xi ^ (Lambda (xi ^ mu)) ]."""
+    k = 0 if mu.is_zero() else mu.degree()
+    return xi.wedge(st.Lambda(xi.wedge(mu))) * Fraction(1, st.n - k + 1)
+
+
+def symbol_maps(st, xi: Form) -> list[OperatorMatrix]:
+    """The symbol sequence P^0 -> ... -> P^n -> P^n -> ... -> P^0 of xi,
+    one primitive basis form at a time."""
+    n = st.n
+    maps = [prim_op_matrix(st, lambda m: _symbol_plus(st, xi, m), k, k + 1) for k in range(n)]
+    maps.append(prim_op_matrix(st, lambda m: _symbol_middle(st, xi, m), n, n))
+    maps += [prim_op_matrix(st, lambda m: _symbol_minus(st, xi, m), k, k - 1)
+             for k in range(n, 0, -1)]
+    return maps

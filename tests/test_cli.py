@@ -141,6 +141,26 @@ def test_check_symbol_seed_flag(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("option", [
+    "--algebra=garbage", "--omega=zzz", "--omega=12"])
+def test_symbol_suite_rejects_bad_fixture(capsys, option):
+    code, out, err = run_cli(capsys, "check", "--suite=symbol", "--n=1", option)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_suites_in_one_run_match_single_runs(capsys):
+    code, combined, _ = run_cli(capsys, "check", "--suite=lefschetz,ddlambda,index")
+    checks = json.loads(combined)["checks"]
+    assert list(checks) == ["lefschetz", "ddlambda", "index"]
+    codes = []
+    for name in checks:
+        single_code, single, _ = run_cli(capsys, "check", f"--suite={name}")
+        assert json.loads(single)["checks"] == {name: checks[name]}
+        codes.append(single_code)
+    assert code == max(codes)
+
+
 def test_check_lefschetz_reports_failure(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "lefschetz",
                            "--omega", "16+25-34")

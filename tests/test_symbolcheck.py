@@ -1,6 +1,7 @@
 import pytest
 
 from symcoh import Form
+from symcoh.linalg import OperatorMatrix
 from symcoh.symbolcheck import (
     DEFAULT_SEED,
     build_symbols,
@@ -78,3 +79,15 @@ def test_sampling_is_deterministic():
 def test_suite_wrapper():
     result = run_symbol_suite(2, count=3)
     assert result.passed
+
+
+@pytest.mark.parametrize("index, positions", [(0, [0, 1]), (3, [3, 4])])
+def test_exactness_fails_when_a_map_is_zero(index, positions):
+    """Zeroing the first or the middle map of the n = 3 sequence breaks
+    exactness on both sides of it."""
+    c = build_symbols(3, Form.e(6, 1))
+    m = c.maps[index]
+    c.maps[index] = OperatorMatrix(m.nrows, m.ncols, [{}] * m.ncols)
+    result = check_exactness(c)
+    assert not result.passed
+    assert [d.split(":")[0] for d in result.details] == [f"position {p}" for p in positions]
