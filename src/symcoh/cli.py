@@ -133,7 +133,7 @@ def cmd_check(cfg: RunConfig) -> tuple[int, str]:
     calc = CohomologyCalculator(cx)
     suites = {"identities": lambda: run_identity_suite(cx),
               "symbol": lambda: run_symbol_suite(cfg.symbol_n, count=20, seed=cfg.seed),
-              "hodge": lambda: run_hodge_suite(cx),
+              "hodge": lambda: run_hodge_suite(cx, calc),
               "lefschetz": calc.check_strong_lefschetz,
               "ddlambda": calc.check_ddlambda_lemma,
               "index": calc.check_index}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cohomology import CohomologyCalculator
 from .exterior import BladeMap, Form, blade_index
 from .linalg import (
     OperatorMatrix,
@@ -397,16 +398,17 @@ class HodgeTheory:
         return OperatorMatrix.from_columns(cols, len(reps_plus))
 
 
-def run_hodge_suite(cx: SymplecticComplex) -> CheckResult:
+def run_hodge_suite(cx: SymplecticComplex,
+                    calc: CohomologyCalculator | None = None) -> CheckResult:
     """Harmonic dimensions vs quotients, orthogonal decomposition, splitting
     conjugation, pairing rank, elliptic index, and stability of the harmonic
-    dimensions under a different symplectic basis choice."""
-    from .cohomology import CohomologyCalculator
-
+    dimensions under a different symplectic basis choice.  The quotients
+    come from ``calc``, a ``CohomologyCalculator`` of cx, if given."""
     details = []
     ok = True
     ht = HodgeTheory(cx)
-    calc = CohomologyCalculator(cx)
+    if calc is None:
+        calc = CohomologyCalculator(cx)
     n = cx.n
     for k in range(n):
         for which, gname in (("plus", "p+"), ("minus", "p-")):

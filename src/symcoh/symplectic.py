@@ -1,12 +1,14 @@
 """Symplectic linear algebra on invariant forms.
 
 ``SymplecticStructure`` wraps a non-degenerate 2-form: the sl(2) triple
-(L, Lambda, H), the component-count operator R, the Lefschetz decomposition
-into primitive pieces, primitive-form tests, bases and coordinates, and the
-symplectic star.  ``SymplecticComplex`` adds a Lie-algebra differential: d,
-its symplectic adjoint dLambda, and the degree +1/-1 pieces of d.
+(L, Lambda, H), the Lefschetz decomposition into primitive pieces,
+primitive-form tests, bases and coordinates, and the symplectic star.
+``SymplecticComplex`` adds a Lie-algebra differential: d, its symplectic
+adjoint dLambda, and the degree +1/-1 pieces of d.
 
-L, Lambda and d are memoised per blade in ``exterior.BladeMap``s.  The
+L, Lambda, d, the star and del_plus/del_minus are memoised per blade in
+``exterior.BladeMap``s, and so is each blade's Lefschetz decomposition,
+keyed by (r, s), which ``components`` and ``apply_rs`` sum in one pass.  The
 complex's one operator cache (``op``) reads d, L and Lambda on each degree
 off those images once, as int matrices over one int denominator; dLambda is
 their product.  ``SymplecticStructure.split`` splits any degree +1 operator
@@ -16,9 +18,11 @@ the symbols of the primitive complex (``symbolcheck``).  ``prim_matrix``
 reads such blade-coordinate columns in primitive coordinates.  The
 form-level routes (``d_lambda``, ``del_plus``/``del_minus``, the closed
 formulas, ``matrix_on_blades``) are their oracles.  Scalar operators such as
-1/(H+2R+1) act by eigenvalue on each Lefschetz component: a component built
-from r copies of omega wedged onto a primitive s-form is scaled by the value
-of the symbol at that (r, s).
+1/(H+2R+1), R counting the omega wedges, act by eigenvalue on each Lefschetz
+component: a component built from r copies of omega wedged onto a primitive
+s-form is scaled by the value of the symbol at that (r, s).  ``apply_rs``
+sums the components of all blades first, so a symbol is never evaluated on
+a component that cancels.
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ class SymplecticStructure:
                  for i in range(self.dim) for j in range(i + 1, self.dim) if self.inverse[i][j]]
         self._L_blade = BladeMap(self.dim, lambda _, m: omega.wedge(Form(omega.dim, {m: 1})))
         self._Lambda_blade = BladeMap(self.dim, partial(self._Lambda_of_blade, pairs))
+        # per blade: its Lefschetz components keyed by (r, s), a memo never applied, and its star
+        self._pieces = BladeMap(self.dim, partial(
+            self._pieces_of_blade, self._L_blade, self._Lambda_blade, self.n))
+        self._star_blade = BladeMap(self.dim, partial(
+            self._star_of_blade, self._pieces, self._L_blade, self.n))
         if not self.L_power(Form.scalar(self.dim, 1), self.n):
             raise NotSymplecticError("omega^n vanishes", "degenerate")
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix, int]] = {}
@@ -136,9 +145,7 @@ class SymplecticStructure:
         return self._L_blade(a)
 
     def L_power(self, a: Form, r: int) -> Form:
-        for _ in range(r):
-            a = self.L(a)
-        return a
+        return _power(self._L_blade, a, r)
 
     def Lambda(self, a: Form) -> Form:
         """Contraction with the inverse bivector (degree -2)."""
@@ -162,29 +169,39 @@ class SymplecticStructure:
 
     def _decompose_degree(self, a: Form, k: int) -> dict[int, Form]:
         """Primitive components of a homogeneous degree-k form (closed formula)."""
+        return self._decompose(self._L_blade, self._Lambda_blade, self.n, a, k)
+
+    @staticmethod
+    def _decompose(L: BladeMap, Lam: BladeMap, n: int, a: Form, k: int) -> dict[int, Form]:
         comps: dict[int, Form] = {}
         if a.is_zero():
             return comps
         max_pow = k // 2
         lam_pows = [a]
         for _ in range(max_pow):
-            lam_pows.append(self.Lambda(lam_pows[-1]))
-        for r in range(max(k - self.n, 0), max_pow + 1):
-            m = self.n - k + 2 * r + 1
+            lam_pows.append(Lam(lam_pows[-1]))
+        for r in range(max(k - n, 0), max_pow + 1):
+            m = n - k + 2 * r + 1
             denom_r = 1
             for i in range(r + 1):
                 denom_r *= m - i
-            b = Form.zero(self.dim)
+            b = Form.zero(a.dim)
             denom_l = 1
             for l in range(max_pow - r + 1):
                 denom_l *= m + l
                 coeff = Fraction((-1) ** l * m * m, denom_r * denom_l * _factorial(l))
                 term = lam_pows[r + l]
                 if term:
-                    b = b + self.L_power(term, l) * coeff
+                    b = b + _power(L, term, l) * coeff
             if b:
                 comps[r] = b
         return comps
+
+    @staticmethod
+    def _pieces_of_blade(L: BladeMap, Lam: BladeMap, n: int, images: BladeMap, mask: int) -> dict:
+        k = mask.bit_count()
+        comps = SymplecticStructure._decompose(L, Lam, n, Form(images.dim, {mask: 1}), k)
+        return {(r, k - 2 * r): b for r, b in comps.items()}
 
     def lefschetz_decompose(self, a: Form, k: int | None = None) -> LefschetzComponents:
         if a.is_zero():
@@ -197,12 +214,16 @@ class SymplecticStructure:
         return LefschetzComponents(self, deg, self._decompose_degree(a, deg), a)
 
     def components(self, a: Form) -> dict[tuple[int, int], Form]:
-        """Primitive components of an arbitrary form, keyed by (r, s)."""
-        out = {}
-        for k in a.degrees():
-            for r, b in self._decompose_degree(a.grade(k), k).items():
-                out[(r, k - 2 * r)] = b
-        return out
+        """Primitive components of an arbitrary form, keyed by (r, s): the
+        sums of its blades' memoised components, with the zero sums dropped."""
+        self.omega._check_dim(a)
+        sums: dict[tuple[int, int], dict] = {}
+        for mask, v in a._c.items():
+            for rs, b in self._pieces[mask].items():
+                c = sums.setdefault(rs, {})
+                for m, w in b._c.items():
+                    c[m] = c.get(m, 0) + v * w
+        return {rs: b for rs, c in sums.items() if (b := Form(self.dim, c))}
 
     def apply_rs(self, a: Form, fn: RS) -> Form:
         """Scale each (r, s) Lefschetz component by fn(r, s) and reassemble."""
@@ -210,10 +231,6 @@ class SymplecticStructure:
         for (r, s), b in self.components(a).items():
             out = out + self.L_power(b, r) * (Fraction(fn(r, s)) / _factorial(r))
         return out
-
-    def R(self, a: Form) -> Form:
-        """Reads off the omega-power of each Lefschetz component."""
-        return self.apply_rs(a, lambda r, s: Fraction(r))
 
     # -- primitive forms ---------------------------------------------------
 
@@ -290,14 +307,17 @@ class SymplecticStructure:
 
     # -- symplectic star ----------------------------------------------------
 
+    @staticmethod
+    def _star_of_blade(pieces: BladeMap, L: BladeMap, n: int, images: BladeMap, mask: int) -> Form:
+        out = Form.zero(images.dim)
+        for (r, s), b in pieces[mask].items():
+            p = n - r - s
+            out = out + _power(L, b, p) * Fraction((-1) ** (s * (s + 1) // 2), _factorial(p))
+        return out
+
     def star(self, a: Form) -> Form:
         """Symplectic star: reflects Lefschetz components across the middle."""
-        out = Form.zero(self.dim)
-        for (r, s), b in self.components(a).items():
-            sign = (-1) ** (s * (s + 1) // 2)
-            p = self.n - r - s
-            out = out + self.L_power(b, p) * Fraction(sign, _factorial(p))
-        return out
+        return self._star_blade(a)
 
     def volume(self) -> Form:
         """omega^n / n!."""
@@ -398,6 +418,8 @@ class SymplecticComplex:
         self.dim = algebra.dim
         self.n = self.structure.n
         self._ops: dict[tuple, tuple] = {}
+        self._del_blade = [BladeMap(self.dim, partial(
+            self._del_of_blade, algebra._d_blade, self.structure, which)) for which in (0, 1)]
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -455,40 +477,40 @@ class SymplecticComplex:
 
     # -- primitive pieces of d ----------------------------------------------
 
-    def _split_d_primitive(self, b: Form, s: int) -> tuple[Form, Form]:
+    @staticmethod
+    def _split_d_primitive(d, st: SymplecticStructure, b: Form, s: int) -> tuple[Form, Form]:
         """d(B_s) = B0_{s+1} + omega ^ B1_{s-1} for primitive B_s."""
-        db = self.d(b)
+        db = d(b)
         if db.is_zero():
-            z = Form.zero(self.dim)
+            z = Form.zero(st.dim)
             return z, z
-        comps = self.structure._decompose_degree(db, s + 1)
+        comps = st._decompose_degree(db, s + 1)
         if any(r > 1 for r in comps):
             raise AssertionError(
                 f"d of a primitive form has components beyond one omega wedge: {b}")
-        z = Form.zero(self.dim)
+        z = Form.zero(st.dim)
         return comps.get(0, z), comps.get(1, z)
+
+    @staticmethod
+    def _del_of_blade(d, st: SymplecticStructure, which: int, images: BladeMap, mask: int) -> Form:
+        """Piece ``which`` (0: primitive part, 1: omega-wedge part) of
+        ``_split_d_primitive`` on each Lefschetz component of one blade."""
+        out = Form.zero(st.dim)
+        for (r, s), b in st._pieces[mask].items():
+            piece = SymplecticComplex._split_d_primitive(d, st, b, s)[which]
+            if piece:
+                out = out + st.L_power(piece, r) / _factorial(r)
+        return out
 
     def del_plus(self, a: Form) -> Form:
         """Degree +1 piece of d: keeps the primitive part of d on each
         Lefschetz component."""
-        st = self.structure
-        out = Form.zero(self.dim)
-        for (r, s), b in st.components(a).items():
-            b0, _b1 = self._split_d_primitive(b, s)
-            if b0:
-                out = out + st.L_power(b0, r) / _factorial(r)
-        return out
+        return self._del_blade[0](a)
 
     def del_minus(self, a: Form) -> Form:
         """Degree -1 piece of d: keeps the omega-wedge part of d on each
         Lefschetz component."""
-        st = self.structure
-        out = Form.zero(self.dim)
-        for (r, s), b in st.components(a).items():
-            _b0, b1 = self._split_d_primitive(b, s)
-            if b1:
-                out = out + st.L_power(b1, r) / _factorial(r)
-        return out
+        return self._del_blade[1](a)
 
     def del_plus_del_minus(self, a: Form) -> Form:
         return self.del_plus(self.del_minus(a))
@@ -554,6 +576,12 @@ class SymplecticComplex:
         if not self.structure.is_primitive(b):
             raise ValueError("argument must be primitive")
         return self.d(b) - self.L(self.del_minus_primitive(b))
+
+
+def _power(op: BladeMap, a: Form, r: int) -> Form:
+    for _ in range(r):
+        a = op(a)
+    return a
 
 
 def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> tuple[OperatorMatrix, int]:

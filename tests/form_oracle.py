@@ -24,11 +24,18 @@ before ``SymplecticStructure.split`` and ``prim_matrix``:
   the primitive complex to one form by the closed formulas;
 * ``prim_op_matrix`` builds a matrix in primitive coordinates one basis
   form at a time, and ``symbol_maps`` the whole symbol sequence with it.
+
+And it keeps the Lefschetz routes the engine used before it kept each
+blade's primitive components: ``components`` decomposes every degree of a
+form by the closed formula on each call, and ``apply_rs``, ``star``,
+``del_plus`` and ``del_minus`` read those components, where the engine
+sums, or applies, the components it keeps for each blade.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from symcoh.exterior import Form, blade_index, blade_indices, contract, form_to_coords
 from symcoh.linalg import OperatorMatrix
@@ -134,3 +141,54 @@ def symbol_maps(st, xi: Form) -> list[OperatorMatrix]:
     maps += [prim_op_matrix(st, lambda m: _symbol_minus(st, xi, m), k, k - 1)
              for k in range(n, 0, -1)]
     return maps
+
+
+def components(st, a: Form) -> dict[tuple[int, int], Form]:
+    """Primitive components of an arbitrary form, keyed by (r, s)."""
+    out = {}
+    for k in a.degrees():
+        for r, b in st._decompose_degree(a.grade(k), k).items():
+            out[(r, k - 2 * r)] = b
+    return out
+
+
+def apply_rs(st, a: Form, fn) -> Form:
+    """Scale each (r, s) Lefschetz component by fn(r, s) and reassemble."""
+    out = Form.zero(st.dim)
+    for (r, s), b in components(st, a).items():
+        out = out + st.L_power(b, r) * (Fraction(fn(r, s)) / factorial(r))
+    return out
+
+
+def star(st, a: Form) -> Form:
+    """Symplectic star: reflects Lefschetz components across the middle."""
+    out = Form.zero(st.dim)
+    for (r, s), b in components(st, a).items():
+        sign = (-1) ** (s * (s + 1) // 2)
+        p = st.n - r - s
+        out = out + st.L_power(b, p) * Fraction(sign, factorial(p))
+    return out
+
+
+def del_plus(cx, a: Form) -> Form:
+    """Degree +1 piece of d: keeps the primitive part of d on each
+    Lefschetz component."""
+    st = cx.structure
+    out = Form.zero(cx.dim)
+    for (r, s), b in components(st, a).items():
+        b0, _b1 = cx._split_d_primitive(lambda f: d(cx.algebra, f), st, b, s)
+        if b0:
+            out = out + st.L_power(b0, r) / factorial(r)
+    return out
+
+
+def del_minus(cx, a: Form) -> Form:
+    """Degree -1 piece of d: keeps the omega-wedge part of d on each
+    Lefschetz component."""
+    st = cx.structure
+    out = Form.zero(cx.dim)
+    for (r, s), b in components(st, a).items():
+        _b0, b1 = cx._split_d_primitive(lambda f: d(cx.algebra, f), st, b, s)
+        if b1:
+            out = out + st.L_power(b1, r) / factorial(r)
+    return out

@@ -243,3 +243,26 @@ def test_double_dash_option_value_is_input_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_hodge_shares_the_check_calculator(capsys, monkeypatch):
+    """``hodge`` reads its quotients from the calculator the other suites
+    use, so naming ``index`` too computes no group a second time."""
+    from symcoh.cohomology import CohomologyCalculator
+
+    computed = []
+    memo = CohomologyCalculator._memo
+
+    def counting(self, key, fn):
+        if key[0] == "group" and key not in self._cache:
+            computed.append(key)
+        return memo(self, key, fn)
+
+    monkeypatch.setattr(CohomologyCalculator, "_memo", counting)
+    counts = {}
+    for suites in ("hodge", "index", "hodge,index"):
+        computed.clear()
+        assert run_cli(capsys, "check", f"--suite={suites}")[0] == 0
+        counts[suites] = len(computed)
+    assert counts["hodge"] > 0 and counts["index"] > 0
+    assert counts["hodge,index"] == counts["hodge"]

@@ -7,7 +7,9 @@ elimination replaced the Bareiss kernel; the ``identities``, ``lefschetz``,
 ``ddlambda`` and ``index`` hashes before blade maps replaced the form-level
 L, Lambda, d and splitting operator; the fixtures with a non-integer
 omega^-1 (the ``2*`` forms) and N12 ``compute`` before the per-complex
-integer operator cache replaced the form-by-form operator matrices.  The
+integer operator cache replaced the form-by-form operator matrices; N10
+``identities`` before the Lefschetz components, star and del_plus/del_minus
+were kept per blade.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
@@ -72,6 +74,8 @@ GOLDEN = [
      "7843b8c8f57012813b520836e0e836b35736fcfa57f22995e7471426a58db114"),
     ("(0,0,0,12,14,15+23+24,0,0,0,0,0,0)", "16+25-34+78+9a+bc", "compute", 0,
      "9b88b986eb77a344c54388d450d51378c97e683dcf32f3fe0a9c5e7f603dfcec"),
+    ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", "identities", 0,
+     "796e53ae39c52d4def0bde87367d50a705fca70ceaa230b4eee333fb597de524"),
 ]
 
 
