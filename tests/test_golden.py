@@ -9,7 +9,9 @@ L, Lambda, d and splitting operator; the fixtures with a non-integer
 omega^-1 (the ``2*`` forms) and N12 ``compute`` before the per-complex
 integer operator cache replaced the form-by-form operator matrices; N10
 ``identities`` before the Lefschetz components, star and del_plus/del_minus
-were kept per blade.  The
+were kept per blade; N8 and N10 ``hodge`` before the Gram and pairing
+matrices were read without wedges and the splitting-conjugation check
+stopped inverting blade Gram matrices.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
@@ -76,6 +78,10 @@ GOLDEN = [
      "9b88b986eb77a344c54388d450d51378c97e683dcf32f3fe0a9c5e7f603dfcec"),
     ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", "identities", 0,
      "796e53ae39c52d4def0bde87367d50a705fca70ceaa230b4eee333fb597de524"),
+    (N8, "16+25-34+78", "hodge", 0,
+     "8f0538ca2f58ad7312b03d1ae456b4e08fd70ab5d8f0ba0eddde3f3958bb47d9"),
+    ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", "hodge", 0,
+     "657347e2ae27d3310391fc57b26a60dd1a183af622477fefae1c9d81e7932e47"),
 ]
 
 
