@@ -10,10 +10,14 @@ star is the splitting operator composed with the symplectic star, and the
 inner product is integration of a ^ *a' against the Liouville volume
 (normalized so the pairing of 1 with itself is 1, which keeps the Gram
 matrices positive definite regardless of how omega^n sits against the
-reference orientation).
+reference orientation).  Gram and pairing matrices read each top
+coefficient as a sparse dot product with the other factor's
+complementary blades (``top_dual``), forming no wedge per pair.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
-computations over the primitive bases.
+computations over the primitive bases; the splitting-conjugation check
+compares matrix identities multiplied through by blade Gram matrices, so it
+inverts none.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import CohomologyCalculator
-from .exterior import BladeMap, Form, blade_index
+from .exterior import BladeMap, Form, blade_index, wedge_sign
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -179,7 +183,10 @@ class InnerProduct:
     """Gram matrices of <a, a'> = integral of a ^ *a' per degree.
 
     Integration is against the Liouville volume omega^n/n!, so <1, 1> = 1 and
-    every Gram matrix is positive definite.
+    every Gram matrix is positive definite.  A Gram entry is read without a
+    wedge (``gram_of_forms``); ``pair`` is the wedge route, kept as the
+    oracle.  No blade Gram matrix is inverted: the splitting-conjugation
+    check multiplies its identities through by them instead.
     """
 
     def __init__(self, triple: CompatibleTriple):
@@ -189,7 +196,6 @@ class InnerProduct:
         self._top = (1 << self.dim) - 1
         self._norm = triple.structure.volume().coeff(self._top)
         self._gram: dict[int, OperatorMatrix] = {}
-        self._gram_inv: dict[int, OperatorMatrix] = {}
 
     def pair(self, a: Form, b: Form) -> Fraction:
         return a.wedge(self.triple.hodge_star(b)).coeff(self._top) / self._norm
@@ -205,17 +211,6 @@ class InnerProduct:
         self._gram[k] = g
         return g
 
-    def gram_inverse(self, k: int) -> OperatorMatrix:
-        cached = self._gram_inv.get(k)
-        if cached is None:
-            cached = self.gram(k).invert()
-            self._gram_inv[k] = cached
-        return cached
-
-    def adjoint(self, op: OperatorMatrix, dom_degree: int, cod_degree: int) -> OperatorMatrix:
-        """Adjoint over blade bases: <Op a, b> = <a, adjoint(Op) b>."""
-        return adjoint_in_bases(op, self.gram_inverse(dom_degree), self.gram(cod_degree))
-
 
 def adjoint_in_bases(op: OperatorMatrix, gram_dom_inverse: OperatorMatrix,
                      gram_cod: OperatorMatrix) -> OperatorMatrix:
@@ -224,17 +219,30 @@ def adjoint_in_bases(op: OperatorMatrix, gram_dom_inverse: OperatorMatrix,
     return gram_dom_inverse @ op.transpose() @ gram_cod
 
 
+def top_dual(b: Form) -> dict:
+    """The blade-keyed vector c with vec_dot(a, c) = (a ^ b)[top] for every
+    form a: c[I] = eps(I, I^c) b[I^c], eps the sign of e_I ^ e_{I^c}."""
+    top = (1 << b.dim) - 1
+    return {top ^ m: wedge_sign(top ^ m, m) * v for m, v in b._c.items()}
+
+
 def gram_of_forms(ip: InnerProduct, forms: list[Form]) -> OperatorMatrix:
-    stars = [ip.triple.hodge_star(f) for f in forms]
-    top = ip._top
+    """Entry (i, j) is <f_i, f_j> = (f_i ^ *f_j)[top] / norm, read as the sum
+    over the blades e_I of f_i of f_i[I] eps(I, I^c) (*f_j)[I^c] / norm:
+    each form is starred once and no wedge is formed.  Column j sums, over
+    the blades I of ``top_dual(*f_j)``, the coefficients of e_I in the
+    forms that have it."""
+    having: dict[int, list] = {}
+    for i, f in enumerate(forms):
+        for m, v in f._c.items():
+            having.setdefault(m, []).append((i, v))
     cols = []
-    for j in range(len(forms)):
-        col = {}
-        for i, f in enumerate(forms):
-            v = f.wedge(stars[j]).coeff(top) / ip._norm
-            if v:
-                col[i] = v
-        cols.append(col)
+    for f_j in forms:
+        col: dict = {}
+        for m, c in top_dual(ip.triple.hodge_star(f_j)).items():
+            for i, v in having.get(m, ()):
+                col[i] = col.get(i, 0) + v * c
+        cols.append({i: v / ip._norm for i, v in col.items() if v})
     return OperatorMatrix.from_columns(cols, len(forms))
 
 
@@ -339,11 +347,12 @@ class HodgeTheory:
             details.append(
                 f"dimensions {harm.dim}+{im_in.dim}+{im_adj.dim} != {len(self.prim_basis(k))}")
         pieces = [("harmonic", harm), ("image", im_in), ("coimage", im_adj)]
+        g_rows = [None] + [[g_k.apply(b) for b in sub.rows] for _, sub in pieces[1:]]
         for i in range(3):
             for j in range(i + 1, 3):
                 for a in pieces[i][1].rows:
-                    for b in pieces[j][1].rows:
-                        if vec_dot(a, g_k.apply(b)):
+                    for g_b in g_rows[j]:
+                        if vec_dot(a, g_b):
                             ok = False
                             details.append(
                                 f"{pieces[i][0]} not orthogonal to {pieces[j][0]}")
@@ -351,26 +360,34 @@ class HodgeTheory:
 
     def check_jay_conjugation(self, k: int) -> CheckResult:
         """Conjugating del_plus by the splitting operator gives the adjoint of
-        del_minus times the eigenvalue of H+R, and dually; exact over Q."""
+        del_minus times the eigenvalue of H+R, and dually; exact over Q.
+
+        With G the blade Gram matrices, adjoint(del_minus) is
+        G_{k+1}^-1 del_minus^T G_k and adjoint(del_plus) is
+        G_k^-1 del_plus^T G_{k+1}.  Both identities are compared multiplied
+        through by G_{k+1} and G_k, which are positive definite because the
+        metric is (``CompatibleTriple._validate``), so no Gram matrix is
+        inverted and each comparison is equivalent to the identity."""
         name = f"jay-conjugation(k={k})"
         dim, n = self.dim, self.n
         jk = matrix_on_blades(self.triple.jay, dim, k, k)
         jk1 = matrix_on_blades(self.triple.jay, dim, k + 1, k + 1)
         m_dp = matrix_on_blades(self.cx.del_plus, dim, k, k + 1)
         m_dm = matrix_on_blades(self.cx.del_minus, dim, k + 1, k)
-        m_dm_star = self.ip.adjoint(m_dm, k + 1, k)      # k -> k+1
-        m_dp_star = self.ip.adjoint(m_dp, k, k + 1)      # k+1 -> k
+        g_k, g_k1 = self.ip.gram(k), self.ip.gram(k + 1)
         s_hr_k = matrix_on_blades(
             lambda a: self.st.apply_rs(a, lambda r, s: Fraction(n - r - s)), dim, k, k)
         details = []
         ok = True
         # the splitting operator squares to (-1)^k on degree k
         jk_inv = jk.scale((-1) ** k)
-        jk1_inv = jk1.scale((-1) ** (k + 1))
-        if (jk1 @ m_dp @ jk_inv) != (m_dm_star @ s_hr_k):
+        # J del_plus J^-1 = adjoint(del_minus) (H+R), times G_{k+1}
+        if (g_k1 @ jk1 @ m_dp @ jk_inv) != (m_dm.transpose() @ g_k @ s_hr_k):
             ok = False
             details.append("conjugate of del_plus != adjoint(del_minus) (H+R)")
-        if (jk @ m_dp_star @ jk1_inv) != (s_hr_k @ m_dm):
+        # J adjoint(del_plus) J^-1 = (H+R) del_minus, conjugated back by J
+        # and times G_k
+        if (m_dp.transpose() @ g_k1) != (g_k @ jk_inv @ s_hr_k @ m_dm @ jk1):
             ok = False
             details.append("conjugate of adjoint(del_plus) != (H+R) del_minus")
         if k < n:
@@ -384,17 +401,17 @@ class HodgeTheory:
 
     def pairing_matrix(self, k: int, reps_plus: list[Form],
                        reps_minus: list[Form]) -> OperatorMatrix:
-        """Gram matrix of the duality pairing between degree-k classes."""
+        """Gram matrix of the duality pairing between degree-k classes:
+        entry (i, j) integrates omega^(n-k)/(n-k)! ^ b_plus_i ^ b_minus_j.
+        Each b_plus_i is wedged onto the power once, and the top
+        coefficient is read with ``top_dual`` of b_minus_j."""
         power = self.st.L_power(Form.scalar(self.dim, 1), self.n - k) \
             / _factorial(self.n - k)
+        lifted = [power.wedge(b_plus)._c for b_plus in reps_plus]
         cols = []
         for b_minus in reps_minus:
-            col = {}
-            for i, b_plus in enumerate(reps_plus):
-                v = self.cx.integrate(power.wedge(b_plus).wedge(b_minus))
-                if v:
-                    col[i] = v
-            cols.append(col)
+            dual = top_dual(b_minus)
+            cols.append({i: v for i, a in enumerate(lifted) if (v := vec_dot(a, dual))})
         return OperatorMatrix.from_columns(cols, len(reps_plus))
 
 

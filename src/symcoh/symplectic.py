@@ -8,7 +8,8 @@ adjoint dLambda, and the degree +1/-1 pieces of d.
 
 L, Lambda, d, the star and del_plus/del_minus are memoised per blade in
 ``exterior.BladeMap``s, and so is each blade's Lefschetz decomposition,
-keyed by (r, s), which ``components`` and ``apply_rs`` sum in one pass.  The
+keyed by (r, s), which ``components`` and ``apply_rs`` sum in one pass;
+del_plus and del_minus read one memo that splits each component once.  The
 complex's one operator cache (``op``) reads d, L and Lambda on each degree
 off those images once, as int matrices over one int denominator; dLambda is
 their product.  ``SymplecticStructure.split`` splits any degree +1 operator
@@ -418,8 +419,11 @@ class SymplecticComplex:
         self.dim = algebra.dim
         self.n = self.structure.n
         self._ops: dict[tuple, tuple] = {}
+        # per blade: both pieces of d, split once, a memo never applied; then each piece
+        self._del_pieces = BladeMap(self.dim, partial(
+            self._del_pieces_of_blade, algebra._d_blade, self.structure))
         self._del_blade = [BladeMap(self.dim, partial(
-            self._del_of_blade, algebra._d_blade, self.structure, which)) for which in (0, 1)]
+            self._del_of_blade, self._del_pieces, which)) for which in (0, 1)]
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -457,9 +461,6 @@ class SymplecticComplex:
                                       - (l1 @ d1).scale(den // (x1 * y1)), den)
         return self._ops[name, k]
 
-    def integrate(self, a: Form):
-        return self.algebra.integrate(a)
-
     # -- the adjoint differential -----------------------------------------
 
     def d_lambda(self, a: Form) -> Form:
@@ -492,15 +493,22 @@ class SymplecticComplex:
         return comps.get(0, z), comps.get(1, z)
 
     @staticmethod
-    def _del_of_blade(d, st: SymplecticStructure, which: int, images: BladeMap, mask: int) -> Form:
-        """Piece ``which`` (0: primitive part, 1: omega-wedge part) of
-        ``_split_d_primitive`` on each Lefschetz component of one blade."""
-        out = Form.zero(st.dim)
+    def _del_pieces_of_blade(d, st: SymplecticStructure, images: BladeMap,
+                             mask: int) -> tuple[Form, Form]:
+        """Both pieces (primitive part, omega-wedge part) of
+        ``_split_d_primitive`` on each Lefschetz component of one blade,
+        each component split once."""
+        out = [Form.zero(st.dim), Form.zero(st.dim)]
         for (r, s), b in st._pieces[mask].items():
-            piece = SymplecticComplex._split_d_primitive(d, st, b, s)[which]
-            if piece:
-                out = out + st.L_power(piece, r) / _factorial(r)
-        return out
+            for which, piece in enumerate(SymplecticComplex._split_d_primitive(d, st, b, s)):
+                if piece:
+                    out[which] = out[which] + st.L_power(piece, r) / _factorial(r)
+        return out[0], out[1]
+
+    @staticmethod
+    def _del_of_blade(pieces: BladeMap, which: int, images: BladeMap, mask: int) -> Form:
+        """Piece ``which`` (0: del_plus, 1: del_minus) of one blade."""
+        return pieces[mask][which]
 
     def del_plus(self, a: Form) -> Form:
         """Degree +1 piece of d: keeps the primitive part of d on each

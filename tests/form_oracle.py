@@ -30,6 +30,11 @@ blade's primitive components: ``components`` decomposes every degree of a
 form by the closed formula on each call, and ``apply_rs``, ``star``,
 ``del_plus`` and ``del_minus`` read those components, where the engine
 sums, or applies, the components it keeps for each blade.
+
+And it keeps the wedge route for the duality pairing that
+``HodgeTheory.pairing_matrix`` reads without a wedge per pair:
+``pairing_matrix`` wedges omega^(n-k)/(n-k)!, the p+ and the p- form for
+every pair and integrates the product.
 """
 
 from __future__ import annotations
@@ -192,3 +197,17 @@ def del_minus(cx, a: Form) -> Form:
         if b1:
             out = out + st.L_power(b1, r) / factorial(r)
     return out
+
+
+def pairing_matrix(cx, k: int, reps_plus: list[Form], reps_minus: list[Form]) -> OperatorMatrix:
+    """Entry (i, j) is the integral of omega^(n-k)/(n-k)! ^ b_plus_i ^ b_minus_j."""
+    power = L_power(cx.structure, Form.scalar(cx.dim, 1), cx.n - k) / factorial(cx.n - k)
+    cols = []
+    for b_minus in reps_minus:
+        col = {}
+        for i, b_plus in enumerate(reps_plus):
+            v = cx.algebra.integrate(power.wedge(b_plus).wedge(b_minus))
+            if v:
+                col[i] = v
+        cols.append(col)
+    return OperatorMatrix.from_columns(cols, len(reps_plus))

@@ -1,0 +1,95 @@
+"""The Hodge suite's matrix-level routes against the wedge routes.
+
+``gram_of_forms`` reads each Gram entry as a sparse dot product with the
+complementary blades of a starred form, and ``HodgeTheory.pairing_matrix``
+wedges the power of omega onto each p+ form once; ``InnerProduct.pair`` and
+``form_oracle.pairing_matrix`` wedge every pair.  ``check_jay_conjugation``
+compares its identities multiplied through by blade Gram matrices, so a
+perturbed del_plus or del_minus must still fail both comparisons.
+"""
+
+import pytest
+
+import form_oracle
+from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
+from symcoh.exterior import Form, blade_index
+from symcoh.hodge import CompatibleTriple, HodgeTheory
+from symcoh.linalg import OperatorMatrix
+from symcoh.symplectic import parse_omega
+
+from conftest import NIL_ALGEBRA
+
+FIXTURES = {
+    "N6": (NIL_ALGEBRA, "16+25-34"),
+    "N6-prime": (NIL_ALGEBRA, "13+26-45"),
+    "KT4-half": ("(0,0,0,12)", "2*13+24"),
+}
+
+
+def build(name):
+    algebra, omega = FIXTURES[name]
+    alg = parse_algebra(algebra)
+    return SymplecticComplex(alg, parse_omega(omega, alg.dim))
+
+
+def hodge(name, reverse):
+    cx = build(name)
+    order = list(range(cx.dim))[::-1] if reverse else None
+    return HodgeTheory(cx, CompatibleTriple(cx.structure, order=order))
+
+
+def wedge_gram(ip, forms):
+    return OperatorMatrix.from_columns(
+        [{i: ip.pair(a, b) for i, a in enumerate(forms)} for b in forms], len(forms))
+
+
+def test_half_fixture_has_a_volume_norm_other_than_one():
+    # omega^2/2 = 2 e13 ^ e24 = -2 e1234
+    assert hodge("KT4-half", False).ip._norm == -2
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_gram_matrices_match_wedge_route(name, reverse):
+    ht = hodge(name, reverse)
+    dim = ht.dim
+    for k in range(dim + 1):
+        blades = [Form(dim, {m: 1}) for m in blade_index(dim, k)[0]]
+        assert ht.ip.gram(k) == wedge_gram(ht.ip, blades)
+    for k in range(-1, ht.n + 2):
+        assert ht.prim_gram(k) == wedge_gram(ht.ip, ht.prim_basis(k))
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_pairing_matrices_match_wedge_route(name):
+    ht = hodge(name, False)
+    calc = CohomologyCalculator(ht.cx)
+    for k in range(ht.n):
+        plus = calc.group("p+", k).representatives
+        minus = calc.group("p-", k).representatives
+        assert ht.pairing_matrix(k, plus, minus) == \
+            form_oracle.pairing_matrix(ht.cx, k, plus, minus)
+        basis = ht.prim_basis(k)
+        pm = ht.pairing_matrix(k, basis, basis)
+        assert not pm.is_zero()
+        assert pm == form_oracle.pairing_matrix(ht.cx, k, basis, basis)
+
+
+@pytest.mark.parametrize("which,blade,extra", [
+    ("del_plus", 0b1, Form.e(6, 1, 2)),
+    ("del_minus", 0b11, Form.e(6, 1)),
+])
+def test_conjugation_check_fails_on_one_perturbed_column(monkeypatch, which, blade, extra):
+    ht = hodge("N6", False)
+    assert ht.check_jay_conjugation(1).passed
+    original = getattr(ht.cx, which)
+
+    def perturbed(a):
+        out = original(a)
+        return out + extra if a == Form(6, {blade: 1}) else out
+
+    monkeypatch.setattr(ht.cx, which, perturbed)
+    result = ht.check_jay_conjugation(1)
+    assert not result.passed
+    assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
+                              "conjugate of adjoint(del_plus) != (H+R) del_minus"]

@@ -142,13 +142,29 @@ def test_corrupted_star_image_is_named():
         result.details
 
 
+def test_each_lefschetz_component_is_split_once(monkeypatch):
+    cx = build(*FIXTURES["N6"])
+    calls = []
+    split = SymplecticComplex._split_d_primitive
+
+    def counting_split(d, st, b, s):
+        calls.append(s)
+        return split(d, st, b, s)
+
+    monkeypatch.setattr(SymplecticComplex, "_split_d_primitive", staticmethod(counting_split))
+    for mask in range(1 << cx.dim):
+        cx.del_plus(Form(cx.dim, {mask: 1}))
+        cx.del_minus(Form(cx.dim, {mask: 1}))
+    assert len(calls) == sum(len(cx.structure._pieces[m]) for m in range(1 << cx.dim))
+
+
 def test_piece_maps_are_freed_with_their_owners():
     gc.disable()
     try:
         cx = build(*FIXTURES["N6"])
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
         cx.star(f), cx.del_plus(f), cx.del_minus(f)
-        maps = (cx.structure._pieces, cx.structure._star_blade, *cx._del_blade)
+        maps = (cx.structure._pieces, cx.structure._star_blade, cx._del_pieces, *cx._del_blade)
         assert all(0b1011 in m for m in maps)
         refs = [weakref.ref(m) for m in maps]
         del cx, maps
