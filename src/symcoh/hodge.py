@@ -347,11 +347,11 @@ class HodgeTheory:
             details.append(
                 f"dimensions {harm.dim}+{im_in.dim}+{im_adj.dim} != {len(self.prim_basis(k))}")
         pieces = [("harmonic", harm), ("image", im_in), ("coimage", im_adj)]
-        g_rows = [None] + [[g_k.apply(b) for b in sub.rows] for _, sub in pieces[1:]]
-        for i in range(3):
-            for j in range(i + 1, 3):
+        for j in (1, 2):
+            g_bs = [g_k.apply(b) for b in pieces[j][1].rows]
+            for i in range(j):
                 for a in pieces[i][1].rows:
-                    for g_b in g_rows[j]:
+                    for g_b in g_bs:
                         if vec_dot(a, g_b):
                             ok = False
                             details.append(
