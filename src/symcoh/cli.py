@@ -213,11 +213,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                     omega_source=args.omega, fmt=args.fmt, out=args.out)
     if args.command == "compute":
         cfg.groups = [g.strip() for g in args.groups.split(",") if g.strip()]
+        if not cfg.groups:
+            raise InputError("--groups names no group")
         if args.degrees is not None:
             try:
                 cfg.degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
             except ValueError:
                 raise InputError(f"bad --degrees value: {args.degrees!r}") from None
+            if not cfg.degrees:
+                raise InputError("--degrees names no degree")
     else:
         if args.suite is None:
             raise InputError("check requires --suite")

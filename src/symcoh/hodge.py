@@ -12,12 +12,15 @@ inner product is integration of a ^ *a' against the Liouville volume
 matrices positive definite regardless of how omega^n sits against the
 reference orientation).  Gram and pairing matrices read each top
 coefficient as a sparse dot product with the other factor's
-complementary blades (``top_dual``), forming no wedge per pair.
+complementary blades (``top_dual``), forming no wedge per pair; the
+primitive Gram is B^T G_k B over the primitive basis matrix B.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
-computations over the primitive bases; the splitting-conjugation check
-compares matrix identities multiplied through by blade Gram matrices, so it
-inverts none.
+computations over the primitive bases, each adjoint formed once per degree
+and direction; the splitting-conjugation check reads J, del_plus,
+del_minus and H+R on the blades off their blade maps (``_blade_matrix``)
+and compares matrix identities multiplied through by blade Gram matrices,
+so it inverts none.
 """
 
 from __future__ import annotations
@@ -36,12 +39,7 @@ from .linalg import (
     vec_dot,
 )
 from .reports import CheckResult
-from .symplectic import (
-    SymplecticComplex,
-    SymplecticStructure,
-    _factorial,
-    matrix_on_blades,
-)
+from .symplectic import SymplecticComplex, SymplecticStructure, _blade_matrix, _factorial
 
 
 def _pairing(w: list[list[Fraction]], x: dict, y: dict) -> Fraction:
@@ -183,10 +181,11 @@ class InnerProduct:
     """Gram matrices of <a, a'> = integral of a ^ *a' per degree.
 
     Integration is against the Liouville volume omega^n/n!, so <1, 1> = 1 and
-    every Gram matrix is positive definite.  A Gram entry is read without a
-    wedge (``gram_of_forms``); ``pair`` is the wedge route, kept as the
-    oracle.  No blade Gram matrix is inverted: the splitting-conjugation
-    check multiplies its identities through by them instead.
+    every Gram matrix is positive definite.  A Gram column is read without a
+    wedge, off ``top_dual`` of a blade's star; ``pair`` is the wedge route,
+    kept as the oracle.  No blade Gram matrix is inverted: the
+    splitting-conjugation check multiplies its identities through by them
+    instead.
     """
 
     def __init__(self, triple: CompatibleTriple):
@@ -204,8 +203,12 @@ class InnerProduct:
         cached = self._gram.get(k)
         if cached is not None:
             return cached
-        g = gram_of_forms(self, [Form(self.dim, {m: 1})
-                                 for m in blade_index(self.dim, k)[0]])
+        order, idx = blade_index(self.dim, k)
+        # column J is <e_I, e_J> = (e_I ^ *e_J)[top] / norm for every I
+        g = OperatorMatrix.from_columns(
+            [{idx[m]: v / self._norm for m, v in
+              top_dual(self.triple.hodge_star(Form(self.dim, {j: 1}))).items()}
+             for j in order], len(order))
         if g != g.transpose():
             raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
         self._gram[k] = g
@@ -226,24 +229,10 @@ def top_dual(b: Form) -> dict:
     return {top ^ m: wedge_sign(top ^ m, m) * v for m, v in b._c.items()}
 
 
-def gram_of_forms(ip: InnerProduct, forms: list[Form]) -> OperatorMatrix:
-    """Entry (i, j) is <f_i, f_j> = (f_i ^ *f_j)[top] / norm, read as the sum
-    over the blades e_I of f_i of f_i[I] eps(I, I^c) (*f_j)[I^c] / norm:
-    each form is starred once and no wedge is formed.  Column j sums, over
-    the blades I of ``top_dual(*f_j)``, the coefficients of e_I in the
-    forms that have it."""
-    having: dict[int, list] = {}
-    for i, f in enumerate(forms):
-        for m, v in f._c.items():
-            having.setdefault(m, []).append((i, v))
-    cols = []
-    for f_j in forms:
-        col: dict = {}
-        for m, c in top_dual(ip.triple.hodge_star(f_j)).items():
-            for i, v in having.get(m, ()):
-                col[i] = col.get(i, 0) + v * c
-        cols.append({i: v / ip._norm for i, v in col.items() if v})
-    return OperatorMatrix.from_columns(cols, len(forms))
+def _on_blades(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
+    """The blade map from degree k_from to k_to as an exact matrix."""
+    m, den = _blade_matrix(images, k_from, k_to)
+    return m.scale(Fraction(1, den))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +253,7 @@ class HodgeTheory:
         self.ip = InnerProduct(self.triple)
         self._prim_gram: dict[int, OperatorMatrix] = {}
         self._prim_gram_inv: dict[int, OperatorMatrix] = {}
+        self._updowns: dict[tuple[str, int], tuple] = {}
         self._harmonic: dict[tuple[int, str], Subspace] = {}
 
     # -- primitive-basis plumbing ----------------------------------------
@@ -272,9 +262,12 @@ class HodgeTheory:
         return self.st._prim_forms(k)
 
     def prim_gram(self, k: int) -> OperatorMatrix:
+        """B^T G_k B / beta^2, B/beta the primitive basis in blade
+        coordinates and G_k the blade Gram matrix."""
         cached = self._prim_gram.get(k)
         if cached is None:
-            cached = gram_of_forms(self.ip, self.prim_basis(k))
+            b, beta = self.st._primitive_data(k)[2:]
+            cached = (b.transpose() @ self.ip.gram(k) @ b).scale(Fraction(1, beta * beta))
             self._prim_gram[k] = cached
         return cached
 
@@ -287,24 +280,29 @@ class HodgeTheory:
 
     # -- harmonic spaces ---------------------------------------------------
 
-    def _updown(self, which: str, k: int):
-        """The piece of d leaving P^k, the one arriving in P^k, the Gram
-        matrix of the first one's target and the inverse Gram matrix of the
-        second one's source; outside 0..n a primitive space is 0."""
-        if which == "plus":      # P^k -> P^{k+1} and P^{k-1} -> P^k
-            return (self.cx.del_matrices(k)[0], self.cx.del_matrices(k - 1)[0],
-                    self.prim_gram(k + 1), self.prim_gram_inverse(k - 1))
-        if which == "minus":     # P^k -> P^{k-1} and P^{k+1} -> P^k
-            return (self.cx.del_matrices(k)[1], self.cx.del_matrices(k + 1)[1],
-                    self.prim_gram(k - 1), self.prim_gram_inverse(k + 1))
-        raise ValueError("which must be 'plus' or 'minus'")
-
-    def laplacian(self, k: int, which: str) -> OperatorMatrix:
+    def _updown(self, which: str, k: int) -> tuple[OperatorMatrix, ...]:
+        """The piece of d leaving P^k, the one arriving in P^k, and their
+        adjoints, formed once per (which, k); outside 0..n a primitive
+        space is 0."""
+        cached = self._updowns.get((which, k))
+        if cached is not None:
+            return cached
+        if which not in ("plus", "minus"):
+            raise ValueError("which must be 'plus' or 'minus'")
         if not 0 <= k < self.n:
             raise ValueError(f"harmonic degree must be in 0..{self.n - 1}, got {k}")
-        d_out, d_in, g_out, g_in_inv = self._updown(which, k)
-        d_out_star = adjoint_in_bases(d_out, self.prim_gram_inverse(k), g_out)
-        d_in_star = adjoint_in_bases(d_in, g_in_inv, self.prim_gram(k))
+        # plus: P^k -> P^{k+1} and P^{k-1} -> P^k; minus: P^k -> P^{k-1} and P^{k+1} -> P^k
+        piece, step = (0, 1) if which == "plus" else (1, -1)
+        d_out = self.cx.del_matrices(k)[piece]
+        d_in = self.cx.del_matrices(k - step)[piece]
+        cached = self._updowns[which, k] = (
+            d_out, d_in,
+            adjoint_in_bases(d_out, self.prim_gram_inverse(k), self.prim_gram(k + step)),
+            adjoint_in_bases(d_in, self.prim_gram_inverse(k - step), self.prim_gram(k)))
+        return cached
+
+    def laplacian(self, k: int, which: str) -> OperatorMatrix:
+        d_out, d_in, d_out_star, d_in_star = self._updown(which, k)
         return d_in @ d_in_star + d_out_star @ d_out
 
     def harmonic_space(self, k: int, which: str) -> Subspace:
@@ -313,10 +311,7 @@ class HodgeTheory:
         cached = self._harmonic.get((k, which))
         if cached is not None:
             return cached
-        if not 0 <= k < self.n:
-            raise ValueError(f"harmonic degree must be in 0..{self.n - 1}, got {k}")
-        d_out, d_in, _, g_in_inv = self._updown(which, k)
-        d_in_star = adjoint_in_bases(d_in, g_in_inv, self.prim_gram(k))
+        d_out, _, _, d_in_star = self._updown(which, k)
         via_laplacian = kernel(self.laplacian(k, which))
         via_kernels = subspace_intersect(kernel(d_out), kernel(d_in_star))
         if via_laplacian != via_kernels:
@@ -334,8 +329,7 @@ class HodgeTheory:
         """P^k = harmonic + image + coimage, orthogonal with matching dims."""
         name = f"hodge-decomposition(k={k}, {which})"
         g_k = self.prim_gram(k)
-        d_out, d_in, g_out, _ = self._updown(which, k)
-        d_out_star = adjoint_in_bases(d_out, self.prim_gram_inverse(k), g_out)
+        _, d_in, d_out_star, _ = self._updown(which, k)
         harm = self.harmonic_space(k, which)
         im_in = image(d_in)
         im_adj = image(d_out_star)
@@ -369,14 +363,15 @@ class HodgeTheory:
         metric is (``CompatibleTriple._validate``), so no Gram matrix is
         inverted and each comparison is equivalent to the identity."""
         name = f"jay-conjugation(k={k})"
-        dim, n = self.dim, self.n
-        jk = matrix_on_blades(self.triple.jay, dim, k, k)
-        jk1 = matrix_on_blades(self.triple.jay, dim, k + 1, k + 1)
-        m_dp = matrix_on_blades(self.cx.del_plus, dim, k, k + 1)
-        m_dm = matrix_on_blades(self.cx.del_minus, dim, k + 1, k)
+        dim, n, st = self.dim, self.n, self.st
+        h_plus_r = BladeMap(dim, lambda _, m: st.apply_rs(
+            Form(dim, {m: 1}), lambda r, s: Fraction(n - r - s)))
+        jk = _on_blades(self.triple._jay_blade, k, k)
+        jk1 = _on_blades(self.triple._jay_blade, k + 1, k + 1)
+        m_dp = _on_blades(self.cx._del_blade[0], k, k + 1)
+        m_dm = _on_blades(self.cx._del_blade[1], k + 1, k)
         g_k, g_k1 = self.ip.gram(k), self.ip.gram(k + 1)
-        s_hr_k = matrix_on_blades(
-            lambda a: self.st.apply_rs(a, lambda r, s: Fraction(n - r - s)), dim, k, k)
+        s_hr_k = _on_blades(h_plus_r, k, k)
         details = []
         ok = True
         # the splitting operator squares to (-1)^k on degree k
@@ -392,9 +387,9 @@ class HodgeTheory:
             details.append("conjugate of adjoint(del_plus) != (H+R) del_minus")
         if k < n:
             harm = self.harmonic_space(k, "plus").rows
-            mapped = jk @ OperatorMatrix.from_columns([self.st.lift(r, k) for r in harm], jk.nrows)
-            self.st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
-            if image(self.st.prim_matrix(mapped, k)) != self.harmonic_space(k, "minus"):
+            mapped = jk @ OperatorMatrix.from_columns([st.lift(r, k) for r in harm], jk.nrows)
+            st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
+            if image(st.prim_matrix(mapped, k)) != self.harmonic_space(k, "minus"):
                 ok = False
                 details.append("splitting operator does not map harmonic(+) onto harmonic(-)")
         return CheckResult(name, ok, details)

@@ -18,10 +18,10 @@ d it gives del_plus and del_minus (``del_images``), applied to xi ^ it gives
 the symbols of the primitive complex (``symbolcheck``).  ``prim_matrix``
 reads such blade-coordinate columns in primitive coordinates.  The
 form-level routes (``d_lambda``, ``del_plus``/``del_minus``, the closed
-formulas, ``matrix_on_blades``) are their oracles.  Scalar operators such as
-1/(H+2R+1), R counting the omega wedges, act by eigenvalue on each Lefschetz
-component: a component built from r copies of omega wedged onto a primitive
-s-form is scaled by the value of the symbol at that (r, s).  ``apply_rs``
+formulas) are their oracles.  Scalar operators such as 1/(H+2R+1), R
+counting the omega wedges, act by eigenvalue on each Lefschetz component:
+a component built from r copies of omega wedged onto a primitive s-form is
+scaled by the value of the symbol at that (r, s).  ``apply_rs``
 sums the components of all blades first, so a symbol is never evaluated on
 a component that cancels.
 """
@@ -598,14 +598,3 @@ def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> tuple[OperatorMat
     idx = blade_index(images.dim, k_to)[1]
     return int_matrix([form_to_coords(images[m], idx)
                        for m in blade_index(images.dim, k_from)[0]], len(idx))
-
-
-def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
-    """Materialize a degree-homogeneous operator over canonical blade bases.
-
-    Raises if the operator's image on some blade leaves degree ``k_to``.
-    """
-    dom = blade_index(dim, k_from)[0]
-    cod, idx = blade_index(dim, k_to)
-    cols = [form_to_coords(op(Form(dim, {m: 1})), idx) for m in dom]
-    return OperatorMatrix.from_columns(cols, len(cod))

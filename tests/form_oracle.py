@@ -35,6 +35,10 @@ And it keeps the wedge route for the duality pairing that
 ``HodgeTheory.pairing_matrix`` reads without a wedge per pair:
 ``pairing_matrix`` wedges omega^(n-k)/(n-k)!, the p+ and the p- form for
 every pair and integrates the product.
+
+And it keeps ``matrix_on_blades``, which applies a form operator to each
+blade, where the engine reads the images its blade maps keep
+(``symplectic._blade_matrix``).
 """
 
 from __future__ import annotations
@@ -211,3 +215,14 @@ def pairing_matrix(cx, k: int, reps_plus: list[Form], reps_minus: list[Form]) ->
                 col[i] = v
         cols.append(col)
     return OperatorMatrix.from_columns(cols, len(reps_plus))
+
+
+def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
+    """Materialize a degree-homogeneous operator over canonical blade bases.
+
+    Raises if the operator's image on some blade leaves degree ``k_to``.
+    """
+    dom = blade_index(dim, k_from)[0]
+    cod, idx = blade_index(dim, k_to)
+    cols = [form_to_coords(op(Form(dim, {m: 1})), idx) for m in dom]
+    return OperatorMatrix.from_columns(cols, len(cod))

@@ -67,6 +67,14 @@ def test_degree_out_of_range(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("option", ["--groups=,", "--degrees="])
+def test_empty_list_option_is_input_error(capsys, option):
+    code, out, err = run_cli(capsys, "compute", option)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and option.split("=")[0] in err
+
+
 def test_degrees_filter(capsys):
     code, out, _ = run_cli(capsys, "compute", "--groups", "dR", "--degrees", "1,2")
     assert code == 0

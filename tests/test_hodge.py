@@ -18,8 +18,8 @@ from symcoh import (
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.hodge import adjoint_in_bases, run_hodge_suite
 from symcoh.linalg import OperatorMatrix, Subspace, det
-from symcoh.symplectic import matrix_on_blades
 
+from form_oracle import matrix_on_blades
 from qi_oracle import ComplexSplitting, imag_part, real_part
 
 

@@ -1,11 +1,14 @@
 """The Hodge suite's matrix-level routes against the wedge routes.
 
-``gram_of_forms`` reads each Gram entry as a sparse dot product with the
-complementary blades of a starred form, and ``HodgeTheory.pairing_matrix``
+``InnerProduct.gram`` reads each blade Gram column as a sparse dot product
+with the complementary blades of a starred blade, ``HodgeTheory.prim_gram``
+is B^T G_k B over the primitive basis, and ``HodgeTheory.pairing_matrix``
 wedges the power of omega onto each p+ form once; ``InnerProduct.pair`` and
 ``form_oracle.pairing_matrix`` wedge every pair.  ``check_jay_conjugation``
-compares its identities multiplied through by blade Gram matrices, so a
-perturbed del_plus or del_minus must still fail both comparisons.
+reads del_plus and del_minus off their blade maps and compares its
+identities multiplied through by blade Gram matrices, so one perturbed blade
+image of either must still fail both comparisons.  Each adjoint is formed
+once per degree and direction in a Hodge suite run.
 """
 
 import pytest
@@ -13,7 +16,8 @@ import pytest
 import form_oracle
 from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
 from symcoh.exterior import Form, blade_index
-from symcoh.hodge import CompatibleTriple, HodgeTheory
+from symcoh import hodge as hodge_module
+from symcoh.hodge import CompatibleTriple, HodgeTheory, run_hodge_suite
 from symcoh.linalg import OperatorMatrix
 from symcoh.symplectic import parse_omega
 
@@ -79,17 +83,27 @@ def test_pairing_matrices_match_wedge_route(name):
     ("del_plus", 0b1, Form.e(6, 1, 2)),
     ("del_minus", 0b11, Form.e(6, 1)),
 ])
-def test_conjugation_check_fails_on_one_perturbed_column(monkeypatch, which, blade, extra):
+def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
     ht = hodge("N6", False)
     assert ht.check_jay_conjugation(1).passed
-    original = getattr(ht.cx, which)
-
-    def perturbed(a):
-        out = original(a)
-        return out + extra if a == Form(6, {blade: 1}) else out
-
-    monkeypatch.setattr(ht.cx, which, perturbed)
+    images = ht.cx._del_blade[("del_plus", "del_minus").index(which)]
+    images[blade] = images[blade] + extra
     result = ht.check_jay_conjugation(1)
     assert not result.passed
     assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
                               "conjugate of adjoint(del_plus) != (H+R) del_minus"]
+
+
+def test_hodge_suite_forms_each_adjoint_once(monkeypatch):
+    # N6 has n = 3: one (d_out*, d_in*) pair per (k, which) for k in 0..2,
+    # for the suite's triple and for the reversed-pivot one
+    calls = []
+    original = hodge_module.adjoint_in_bases
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hodge_module, "adjoint_in_bases", counted)
+    assert run_hodge_suite(build("N6")).passed
+    assert len(calls) == 2 * 3 * 2 * 2

@@ -22,7 +22,8 @@ from symcoh.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from symcoh.symplectic import matrix_on_blades
+
+from form_oracle import matrix_on_blades
 
 
 # -- independent dense oracle --------------------------------------------------

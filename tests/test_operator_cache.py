@@ -17,9 +17,10 @@ import pytest
 from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
 from symcoh import symplectic
 from symcoh.exterior import blade_index, form_to_coords
-from symcoh.symplectic import matrix_on_blades, parse_omega
+from symcoh.symplectic import parse_omega
 
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
+from form_oracle import matrix_on_blades
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),

@@ -21,9 +21,10 @@ from symcoh import (
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.identities import run_identity_suite
 from symcoh.linalg import OperatorMatrix, Subspace, det, solve
-from symcoh.symplectic import _factorial, matrix_on_blades, parse_omega
+from symcoh.symplectic import _factorial, parse_omega
 
 from conftest import wedge_chain
+from form_oracle import matrix_on_blades
 
 
 def random_homogeneous(rng, dim, k, max_terms=4):
