@@ -3,7 +3,7 @@
 from .cealgebra import LieAlgebraSpec, parse_algebra, parse_salamon
 from .cohomology import CohomologyCalculator, CohomologyGroup
 from .exterior import Form, contract, grade_project, parse_form, wedge
-from .hodge import CompatibleTriple, HodgeTheory, InnerProduct, build_triple, hodge_star, jay
+from .hodge import CompatibleTriple, HodgeTheory, build_triple
 from .symplectic import (
     NotSymplecticError,
     SymplecticComplex,
@@ -19,6 +19,5 @@ __all__ = [
     "SymplecticStructure", "SymplecticComplex", "NotSymplecticError",
     "parse_omega", "recursive_primitive_basis", "standard_omega",
     "CohomologyCalculator", "CohomologyGroup",
-    "CompatibleTriple", "HodgeTheory", "InnerProduct", "build_triple",
-    "hodge_star", "jay",
+    "CompatibleTriple", "HodgeTheory", "build_triple",
 ]

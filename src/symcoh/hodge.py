@@ -5,22 +5,25 @@ computed by linear symplectic Gram-Schmidt over the rationals, J is the
 standard rotation in that basis, and g(x, y) = omega(x, Jy).  The complex
 splitting operator multiplies each (p, q) component by i^(p-q); that is the
 algebra automorphism induced by J on covectors, so it is computed over the
-rationals by wedging the images of each blade's factors.  The Riemannian
-star is the splitting operator composed with the symplectic star, and the
-inner product is integration of a ^ *a' against the Liouville volume
-(normalized so the pairing of 1 with itself is 1, which keeps the Gram
-matrices positive definite regardless of how omega^n sits against the
-reference orientation).  Gram and pairing matrices read each top
-coefficient as a sparse dot product with the other factor's
-complementary blades (``top_dual``), forming no wedge per pair; the
-primitive Gram is B^T G_k B over the primitive basis matrix B.
+rationals by wedging the images of each blade's factors.  The inner product
+on forms is the one g induces.  The symplectic basis T is orthonormal for
+g, so g^-1 = T T^T, and the Gram matrix of the degree-k blades is the k-th
+compound of g^-1 (Cauchy-Binet): the blade matrix of the algebra map that
+sends e_i to row i of g^-1, built by the same wedging.  It equals
+integration of a ^ *a' against the Liouville volume, normalized so that
+<1, 1> = 1, with * the splitting operator after the symplectic star; that
+star route is the test suite's oracle.  The primitive Gram is B^T G_k B
+over the primitive basis matrix B.  The pairing matrix reads each top
+coefficient as a sparse dot product with the other factor's complementary
+blades (``top_dual``), forming no wedge per pair.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
 computations over the primitive bases, each adjoint formed once per degree
 and direction; the splitting-conjugation check reads J, del_plus,
-del_minus and H+R on the blades off their blade maps (``_blade_matrix``)
-and compares matrix identities multiplied through by blade Gram matrices,
-so it inverts none.
+del_minus and H+R on the blades off their blade maps (``_blade_matrix``),
+del_plus and del_minus being read off the per-degree split of d, and
+compares matrix identities multiplied through by blade Gram matrices, so it
+inverts none.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import CohomologyCalculator
-from .exterior import BladeMap, Form, blade_index, wedge_sign
+from .exterior import BladeMap, Form, wedge_sign
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -119,11 +122,19 @@ class CompatibleTriple:
         g = w_mat @ self.J
         self.metric = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
         self._validate(w_mat)
-        # the covector e_i goes to row i of J; the empty blade is fixed
-        self._jay_blade = BladeMap(dim, self._jay_of_blade, {0: Form.scalar(dim, 1)})
+        # The basis is orthonormal for g, so g^-1 = basis basis^T.  Two algebra
+        # maps, each built from its covector images by wedging: ``jay``, the
+        # splitting operator, multiplies each (p, q) component by i^(p - q)
+        # and sends e_i to row i of J; the metric map sends e_i to row i of
+        # g^-1, so its blade matrix is the compound of g^-1, the Gram matrix.
+        ginv = self.basis @ self.basis.transpose()
+        if ginv @ g != OperatorMatrix.identity(dim):
+            raise AssertionError("basis basis^T is not the inverse metric")
+        self.jay = BladeMap(dim, self._jay_of_blade, {0: Form.scalar(dim, 1)})
+        self._ginv_blade = BladeMap(dim, self._jay_of_blade, {0: Form.scalar(dim, 1)})
         for i in range(dim):
-            self._jay_blade[1 << i] = Form(dim, {1 << j: self.J.entry(i, j)
-                                                 for j in range(dim)})
+            self.jay[1 << i] = Form(dim, {1 << j: self.J.entry(i, j) for j in range(dim)})
+            self._ginv_blade[1 << i] = Form(dim, {1 << j: ginv.entry(i, j) for j in range(dim)})
 
     def _validate(self, w_mat: OperatorMatrix):
         dim = self.structure.dim
@@ -140,23 +151,12 @@ class CompatibleTriple:
         if (self.J.transpose() @ w_mat @ self.J) != w_mat:
             raise AssertionError("J does not preserve omega")
 
-    # -- the complex splitting operator ---------------------------------
-
     @staticmethod
     def _jay_of_blade(images: BladeMap, mask: int) -> Form:
         """Image of one blade: the lowest factor's image wedged onto the
         image of the rest."""
         low = mask & -mask
         return images[low].wedge(images[mask ^ low])
-
-    def jay(self, a: Form) -> Form:
-        """Multiply each (p, q) component by i^(p - q); real in, real out."""
-        return self._jay_blade(a)
-
-    def hodge_star(self, a: Form) -> Form:
-        """Riemannian star of the triple: splitting operator after the
-        symplectic star."""
-        return self.jay(self.structure.star(a))
 
 
 def build_triple(omega, order: list[int] | None = None) -> CompatibleTriple:
@@ -165,55 +165,9 @@ def build_triple(omega, order: list[int] | None = None) -> CompatibleTriple:
     return CompatibleTriple(st, order)
 
 
-def hodge_star(a: Form, triple: CompatibleTriple) -> Form:
-    return triple.hodge_star(a)
-
-
-def jay(a: Form, triple: CompatibleTriple) -> Form:
-    return triple.jay(a)
-
-
 # ---------------------------------------------------------------------------
 # inner product and adjoints
 # ---------------------------------------------------------------------------
-
-class InnerProduct:
-    """Gram matrices of <a, a'> = integral of a ^ *a' per degree.
-
-    Integration is against the Liouville volume omega^n/n!, so <1, 1> = 1 and
-    every Gram matrix is positive definite.  A Gram column is read without a
-    wedge, off ``top_dual`` of a blade's star; ``pair`` is the wedge route,
-    kept as the oracle.  No blade Gram matrix is inverted: the
-    splitting-conjugation check multiplies its identities through by them
-    instead.
-    """
-
-    def __init__(self, triple: CompatibleTriple):
-        self.triple = triple
-        self.structure = triple.structure
-        self.dim = triple.structure.dim
-        self._top = (1 << self.dim) - 1
-        self._norm = triple.structure.volume().coeff(self._top)
-        self._gram: dict[int, OperatorMatrix] = {}
-
-    def pair(self, a: Form, b: Form) -> Fraction:
-        return a.wedge(self.triple.hodge_star(b)).coeff(self._top) / self._norm
-
-    def gram(self, k: int) -> OperatorMatrix:
-        cached = self._gram.get(k)
-        if cached is not None:
-            return cached
-        order, idx = blade_index(self.dim, k)
-        # column J is <e_I, e_J> = (e_I ^ *e_J)[top] / norm for every I
-        g = OperatorMatrix.from_columns(
-            [{idx[m]: v / self._norm for m, v in
-              top_dual(self.triple.hodge_star(Form(self.dim, {j: 1}))).items()}
-             for j in order], len(order))
-        if g != g.transpose():
-            raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
-        self._gram[k] = g
-        return g
-
 
 def adjoint_in_bases(op: OperatorMatrix, gram_dom_inverse: OperatorMatrix,
                      gram_cod: OperatorMatrix) -> OperatorMatrix:
@@ -250,7 +204,7 @@ class HodgeTheory:
         self.triple = triple if triple is not None else CompatibleTriple(self.st)
         if self.triple.structure.omega != self.st.omega:
             raise ValueError("triple was built for a different omega")
-        self.ip = InnerProduct(self.triple)
+        self._gram: dict[int, OperatorMatrix] = {}
         self._prim_gram: dict[int, OperatorMatrix] = {}
         self._prim_gram_inv: dict[int, OperatorMatrix] = {}
         self._updowns: dict[tuple[str, int], tuple] = {}
@@ -261,13 +215,24 @@ class HodgeTheory:
     def prim_basis(self, k: int) -> list[Form]:
         return self.st._prim_forms(k)
 
+    def gram(self, k: int) -> OperatorMatrix:
+        """The Gram matrix of <a, a'> on the degree-k blades: the k-th
+        compound of g^-1, read off the triple's metric map."""
+        cached = self._gram.get(k)
+        if cached is None:
+            cached = _on_blades(self.triple._ginv_blade, k, k)
+            if cached != cached.transpose():
+                raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
+            self._gram[k] = cached
+        return cached
+
     def prim_gram(self, k: int) -> OperatorMatrix:
         """B^T G_k B / beta^2, B/beta the primitive basis in blade
         coordinates and G_k the blade Gram matrix."""
         cached = self._prim_gram.get(k)
         if cached is None:
             b, beta = self.st._primitive_data(k)[2:]
-            cached = (b.transpose() @ self.ip.gram(k) @ b).scale(Fraction(1, beta * beta))
+            cached = (b.transpose() @ self.gram(k) @ b).scale(Fraction(1, beta * beta))
             self._prim_gram[k] = cached
         return cached
 
@@ -366,11 +331,11 @@ class HodgeTheory:
         dim, n, st = self.dim, self.n, self.st
         h_plus_r = BladeMap(dim, lambda _, m: st.apply_rs(
             Form(dim, {m: 1}), lambda r, s: Fraction(n - r - s)))
-        jk = _on_blades(self.triple._jay_blade, k, k)
-        jk1 = _on_blades(self.triple._jay_blade, k + 1, k + 1)
+        jk = _on_blades(self.triple.jay, k, k)
+        jk1 = _on_blades(self.triple.jay, k + 1, k + 1)
         m_dp = _on_blades(self.cx._del_blade[0], k, k + 1)
         m_dm = _on_blades(self.cx._del_blade[1], k + 1, k)
-        g_k, g_k1 = self.ip.gram(k), self.ip.gram(k + 1)
+        g_k, g_k1 = self.gram(k), self.gram(k + 1)
         s_hr_k = _on_blades(h_plus_r, k, k)
         details = []
         ok = True

@@ -8,17 +8,19 @@ adjoint dLambda, and the degree +1/-1 pieces of d.
 
 L, Lambda, d, the star and del_plus/del_minus are memoised per blade in
 ``exterior.BladeMap``s, and so is each blade's Lefschetz decomposition,
-keyed by (r, s), which ``components`` and ``apply_rs`` sum in one pass;
-del_plus and del_minus read one memo that splits each component once.  The
+keyed by (r, s), which ``components`` and ``apply_rs`` sum in one pass.  The
 complex's one operator cache (``op``) reads d, L and Lambda on each degree
 off those images once, as int matrices over one int denominator; dLambda is
 their product.  ``SymplecticStructure.split`` splits any degree +1 operator
 that commutes with L into its two pieces on the primitive basis; applied to
 d it gives del_plus and del_minus (``del_images``), applied to xi ^ it gives
 the symbols of the primitive complex (``symbolcheck``).  ``prim_matrix``
-reads such blade-coordinate columns in primitive coordinates.  The
-form-level routes (``d_lambda``, ``del_plus``/``del_minus``, the closed
-formulas) are their oracles.  Scalar operators such as 1/(H+2R+1), R
+reads such blade-coordinate columns in primitive coordinates.  del_plus and
+del_minus on a blade read each of its Lefschetz components' pieces off the
+``del_images`` columns at the component's primitive coordinates, so the
+form-level operators and the matrices come from one split of d.  The
+form-level ``d_lambda`` and the closed formulas for del_plus/del_minus are
+their oracles.  Scalar operators such as 1/(H+2R+1), R
 counting the omega wedges, act by eigenvalue on each Lefschetz component:
 a component built from r copies of omega wedged onto a primitive s-form is
 scaled by the value of the symbol at that (r, s).  ``apply_rs``
@@ -122,7 +124,7 @@ class SymplecticStructure:
             self._pieces_of_blade, self._L_blade, self._Lambda_blade, self.n))
         self._star_blade = BladeMap(self.dim, partial(
             self._star_of_blade, self._pieces, self._L_blade, self.n))
-        if not self.L_power(Form.scalar(self.dim, 1), self.n):
+        if not self.volume():
             raise NotSymplecticError("omega^n vanishes", "degenerate")
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix, int]] = {}
         self._ops: dict[tuple[str, int], tuple[OperatorMatrix, int]] = {}
@@ -397,12 +399,12 @@ class SymplecticComplex:
     """A unimodular Lie-algebra differential together with a symplectic form.
 
     Provides d, the symplectic adjoint differential, and the two primitive
-    pieces of d.  The degree +1/-1 pieces are defined by projection: apply d
-    to each primitive Lefschetz component and split the result into its
-    primitive part and its single omega-wedge part.  Closed-formula versions
-    in terms of d and the adjoint differential are provided separately and
-    must agree (they are cross-checked in the test suite).  Production code
-    uses ``del_matrices``; the form-level routes are its oracles.
+    pieces of d.  d is split once per degree (``del_images``); on a form,
+    del_plus and del_minus read each primitive Lefschetz component's pieces
+    off those columns.  Closed-formula versions in terms of d and the
+    adjoint differential are provided separately and must agree (the
+    identity battery compares them); the projection route, which decomposes
+    d of each component, is their oracle in the test suite.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, omega: Form):
@@ -419,9 +421,10 @@ class SymplecticComplex:
         self.dim = algebra.dim
         self.n = self.structure.n
         self._ops: dict[tuple, tuple] = {}
-        # per blade: both pieces of d, split once, a memo never applied; then each piece
+        # per blade: both pieces of d, read off ``del_images``, a memo never applied;
+        # then each piece
         self._del_pieces = BladeMap(self.dim, partial(
-            self._del_pieces_of_blade, algebra._d_blade, self.structure))
+            self._del_pieces_of_blade, self.structure, algebra._d_blade, self._ops))
         self._del_blade = [BladeMap(self.dim, partial(
             self._del_of_blade, self._del_pieces, which)) for which in (0, 1)]
 
@@ -450,16 +453,30 @@ class SymplecticComplex:
         dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
         if name not in ("d", "dLambda"):
             return self.structure.op(name, k)
+        if name == "d":
+            return self._d_op(self.algebra._d_blade, self._ops, k)
         if (name, k) not in self._ops:
-            if name == "d":
-                self._ops[name, k] = _blade_matrix(self.algebra._d_blade, k, k + 1)
-            else:
-                (d0, x0), (l0, y0) = self.op("d", k - 2), self.op("Lambda", k)
-                (l1, y1), (d1, x1) = self.op("Lambda", k + 1), self.op("d", k)
-                den = lcm(x0 * y0, x1 * y1)
-                self._ops[name, k] = ((d0 @ l0).scale(den // (x0 * y0))
-                                      - (l1 @ d1).scale(den // (x1 * y1)), den)
+            (d0, x0), (l0, y0) = self.op("d", k - 2), self.op("Lambda", k)
+            (l1, y1), (d1, x1) = self.op("Lambda", k + 1), self.op("d", k)
+            den = lcm(x0 * y0, x1 * y1)
+            self._ops[name, k] = ((d0 @ l0).scale(den // (x0 * y0))
+                                  - (l1 @ d1).scale(den // (x1 * y1)), den)
         return self._ops[name, k]
+
+    # ``op("d")`` and ``del_images`` on the cache dict alone, so that the
+    # per-blade del memo can build them without holding the complex
+    @staticmethod
+    def _d_op(d_blade: BladeMap, ops: dict, k: int) -> tuple[OperatorMatrix, int]:
+        if ("d", k) not in ops:
+            ops["d", k] = _blade_matrix(d_blade, k, k + 1)
+        return ops["d", k]
+
+    @staticmethod
+    def _del_images(st: SymplecticStructure, d_blade: BladeMap, ops: dict,
+                    k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
+        if ("del", k) not in ops:
+            ops["del", k] = st.split(*SymplecticComplex._d_op(d_blade, ops, k), k)
+        return ops["del", k]
 
     # -- the adjoint differential -----------------------------------------
 
@@ -479,29 +496,22 @@ class SymplecticComplex:
     # -- primitive pieces of d ----------------------------------------------
 
     @staticmethod
-    def _split_d_primitive(d, st: SymplecticStructure, b: Form, s: int) -> tuple[Form, Form]:
-        """d(B_s) = B0_{s+1} + omega ^ B1_{s-1} for primitive B_s."""
-        db = d(b)
-        if db.is_zero():
-            z = Form.zero(st.dim)
-            return z, z
-        comps = st._decompose_degree(db, s + 1)
-        if any(r > 1 for r in comps):
-            raise AssertionError(
-                f"d of a primitive form has components beyond one omega wedge: {b}")
-        z = Form.zero(st.dim)
-        return comps.get(0, z), comps.get(1, z)
-
-    @staticmethod
-    def _del_pieces_of_blade(d, st: SymplecticStructure, images: BladeMap,
-                             mask: int) -> tuple[Form, Form]:
-        """Both pieces (primitive part, omega-wedge part) of
-        ``_split_d_primitive`` on each Lefschetz component of one blade,
-        each component split once."""
+    def _del_pieces_of_blade(st: SymplecticStructure, d_blade: BladeMap, ops: dict,
+                             images: BladeMap, mask: int) -> tuple[Form, Form]:
+        """(del_plus, del_minus) of one blade: each Lefschetz component's two
+        pieces are the ``del_images`` columns at its primitive coordinates,
+        wedged with omega^r/r!."""
         out = [Form.zero(st.dim), Form.zero(st.dim)]
         for (r, s), b in st._pieces[mask].items():
-            for which, piece in enumerate(SymplecticComplex._split_d_primitive(d, st, b, s)):
-                if piece:
+            coords = st.primitive_subspace(s).coordinates(
+                form_to_coords(b, blade_index(st.dim, s)[1]))
+            if coords is None:
+                raise AssertionError(f"Lefschetz component ({r}, {s}) is not primitive: {b}")
+            *pieces, den = SymplecticComplex._del_images(st, d_blade, ops, s)
+            for which, (m, k) in enumerate(zip(pieces, (s + 1, s - 1))):
+                if col := m.apply(coords):
+                    piece = form_from_coords({i: v / den for i, v in col.items()},
+                                             blade_index(st.dim, k)[0], st.dim)
                     out[which] = out[which] + st.L_power(piece, r) / _factorial(r)
         return out[0], out[1]
 
@@ -527,10 +537,7 @@ class SymplecticComplex:
         """``SymplecticStructure.split`` of d on degree k, built once: the
         columns of P/den and M/den are del_plus and del_minus of the
         primitive basis in blade coordinates."""
-        cached = self._ops.get(("del", k))
-        if cached is None:
-            cached = self._ops["del", k] = self.structure.split(*self.op("d", k), k)
-        return cached
+        return self._del_images(self.structure, self.algebra._d_blade, self._ops, k)
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive

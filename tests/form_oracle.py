@@ -31,6 +31,19 @@ form by the closed formula on each call, and ``apply_rs``, ``star``,
 ``del_plus`` and ``del_minus`` read those components, where the engine
 sums, or applies, the components it keeps for each blade.
 
+And it keeps the projection route for the two pieces of d that the
+engine reads off the per-degree split (``SymplecticComplex.del_images``):
+``split_d_primitive`` decomposes d of one primitive form by the closed
+formula, and ``del_plus``/``del_minus`` apply it to each Lefschetz
+component.
+
+And it keeps the star route for the inner product that the engine reads
+as the compound of the inverse metric (``HodgeTheory.gram``): ``pair``
+integrates a ^ *b against the Liouville volume, *b the splitting operator
+after the symplectic star, ``wedge_gram`` does so for every pair of a list
+of forms, and ``gram`` reads a blade Gram column as ``top_dual`` of a
+starred blade.
+
 And it keeps the wedge route for the duality pairing that
 ``HodgeTheory.pairing_matrix`` reads without a wedge per pair:
 ``pairing_matrix`` wedges omega^(n-k)/(n-k)!, the p+ and the p- form for
@@ -47,6 +60,7 @@ from fractions import Fraction
 from math import factorial
 
 from symcoh.exterior import Form, blade_index, blade_indices, contract, form_to_coords
+from symcoh.hodge import top_dual
 from symcoh.linalg import OperatorMatrix
 
 
@@ -179,28 +193,86 @@ def star(st, a: Form) -> Form:
     return out
 
 
-def del_plus(cx, a: Form) -> Form:
-    """Degree +1 piece of d: keeps the primitive part of d on each
-    Lefschetz component."""
+def split_d_primitive(cx, b: Form, s: int) -> tuple[Form, Form]:
+    """d(B_s) = B0_{s+1} + omega ^ B1_{s-1} for primitive B_s, by the closed
+    Lefschetz decomposition of d(B_s); raises AssertionError if d(B_s) has
+    a component beyond one omega wedge."""
+    st = cx.structure
+    z = Form.zero(st.dim)
+    db = d(cx.algebra, b)
+    if db.is_zero():
+        return z, z
+    comps = st._decompose_degree(db, s + 1)
+    if any(r > 1 for r in comps):
+        raise AssertionError(
+            f"d of a primitive form has components beyond one omega wedge: {b}")
+    return comps.get(0, z), comps.get(1, z)
+
+
+def _del_piece(cx, a: Form, which: int) -> Form:
     st = cx.structure
     out = Form.zero(cx.dim)
     for (r, s), b in components(st, a).items():
-        b0, _b1 = cx._split_d_primitive(lambda f: d(cx.algebra, f), st, b, s)
-        if b0:
-            out = out + st.L_power(b0, r) / factorial(r)
+        piece = split_d_primitive(cx, b, s)[which]
+        if piece:
+            out = out + st.L_power(piece, r) / factorial(r)
     return out
+
+
+def del_plus(cx, a: Form) -> Form:
+    """Degree +1 piece of d: keeps the primitive part of d on each
+    Lefschetz component."""
+    return _del_piece(cx, a, 0)
 
 
 def del_minus(cx, a: Form) -> Form:
     """Degree -1 piece of d: keeps the omega-wedge part of d on each
     Lefschetz component."""
-    st = cx.structure
-    out = Form.zero(cx.dim)
-    for (r, s), b in components(st, a).items():
-        _b0, b1 = cx._split_d_primitive(lambda f: d(cx.algebra, f), st, b, s)
-        if b1:
-            out = out + st.L_power(b1, r) / factorial(r)
-    return out
+    return _del_piece(cx, a, 1)
+
+
+def volume_norm(st):
+    """The top coefficient of the Liouville volume omega^n/n!, by which the
+    star route divides so that <1, 1> = 1."""
+    return st.volume().coeff((1 << st.dim) - 1)
+
+
+def hodge_star(triple, a: Form) -> Form:
+    """Riemannian star of the triple: the splitting operator after the
+    symplectic star."""
+    return triple.jay(triple.structure.star(a))
+
+
+def _integral(st, f: Form):
+    """The top coefficient of f over the volume norm."""
+    return f.coeff((1 << st.dim) - 1) / volume_norm(st)
+
+
+def pair(triple, a: Form, b: Form):
+    """<a, b>: the integral of a ^ *b."""
+    return _integral(triple.structure, a.wedge(hodge_star(triple, b)))
+
+
+def wedge_gram(triple, forms: list[Form]) -> OperatorMatrix:
+    """The Gram matrix of ``forms`` by the wedge route: entry (i, j) is the
+    integral of forms_i ^ *forms_j, each form starred once."""
+    cols = []
+    for b in forms:
+        star_b = hodge_star(triple, b)
+        cols.append({i: _integral(triple.structure, a.wedge(star_b)) for i, a in enumerate(forms)})
+    return OperatorMatrix.from_columns(cols, len(forms))
+
+
+def gram(triple, k: int) -> OperatorMatrix:
+    """The degree-k blade Gram matrix by the star route: column J is
+    ``top_dual`` of the starred blade e_J over the volume norm, so that
+    entry I is <e_I, e_J>."""
+    dim = triple.structure.dim
+    norm = volume_norm(triple.structure)
+    order, idx = blade_index(dim, k)
+    return OperatorMatrix.from_columns(
+        [{idx[m]: v / norm for m, v in top_dual(hodge_star(triple, Form(dim, {j: 1}))).items()}
+         for j in order], len(order))
 
 
 def pairing_matrix(cx, k: int, reps_plus: list[Form], reps_minus: list[Form]) -> OperatorMatrix:

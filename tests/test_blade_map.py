@@ -101,10 +101,10 @@ def test_blade_maps_are_freed_with_their_owners():
         cx = SymplecticComplex(alg, parse_omega("16+25-34", 6))
         triple = build_triple(cx.structure)
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
-        for op in (cx.d, cx.L, cx.Lambda, triple.jay):
+        for op in (cx.d, cx.L, cx.Lambda, triple.jay, triple._ginv_blade):
             op(f)
         maps = (alg._d_blade, cx.structure._L_blade, cx.structure._Lambda_blade,
-                triple._jay_blade)
+                triple.jay, triple._ginv_blade)
         assert all(0b1011 in m for m in maps)
         refs = [weakref.ref(m) for m in maps]
         del alg, cx, triple, maps, op

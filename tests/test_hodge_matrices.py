@@ -1,14 +1,16 @@
 """The Hodge suite's matrix-level routes against the wedge routes.
 
-``InnerProduct.gram`` reads each blade Gram column as a sparse dot product
-with the complementary blades of a starred blade, ``HodgeTheory.prim_gram``
-is B^T G_k B over the primitive basis, and ``HodgeTheory.pairing_matrix``
-wedges the power of omega onto each p+ form once; ``InnerProduct.pair`` and
+``HodgeTheory.gram`` reads each blade Gram matrix as the compound of the
+inverse metric, ``HodgeTheory.prim_gram`` is B^T G_k B over the primitive
+basis, and ``HodgeTheory.pairing_matrix`` wedges the power of omega onto
+each p+ form once; ``form_oracle.gram`` reads a blade Gram column off a
+starred blade, and ``form_oracle.wedge_gram`` and
 ``form_oracle.pairing_matrix`` wedge every pair.  ``check_jay_conjugation``
 reads del_plus and del_minus off their blade maps and compares its
-identities multiplied through by blade Gram matrices, so one perturbed blade
-image of either must still fail both comparisons.  Each adjoint is formed
-once per degree and direction in a Hodge suite run.
+identities multiplied through by blade Gram matrices, so one perturbed
+blade image of either, or a perturbed Gram matrix, must still fail both
+comparisons.  Each adjoint is formed once per degree and direction in a
+Hodge suite run.
 """
 
 import pytest
@@ -22,16 +24,19 @@ from symcoh.linalg import OperatorMatrix
 from symcoh.symplectic import parse_omega
 
 from conftest import NIL_ALGEBRA
+from test_blade_map import SCRAMBLED_N6
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),
     "N6-prime": (NIL_ALGEBRA, "13+26-45"),
     "KT4-half": ("(0,0,0,12)", "2*13+24"),
 }
+# the Gram test also runs on a fixture whose inverse metric is dense
+GRAM_FIXTURES = {**FIXTURES, "scrambled-N6": SCRAMBLED_N6}
 
 
 def build(name):
-    algebra, omega = FIXTURES[name]
+    algebra, omega = GRAM_FIXTURES[name]
     alg = parse_algebra(algebra)
     return SymplecticComplex(alg, parse_omega(omega, alg.dim))
 
@@ -42,26 +47,23 @@ def hodge(name, reverse):
     return HodgeTheory(cx, CompatibleTriple(cx.structure, order=order))
 
 
-def wedge_gram(ip, forms):
-    return OperatorMatrix.from_columns(
-        [{i: ip.pair(a, b) for i, a in enumerate(forms)} for b in forms], len(forms))
-
-
 def test_half_fixture_has_a_volume_norm_other_than_one():
     # omega^2/2 = 2 e13 ^ e24 = -2 e1234
-    assert hodge("KT4-half", False).ip._norm == -2
+    assert form_oracle.volume_norm(hodge("KT4-half", False).st) == -2
+    assert form_oracle.volume_norm(hodge("scrambled-N6", False).st) == -8
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", list(GRAM_FIXTURES))
 def test_gram_matrices_match_wedge_route(name, reverse):
     ht = hodge(name, reverse)
     dim = ht.dim
     for k in range(dim + 1):
         blades = [Form(dim, {m: 1}) for m in blade_index(dim, k)[0]]
-        assert ht.ip.gram(k) == wedge_gram(ht.ip, blades)
+        assert ht.gram(k) == form_oracle.gram(ht.triple, k) == \
+            form_oracle.wedge_gram(ht.triple, blades)
     for k in range(-1, ht.n + 2):
-        assert ht.prim_gram(k) == wedge_gram(ht.ip, ht.prim_basis(k))
+        assert ht.prim_gram(k) == form_oracle.wedge_gram(ht.triple, ht.prim_basis(k))
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))
@@ -90,6 +92,16 @@ def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
     images[blade] = images[blade] + extra
     result = ht.check_jay_conjugation(1)
     assert not result.passed
+    assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
+                              "conjugate of adjoint(del_plus) != (H+R) del_minus"]
+
+
+def test_conjugation_check_fails_on_a_perturbed_gram():
+    ht = hodge("N6", False)
+    assert ht.check_jay_conjugation(1).passed
+    g = ht.gram(2)
+    ht._gram[2] = g + OperatorMatrix.identity(g.nrows)
+    result = ht.check_jay_conjugation(1)
     assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
                               "conjugate of adjoint(del_plus) != (H+R) del_minus"]
 

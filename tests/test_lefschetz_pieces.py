@@ -108,26 +108,37 @@ def test_boundary_components_cancel_before_scaling():
         assert cx.del_minus_formula(f) == form_oracle.del_minus(cx, f) == oracle_formulas(cx, f)[1]
 
 
-def test_second_identity_run_decomposes_nothing(monkeypatch):
-    cx = build(*N8)
-    calls = []
-    decompose, decompose_degree = SymplecticStructure._decompose, SymplecticStructure._decompose_degree
+def count_splits_and_decompositions(monkeypatch):
+    """Record the degree of every ``SymplecticStructure.split`` call and
+    every ``_decompose`` call (the closed Lefschetz decomposition)."""
+    calls = {"split": [], "_decompose": 0}
+    split, decompose = SymplecticStructure.split, SymplecticStructure._decompose
 
-    def counting(*args):
-        calls.append("_decompose")
+    def counting_split(self, d, x, k):
+        calls["split"].append(k)
+        return split(self, d, x, k)
+
+    def counting_decompose(*args):
+        calls["_decompose"] += 1
         return decompose(*args)
 
-    def counting_degree(self, a, k):
-        calls.append("_decompose_degree")
-        return decompose_degree(self, a, k)
+    monkeypatch.setattr(SymplecticStructure, "split", counting_split)
+    monkeypatch.setattr(SymplecticStructure, "_decompose", staticmethod(counting_decompose))
+    return calls
 
-    monkeypatch.setattr(SymplecticStructure, "_decompose", staticmethod(counting))
-    monkeypatch.setattr(SymplecticStructure, "_decompose_degree", counting_degree)
+
+def test_second_identity_run_decomposes_nothing(monkeypatch):
+    """The first run splits d once in each degree 0..n and decomposes each
+    blade once; the second splits and decomposes nothing."""
+    cx = build(*N8)
+    calls = count_splits_and_decompositions(monkeypatch)
     assert run_identity_suite(cx).passed
-    assert calls.count("_decompose") >= 1 << cx.dim and "_decompose_degree" in calls
-    calls.clear()
+    assert sorted(calls["split"]) == list(range(cx.n + 1))
+    assert calls["_decompose"] == 1 << cx.dim
+    calls["split"].clear()
+    calls["_decompose"] = 0
     assert run_identity_suite(cx).passed
-    assert calls == []
+    assert calls == {"split": [], "_decompose": 0}
 
 
 def test_corrupted_star_image_is_named():
@@ -143,19 +154,29 @@ def test_corrupted_star_image_is_named():
 
 
 def test_each_lefschetz_component_is_split_once(monkeypatch):
+    """del_plus and del_minus of every blade read each component's pieces
+    off the one split of its degree: d is split once per degree, and only
+    the blades themselves are decomposed, never d of a component."""
     cx = build(*FIXTURES["N6"])
-    calls = []
-    split = SymplecticComplex._split_d_primitive
-
-    def counting_split(d, st, b, s):
-        calls.append(s)
-        return split(d, st, b, s)
-
-    monkeypatch.setattr(SymplecticComplex, "_split_d_primitive", staticmethod(counting_split))
+    calls = count_splits_and_decompositions(monkeypatch)
     for mask in range(1 << cx.dim):
         cx.del_plus(Form(cx.dim, {mask: 1}))
         cx.del_minus(Form(cx.dim, {mask: 1}))
-    assert len(calls) == sum(len(cx.structure._pieces[m]) for m in range(1 << cx.dim))
+    assert sorted(calls["split"]) == list(range(cx.n + 1))
+    assert calls["_decompose"] == 1 << cx.dim
+
+
+def test_identity_battery_reads_the_split_of_d():
+    """The battery's del_plus is the engine's: doubling one non-zero column
+    of the degree-1 split of d fails the splitting identity at that blade."""
+    cx = build(*FIXTURES["N6"])
+    plus = cx.del_images(1)[0]
+    j = next(j for j, col in enumerate(plus.cols) if col)
+    plus.cols[j] = {i: 2 * v for i, v in plus.cols[j].items()}
+    result = run_identity_suite(cx)
+    assert not result.passed
+    assert any(d.startswith("d = del_plus + L del_minus: first counterexample e4:")
+               for d in result.details), result.details
 
 
 def test_piece_maps_are_freed_with_their_owners():

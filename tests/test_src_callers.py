@@ -1,0 +1,57 @@
+"""Every function and class that ``src/symcoh`` defines has a caller there.
+
+The modules are parsed with ``ast``.  A name counts as used when some
+module of the package references it as a ``Name`` or an ``Attribute``;
+dunders and the names ``symcoh.__all__`` exports are skipped.  A second
+route that only ``tests/`` calls belongs in ``tests/`` as an oracle, so a
+name defined in ``src/`` but never referenced there fails this test.
+
+``NO_SRC_CALLER`` lists the names that are known to be called only from
+``tests/`` or ``demos/``; each is to move to ``tests/`` or get a caller,
+and then leave this list.
+"""
+
+import ast
+from pathlib import Path
+
+import symcoh
+
+SRC = Path(symcoh.__file__).parent
+
+NO_SRC_CALLER = {
+    "check_intersection_bounds", "check_low_degree_equivalence", "classes_span_equal",
+    "diagnostic_one_step_kernel", "omega_dependence", "lefschetz_decompose",
+    "integrate", "is_abelian", "support",
+}
+
+
+def defined_and_used() -> tuple[dict[str, str], set[str]]:
+    """Each function or class name defined in the package, with where it
+    is first defined, and every name it references."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return defined, used
+
+
+def test_every_src_definition_has_a_src_caller():
+    defined, used = defined_and_used()
+    skipped = used | set(symcoh.__all__) | NO_SRC_CALLER
+    unused = sorted(f"{name} ({where})" for name, where in defined.items()
+                    if name not in skipped
+                    and not (name.startswith("__") and name.endswith("__")))
+    assert unused == []
+
+
+def test_allowed_names_are_still_defined_and_uncalled():
+    """A listed name that gained a caller, or left ``src/``, leaves the list."""
+    defined, used = defined_and_used()
+    assert NO_SRC_CALLER <= defined.keys()
+    assert NO_SRC_CALLER.isdisjoint(used)
