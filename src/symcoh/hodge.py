@@ -19,11 +19,11 @@ blades (``top_dual``), forming no wedge per pair.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
 computations over the primitive bases, each adjoint formed once per degree
-and direction; the splitting-conjugation check reads J, del_plus,
-del_minus and H+R on the blades off their blade maps (``_blade_matrix``),
-del_plus and del_minus being read off the per-degree split of d, and
-compares matrix identities multiplied through by blade Gram matrices, so it
-inverts none.
+and direction; the splitting-conjugation check reads J, del_plus and
+del_minus on the blades off their blade maps (``_blade_matrix``), the last
+two off the per-degree split of d, and H+R off the Lefschetz projections
+(``scale_rs``), and compares matrix identities multiplied through by blade
+Gram matrices, so it inverts none.
 """
 
 from __future__ import annotations
@@ -328,15 +328,14 @@ class HodgeTheory:
         metric is (``CompatibleTriple._validate``), so no Gram matrix is
         inverted and each comparison is equivalent to the identity."""
         name = f"jay-conjugation(k={k})"
-        dim, n, st = self.dim, self.n, self.st
-        h_plus_r = BladeMap(dim, lambda _, m: st.apply_rs(
-            Form(dim, {m: 1}), lambda r, s: Fraction(n - r - s)))
+        n, st = self.n, self.st
         jk = _on_blades(self.triple.jay, k, k)
         jk1 = _on_blades(self.triple.jay, k + 1, k + 1)
         m_dp = _on_blades(self.cx._del_blade[0], k, k + 1)
         m_dm = _on_blades(self.cx._del_blade[1], k + 1, k)
         g_k, g_k1 = self.gram(k), self.gram(k + 1)
-        s_hr_k = _on_blades(h_plus_r, k, k)
+        hr, den = st.scale_rs(lambda r, s: n - r - s, k)
+        s_hr_k = hr.scale(Fraction(1, den))
         details = []
         ok = True
         # the splitting operator squares to (-1)^k on degree k

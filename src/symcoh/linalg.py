@@ -304,6 +304,20 @@ def int_matrix(cols: list[Vec], nrows: int) -> tuple[OperatorMatrix, int]:
         {i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]), den
 
 
+def int_combination(terms: list[tuple], nrows: int, ncols: int) -> tuple[OperatorMatrix, int]:
+    """``(M, den)``: M/den is the sum of c A/a over the (c, A, a) in
+    ``terms``, c rational, A an nrows x ncols int matrix and a an int."""
+    terms = [(Fraction(c), m, x) for c, m, x in terms]
+    den = lcm(*(c.denominator * x for c, _, x in terms))
+    cols: list[Vec] = [{} for _ in range(ncols)]
+    for c, m, x in terms:
+        f = c.numerator * (den // (c.denominator * x))
+        for col, add in zip(cols, m.cols):
+            for i, v in add.items():
+                col[i] = col.get(i, 0) + f * v
+    return OperatorMatrix(nrows, ncols, cols), den
+
+
 def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
     """A particular solution of M x = target (free variables 0), or None."""
     aug = []

@@ -8,24 +8,21 @@ adjoint dLambda, and the degree +1/-1 pieces of d.
 
 L, Lambda, d, the star and del_plus/del_minus are memoised per blade in
 ``exterior.BladeMap``s, and so is each blade's Lefschetz decomposition,
-keyed by (r, s), which ``components`` and ``apply_rs`` sum in one pass.  The
-complex's one operator cache (``op``) reads d, L and Lambda on each degree
-off those images once, as int matrices over one int denominator; dLambda is
-their product.  ``SymplecticStructure.split`` splits any degree +1 operator
-that commutes with L into its two pieces on the primitive basis; applied to
-d it gives del_plus and del_minus (``del_images``), applied to xi ^ it gives
-the symbols of the primitive complex (``symbolcheck``).  ``prim_matrix``
-reads such blade-coordinate columns in primitive coordinates.  del_plus and
-del_minus on a blade read each of its Lefschetz components' pieces off the
-``del_images`` columns at the component's primitive coordinates, so the
-form-level operators and the matrices come from one split of d.  The
-form-level ``d_lambda`` and the closed formulas for del_plus/del_minus are
-their oracles.  Scalar operators such as 1/(H+2R+1), R
-counting the omega wedges, act by eigenvalue on each Lefschetz component:
-a component built from r copies of omega wedged onto a primitive s-form is
-scaled by the value of the symbol at that (r, s).  ``apply_rs``
-sums the components of all blades first, so a symbol is never evaluated on
-a component that cancels.
+keyed by (r, s).  The complex's one operator cache (``op``) reads d, L and
+Lambda on each degree off those images once, as int matrices over one int
+denominator; dLambda is their product.  ``SymplecticStructure.split``
+splits any degree +1 operator that commutes with L into its two pieces on
+the primitive basis; applied to d it gives del_plus and del_minus
+(``del_images``), applied to xi ^ it gives the symbols of the primitive
+complex (``symbolcheck``).  ``prim_matrix`` reads such blade-coordinate
+columns in primitive coordinates.  del_plus and del_minus on a blade read
+each of its Lefschetz components' pieces off the ``del_images`` columns at
+the component's primitive coordinates, so the form-level operators and the
+matrices come from one split of d.  Scalar operators such as 1/(H+2R+1), R
+counting the omega wedges, act by eigenvalue on each Lefschetz component.
+``projections`` reads the projection onto each (r, s) component once per
+degree off the kept decompositions, and ``scale_rs`` sums them weighted by
+the eigenvalue, evaluating it only on blocks that do not vanish.
 """
 
 from __future__ import annotations
@@ -33,14 +30,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import factorial as _factorial
-from math import lcm
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import BladeMap, Form, blade_index, form_from_coords, form_to_coords
-from .linalg import OperatorMatrix, Subspace, det, int_matrix, kernel
+from .linalg import OperatorMatrix, Subspace, det, int_combination, int_matrix, kernel
 
-RS = Callable[[int, int], Fraction]
+RS = Callable[[int, int], int | Fraction]
 
 
 class NotSymplecticError(ValueError):
@@ -67,7 +63,7 @@ class LefschetzComponents:
         self.degree = degree
         self.components = components
         for r, b in components.items():
-            if structure.Lambda(b):
+            if not structure.is_primitive(b):
                 raise AssertionError(f"component r={r} is not primitive: {b}")
         if self.reconstruct() != original:
             raise AssertionError("Lefschetz reconstruction does not match input")
@@ -127,7 +123,7 @@ class SymplecticStructure:
         if not self.volume():
             raise NotSymplecticError("omega^n vanishes", "degenerate")
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix, int]] = {}
-        self._ops: dict[tuple[str, int], tuple[OperatorMatrix, int]] = {}
+        self._ops: dict[tuple, tuple | dict] = {}
 
     # -- sl(2) action ----------------------------------------------------
 
@@ -216,24 +212,26 @@ class SymplecticStructure:
             raise ValueError(f"form has degree {deg}, not {k}")
         return LefschetzComponents(self, deg, self._decompose_degree(a, deg), a)
 
-    def components(self, a: Form) -> dict[tuple[int, int], Form]:
-        """Primitive components of an arbitrary form, keyed by (r, s): the
-        sums of its blades' memoised components, with the zero sums dropped."""
-        self.omega._check_dim(a)
-        sums: dict[tuple[int, int], dict] = {}
-        for mask, v in a._c.items():
-            for rs, b in self._pieces[mask].items():
-                c = sums.setdefault(rs, {})
-                for m, w in b._c.items():
-                    c[m] = c.get(m, 0) + v * w
-        return {rs: b for rs, c in sums.items() if (b := Form(self.dim, c))}
+    def projections(self, k: int) -> dict[tuple[int, int], tuple[OperatorMatrix, int]]:
+        """The Lefschetz projections of degree k, keyed by (r, s), each an int
+        matrix over an int den: Pi_{r,s} maps a blade to its (r, s) component
+        L^r b / r!, b from ``_pieces``.  Built once per degree."""
+        if ("Pi", k) not in self._ops:
+            keys = sorted({rs for m in blade_index(self.dim, k)[0] for rs in self._pieces[m]})
+            self._ops["Pi", k] = {rs: _blade_matrix(BladeMap(self.dim, partial(
+                _lefschetz_piece, self._pieces, self._L_blade, rs)), k, k) for rs in keys}
+        return self._ops["Pi", k]
 
-    def apply_rs(self, a: Form, fn: RS) -> Form:
-        """Scale each (r, s) Lefschetz component by fn(r, s) and reassemble."""
-        out = Form.zero(self.dim)
-        for (r, s), b in self.components(a).items():
-            out = out + self.L_power(b, r) * (Fraction(fn(r, s)) / _factorial(r))
-        return out
+    def scale_rs(self, fn: RS, k: int, operand: tuple | None = None) -> tuple[OperatorMatrix, int]:
+        """Int matrix M and int den: M/den is the sum of fn(r, s) Pi_{r,s} on
+        degree k, times M'/den' if ``operand`` is (M', den').  fn is evaluated
+        only on the blocks Pi_{r,s} M' that are not zero: a component that
+        cancels is never scaled, and one that survives where fn divides by 0 raises."""
+        size = len(blade_index(self.dim, k)[0])
+        m, x = operand or (None, 1)
+        terms = [(fn(r, s), block, den * x) for (r, s), (p, den) in self.projections(k).items()
+                 if not (block := p if m is None else p @ m).is_zero()]
+        return int_combination(terms, size, size if m is None else m.ncols)
 
     # -- primitive forms ---------------------------------------------------
 
@@ -398,13 +396,13 @@ def recursive_primitive_basis(k: int, n: int) -> list[Form]:
 class SymplecticComplex:
     """A unimodular Lie-algebra differential together with a symplectic form.
 
-    Provides d, the symplectic adjoint differential, and the two primitive
-    pieces of d.  d is split once per degree (``del_images``); on a form,
-    del_plus and del_minus read each primitive Lefschetz component's pieces
-    off those columns.  Closed-formula versions in terms of d and the
-    adjoint differential are provided separately and must agree (the
-    identity battery compares them); the projection route, which decomposes
-    d of each component, is their oracle in the test suite.
+    Provides d, the symplectic adjoint differential as a matrix (``op``),
+    and the two primitive pieces of d.  d is split once per degree
+    (``del_images``); on a form, del_plus and del_minus read each primitive
+    Lefschetz component's pieces off those columns.  The closed formulas
+    for the pieces, the star route for dLambda and the projection route,
+    which decomposes d of each component, are their oracles in the test
+    suite.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, omega: Form):
@@ -427,6 +425,9 @@ class SymplecticComplex:
             self._del_pieces_of_blade, self.structure, algebra._d_blade, self._ops))
         self._del_blade = [BladeMap(self.dim, partial(
             self._del_of_blade, self._del_pieces, which)) for which in (0, 1)]
+        # on a form: del_plus keeps the primitive part of d on each Lefschetz
+        # component, del_minus the omega-wedge part
+        self.del_plus, self.del_minus = self._del_blade
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -458,9 +459,8 @@ class SymplecticComplex:
         if (name, k) not in self._ops:
             (d0, x0), (l0, y0) = self.op("d", k - 2), self.op("Lambda", k)
             (l1, y1), (d1, x1) = self.op("Lambda", k + 1), self.op("d", k)
-            den = lcm(x0 * y0, x1 * y1)
-            self._ops[name, k] = ((d0 @ l0).scale(den // (x0 * y0))
-                                  - (l1 @ d1).scale(den // (x1 * y1)), den)
+            self._ops[name, k] = int_combination(
+                [(1, d0 @ l0, x0 * y0), (-1, l1 @ d1, x1 * y1)], d0.nrows, l0.ncols)
         return self._ops[name, k]
 
     # ``op("d")`` and ``del_images`` on the cache dict alone, so that the
@@ -477,21 +477,6 @@ class SymplecticComplex:
         if ("del", k) not in ops:
             ops["del", k] = st.split(*SymplecticComplex._d_op(d_blade, ops, k), k)
         return ops["del", k]
-
-    # -- the adjoint differential -----------------------------------------
-
-    def d_lambda(self, a: Form) -> Form:
-        """d Lambda - Lambda d."""
-        return self.d(self.Lambda(a)) - self.Lambda(self.d(a))
-
-    def d_lambda_via_star(self, a: Form) -> Form:
-        """(-1)^(k+1) star d star, degree by degree."""
-        out = Form.zero(self.dim)
-        st = self.structure
-        for k in a.degrees():
-            piece = st.star(self.d(st.star(a.grade(k))))
-            out = out + piece * ((-1) ** (k + 1))
-        return out
 
     # -- primitive pieces of d ----------------------------------------------
 
@@ -520,19 +505,6 @@ class SymplecticComplex:
         """Piece ``which`` (0: del_plus, 1: del_minus) of one blade."""
         return pieces[mask][which]
 
-    def del_plus(self, a: Form) -> Form:
-        """Degree +1 piece of d: keeps the primitive part of d on each
-        Lefschetz component."""
-        return self._del_blade[0](a)
-
-    def del_minus(self, a: Form) -> Form:
-        """Degree -1 piece of d: keeps the omega-wedge part of d on each
-        Lefschetz component."""
-        return self._del_blade[1](a)
-
-    def del_plus_del_minus(self, a: Form) -> Form:
-        return self.del_plus(self.del_minus(a))
-
     def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
         """``SymplecticStructure.split`` of d on degree k, built once: the
         columns of P/den and M/den are del_plus and del_minus of the
@@ -551,52 +523,17 @@ class SymplecticComplex:
                 prim(dp, k + 1).scale(Fraction(1, den)), prim(dm, k - 1).scale(Fraction(1, den)))
         return cached
 
-    # -- closed-formula routes (cross-checks) --------------------------------
-
-    def del_plus_formula(self, a: Form) -> Form:
-        """(H+2R+1)^{-1} [ (H+R+1) d + L d_Lambda ], eigenvalues per component."""
-        st = self.structure
-        n = self.n
-        operand = st.apply_rs(self.d(a), lambda r, s: Fraction(n - r - s + 1)) \
-            + st.L(self.d_lambda(a))
-        return st.apply_rs(operand, lambda r, s: Fraction(1, n - s + 1))
-
-    def del_minus_formula(self, a: Form) -> Form:
-        """-[(H+2R+1)(H+R)]^{-1} [ (H+R) d_Lambda - Lambda d ].
-
-        The outer eigenvalue inverse divides by n-r-s, which vanishes on
-        boundary components; those cancel exactly in the operand, so a
-        ZeroDivisionError here means an operator bug, not bad input.
-        """
-        st = self.structure
-        n = self.n
-        operand = st.apply_rs(self.d_lambda(a), lambda r, s: Fraction(n - r - s)) \
-            - self.Lambda(self.d(a))
-        return st.apply_rs(
-            operand, lambda r, s: Fraction(-1, (n - s + 1) * (n - r - s)))
-
-    # primitive-only simplifications
-    def del_minus_primitive(self, b: Form) -> Form:
-        """(1/H) Lambda d on a primitive form."""
-        if not self.structure.is_primitive(b):
-            raise ValueError("argument must be primitive")
-        x = self.Lambda(self.d(b))
-        out = Form.zero(self.dim)
-        for k in x.degrees():
-            out = out + x.grade(k) / (self.n - k)
-        return out
-
-    def del_plus_primitive(self, b: Form) -> Form:
-        """d - L (1/H) Lambda d on a primitive form."""
-        if not self.structure.is_primitive(b):
-            raise ValueError("argument must be primitive")
-        return self.d(b) - self.L(self.del_minus_primitive(b))
-
-
 def _power(op: BladeMap, a: Form, r: int) -> Form:
     for _ in range(r):
         a = op(a)
     return a
+
+
+def _lefschetz_piece(pieces: BladeMap, L: BladeMap, rs: tuple[int, int],
+                     images: BladeMap, mask: int) -> Form:
+    """The (r, s) component L^r b / r! of one blade, b from ``pieces``."""
+    b = pieces[mask].get(rs)
+    return _power(L, b, rs[0]) / _factorial(rs[0]) if b else Form.zero(images.dim)
 
 
 def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> tuple[OperatorMatrix, int]:

@@ -52,16 +52,32 @@ every pair and integrates the product.
 And it keeps ``matrix_on_blades``, which applies a form operator to each
 blade, where the engine reads the images its blade maps keep
 (``symplectic._blade_matrix``).
+
+And it keeps the form-by-form identity battery (``identity_battery``) that
+the engine checks as per-degree matrix equations, with the form routes only
+it calls: ``memo_components`` and ``memo_apply_rs`` sum and scale the
+Lefschetz components the engine keeps per blade, as the engine's
+``components`` and ``apply_rs`` did, where the engine now sums the Lefschetz
+projections per degree (``SymplecticStructure.scale_rs``); ``d_lambda`` is
+d Lambda - Lambda d with the engine's blade maps; ``d_lambda_via_star``,
+``del_plus_formula`` and ``del_minus_formula`` are the second routes the
+battery compares; ``del_minus_primitive``, ``del_plus_primitive`` and
+``scale_by_degree`` give the simplified expressions on primitive forms.
+Every route reads the engine's blade maps, so a perturbed blade image makes
+the form battery and the engine's battery name the same first
+counterexample.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
-from symcoh.exterior import Form, blade_index, blade_indices, contract, form_to_coords
+from symcoh.exterior import Form, blade_index, blade_indices, blades, contract, form_to_coords
 from symcoh.hodge import top_dual
 from symcoh.linalg import OperatorMatrix
+from symcoh.reports import CheckResult
 
 
 def Lambda(st, a: Form) -> Form:
@@ -298,3 +314,201 @@ def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
     cod, idx = blade_index(dim, k_to)
     cols = [form_to_coords(op(Form(dim, {m: 1})), idx) for m in dom]
     return OperatorMatrix.from_columns(cols, len(cod))
+
+
+# ---------------------------------------------------------------------------
+# the form-by-form identity battery
+# ---------------------------------------------------------------------------
+
+def memo_components(st, a: Form) -> dict[tuple[int, int], Form]:
+    """Primitive components of an arbitrary form, keyed by (r, s): the
+    sums of its blades' memoised components, with the zero sums dropped."""
+    st.omega._check_dim(a)
+    sums: dict[tuple[int, int], dict] = {}
+    for mask, v in a._c.items():
+        for rs, b in st._pieces[mask].items():
+            c = sums.setdefault(rs, {})
+            for m, w in b._c.items():
+                c[m] = c.get(m, 0) + v * w
+    return {rs: b for rs, c in sums.items() if (b := Form(st.dim, c))}
+
+
+def memo_apply_rs(st, a: Form, fn) -> Form:
+    """Scale each (r, s) Lefschetz component by fn(r, s) and reassemble; fn
+    is evaluated only on the components that do not cancel."""
+    out = Form.zero(st.dim)
+    for (r, s), b in memo_components(st, a).items():
+        out = out + st.L_power(b, r) * (Fraction(fn(r, s)) / factorial(r))
+    return out
+
+
+def d_lambda(cx, a: Form) -> Form:
+    """d Lambda - Lambda d."""
+    return cx.d(cx.Lambda(a)) - cx.Lambda(cx.d(a))
+
+
+def d_lambda_via_star(cx, a: Form) -> Form:
+    """(-1)^(k+1) star d star, degree by degree."""
+    out = Form.zero(cx.dim)
+    st = cx.structure
+    for k in a.degrees():
+        piece = st.star(cx.d(st.star(a.grade(k))))
+        out = out + piece * ((-1) ** (k + 1))
+    return out
+
+
+def del_plus_formula(cx, a: Form) -> Form:
+    """(H+2R+1)^{-1} [ (H+R+1) d + L d_Lambda ], eigenvalues per component."""
+    st, n = cx.structure, cx.n
+    operand = memo_apply_rs(st, cx.d(a), lambda r, s: Fraction(n - r - s + 1)) \
+        + st.L(d_lambda(cx, a))
+    return memo_apply_rs(st, operand, lambda r, s: Fraction(1, n - s + 1))
+
+
+def del_minus_formula(cx, a: Form) -> Form:
+    """-[(H+2R+1)(H+R)]^{-1} [ (H+R) d_Lambda - Lambda d ].
+
+    The outer eigenvalue inverse divides by n-r-s, which vanishes on
+    boundary components; those cancel exactly in the operand, so a
+    ZeroDivisionError here means an operator bug, not bad input.
+    """
+    st, n = cx.structure, cx.n
+    operand = memo_apply_rs(st, d_lambda(cx, a), lambda r, s: Fraction(n - r - s)) \
+        - cx.Lambda(cx.d(a))
+    return memo_apply_rs(st, operand, lambda r, s: Fraction(-1, (n - s + 1) * (n - r - s)))
+
+
+def del_minus_primitive(cx, b: Form) -> Form:
+    """(1/H) Lambda d on a primitive form."""
+    if not cx.structure.is_primitive(b):
+        raise ValueError("argument must be primitive")
+    x = cx.Lambda(cx.d(b))
+    out = Form.zero(cx.dim)
+    for k in x.degrees():
+        out = out + x.grade(k) / (cx.n - k)
+    return out
+
+
+def del_plus_primitive(cx, b: Form) -> Form:
+    """d - L (1/H) Lambda d on a primitive form."""
+    if not cx.structure.is_primitive(b):
+        raise ValueError("argument must be primitive")
+    return cx.d(b) - cx.L(del_minus_primitive(cx, b))
+
+
+def scale_by_degree(a: Form, fn) -> Form:
+    out = Form.zero(a.dim)
+    for k in a.degrees():
+        out = out + a.grade(k) * Fraction(fn(k))
+    return out
+
+
+def _check_on_blades(name: str, dim: int, lhs, rhs, details: list[str]) -> bool:
+    for k in range(dim + 1):
+        for m in blades(dim, k):
+            f = Form(dim, {m: 1})
+            a, b = lhs(f), rhs(f)
+            if a != b:
+                details.append(f"{name}: first counterexample {f}: {a} != {b}")
+                return False
+    return True
+
+
+def identity_battery(cx) -> CheckResult:
+    """The operator-identity battery form by form: each identity applied to
+    every blade of every degree, each side a form route."""
+    st = cx.structure
+    dim, n = cx.dim, cx.n
+    details: list[str] = []
+    ok = True
+
+    def check(name, lhs, rhs):
+        nonlocal ok
+        if not _check_on_blades(name, dim, lhs, rhs, details):
+            ok = False
+
+    L, Lam, H = st.L, st.Lambda, st.H
+    dp, dm = cx.del_plus, cx.del_minus
+    dl = partial(d_lambda, cx)
+
+    def apply_rs(a, fn):
+        return memo_apply_rs(st, a, fn)
+
+    # sl(2) commutators
+    check("[Lambda,L] = H", lambda f: Lam(L(f)) - L(Lam(f)), H)
+    check("[H,Lambda] = 2 Lambda", lambda f: H(Lam(f)) - Lam(H(f)), lambda f: Lam(f) * 2)
+    check("[H,L] = -2 L", lambda f: H(L(f)) - L(H(f)), lambda f: L(f) * (-2))
+
+    # powers of L against Lambda, and the two mixed products
+    for r in range(1, n + 1):
+        check(f"[Lambda,L^{r}] = {r} (H+{r}-1) L^{r - 1}",
+              lambda f, r=r: Lam(st.L_power(f, r)) - st.L_power(Lam(f), r),
+              lambda f, r=r: scale_by_degree(
+                  st.L_power(f, r - 1), lambda k, r=r: r * (n - k + r - 1)))
+    check("L Lambda = (H+R+1) R",
+          lambda f: L(Lam(f)),
+          lambda f: apply_rs(f, lambda r, s: Fraction(r * (n - r - s + 1))))
+    check("Lambda L = (H+R) (R+1)",
+          lambda f: Lam(L(f)),
+          lambda f: apply_rs(f, lambda r, s: Fraction((n - r - s) * (r + 1))))
+
+    # the splitting of d
+    check("d = del_plus + L del_minus",
+          cx.d, lambda f: dp(f) + L(dm(f)))
+    check("del_plus^2 = 0", lambda f: dp(dp(f)), lambda f: Form.zero(dim))
+    check("del_minus^2 = 0", lambda f: dm(dm(f)), lambda f: Form.zero(dim))
+    check("L del_plus del_minus = -L del_minus del_plus",
+          lambda f: L(dp(dm(f))), lambda f: -L(dm(dp(f))))
+    check("[del_plus, L] = 0", lambda f: dp(L(f)), lambda f: L(dp(f)))
+    check("[L del_minus, L] = 0",
+          lambda f: L(dm(L(f))), lambda f: L(L(dm(f))))
+
+    # adjoint differential: decomposition and second-order relation
+    check("d_lambda = (H+R+1)^{-1} del_plus Lambda - (H+R) del_minus",
+          dl,
+          lambda f: apply_rs(dp(Lam(f)), lambda r, s: Fraction(1, n - r - s + 1))
+          - apply_rs(dm(f), lambda r, s: Fraction(n - r - s)))
+    check("d d_lambda = -(H+2R+1) del_plus del_minus",
+          lambda f: cx.d(dl(f)),
+          lambda f: -apply_rs(dp(dm(f)), lambda r, s: Fraction(n - s + 1)))
+
+    # two independent routes must agree everywhere
+    check("d_lambda two routes", dl, partial(d_lambda_via_star, cx))
+    check("del_plus two routes", dp, partial(del_plus_formula, cx))
+    check("del_minus two routes", dm, partial(del_minus_formula, cx))
+
+    # symplectic star: involution
+    check("star star = 1", lambda f: st.star(st.star(f)), lambda f: f)
+
+    # star on each omega-power of a primitive form reflects the power
+    for s in range(n + 1):
+        for b in st.primitive_basis(s):
+            for r in range(n - s + 1):
+                lhs = st.star(st.L_power(b, r) / factorial(r))
+                p = n - r - s
+                rhs = st.L_power(b, p) * Fraction((-1) ** (s * (s + 1) // 2), factorial(p))
+                if lhs != rhs:
+                    ok = False
+                    details.append(
+                        f"star reflection fails at (r={r}, s={s}): {b}")
+                    break
+
+    # simplified expressions on primitive forms
+    for s in range(n + 1):
+        for b in st.primitive_basis(s):
+            if dm(b) != del_minus_primitive(cx, b):
+                ok = False
+                details.append(f"del_minus != (1/H) Lambda d on {b}")
+            if dp(b) != del_plus_primitive(cx, b):
+                ok = False
+                details.append(f"del_plus != d - L(1/H) Lambda d on {b}")
+            dld = cx.d(Lam(cx.d(b)))
+            via = scale_by_degree(dld, lambda k: Fraction(1, n - k + 1))
+            if dp(dm(b)) != via:
+                ok = False
+                details.append(f"del_plus del_minus != (1/(H+1)) d Lambda d on {b}")
+            if dl(b) != scale_by_degree(dm(b), lambda k: -(n - k)):
+                ok = False
+                details.append(f"d_lambda != -H del_minus on {b}")
+
+    return CheckResult("operator-identities", ok, details)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -179,12 +180,13 @@ def test_adjoint_defining_property(nil_hodge):
 
 
 def _scalar_matrix(st, fn, dim, k):
-    return matrix_on_blades(lambda a: st.apply_rs(a, fn), dim, k, k)
+    return matrix_on_blades(lambda a: form_oracle.memo_apply_rs(st, a, fn), dim, k, k)
 
 
 def test_del_plus_adjoint_formula(nil_cx, nil_hodge):
     """adjoint(del_plus) = [d*(H+R+1) + d_lambda* Lambda] (H+2R+1)^{-1}."""
     st = nil_cx.structure
+    d_lambda = partial(form_oracle.d_lambda, nil_cx)
     n = 3
     for k in range(6):
         m_dp = matrix_on_blades(nil_cx.del_plus, 6, k, k + 1)
@@ -193,7 +195,7 @@ def test_del_plus_adjoint_formula(nil_cx, nil_hodge):
         s1 = _scalar_matrix(st, lambda r, s: Fraction(n - r - s + 1), 6, k + 1)
         if k >= 1:
             m_dlstar = adjoint(
-                nil_hodge, matrix_on_blades(nil_cx.d_lambda, 6, k, k - 1), k, k - 1)
+                nil_hodge, matrix_on_blades(d_lambda, 6, k, k - 1), k, k - 1)
             m_lam = matrix_on_blades(st.Lambda, 6, k + 1, k - 1)
             second = m_dlstar @ m_lam
         else:
@@ -209,6 +211,7 @@ def test_del_minus_adjoint_formula(nil_cx, nil_hodge):
     valid on components with r+s < n; the true adjoint vanishes on the
     boundary components (no primitive target above them)."""
     st = nil_cx.structure
+    d_lambda = partial(form_oracle.d_lambda, nil_cx)
     n = 3
     for k in range(1, 7):
         m_dm = matrix_on_blades(nil_cx.del_minus, 6, k, k - 1)
@@ -217,7 +220,7 @@ def test_del_minus_adjoint_formula(nil_cx, nil_hodge):
             st, lambda r, s: Fraction(1 if r + s == n else 0), 6, k - 1)
         assert (lhs @ boundary).is_zero()
         m_dlstar = adjoint(
-            nil_hodge, matrix_on_blades(nil_cx.d_lambda, 6, k, k - 1), k, k - 1)
+            nil_hodge, matrix_on_blades(d_lambda, 6, k, k - 1), k, k - 1)
         if k + 1 <= 6:
             m_dstar = adjoint(nil_hodge, matrix_on_blades(nil_cx.d, 6, k, k + 1), k, k + 1)
             s_mid = _scalar_matrix(st, lambda r, s: Fraction(1, n - r - s + 1), 6, k + 1)

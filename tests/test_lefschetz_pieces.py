@@ -2,11 +2,12 @@
 
 ``SymplecticStructure`` keeps each blade's primitive components, keyed by
 (r, s), and its symplectic star; ``SymplecticComplex`` keeps each blade's
-del_plus and del_minus.  ``components``, ``apply_rs``, ``star``,
+del_plus and del_minus.  The sums and scalings of the kept components
+(``form_oracle.memo_components`` and ``memo_apply_rs``), ``star``,
 ``del_plus`` and ``del_minus`` must equal the routes of ``form_oracle``,
 which decompose the whole form on every call, on random inhomogeneous forms.
-``apply_rs`` sums the components of all blades before it applies fn, so the
-closed formula for del_minus, whose fn divides by n-r-s, is defined on an
+``memo_apply_rs`` sums the components of all blades before it applies fn, so
+the closed formula for del_minus, whose fn divides by n-r-s, is defined on an
 operand whose blades have components with n-r-s = 0 that cancel in the sum.
 """
 
@@ -14,6 +15,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -54,8 +56,9 @@ def oracle_formulas(cx, a):
     st, n = cx.structure, cx.n
     plus = form_oracle.apply_rs(
         st, form_oracle.apply_rs(st, cx.d(a), lambda r, s: Fraction(n - r - s + 1))
-        + st.L(cx.d_lambda(a)), lambda r, s: Fraction(1, n - s + 1))
-    operand = form_oracle.apply_rs(st, cx.d_lambda(a), lambda r, s: Fraction(n - r - s)) \
+        + st.L(form_oracle.d_lambda(cx, a)), lambda r, s: Fraction(1, n - s + 1))
+    operand = form_oracle.apply_rs(
+        st, form_oracle.d_lambda(cx, a), lambda r, s: Fraction(n - r - s)) \
         - cx.Lambda(cx.d(a))
     minus = form_oracle.apply_rs(
         st, operand, lambda r, s: Fraction(-1, (n - s + 1) * (n - r - s)))
@@ -73,20 +76,23 @@ def test_memoised_routes_match_form_oracle(name):
            lambda r, s: Fraction(1, n - r - s + 1),
            lambda r, s: Fraction((r + 1) * (2 * s - 3), 7)]
     for a in random_forms(cx.dim, seed=f"pieces:{name}"):
-        assert st.components(a) == form_oracle.components(st, a), a
+        assert form_oracle.memo_components(st, a) == form_oracle.components(st, a), a
         for fn in fns:
-            assert st.apply_rs(a, fn) == form_oracle.apply_rs(st, a, fn), a
+            assert form_oracle.memo_apply_rs(st, a, fn) == form_oracle.apply_rs(st, a, fn), a
         assert st.star(a) == form_oracle.star(st, a), a
         assert cx.del_plus(a) == form_oracle.del_plus(cx, a), a
         assert cx.del_minus(a) == form_oracle.del_minus(cx, a), a
-        assert (cx.del_plus_formula(a), cx.del_minus_formula(a)) == oracle_formulas(cx, a)
+        assert (form_oracle.del_plus_formula(cx, a),
+                form_oracle.del_minus_formula(cx, a)) == oracle_formulas(cx, a)
 
 
 @pytest.mark.parametrize("dim", [4, 8])
 def test_pieces_reject_another_dimension(dim):
     cx = build(*FIXTURES["N6"])
     f = Form.e(dim, 1, 2)
-    for op in (cx.structure.components, lambda a: cx.structure.apply_rs(a, lambda r, s: 1),
+    st = cx.structure
+    for op in (partial(form_oracle.memo_components, st),
+               lambda a: form_oracle.memo_apply_rs(st, a, lambda r, s: 1),
                cx.star, cx.del_plus, cx.del_minus):
         with pytest.raises(DimensionMismatchError):
             op(f)
@@ -99,13 +105,15 @@ def test_boundary_components_cancel_before_scaling():
     cx = build(*FIXTURES["N6"])
     st, n = cx.structure, cx.n
     a = Form.e(6, 1, 3, 5, 6)
-    operand = st.apply_rs(cx.d_lambda(a), lambda r, s: Fraction(n - r - s)) - cx.Lambda(cx.d(a))
+    operand = form_oracle.memo_apply_rs(st, form_oracle.d_lambda(cx, a),
+                                        lambda r, s: Fraction(n - r - s)) - cx.Lambda(cx.d(a))
     assert operand == Form(6, {0b10011: Fraction(3, 2), 0b01101: Fraction(-3, 2)})
     for mask in operand.support():
-        assert (0, 3) in st.components(Form(6, {mask: 1}))
-    assert (0, 3) not in st.components(operand)
+        assert (0, 3) in form_oracle.memo_components(st, Form(6, {mask: 1}))
+    assert (0, 3) not in form_oracle.memo_components(st, operand)
     for f in (a, a + Form.e(6, 2, 3, 4, 6) - Form.e(6, 1, 4, 5, 6) * 3):
-        assert cx.del_minus_formula(f) == form_oracle.del_minus(cx, f) == oracle_formulas(cx, f)[1]
+        assert form_oracle.del_minus_formula(cx, f) == form_oracle.del_minus(cx, f) \
+            == oracle_formulas(cx, f)[1]
 
 
 def count_splits_and_decompositions(monkeypatch):
@@ -129,7 +137,8 @@ def count_splits_and_decompositions(monkeypatch):
 
 def test_second_identity_run_decomposes_nothing(monkeypatch):
     """The first run splits d once in each degree 0..n and decomposes each
-    blade once; the second splits and decomposes nothing."""
+    blade once; the second splits and decomposes nothing and adds no entry
+    to the operator caches."""
     cx = build(*N8)
     calls = count_splits_and_decompositions(monkeypatch)
     assert run_identity_suite(cx).passed
@@ -137,8 +146,10 @@ def test_second_identity_run_decomposes_nothing(monkeypatch):
     assert calls["_decompose"] == 1 << cx.dim
     calls["split"].clear()
     calls["_decompose"] = 0
+    caches = (len(cx._ops), len(cx.structure._ops))
     assert run_identity_suite(cx).passed
     assert calls == {"split": [], "_decompose": 0}
+    assert (len(cx._ops), len(cx.structure._ops)) == caches
 
 
 def test_corrupted_star_image_is_named():

@@ -11,6 +11,7 @@ denominators in degrees 1 and 2; N6 under omega/2 has L with denominator 2.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -20,7 +21,7 @@ from symcoh.exterior import blade_index, form_to_coords
 from symcoh.symplectic import parse_omega
 
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
-from form_oracle import matrix_on_blades
+from form_oracle import d_lambda, matrix_on_blades
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),
@@ -51,7 +52,7 @@ def test_cached_matrices_match_form_routes(name):
     cx = build(name)
     st = cx.structure
     routes = {"d": (cx.d, 1), "L": (st.L, 2), "Lambda": (st.Lambda, -2),
-              "dLambda": (cx.d_lambda, -1)}
+              "dLambda": (partial(d_lambda, cx), -1)}
     dens = set()
     for k in range(cx.dim + 1):
         for op, (route, step) in routes.items():
