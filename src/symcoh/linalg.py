@@ -15,6 +15,7 @@ is 0 at the other pivots, so ``reduce`` visits a vector's own pivot entries.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -188,7 +189,9 @@ class OperatorMatrix:
     """A linear operator materialized column-by-column over chosen bases.
 
     ``cols[j]`` is the sparse coordinate vector of the image of the j-th
-    domain basis element.
+    domain basis element.  No stored entry is 0: the constructor keeps the
+    columns as given, so a caller that may hold zeros builds through
+    ``from_columns``.
     """
 
     __slots__ = ("nrows", "ncols", "cols")
@@ -198,11 +201,12 @@ class OperatorMatrix:
             raise ValueError("column count mismatch")
         self.nrows = nrows
         self.ncols = ncols
-        self.cols = [{i: v for i, v in c.items() if v} for c in cols]
+        self.cols = cols
 
     @classmethod
     def from_columns(cls, cols: list[Vec], nrows: int) -> "OperatorMatrix":
-        return cls(nrows, len(cols), cols)
+        """The matrix of columns that may hold zero entries."""
+        return cls(nrows, len(cols), [{i: v for i, v in c.items() if v} for c in cols])
 
     @classmethod
     def from_rows(cls, rows: list[Vec], ncols: int) -> "OperatorMatrix":
@@ -228,19 +232,17 @@ class OperatorMatrix:
         return out
 
     def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix.from_columns(self.rows(), self.ncols)
+        return OperatorMatrix(self.ncols, self.nrows, self.rows())
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
         for j, s in vec.items():
             if s:
                 for i, v in self.cols[j].items():
-                    w = out.get(i, 0) + v * s
-                    if w:
-                        out[i] = w
-                    else:
-                        out.pop(i, None)
-        return out
+                    out[i] = out.get(i, 0) + v * s
+        # a fresh dict of the non-zero sums: one that shed cancelled entries
+        # would keep its larger table in every stored product
+        return {i: w for i, w in out.items() if w}
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self o other (apply ``other`` first)."""
@@ -275,7 +277,11 @@ class OperatorMatrix:
                 and self.cols == other.cols)
 
     def rank(self) -> int:
-        return len(echelon(self.rows(), self.ncols))
+        """By elimination on the columns, with the sparsest rows as the first
+        pivot candidates, which keeps the fill-in down."""
+        count = Counter(i for c in self.cols for i in c)
+        order = {i: r for r, i in enumerate(sorted(count, key=count.__getitem__))}
+        return len(echelon([{order[i]: v for i, v in c.items()} for c in self.cols], self.nrows))
 
     def invert(self) -> "OperatorMatrix":
         if self.nrows != self.ncols:
@@ -301,7 +307,7 @@ def int_matrix(cols: list[Vec], nrows: int) -> tuple[OperatorMatrix, int]:
     denominator in the rational columns ``cols``, and M = den * cols."""
     den = lcm(*(v.denominator for c in cols for v in c.values()))
     return OperatorMatrix(nrows, len(cols), [
-        {i: v.numerator * (den // v.denominator) for i, v in c.items()} for c in cols]), den
+        {i: v.numerator * (den // v.denominator) for i, v in c.items() if v} for c in cols]), den
 
 
 def int_combination(terms: list[tuple], nrows: int, ncols: int) -> tuple[OperatorMatrix, int]:
@@ -315,7 +321,7 @@ def int_combination(terms: list[tuple], nrows: int, ncols: int) -> tuple[Operato
         for col, add in zip(cols, m.cols):
             for i, v in add.items():
                 col[i] = col.get(i, 0) + f * v
-    return OperatorMatrix(nrows, ncols, cols), den
+    return OperatorMatrix.from_columns(cols, nrows), den
 
 
 def solve(m: OperatorMatrix, target: Vec) -> Vec | None:

@@ -15,21 +15,50 @@ piece on P^n.  ``check_exactness`` verifies by exact linear algebra that
 consecutive compositions vanish and that the sequence is exact at every
 position, which is the pointwise content of ellipticity for the associated
 differential complex.
+
+The split is linear in its operand, so each basis covector's wedge is split
+once per n and a covector's maps are int combinations of those pieces, held
+as int matrices over a denominator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exterior import BladeMap, Form
-from .linalg import OperatorMatrix, Subspace, image, kernel
+from .linalg import OperatorMatrix, Subspace, image, int_combination, kernel
 from .reports import CheckResult
 from .symplectic import SymplecticStructure, _blade_matrix, standard_omega
 
 DEFAULT_SEED = 1729
+
+
+class SymbolMap(OperatorMatrix):
+    """The rational map M/den: an int matrix M, held in ``cols``, over a
+    positive int ``den``.  M/den is zero, and has a rank, kernel and image,
+    exactly as M does.  ``==`` compares the rational maps, A/a = B/b as
+    A·b = B·a (a plain OperatorMatrix has den 1), and ``compose`` multiplies
+    the denominators; the other OperatorMatrix methods act on M."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, nrows: int, ncols: int, cols: list[dict], den: int = 1):
+        super().__init__(nrows, ncols, cols)
+        self.den = den
+
+    @classmethod
+    def over(cls, m: OperatorMatrix, den: int) -> "SymbolMap":
+        return cls(m.nrows, m.ncols, m.cols, den)
+
+    def compose(self, other: OperatorMatrix) -> "SymbolMap":
+        return SymbolMap.over(super().compose(other), self.den * getattr(other, "den", 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorMatrix):
+            return NotImplemented
+        return OperatorMatrix.__eq__(self.scale(getattr(other, "den", 1)), other.scale(self.den))
 
 
 @dataclass
@@ -38,7 +67,7 @@ class SymbolComplex:
     xi: Form
     structure: SymplecticStructure
     spaces: list[list[Form]]          # primitive bases, first ascending then descending
-    maps: list[OperatorMatrix]        # maps[i]: spaces[i] -> spaces[i+1]
+    maps: list[SymbolMap]             # maps[i]: spaces[i] -> spaces[i+1]
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +77,29 @@ def _standard_structure(n: int) -> SymplecticStructure:
     return SymplecticStructure(standard_omega(n))
 
 
+@lru_cache(maxsize=None)
+def _basis_symbols(n: int) -> tuple[list[list[tuple]], list[tuple[OperatorMatrix, int]]]:
+    """For each basis covector e_{i+1}: ``pieces[k][i]``, the int (P, M, den)
+    of ``split`` of e_{i+1} ^ on degree k, and ``wedges[i]``, e_{i+1} ^ from
+    degree n - 1 to n as an int matrix over its denominator."""
+    st = _standard_structure(n)
+    pieces: list[list[tuple]] = [[] for _ in range(n + 1)]
+    wedges = []
+    for i in range(2 * n):
+        e = Form.e(2 * n, i + 1)
+        wedge = BladeMap(2 * n, lambda _, m: e.wedge(Form(2 * n, {m: 1})))
+        for k in range(n + 1):
+            w = _blade_matrix(wedge, k, k + 1)
+            pieces[k].append(st.split(*w, k))
+            if k == n - 1:
+                wedges.append(w)
+    return pieces, wedges
+
+
 def build_symbols(n: int, xi: Form) -> SymbolComplex:
-    """Materialize the symbol sequence for covector xi (standard omega)."""
+    """Materialize the symbol sequence for covector xi (standard omega): each
+    map is the int combination of the basis covectors' pieces with xi's
+    coefficients, and the middle map xi ^ after the degree -1 piece."""
     if xi.is_zero():
         raise ValueError("covector must be non-zero")
     if xi.degrees() != {1}:
@@ -57,47 +107,56 @@ def build_symbols(n: int, xi: Form) -> SymbolComplex:
     if xi.dim != 2 * n:
         raise ValueError(f"covector dimension {xi.dim} != 2n = {2 * n}")
     st = _standard_structure(n)
-    wedge = BladeMap(2 * n, lambda _, m: xi.wedge(Form(2 * n, {m: 1})))
-    ws = [_blade_matrix(wedge, k, k + 1) for k in range(n + 1)]
-    pieces = [st.split(w, x, k) for k, (w, x) in enumerate(ws)]
+    pieces, wedges = _basis_symbols(n)
+    coeffs = [(m.bit_length() - 1, c) for m, c in xi.items()]
+
+    def combine(mats: list[tuple[OperatorMatrix, int]]) -> tuple[OperatorMatrix, int]:
+        shape = mats[0][0].nrows, mats[0][0].ncols
+        return int_combination([(c, *mats[i]) for i, c in coeffs], *shape)
+
+    def symbol(m: OperatorMatrix, den: int, k: int, what: str) -> SymbolMap:
+        st.check_primitive(m, k, what)
+        return SymbolMap.over(st.prim_matrix(m, k), den)
+
     asc = [st.primitive_basis(k) for k in range(n + 1)]
-    spaces = asc + asc[::-1]
-    maps = [st.prim_matrix(dp, k + 1).scale(Fraction(1, den))
-            for k, (dp, _, den) in enumerate(pieces[:n])]
-    (w, x), (_, dm, den) = ws[n - 1], pieces[n]
-    middle = w @ dm
-    st.check_primitive(middle, n, "the middle symbol")
-    maps.append(st.prim_matrix(middle, n).scale(Fraction(1, x * den)))
-    maps += [st.prim_matrix(pieces[k][1], k - 1).scale(Fraction(1, pieces[k][2]))
-             for k in range(n, 0, -1)]
-    return SymbolComplex(n=n, xi=xi, structure=st, spaces=spaces, maps=maps)
+    maps = [symbol(*combine([(p, den) for p, _, den in pieces[k]]), k + 1, "an ascending symbol")
+            for k in range(n)]
+    minus = {k: combine([(m, den) for _, m, den in pieces[k]]) for k in range(1, n + 1)}
+    (w, x), (dm, den) = combine(wedges), minus[n]
+    maps.append(symbol(w @ dm, x * den, n, "the middle symbol"))
+    maps += [symbol(*minus[k], k - 1, "a descending symbol") for k in range(n, 0, -1)]
+    return SymbolComplex(n=n, xi=xi, structure=st, spaces=asc + asc[::-1], maps=maps)
 
 
 def check_exactness(c: SymbolComplex) -> CheckResult:
-    """Zero composition plus ker = im at every position of the sequence."""
+    """Zero composition plus ker = im at every position of the sequence.
+
+    Once every composition is zero, im M_{p-1} lies in ker M_p, so the two
+    are equal iff rank M_{p-1} + rank M_p = dim P_p.  If a composition is
+    not zero, the kernel and image are compared as subspaces instead."""
     details = []
-    ok = True
+    composed_to_zero = True
     for i in range(len(c.maps) - 1):
         if not c.maps[i + 1].compose(c.maps[i]).is_zero():
-            ok = False
+            composed_to_zero = False
             details.append(f"composition at step {i} -> {i + 1} is non-zero")
     # Euler characteristic must vanish for an exact sequence
     euler = sum((-1) ** p * len(basis) for p, basis in enumerate(c.spaces))
     if euler != 0:
-        ok = False
         details.append(f"alternating dimension sum is {euler}, not 0")
-    for p in range(len(c.spaces)):
-        dim_p = len(c.spaces[p])
-        incoming = image(c.maps[p - 1]) if p > 0 else Subspace.zero(dim_p)
-        if p < len(c.maps):
-            outgoing = kernel(c.maps[p])
-        else:
-            outgoing = Subspace.full(dim_p)
-        if incoming != outgoing:
-            ok = False
-            details.append(
-                f"position {p}: ker dim {outgoing.dim} != im dim {incoming.dim}")
-    return CheckResult(f"symbol-exactness(n={c.n}, xi={c.xi})", ok, details)
+    if composed_to_zero:
+        ranks = [0] + [m.rank() for m in c.maps] + [0]
+        dims = [(len(basis) - ranks[p + 1], ranks[p]) for p, basis in enumerate(c.spaces)]
+        failing = [(p, ker, im) for p, (ker, im) in enumerate(dims) if ker != im]
+    else:
+        failing = []
+        for p, basis in enumerate(c.spaces):
+            incoming = image(c.maps[p - 1]) if p > 0 else Subspace.zero(len(basis))
+            outgoing = kernel(c.maps[p]) if p < len(c.maps) else Subspace.full(len(basis))
+            if incoming != outgoing:
+                failing.append((p, outgoing.dim, incoming.dim))
+    details += [f"position {p}: ker dim {ker} != im dim {im}" for p, ker, im in failing]
+    return CheckResult(f"symbol-exactness(n={c.n}, xi={c.xi})", not details, details)
 
 
 def random_covectors(n: int, count: int, seed: int = DEFAULT_SEED) -> list[Form]:

@@ -1,0 +1,68 @@
+"""Test oracle: the symbol suite's routes before they went to integers.
+
+The engine splits each basis covector's wedge once per n, forms a
+covector's maps as int combinations of those pieces, and decides exactness
+by ranks once every composition is zero.  This module keeps the earlier
+bodies unchanged apart from their signatures:
+
+* ``split_symbol_maps`` splits xi ^'s own wedge matrix with
+  ``SymplecticStructure.split`` and reads each map in primitive coordinates
+  as a Fraction matrix;
+* ``subspace_exactness`` multiplies the maps as they are and compares the
+  kernel and the image at every position as canonical subspaces.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from symcoh.exterior import BladeMap, Form
+from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
+from symcoh.reports import CheckResult
+from symcoh.symbolcheck import SymbolComplex, _standard_structure
+from symcoh.symplectic import _blade_matrix
+
+
+def split_symbol_maps(n: int, xi: Form) -> list[OperatorMatrix]:
+    """The symbol sequence of xi as Fraction matrices, from the split of
+    xi ^ itself."""
+    st = _standard_structure(n)
+    wedge = BladeMap(2 * n, lambda _, m: xi.wedge(Form(2 * n, {m: 1})))
+    ws = [_blade_matrix(wedge, k, k + 1) for k in range(n + 1)]
+    pieces = [st.split(w, x, k) for k, (w, x) in enumerate(ws)]
+    maps = [st.prim_matrix(dp, k + 1).scale(Fraction(1, den))
+            for k, (dp, _, den) in enumerate(pieces[:n])]
+    (w, x), (_, dm, den) = ws[n - 1], pieces[n]
+    middle = w @ dm
+    st.check_primitive(middle, n, "the middle symbol")
+    maps.append(st.prim_matrix(middle, n).scale(Fraction(1, x * den)))
+    maps += [st.prim_matrix(pieces[k][1], k - 1).scale(Fraction(1, pieces[k][2]))
+             for k in range(n, 0, -1)]
+    return maps
+
+
+def subspace_exactness(c: SymbolComplex) -> CheckResult:
+    """Zero composition plus ker = im at every position of the sequence."""
+    details = []
+    ok = True
+    for i in range(len(c.maps) - 1):
+        if not c.maps[i + 1].compose(c.maps[i]).is_zero():
+            ok = False
+            details.append(f"composition at step {i} -> {i + 1} is non-zero")
+    # Euler characteristic must vanish for an exact sequence
+    euler = sum((-1) ** p * len(basis) for p, basis in enumerate(c.spaces))
+    if euler != 0:
+        ok = False
+        details.append(f"alternating dimension sum is {euler}, not 0")
+    for p in range(len(c.spaces)):
+        dim_p = len(c.spaces[p])
+        incoming = image(c.maps[p - 1]) if p > 0 else Subspace.zero(dim_p)
+        if p < len(c.maps):
+            outgoing = kernel(c.maps[p])
+        else:
+            outgoing = Subspace.full(dim_p)
+        if incoming != outgoing:
+            ok = False
+            details.append(
+                f"position {p}: ker dim {outgoing.dim} != im dim {incoming.dim}")
+    return CheckResult(f"symbol-exactness(n={c.n}, xi={c.xi})", ok, details)

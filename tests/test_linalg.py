@@ -15,6 +15,8 @@ from symcoh.linalg import (
     det,
     echelon,
     image,
+    int_combination,
+    int_matrix,
     kernel,
     quotient,
     rref,
@@ -286,3 +288,30 @@ def test_invert_round_trip():
         assert m @ inv == OperatorMatrix.identity(4)
         assert inv @ m == OperatorMatrix.identity(4)
         done += 1
+
+
+def _stored_zeros(m: OperatorMatrix) -> list:
+    return [(i, j) for j, c in enumerate(m.cols) for i, v in c.items() if not v]
+
+
+def test_no_stored_entry_is_zero():
+    """The constructor keeps its columns as given; every producer of a
+    matrix leaves out zero entries, so == and is_zero can compare the
+    stored columns."""
+    rng = random.Random(13)
+    a, b = random_matrix(rng, 5, 4), random_matrix(rng, 4, 6)
+    ai, den = int_matrix(a.cols, a.nrows)
+    cancel, _ = int_combination([(2, ai, den), (Fraction(-4, 3), ai.scale(3), 2 * den)],
+                                   ai.nrows, ai.ncols)
+    made = {"compose": a @ b, "add": a + a.scale(-1), "sub": a - a, "scale": a.scale(0),
+            "scale by 2/3": a.scale(Fraction(2, 3)), "int_matrix": ai,
+            "cancelling int_combination": cancel, "transpose": a.transpose(),
+            "from_columns": OperatorMatrix.from_columns([{0: 0, 1: Fraction(1, 2)}, {2: 0}], 3)}
+    for name, m in made.items():
+        assert _stored_zeros(m) == [], name
+    zero = OperatorMatrix.from_columns([{}] * a.ncols, a.nrows)
+    assert (a - a).is_zero() and (a - a) == zero and a.scale(0) == zero
+    assert cancel.is_zero() and cancel == zero
+    assert made["from_columns"] == OperatorMatrix.from_columns([{1: Fraction(1, 2)}, {}], 3)
+    assert made["from_columns"] != OperatorMatrix.from_columns([{1: Fraction(1, 2)}, {2: 1}], 3)
+    assert ai.scale(Fraction(1, den)) == a

@@ -25,11 +25,11 @@ def test_tiny_complex_n1():
 def test_generic_covector_entries_are_exact():
     xi = Form.e(6, 1) + Form.e(6, 4) * 2
     c = build_symbols(3, xi)
-    from fractions import Fraction
     for m in c.maps:
+        assert type(m.den) is int and m.den > 0
         for col in m.cols:
             for v in col.values():
-                assert isinstance(v, Fraction)
+                assert type(v) is int
     assert check_exactness(c).passed
 
 
