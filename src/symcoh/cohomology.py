@@ -84,13 +84,11 @@ class CohomologyCalculator:
             self._cache[key] = fn()
         return self._cache[key]
 
-    # Positive multiples of d and dLambda, with the same kernels and images.
-
     def d_matrix(self, k: int) -> OperatorMatrix:
-        return self.cx.op("d", k)[0]
+        return self.cx.op("d", k)
 
     def dl_matrix(self, k: int) -> OperatorMatrix:
-        return self.cx.op("dLambda", k)[0]
+        return self.cx.op("dLambda", k)
 
     # -- full-complex subspaces ----------------------------------------------
 
@@ -115,9 +113,9 @@ class CohomologyCalculator:
         return self.st.primitive_subspace(k)
 
     # -- primitive operator spaces -------------------------------------------
-    # The pieces of d on the primitive basis, as blade coordinates times a
-    # positive int (``SymplecticComplex.del_images``), span their images;
-    # kernels are taken in primitive coordinates and lifted back.
+    # The pieces of d on the primitive basis, in blade coordinates
+    # (``SymplecticComplex.del_images``), span their images; kernels are
+    # taken in primitive coordinates and lifted back.
 
     def _prim_kernel(self, m: OperatorMatrix, k_to: int, k: int) -> Subspace:
         """Kernel, in degree-k blades, of the map sending the primitive basis
@@ -127,7 +125,7 @@ class CohomologyCalculator:
 
     def _dpdm(self, k: int) -> OperatorMatrix:
         """Blade coordinates of del_plus del_minus of the primitive degree-k
-        basis, times one positive int."""
+        basis."""
         return self._memo(("dpdm", k), lambda: self.cx.del_images(k - 1)[0]
                           @ self.st.prim_matrix(self.cx.del_images(k)[1], k - 1))
 

@@ -19,7 +19,9 @@ blades (``top_dual``), forming no wedge per pair.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
 computations over the primitive bases, each adjoint formed once per degree
-and direction; the splitting-conjugation check reads J, del_plus and
+and direction.  Every matrix is an ``OperatorMatrix``, int columns over one
+denominator, so the Gram matrices, adjoints and Laplacians are int products
+scaled once.  The splitting-conjugation check reads J, del_plus and
 del_minus on the blades off their blade maps (``_blade_matrix``), the last
 two off the per-degree split of d, and H+R off the Lefschetz projections
 (``scale_rs``), and compares matrix identities multiplied through by blade
@@ -110,15 +112,10 @@ class CompatibleTriple:
             basis_cols.append(v)
         self.basis = OperatorMatrix.from_columns(basis_cols, dim)
         basis_inv = self.basis.invert()
-        jstd_cols = []
-        for j in range(n):
-            jstd_cols.append({2 * j + 1: Fraction(1)})
-            jstd_cols.append({2 * j: Fraction(-1)})
-        jstd = OperatorMatrix.from_columns(jstd_cols, dim)
+        jstd = OperatorMatrix(dim, dim, [c for j in range(n)
+                                         for c in ({2 * j + 1: 1}, {2 * j: -1})])
         self.J = self.basis @ jstd @ basis_inv
-        w_mat = OperatorMatrix.from_rows(
-            [{j: structure.matrix[i][j] for j in range(dim) if structure.matrix[i][j]}
-             for i in range(dim)], dim)
+        w_mat = structure.omega_matrix
         g = w_mat @ self.J
         self.metric = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
         self._validate(w_mat)
@@ -183,12 +180,6 @@ def top_dual(b: Form) -> dict:
     return {top ^ m: wedge_sign(top ^ m, m) * v for m, v in b._c.items()}
 
 
-def _on_blades(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
-    """The blade map from degree k_from to k_to as an exact matrix."""
-    m, den = _blade_matrix(images, k_from, k_to)
-    return m.scale(Fraction(1, den))
-
-
 # ---------------------------------------------------------------------------
 # harmonic theory on the primitive complex
 # ---------------------------------------------------------------------------
@@ -220,19 +211,19 @@ class HodgeTheory:
         compound of g^-1, read off the triple's metric map."""
         cached = self._gram.get(k)
         if cached is None:
-            cached = _on_blades(self.triple._ginv_blade, k, k)
+            cached = _blade_matrix(self.triple._ginv_blade, k, k)
             if cached != cached.transpose():
                 raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
             self._gram[k] = cached
         return cached
 
     def prim_gram(self, k: int) -> OperatorMatrix:
-        """B^T G_k B / beta^2, B/beta the primitive basis in blade
-        coordinates and G_k the blade Gram matrix."""
+        """B^T G_k B, B the primitive basis in blade coordinates and G_k the
+        blade Gram matrix."""
         cached = self._prim_gram.get(k)
         if cached is None:
-            b, beta = self.st._primitive_data(k)[2:]
-            cached = (b.transpose() @ self.gram(k) @ b).scale(Fraction(1, beta * beta))
+            b = self.st._primitive_data(k)[2]
+            cached = b.transpose() @ self.gram(k) @ b
             self._prim_gram[k] = cached
         return cached
 
@@ -329,13 +320,12 @@ class HodgeTheory:
         inverted and each comparison is equivalent to the identity."""
         name = f"jay-conjugation(k={k})"
         n, st = self.n, self.st
-        jk = _on_blades(self.triple.jay, k, k)
-        jk1 = _on_blades(self.triple.jay, k + 1, k + 1)
-        m_dp = _on_blades(self.cx._del_blade[0], k, k + 1)
-        m_dm = _on_blades(self.cx._del_blade[1], k + 1, k)
+        jk = _blade_matrix(self.triple.jay, k, k)
+        jk1 = _blade_matrix(self.triple.jay, k + 1, k + 1)
+        m_dp = _blade_matrix(self.cx._del_blade[0], k, k + 1)
+        m_dm = _blade_matrix(self.cx._del_blade[1], k + 1, k)
         g_k, g_k1 = self.gram(k), self.gram(k + 1)
-        hr, den = st.scale_rs(lambda r, s: n - r - s, k)
-        s_hr_k = hr.scale(Fraction(1, den))
+        s_hr_k = st.scale_rs(lambda r, s: n - r - s, k)
         details = []
         ok = True
         # the splitting operator squares to (-1)^k on degree k

@@ -6,6 +6,11 @@ works on Python ints: rows are kept primitive (divided by the gcd of their
 entries) and filed by leading column, and a pivot touches only the rows that
 share its column.  The Fraction form is produced once, at the end.
 
+An OperatorMatrix is the one rational matrix type: sparse int columns over
+one positive int denominator, with every method acting on the rational map.
+Products multiply ints and denominators, so a chain of products runs on
+Python ints and forms no Fraction.
+
 A Subspace is stored as its reduced-row-echelon basis.  The reduced row
 echelon form of a row space is unique, so this is a canonical
 representation: two subspaces are equal iff their stored bases are
@@ -35,23 +40,6 @@ class InclusionError(ValueError):
 # ---------------------------------------------------------------------------
 # scalar/vector helpers
 # ---------------------------------------------------------------------------
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for j, v in b.items():
-        w = out.get(j, 0) + v
-        if w:
-            out[j] = w
-        else:
-            out.pop(j, None)
-    return out
-
-
-def vec_scale(a: Vec, s) -> Vec:
-    if not s:
-        return {}
-    return {j: v * s for j, v in a.items()}
-
 
 def vec_dot(a: Vec, b: Vec):
     small, big = (a, b) if len(a) <= len(b) else (b, a)
@@ -186,45 +174,74 @@ def det(rows: Sequence[Sequence], n: int):
 # ---------------------------------------------------------------------------
 
 class OperatorMatrix:
-    """A linear operator materialized column-by-column over chosen bases.
+    """The rational matrix M/den of a linear operator over chosen bases.
 
-    ``cols[j]`` is the sparse coordinate vector of the image of the j-th
-    domain basis element.  No stored entry is 0: the constructor keeps the
-    columns as given, so a caller that may hold zeros builds through
-    ``from_columns``.
+    ``cols[j]`` is the sparse int column j of M, the image of the j-th
+    domain basis element times ``den``, a positive int.  No stored entry
+    is 0: the constructor keeps the columns as given, so a caller whose
+    columns may hold zeros or fractions builds through ``from_columns``.
+    Every method acts on the rational map: products multiply the ints and
+    the denominators, sums work over the lcm of the denominators, and ``==``
+    compares A/a and B/b as A·b = B·a.  M/den has the rank, kernel and image
+    of M.  The denominator is not reduced, so two equal maps may hold
+    different ints.
     """
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "cols", "den")
 
-    def __init__(self, nrows: int, ncols: int, cols: list[Vec]):
+    def __init__(self, nrows: int, ncols: int, cols: list[Vec], den: int = 1):
         if len(cols) != ncols:
             raise ValueError("column count mismatch")
         self.nrows = nrows
         self.ncols = ncols
         self.cols = cols
+        self.den = den
 
     @classmethod
     def from_columns(cls, cols: list[Vec], nrows: int) -> "OperatorMatrix":
-        """The matrix of columns that may hold zero entries."""
-        return cls(nrows, len(cols), [{i: v for i, v in c.items() if v} for c in cols])
+        """The matrix of rational columns that may hold zero entries, over
+        the least den that clears them."""
+        den = lcm(*(v.denominator for c in cols for v in c.values()))
+        return cls(nrows, len(cols), [{i: v.numerator * (den // v.denominator)
+                                       for i, v in c.items() if v} for c in cols], den)
 
     @classmethod
     def from_rows(cls, rows: list[Vec], ncols: int) -> "OperatorMatrix":
         cols: list[Vec] = [{} for _ in range(ncols)]
         for i, r in enumerate(rows):
             for j, v in r.items():
-                if v:
-                    cols[j][i] = v
-        return cls(len(rows), ncols, cols)
+                cols[j][i] = v
+        return cls.from_columns(cols, len(rows))
 
     @classmethod
     def identity(cls, n: int) -> "OperatorMatrix":
-        return cls(n, n, [{i: Fraction(1)} for i in range(n)])
+        return cls(n, n, [{i: 1} for i in range(n)])
 
-    def entry(self, i: int, j: int):
-        return self.cols[j].get(i, Fraction(0))
+    @classmethod
+    def combination(cls, terms: list[tuple], nrows: int, ncols: int) -> "OperatorMatrix":
+        """The sum of c·A over the (c, A) in ``terms``, c rational and every A
+        an nrows x ncols matrix."""
+        terms = [(Fraction(c), m) for c, m in terms]
+        if any((m.nrows, m.ncols) != (nrows, ncols) for _, m in terms):
+            raise ValueError("operator shapes differ")
+        den = lcm(*(c.denominator * m.den for c, m in terms))
+        cols: list[Vec] = [{} for _ in range(ncols)]
+        for c, m in terms:
+            f = c.numerator * (den // (c.denominator * m.den))
+            for col, add in zip(cols, m.cols):
+                for i, v in add.items():
+                    col[i] = col.get(i, 0) + f * v
+        return cls(nrows, ncols, [{i: v for i, v in c.items() if v} for c in cols], den)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.cols[j].get(i, 0), self.den)
+
+    def column(self, j: int) -> Vec:
+        """Column j of M/den, exact."""
+        return {i: Fraction(v, self.den) for i, v in self.cols[j].items()}
 
     def rows(self) -> list[Vec]:
+        """The int rows of M."""
         out: list[Vec] = [{} for _ in range(self.nrows)]
         for j, c in enumerate(self.cols):
             for i, v in c.items():
@@ -232,9 +249,10 @@ class OperatorMatrix:
         return out
 
     def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.ncols, self.nrows, self.rows())
+        return OperatorMatrix(self.ncols, self.nrows, self.rows(), self.den)
 
-    def apply(self, vec: Vec) -> Vec:
+    def _times(self, vec: Vec) -> Vec:
+        """M·vec, without the den."""
         out: Vec = {}
         for j, s in vec.items():
             if s:
@@ -244,28 +262,30 @@ class OperatorMatrix:
         # would keep its larger table in every stored product
         return {i: w for i, w in out.items() if w}
 
+    def apply(self, vec: Vec) -> Vec:
+        """(M/den)·vec, exact."""
+        out = self._times(vec)
+        return out if self.den == 1 else {i: Fraction(w, self.den) for i, w in out.items()}
+
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self o other (apply ``other`` first)."""
         if self.ncols != other.nrows:
             raise ValueError("operator shapes do not compose")
         return OperatorMatrix(self.nrows, other.ncols,
-                              [self.apply(c) for c in other.cols])
+                              [self._times(c) for c in other.cols], self.den * other.den)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self.compose(other)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("operator shapes differ")
-        return OperatorMatrix(self.nrows, self.ncols,
-                              [vec_add(a, b) for a, b in zip(self.cols, other.cols)])
+        return OperatorMatrix.combination([(1, self), (1, other)], self.nrows, self.ncols)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + other.scale(-1)
+        return OperatorMatrix.combination([(1, self), (-1, other)], self.nrows, self.ncols)
 
     def scale(self, s) -> "OperatorMatrix":
-        return OperatorMatrix(self.nrows, self.ncols,
-                              [vec_scale(c, s) for c in self.cols])
+        """s·M/den, s rational."""
+        return OperatorMatrix.combination([(s, self)], self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)
@@ -273,8 +293,13 @@ class OperatorMatrix:
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.cols == other.cols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            return False
+        a, b = self.den, other.den
+        if a == b:
+            return self.cols == other.cols
+        return all({i: x * b for i, x in u.items()} == {i: y * a for i, y in v.items()}
+                   for u, v in zip(self.cols, other.cols))
 
     def rank(self) -> int:
         """By elimination on the columns, with the sparsest rows as the first
@@ -284,54 +309,32 @@ class OperatorMatrix:
         return len(echelon([{order[i]: v for i, v in c.items()} for c in self.cols], self.nrows))
 
     def invert(self) -> "OperatorMatrix":
+        """(M/den)^-1 = den·M^-1."""
         if self.nrows != self.ncols:
             raise ValueError("only square operators can be inverted")
         n = self.nrows
         aug = []
         for i, r in enumerate(self.rows()):
-            r = dict(r)
-            r[n + i] = Fraction(1)
+            r[n + i] = 1
             aug.append(r)
         pivots, rows = rref(aug, 2 * n)
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("operator is singular")
-        inv_rows = [{j - n: v for j, v in rows[i].items() if j >= n} for i in range(n)]
+        inv_rows = [{j - n: v * self.den for j, v in rows[i].items() if j >= n}
+                    for i in range(n)]
         return OperatorMatrix.from_rows(inv_rows, n)
 
     def __repr__(self):
-        return f"OperatorMatrix({self.nrows}x{self.ncols})"
-
-
-def int_matrix(cols: list[Vec], nrows: int) -> tuple[OperatorMatrix, int]:
-    """``(M, den)``: den is the least positive int that clears every
-    denominator in the rational columns ``cols``, and M = den * cols."""
-    den = lcm(*(v.denominator for c in cols for v in c.values()))
-    return OperatorMatrix(nrows, len(cols), [
-        {i: v.numerator * (den // v.denominator) for i, v in c.items() if v} for c in cols]), den
-
-
-def int_combination(terms: list[tuple], nrows: int, ncols: int) -> tuple[OperatorMatrix, int]:
-    """``(M, den)``: M/den is the sum of c A/a over the (c, A, a) in
-    ``terms``, c rational, A an nrows x ncols int matrix and a an int."""
-    terms = [(Fraction(c), m, x) for c, m, x in terms]
-    den = lcm(*(c.denominator * x for c, _, x in terms))
-    cols: list[Vec] = [{} for _ in range(ncols)]
-    for c, m, x in terms:
-        f = c.numerator * (den // (c.denominator * x))
-        for col, add in zip(cols, m.cols):
-            for i, v in add.items():
-                col[i] = col.get(i, 0) + f * v
-    return OperatorMatrix.from_columns(cols, nrows), den
+        return f"OperatorMatrix({self.nrows}x{self.ncols}, den={self.den})"
 
 
 def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
-    """A particular solution of M x = target (free variables 0), or None."""
+    """A particular solution of (M/den) x = target, that is M x = den·target
+    (free variables 0), or None."""
     aug = []
-    t = dict(target)
     for i, r in enumerate(m.rows()):
-        r = dict(r)
-        if t.get(i):
-            r[m.ncols] = t[i]
+        if target.get(i):
+            r[m.ncols] = target[i] * m.den
         if r:
             aug.append(r)
     pivots, rows = rref(aug, m.ncols + 1)

@@ -17,8 +17,9 @@ position, which is the pointwise content of ellipticity for the associated
 differential complex.
 
 The split is linear in its operand, so each basis covector's wedge is split
-once per n and a covector's maps are int combinations of those pieces, held
-as int matrices over a denominator.
+once per n and a covector's maps are linear combinations of those pieces
+(``OperatorMatrix.combination``), int columns over one denominator, so the
+compositions and ranks run on ints.
 """
 
 from __future__ import annotations
@@ -28,37 +29,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exterior import BladeMap, Form
-from .linalg import OperatorMatrix, Subspace, image, int_combination, kernel
+from .linalg import OperatorMatrix, Subspace, image, kernel
 from .reports import CheckResult
 from .symplectic import SymplecticStructure, _blade_matrix, standard_omega
 
 DEFAULT_SEED = 1729
-
-
-class SymbolMap(OperatorMatrix):
-    """The rational map M/den: an int matrix M, held in ``cols``, over a
-    positive int ``den``.  M/den is zero, and has a rank, kernel and image,
-    exactly as M does.  ``==`` compares the rational maps, A/a = B/b as
-    A·b = B·a (a plain OperatorMatrix has den 1), and ``compose`` multiplies
-    the denominators; the other OperatorMatrix methods act on M."""
-
-    __slots__ = ("den",)
-
-    def __init__(self, nrows: int, ncols: int, cols: list[dict], den: int = 1):
-        super().__init__(nrows, ncols, cols)
-        self.den = den
-
-    @classmethod
-    def over(cls, m: OperatorMatrix, den: int) -> "SymbolMap":
-        return cls(m.nrows, m.ncols, m.cols, den)
-
-    def compose(self, other: OperatorMatrix) -> "SymbolMap":
-        return SymbolMap.over(super().compose(other), self.den * getattr(other, "den", 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return OperatorMatrix.__eq__(self.scale(getattr(other, "den", 1)), other.scale(self.den))
 
 
 @dataclass
@@ -67,7 +42,7 @@ class SymbolComplex:
     xi: Form
     structure: SymplecticStructure
     spaces: list[list[Form]]          # primitive bases, first ascending then descending
-    maps: list[SymbolMap]             # maps[i]: spaces[i] -> spaces[i+1]
+    maps: list[OperatorMatrix]        # maps[i]: spaces[i] -> spaces[i+1]
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +53,10 @@ def _standard_structure(n: int) -> SymplecticStructure:
 
 
 @lru_cache(maxsize=None)
-def _basis_symbols(n: int) -> tuple[list[list[tuple]], list[tuple[OperatorMatrix, int]]]:
-    """For each basis covector e_{i+1}: ``pieces[k][i]``, the int (P, M, den)
-    of ``split`` of e_{i+1} ^ on degree k, and ``wedges[i]``, e_{i+1} ^ from
-    degree n - 1 to n as an int matrix over its denominator."""
+def _basis_symbols(n: int) -> tuple[list[list[tuple]], list[OperatorMatrix]]:
+    """For each basis covector e_{i+1}: ``pieces[k][i]``, the (P, M) of
+    ``split`` of e_{i+1} ^ on degree k, and ``wedges[i]``, e_{i+1} ^ from
+    degree n - 1 to n."""
     st = _standard_structure(n)
     pieces: list[list[tuple]] = [[] for _ in range(n + 1)]
     wedges = []
@@ -90,7 +65,7 @@ def _basis_symbols(n: int) -> tuple[list[list[tuple]], list[tuple[OperatorMatrix
         wedge = BladeMap(2 * n, lambda _, m: e.wedge(Form(2 * n, {m: 1})))
         for k in range(n + 1):
             w = _blade_matrix(wedge, k, k + 1)
-            pieces[k].append(st.split(*w, k))
+            pieces[k].append(st.split(w, k))
             if k == n - 1:
                 wedges.append(w)
     return pieces, wedges
@@ -110,21 +85,20 @@ def build_symbols(n: int, xi: Form) -> SymbolComplex:
     pieces, wedges = _basis_symbols(n)
     coeffs = [(m.bit_length() - 1, c) for m, c in xi.items()]
 
-    def combine(mats: list[tuple[OperatorMatrix, int]]) -> tuple[OperatorMatrix, int]:
-        shape = mats[0][0].nrows, mats[0][0].ncols
-        return int_combination([(c, *mats[i]) for i, c in coeffs], *shape)
+    def combine(mats: list[OperatorMatrix]) -> OperatorMatrix:
+        return OperatorMatrix.combination([(c, mats[i]) for i, c in coeffs],
+                                          mats[0].nrows, mats[0].ncols)
 
-    def symbol(m: OperatorMatrix, den: int, k: int, what: str) -> SymbolMap:
+    def symbol(m: OperatorMatrix, k: int, what: str) -> OperatorMatrix:
         st.check_primitive(m, k, what)
-        return SymbolMap.over(st.prim_matrix(m, k), den)
+        return st.prim_matrix(m, k)
 
     asc = [st.primitive_basis(k) for k in range(n + 1)]
-    maps = [symbol(*combine([(p, den) for p, _, den in pieces[k]]), k + 1, "an ascending symbol")
+    maps = [symbol(combine([p for p, _ in pieces[k]]), k + 1, "an ascending symbol")
             for k in range(n)]
-    minus = {k: combine([(m, den) for _, m, den in pieces[k]]) for k in range(1, n + 1)}
-    (w, x), (dm, den) = combine(wedges), minus[n]
-    maps.append(symbol(w @ dm, x * den, n, "the middle symbol"))
-    maps += [symbol(*minus[k], k - 1, "a descending symbol") for k in range(n, 0, -1)]
+    minus = {k: combine([m for _, m in pieces[k]]) for k in range(1, n + 1)}
+    maps.append(symbol(combine(wedges) @ minus[n], n, "the middle symbol"))
+    maps += [symbol(minus[k], k - 1, "a descending symbol") for k in range(n, 0, -1)]
     return SymbolComplex(n=n, xi=xi, structure=st, spaces=asc + asc[::-1], maps=maps)
 
 

@@ -9,8 +9,8 @@ adjoint dLambda, and the degree +1/-1 pieces of d.
 L, Lambda, d, the star and del_plus/del_minus are memoised per blade in
 ``exterior.BladeMap``s, and so is each blade's Lefschetz decomposition,
 keyed by (r, s).  The complex's one operator cache (``op``) reads d, L and
-Lambda on each degree off those images once, as int matrices over one int
-denominator; dLambda is their product.  ``SymplecticStructure.split``
+Lambda on each degree off those images once, as ``OperatorMatrix``es that
+carry their own denominators; dLambda is their product.  ``SymplecticStructure.split``
 splits any degree +1 operator that commutes with L into its two pieces on
 the primitive basis; applied to d it gives del_plus and del_minus
 (``del_images``), applied to xi ^ it gives the symbols of the primitive
@@ -34,7 +34,7 @@ from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import BladeMap, Form, blade_index, form_from_coords, form_to_coords
-from .linalg import OperatorMatrix, Subspace, det, int_combination, int_matrix, kernel
+from .linalg import OperatorMatrix, Subspace, det, kernel
 
 RS = Callable[[int, int], int | Fraction]
 
@@ -101,16 +101,11 @@ class SymplecticStructure:
             raise NotSymplecticError(
                 f"omega is degenerate (det of its coefficient matrix is 0): {omega}",
                 "degenerate")
-        winv = OperatorMatrix.from_rows(
-            [{j: w[i][j] for j in range(self.dim) if w[i][j]} for i in range(self.dim)],
-            self.dim).invert()
+        self.omega_matrix = OperatorMatrix.from_rows([dict(enumerate(r)) for r in w], self.dim)
+        winv = self.omega_matrix.invert()
+        if winv @ self.omega_matrix != OperatorMatrix.identity(self.dim):
+            raise AssertionError("inverse bivector check failed")
         self.inverse = [[winv.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        # sanity: (omega^-1) omega = identity
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = sum(self.inverse[i][t] * w[t][j] for t in range(self.dim))
-                if acc != (1 if i == j else 0):
-                    raise AssertionError("inverse bivector check failed")
         pairs = [(i, j, self.inverse[i][j])
                  for i in range(self.dim) for j in range(i + 1, self.dim) if self.inverse[i][j]]
         self._L_blade = BladeMap(self.dim, lambda _, m: omega.wedge(Form(omega.dim, {m: 1})))
@@ -122,8 +117,8 @@ class SymplecticStructure:
             self._star_of_blade, self._pieces, self._L_blade, self.n))
         if not self.volume():
             raise NotSymplecticError("omega^n vanishes", "degenerate")
-        self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix, int]] = {}
-        self._ops: dict[tuple, tuple | dict] = {}
+        self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
+        self._ops: dict[tuple, OperatorMatrix | dict] = {}
 
     # -- sl(2) action ----------------------------------------------------
 
@@ -150,7 +145,7 @@ class SymplecticStructure:
         """Contraction with the inverse bivector (degree -2)."""
         return self._Lambda_blade(a)
 
-    def op(self, name: str, k: int) -> tuple[OperatorMatrix, int]:
+    def op(self, name: str, k: int) -> OperatorMatrix:
         """L or Lambda on degree k as in ``SymplecticComplex.op``."""
         if (name, k) not in self._ops:
             images, step = {"L": (self._L_blade, 2), "Lambda": (self._Lambda_blade, -2)}[name]
@@ -212,43 +207,42 @@ class SymplecticStructure:
             raise ValueError(f"form has degree {deg}, not {k}")
         return LefschetzComponents(self, deg, self._decompose_degree(a, deg), a)
 
-    def projections(self, k: int) -> dict[tuple[int, int], tuple[OperatorMatrix, int]]:
-        """The Lefschetz projections of degree k, keyed by (r, s), each an int
-        matrix over an int den: Pi_{r,s} maps a blade to its (r, s) component
-        L^r b / r!, b from ``_pieces``.  Built once per degree."""
+    def projections(self, k: int) -> dict[tuple[int, int], OperatorMatrix]:
+        """The Lefschetz projections of degree k, keyed by (r, s): Pi_{r,s}
+        maps a blade to its (r, s) component L^r b / r!, b from ``_pieces``.
+        Built once per degree."""
         if ("Pi", k) not in self._ops:
             keys = sorted({rs for m in blade_index(self.dim, k)[0] for rs in self._pieces[m]})
             self._ops["Pi", k] = {rs: _blade_matrix(BladeMap(self.dim, partial(
                 _lefschetz_piece, self._pieces, self._L_blade, rs)), k, k) for rs in keys}
         return self._ops["Pi", k]
 
-    def scale_rs(self, fn: RS, k: int, operand: tuple | None = None) -> tuple[OperatorMatrix, int]:
-        """Int matrix M and int den: M/den is the sum of fn(r, s) Pi_{r,s} on
-        degree k, times M'/den' if ``operand`` is (M', den').  fn is evaluated
-        only on the blocks Pi_{r,s} M' that are not zero: a component that
-        cancels is never scaled, and one that survives where fn divides by 0 raises."""
+    def scale_rs(self, fn: RS, k: int, operand: OperatorMatrix | None = None) -> OperatorMatrix:
+        """The sum of fn(r, s) Pi_{r,s} on degree k, times ``operand`` if
+        given.  fn is evaluated only on the blocks Pi_{r,s} operand that are
+        not zero: a component that cancels is never scaled, and one that
+        survives where fn divides by 0 raises."""
         size = len(blade_index(self.dim, k)[0])
-        m, x = operand or (None, 1)
-        terms = [(fn(r, s), block, den * x) for (r, s), (p, den) in self.projections(k).items()
-                 if not (block := p if m is None else p @ m).is_zero()]
-        return int_combination(terms, size, size if m is None else m.ncols)
+        terms = [(fn(r, s), block) for (r, s), p in self.projections(k).items()
+                 if not (block := p if operand is None else p @ operand).is_zero()]
+        return OperatorMatrix.combination(terms, size, size if operand is None else operand.ncols)
 
     # -- primitive forms ---------------------------------------------------
 
     def is_primitive(self, a: Form) -> bool:
         return self.Lambda(a).is_zero()
 
-    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form], OperatorMatrix, int]:
+    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form], OperatorMatrix]:
         """Kernel of Lambda in blade coordinates (0 outside 0..n), its basis
-        forms, and the int matrix B and int beta such that B/beta is the
-        matrix B_k whose columns are those forms' blade coordinates."""
+        forms, and the matrix B_k whose columns are those forms' blade
+        coordinates."""
         cached = self._primitive.get(k)
         if cached is not None:
             return cached
         order = blade_index(self.dim, k)[0]
-        sub = kernel(self.op("Lambda", k)[0]) if 0 <= k <= self.n else Subspace(len(order))
+        sub = kernel(self.op("Lambda", k)) if 0 <= k <= self.n else Subspace(len(order))
         forms = [form_from_coords(row, order, self.dim) for row in sub.rows]
-        data = self._primitive[k] = (sub, forms, *int_matrix(sub.rows, len(order)))
+        data = self._primitive[k] = (sub, forms, OperatorMatrix.from_columns(sub.rows, len(order)))
         return data
 
     def _prim_forms(self, k: int) -> list[Form]:
@@ -271,40 +265,34 @@ class SymplecticStructure:
     def lift(self, vec: dict, k: int) -> dict:
         """Degree-k blade coordinates of the form with primitive coordinates
         ``vec``."""
-        _, _, b, beta = self._primitive_data(k)
-        return {i: Fraction(v, beta) for i, v in b.apply(vec).items()}
+        return self._primitive_data(k)[2].apply(vec)
 
     def prim_matrix(self, m: OperatorMatrix, k: int) -> OperatorMatrix:
         """The columns of m, blade coordinates of primitive degree-k forms,
         read at the primitive pivots: m in primitive coordinates.  Unchecked;
         see ``check_primitive``."""
         p = self.primitive_subspace(k)
-        return OperatorMatrix.from_columns([p.at_pivots(c) for c in m.cols], p.dim)
+        return OperatorMatrix(p.dim, m.ncols, [p.at_pivots(c) for c in m.cols], m.den)
 
     def check_primitive(self, m: OperatorMatrix, k: int, what: str) -> None:
         """Raise AssertionError unless Lambda kills every column of m, in
         degree-k blade coordinates."""
-        if not (self.op("Lambda", k)[0] @ m).is_zero():
+        if not (self.op("Lambda", k) @ m).is_zero():
             raise AssertionError(f"{what} leaves the primitive forms in degree {k}")
 
-    def split(self, d: OperatorMatrix, x: int,
-              k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
-        """Int matrices P, M and int den for a degree +1 operator d/x on the
-        degree-k blades that commutes with L: the j-th columns of P/den and
-        M/den are the two primitive pieces of d on primitive basis form j, in
-        blade coordinates, from D = d B_k by the closed primitive formulas
-        del_minus = Lambda_{k+1} D/(n-k+1) and del_plus = D - L_{k-1}
-        del_minus; Lambda kills both."""
-        b, beta = self._primitive_data(k)[2:]
-        (lam, y), (ell, z) = self.op("Lambda", k + 1), self.op("L", k - 1)
-        db = d @ b
-        dm = lam @ db
-        scale = z * y * (self.n - k + 1)
-        dp = db.scale(scale) - ell @ dm
-        dm = dm.scale(z)
+    def split(self, d: OperatorMatrix, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+        """(P, M) for a degree +1 operator d on the degree-k blades that
+        commutes with L: the j-th columns of P and M are the two primitive
+        pieces of d on primitive basis form j, in blade coordinates, from
+        D = d B_k by the closed primitive formulas del_minus =
+        Lambda_{k+1} D/(n-k+1) and del_plus = D - L_{k-1} del_minus; Lambda
+        kills both."""
+        db = d @ self._primitive_data(k)[2]
+        dm = (self.op("Lambda", k + 1) @ db).scale(Fraction(1, self.n - k + 1))
+        dp = db - self.op("L", k - 1) @ dm
         self.check_primitive(dp, k + 1, f"a primitive piece from degree {k}")
         self.check_primitive(dm, k - 1, f"a primitive piece from degree {k}")
-        return dp, dm, scale * x * beta
+        return dp, dm
 
     # -- symplectic star ----------------------------------------------------
 
@@ -418,7 +406,7 @@ class SymplecticComplex:
         self.omega = omega
         self.dim = algebra.dim
         self.n = self.structure.n
-        self._ops: dict[tuple, tuple] = {}
+        self._ops: dict[tuple, OperatorMatrix | tuple] = {}
         # per blade: both pieces of d, read off ``del_images``, a memo never applied;
         # then each piece
         self._del_pieces = BladeMap(self.dim, partial(
@@ -448,34 +436,31 @@ class SymplecticComplex:
     def star(self, a: Form) -> Form:
         return self.structure.star(a)
 
-    def op(self, name: str, k: int) -> tuple[OperatorMatrix, int]:
-        """Int matrix M and int den > 0: M/den is "d", "L", "Lambda" or
-        "dLambda" on the degree-k blades, built once per complex, with
-        dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
+    def op(self, name: str, k: int) -> OperatorMatrix:
+        """"d", "L", "Lambda" or "dLambda" on the degree-k blades, built once
+        per complex, with dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
         if name not in ("d", "dLambda"):
             return self.structure.op(name, k)
         if name == "d":
             return self._d_op(self.algebra._d_blade, self._ops, k)
         if (name, k) not in self._ops:
-            (d0, x0), (l0, y0) = self.op("d", k - 2), self.op("Lambda", k)
-            (l1, y1), (d1, x1) = self.op("Lambda", k + 1), self.op("d", k)
-            self._ops[name, k] = int_combination(
-                [(1, d0 @ l0, x0 * y0), (-1, l1 @ d1, x1 * y1)], d0.nrows, l0.ncols)
+            self._ops[name, k] = (self.op("d", k - 2) @ self.op("Lambda", k)
+                                  - self.op("Lambda", k + 1) @ self.op("d", k))
         return self._ops[name, k]
 
     # ``op("d")`` and ``del_images`` on the cache dict alone, so that the
     # per-blade del memo can build them without holding the complex
     @staticmethod
-    def _d_op(d_blade: BladeMap, ops: dict, k: int) -> tuple[OperatorMatrix, int]:
+    def _d_op(d_blade: BladeMap, ops: dict, k: int) -> OperatorMatrix:
         if ("d", k) not in ops:
             ops["d", k] = _blade_matrix(d_blade, k, k + 1)
         return ops["d", k]
 
     @staticmethod
     def _del_images(st: SymplecticStructure, d_blade: BladeMap, ops: dict,
-                    k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
+                    k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         if ("del", k) not in ops:
-            ops["del", k] = st.split(*SymplecticComplex._d_op(d_blade, ops, k), k)
+            ops["del", k] = st.split(SymplecticComplex._d_op(d_blade, ops, k), k)
         return ops["del", k]
 
     # -- primitive pieces of d ----------------------------------------------
@@ -492,11 +477,10 @@ class SymplecticComplex:
                 form_to_coords(b, blade_index(st.dim, s)[1]))
             if coords is None:
                 raise AssertionError(f"Lefschetz component ({r}, {s}) is not primitive: {b}")
-            *pieces, den = SymplecticComplex._del_images(st, d_blade, ops, s)
+            pieces = SymplecticComplex._del_images(st, d_blade, ops, s)
             for which, (m, k) in enumerate(zip(pieces, (s + 1, s - 1))):
                 if col := m.apply(coords):
-                    piece = form_from_coords({i: v / den for i, v in col.items()},
-                                             blade_index(st.dim, k)[0], st.dim)
+                    piece = form_from_coords(col, blade_index(st.dim, k)[0], st.dim)
                     out[which] = out[which] + st.L_power(piece, r) / _factorial(r)
         return out[0], out[1]
 
@@ -505,10 +489,10 @@ class SymplecticComplex:
         """Piece ``which`` (0: del_plus, 1: del_minus) of one blade."""
         return pieces[mask][which]
 
-    def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix, int]:
+    def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """``SymplecticStructure.split`` of d on degree k, built once: the
-        columns of P/den and M/den are del_plus and del_minus of the
-        primitive basis in blade coordinates."""
+        columns of P and M are del_plus and del_minus of the primitive basis
+        in blade coordinates."""
         return self._del_images(self.structure, self.algebra._d_blade, self._ops, k)
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -517,10 +501,9 @@ class SymplecticComplex:
         projection routes ``del_plus``/``del_minus`` are their oracle."""
         cached = self._ops.get(("del_matrices", k))
         if cached is None:
-            dp, dm, den = self.del_images(k)
+            dp, dm = self.del_images(k)
             prim = self.structure.prim_matrix
-            cached = self._ops["del_matrices", k] = (
-                prim(dp, k + 1).scale(Fraction(1, den)), prim(dm, k - 1).scale(Fraction(1, den)))
+            cached = self._ops["del_matrices", k] = (prim(dp, k + 1), prim(dm, k - 1))
         return cached
 
 def _power(op: BladeMap, a: Form, r: int) -> Form:
@@ -536,9 +519,9 @@ def _lefschetz_piece(pieces: BladeMap, L: BladeMap, rs: tuple[int, int],
     return _power(L, b, rs[0]) / _factorial(rs[0]) if b else Form.zero(images.dim)
 
 
-def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> tuple[OperatorMatrix, int]:
-    """``(M, den)``: M/den is the matrix of a blade map from degree k_from
-    to k_to, M an int matrix, read off the map's memoised blade images."""
+def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
+    """The matrix of a blade map from degree k_from to k_to, read off the
+    map's memoised blade images."""
     idx = blade_index(images.dim, k_to)[1]
-    return int_matrix([form_to_coords(images[m], idx)
-                       for m in blade_index(images.dim, k_from)[0]], len(idx))
+    return OperatorMatrix.from_columns([form_to_coords(images[m], idx)
+                                        for m in blade_index(images.dim, k_from)[0]], len(idx))

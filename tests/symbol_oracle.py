@@ -3,18 +3,16 @@
 The engine splits each basis covector's wedge once per n, forms a
 covector's maps as int combinations of those pieces, and decides exactness
 by ranks once every composition is zero.  This module keeps the earlier
-bodies unchanged apart from their signatures:
+routes:
 
 * ``split_symbol_maps`` splits xi ^'s own wedge matrix with
-  ``SymplecticStructure.split`` and reads each map in primitive coordinates
-  as a Fraction matrix;
+  ``SymplecticStructure.split`` and reads each map in primitive
+  coordinates;
 * ``subspace_exactness`` multiplies the maps as they are and compares the
   kernel and the image at every position as canonical subspaces.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from symcoh.exterior import BladeMap, Form
 from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
@@ -24,20 +22,16 @@ from symcoh.symplectic import _blade_matrix
 
 
 def split_symbol_maps(n: int, xi: Form) -> list[OperatorMatrix]:
-    """The symbol sequence of xi as Fraction matrices, from the split of
-    xi ^ itself."""
+    """The symbol sequence of xi from the split of xi ^ itself."""
     st = _standard_structure(n)
     wedge = BladeMap(2 * n, lambda _, m: xi.wedge(Form(2 * n, {m: 1})))
     ws = [_blade_matrix(wedge, k, k + 1) for k in range(n + 1)]
-    pieces = [st.split(w, x, k) for k, (w, x) in enumerate(ws)]
-    maps = [st.prim_matrix(dp, k + 1).scale(Fraction(1, den))
-            for k, (dp, _, den) in enumerate(pieces[:n])]
-    (w, x), (_, dm, den) = ws[n - 1], pieces[n]
-    middle = w @ dm
+    pieces = [st.split(w, k) for k, w in enumerate(ws)]
+    maps = [st.prim_matrix(dp, k + 1) for k, (dp, _) in enumerate(pieces[:n])]
+    middle = ws[n - 1] @ pieces[n][1]
     st.check_primitive(middle, n, "the middle symbol")
-    maps.append(st.prim_matrix(middle, n).scale(Fraction(1, x * den)))
-    maps += [st.prim_matrix(pieces[k][1], k - 1).scale(Fraction(1, pieces[k][2]))
-             for k in range(n, 0, -1)]
+    maps.append(st.prim_matrix(middle, n))
+    maps += [st.prim_matrix(pieces[k][1], k - 1) for k in range(n, 0, -1)]
     return maps
 
 

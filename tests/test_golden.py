@@ -11,7 +11,10 @@ integer operator cache replaced the form-by-form operator matrices; N10
 ``identities`` before the Lefschetz components, star and del_plus/del_minus
 were kept per blade; N8 and N10 ``hodge`` before the Gram and pairing
 matrices were read without wedges and the splitting-conjugation check
-stopped inverting blade Gram matrices.  The
+stopped inverting blade Gram matrices; ``identities`` on the two fixtures
+with a non-integer omega^-1, where every Lambda, Pi_{r,s} and del_plus/del_minus
+has a denominator above 1, before the operator matrices carried their own
+denominator.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
@@ -78,6 +81,10 @@ GOLDEN = [
      "9b88b986eb77a344c54388d450d51378c97e683dcf32f3fe0a9c5e7f603dfcec"),
     ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", "identities", 0,
      "796e53ae39c52d4def0bde87367d50a705fca70ceaa230b4eee333fb597de524"),
+    (N6, "2*16+2*25-2*34", "identities", 0,
+     "99d00ad996baf2f905a50db94fbc19d5739289eb2a6b5c56322137b5b3ded3e2"),
+    ("(0,0,0,12)", "2*13+24", "identities", 0,
+     "3191196b41472327e6c6a627d04b1a34a9a4f9d1796873f78a7989819c410cc8"),
     (N8, "16+25-34+78", "hodge", 0,
      "8f0538ca2f58ad7312b03d1ae456b4e08fd70ab5d8f0ba0eddde3f3958bb47d9"),
     ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", "hodge", 0,

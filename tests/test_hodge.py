@@ -252,7 +252,7 @@ def test_full_space_adjoint_restricts_to_primitive(nil_cx, nil_hodge):
             img = full_adj.apply(form_to_coords(b, idxk1))
             f = Form(6, {blades(6, k)[i]: c for i, c in img.items()})
             assert st.Lambda(f).is_zero()
-            coords = prim_adj.cols[j]
+            coords = prim_adj.column(j)
             g = Form.zero(6)
             for i, c in coords.items():
                 g = g + nil_hodge.prim_basis(k)[i] * c

@@ -122,9 +122,9 @@ def count_splits_and_decompositions(monkeypatch):
     calls = {"split": [], "_decompose": 0}
     split, decompose = SymplecticStructure.split, SymplecticStructure._decompose
 
-    def counting_split(self, d, x, k):
+    def counting_split(self, d, k):
         calls["split"].append(k)
-        return split(self, d, x, k)
+        return split(self, d, k)
 
     def counting_decompose(*args):
         calls["_decompose"] += 1

@@ -15,8 +15,6 @@ from symcoh.linalg import (
     det,
     echelon,
     image,
-    int_combination,
-    int_matrix,
     kernel,
     quotient,
     rref,
@@ -295,23 +293,29 @@ def _stored_zeros(m: OperatorMatrix) -> list:
 
 
 def test_no_stored_entry_is_zero():
-    """The constructor keeps its columns as given; every producer of a
-    matrix leaves out zero entries, so == and is_zero can compare the
-    stored columns."""
+    """The constructor keeps its columns as given; every other producer of
+    a matrix leaves out zero entries and stores ints, so == and is_zero can
+    compare the stored columns."""
     rng = random.Random(13)
     a, b = random_matrix(rng, 5, 4), random_matrix(rng, 4, 6)
-    ai, den = int_matrix(a.cols, a.nrows)
-    cancel, _ = int_combination([(2, ai, den), (Fraction(-4, 3), ai.scale(3), 2 * den)],
-                                   ai.nrows, ai.ncols)
+    sq = random_matrix(rng, 4, 4, density=0.9)
+    while sq.rank() < 4:
+        sq = random_matrix(rng, 4, 4, density=0.9)
+    cancel = OperatorMatrix.combination([(2, a), (Fraction(-4, 3), a.scale(3)), (2, a)],
+                                        a.nrows, a.ncols)
     made = {"compose": a @ b, "add": a + a.scale(-1), "sub": a - a, "scale": a.scale(0),
-            "scale by 2/3": a.scale(Fraction(2, 3)), "int_matrix": ai,
-            "cancelling int_combination": cancel, "transpose": a.transpose(),
-            "from_columns": OperatorMatrix.from_columns([{0: 0, 1: Fraction(1, 2)}, {2: 0}], 3)}
+            "scale by 2/3": a.scale(Fraction(2, 3)), "cancelling combination": cancel,
+            "transpose": a.transpose(), "invert": sq.invert(),
+            "identity": OperatorMatrix.identity(3),
+            "from_columns": OperatorMatrix.from_columns([{0: 0, 1: Fraction(1, 2)}, {2: 0}], 3),
+            "from_rows": OperatorMatrix.from_rows([{0: 0, 1: Fraction(1, 3)}, {}], 2)}
     for name, m in made.items():
         assert _stored_zeros(m) == [], name
+        assert all(type(v) is int for c in m.cols for v in c.values()), name
+        assert type(m.den) is int and m.den > 0, name
     zero = OperatorMatrix.from_columns([{}] * a.ncols, a.nrows)
     assert (a - a).is_zero() and (a - a) == zero and a.scale(0) == zero
     assert cancel.is_zero() and cancel == zero
     assert made["from_columns"] == OperatorMatrix.from_columns([{1: Fraction(1, 2)}, {}], 3)
     assert made["from_columns"] != OperatorMatrix.from_columns([{1: Fraction(1, 2)}, {2: 1}], 3)
-    assert ai.scale(Fraction(1, den)) == a
+    assert made["from_columns"].den == 2 and made["from_columns"].cols == [{1: 1}, {}]

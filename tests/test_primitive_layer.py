@@ -42,8 +42,8 @@ def test_del_matrices_match_projection_routes(cx):
         assert dp.nrows == (len(st.primitive_basis(k + 1)) if k < cx.n else 0)
         assert dm.nrows == (len(st.primitive_basis(k - 1)) if k > 0 else 0)
         for j, b in enumerate(basis):
-            assert dp.cols[j] == form_oracle.prim_coords(st, cx.del_plus(b), k + 1)
-            assert dm.cols[j] == form_oracle.prim_coords(st, cx.del_minus(b), k - 1)
+            assert dp.column(j) == form_oracle.prim_coords(st, cx.del_plus(b), k + 1)
+            assert dm.column(j) == form_oracle.prim_coords(st, cx.del_minus(b), k - 1)
 
 
 def test_del_matrices_built_once_per_degree(cx):

@@ -1,10 +1,10 @@
 """The integer symbol suite against the routes it replaced.
 
-``build_symbols`` forms each covector's maps as int combinations of the
+``build_symbols`` forms each covector's maps as linear combinations of the
 basis covectors' split pieces, and ``check_exactness`` decides exactness by
 ranks once every composition is zero.  ``symbol_oracle`` keeps the earlier
-routes: the split of xi ^'s own wedge matrix as Fraction matrices, and the
-kernel-against-image comparison as subspaces.  The two must agree on every
+routes: the split of xi ^'s own wedge matrix, and the kernel-against-image
+comparison as subspaces.  The two must agree on every
 map and on every ``CheckResult``, failing ones included.
 """
 
@@ -16,14 +16,8 @@ import pytest
 import symbol_oracle as oracle
 from symcoh import Form
 from symcoh import symbolcheck
-from symcoh.linalg import OperatorMatrix, int_matrix
-from symcoh.symbolcheck import (
-    DEFAULT_SEED,
-    SymbolMap,
-    build_symbols,
-    check_exactness,
-    random_covectors,
-)
+from symcoh.linalg import OperatorMatrix
+from symcoh.symbolcheck import DEFAULT_SEED, build_symbols, check_exactness, random_covectors
 
 # demo 06's covector
 DEMO_XI = Form.e(6, 1) + Form.e(6, 4) * 2 - Form.e(6, 5)
@@ -47,7 +41,7 @@ def test_symbol_maps_are_linear_in_xi(n):
     """Sum of xi_i times the basis covectors' maps = the split of xi ^."""
     for xi in [Form.e(2 * n, 1), rational_covector(n)] + random_covectors(n, 3, seed=5):
         c = build_symbols(n, xi)
-        assert all(isinstance(m, SymbolMap) and m.den > 0 for m in c.maps)
+        assert all(isinstance(m, OperatorMatrix) and m.den > 0 for m in c.maps)
         assert c.maps == oracle.split_symbol_maps(n, xi), xi
 
 
@@ -67,9 +61,10 @@ def test_perturbed_map_fails_as_the_oracle_does(n, index):
     maps = oracle.split_symbol_maps(n, xi)
     m = maps[index]
     maps[index] = OperatorMatrix.from_columns(
-        [{**m.cols[0], 0: m.entry(0, 0) + 1}] + m.cols[1:], m.nrows)
+        [{**m.column(0), 0: m.entry(0, 0) + 1}] + [m.column(j) for j in range(1, m.ncols)],
+        m.nrows)
     c = build_symbols(n, xi)
-    c.maps[index] = SymbolMap.over(*int_matrix(maps[index].cols, m.nrows))
+    c.maps[index] = maps[index]
     result = check_exactness(c)
     expected = oracle.subspace_exactness(replace(c, maps=maps))
     assert not result.passed
@@ -91,13 +86,3 @@ def test_every_combined_map_is_checked_primitive(monkeypatch):
                                   + [(n, "the middle symbol")]
                                   + [(k - 1, "a descending symbol") for k in range(1, n + 1)])
 
-
-def test_symbol_map_equality_is_rational():
-    m, den = int_matrix([{0: Fraction(1, 2)}, {1: Fraction(-3, 4)}], 2)
-    a = SymbolMap.over(m, den)
-    b = SymbolMap.over(m.scale(3), 3 * den)
-    plain = OperatorMatrix.from_columns([{0: Fraction(1, 2)}, {1: Fraction(-3, 4)}], 2)
-    assert a == b and a == plain and plain == a
-    assert a != SymbolMap.over(m, 2 * den) and a != m
-    assert (a @ b).den == a.den * b.den and (a @ b) == plain @ plain
-    assert SymbolMap.from_columns(plain.cols, 2) == plain
