@@ -121,7 +121,8 @@ class CohomologyCalculator:
         """Kernel, in degree-k blades, of the map sending the primitive basis
         to the primitive degree-``k_to`` forms, the columns of ``m``."""
         kern = kernel(self.st.prim_matrix(m, k_to))
-        return Subspace(len(self.blade_order(k)), [self.st.lift(r, k) for r in kern.rows])
+        b = self.st._primitive_data(k)[2]
+        return Subspace(b.nrows, (b @ OperatorMatrix(b.ncols, kern.dim, kern.ints)).cols)
 
     def _dpdm(self, k: int) -> OperatorMatrix:
         """Blade coordinates of del_plus del_minus of the primitive degree-k
@@ -237,7 +238,7 @@ class CohomologyCalculator:
         v = self.to_vec(f, g.degree)
         if not g.numerator.contains(v):
             return None
-        cols = [self.to_vec(r, g.degree) for r in g.representatives] + g.denominator.basis()
+        cols = [self.to_vec(r, g.degree) for r in g.representatives] + g.denominator.ints
         sol = solve(OperatorMatrix.from_columns(cols, len(self.blade_order(g.degree))), v)
         if sol is None:
             raise AssertionError("class decomposition failed")

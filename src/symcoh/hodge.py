@@ -298,9 +298,9 @@ class HodgeTheory:
                 f"dimensions {harm.dim}+{im_in.dim}+{im_adj.dim} != {len(self.prim_basis(k))}")
         pieces = [("harmonic", harm), ("image", im_in), ("coimage", im_adj)]
         for j in (1, 2):
-            g_bs = [g_k.apply(b) for b in pieces[j][1].rows]
+            g_bs = [g_k.apply(b) for b in pieces[j][1].ints]
             for i in range(j):
-                for a in pieces[i][1].rows:
+                for a in pieces[i][1].ints:
                     for g_b in g_bs:
                         if vec_dot(a, g_b):
                             ok = False

@@ -1,21 +1,21 @@
 """Exact sparse linear algebra over Q.
 
 Vectors are sparse ``{index: scalar}`` dicts; scalars are ints or Fractions
-(never floats).  Row reduction clears each row's denominators once and then
-works on Python ints: rows are kept primitive (divided by the gcd of their
-entries) and filed by leading column, and a pivot touches only the rows that
-share its column.  The Fraction form is produced once, at the end.
+(never floats).  Row reduction clears a row's denominators once, if it has
+any, and then works on Python ints: rows are kept primitive (divided by the
+gcd of their entries) and filed by leading column, and a pivot touches only
+the rows that share its column.  The results stay in ints.
 
 An OperatorMatrix is the one rational matrix type: sparse int columns over
 one positive int denominator, with every method acting on the rational map.
 Products multiply ints and denominators, so a chain of products runs on
 Python ints and forms no Fraction.
 
-A Subspace is stored as its reduced-row-echelon basis.  The reduced row
-echelon form of a row space is unique, so this is a canonical
-representation: two subspaces are equal iff their stored bases are
-identical, whichever rows elimination happened to pivot on.  A basis row
-is 0 at the other pivots, so ``reduce`` visits a vector's own pivot entries.
+A Subspace is stored as its reduced-row-echelon basis in primitive int rows,
+positive at their pivots.  That form of a row space is unique, so two
+subspaces are equal iff their stored rows are identical, whichever rows
+elimination pivoted on.  A basis row is 0 at the other pivots, so ``reduce``
+visits a vector's own pivot entries.  Fraction rows are formed on read.
 """
 
 from __future__ import annotations
@@ -62,13 +62,16 @@ def _primitive(row: Vec) -> Vec:
 
 
 def _int_row(row: Vec) -> Vec:
-    """The non-zero entries scaled to coprime ints, spanning the same line."""
-    row = {j: v for j, v in row.items() if v}
-    if not row:
-        return row
-    d = lcm(*(v.denominator for v in row.values()))
-    return _primitive({j: v.numerator * (d // v.denominator)
-                       for j, v in row.items()})
+    """The non-zero entries scaled to coprime ints, spanning the same line.
+    ``gcd`` refuses a Fraction; then the denominators are cleared first."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:
+        d = lcm(*(v.denominator for v in row.values()))
+        return _int_row({j: v.numerator * (d // v.denominator) for j, v in row.items()})
+    if g == 1 and 0 not in row.values():
+        return dict(row)
+    return {j: v // g for j, v in row.items() if v} if g else {}
 
 
 def _eliminate(r: Vec, p: Vec, col: int) -> Vec:
@@ -128,23 +131,23 @@ def echelon(rows: Iterable[Vec], ncols: int) -> list[tuple[int, Vec]]:
 
 
 def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
-    """Canonical reduced row echelon form: (pivot columns, normalized rows)."""
+    """Canonical reduced row echelon form in ints: (pivot columns, rows),
+    each row primitive, positive at its pivot and 0 at the other pivots."""
     pivoted = echelon(rows, ncols)
     # clear each pivot column from the rows above it, bottom row first: a
-    # row below is already 0 in every other pivot column, so no elimination
-    # refills a pivot column
+    # row below is already 0 in every other pivot column and positive at its
+    # own, so no elimination refills a pivot column or flips a sign
     reduced: dict[int, Vec] = {}
     for col, row in reversed(pivoted):
         for c in [c for c in row if c in reduced]:
             row = _eliminate(row, reduced[c], c)
-        reduced[col] = row
+        reduced[col] = row if row[col] > 0 else {j: -v for j, v in row.items()}
     pivots = [col for col, _ in pivoted]
-    out = []
-    for col in pivots:
-        row = reduced[col]
-        pv = row[col]
-        out.append({j: Fraction(v, pv) for j, v in row.items()})
-    return pivots, out
+    return pivots, [reduced[col] for col in pivots]
+
+
+def _normalized(pivot: int, row: Vec) -> Vec:
+    return {j: Fraction(v, row[pivot]) for j, v in row.items()}
 
 
 def det(rows: Sequence[Sequence], n: int):
@@ -320,9 +323,13 @@ class OperatorMatrix:
         pivots, rows = rref(aug, 2 * n)
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("operator is singular")
-        inv_rows = [{j - n: v * self.den for j, v in rows[i].items() if j >= n}
-                    for i in range(n)]
-        return OperatorMatrix.from_rows(inv_rows, n)
+        # row i of M^-1: the right half of reduced row i over its pivot entry
+        den = lcm(*(rows[i][i] for i in range(n)))
+        inv = [{j - n: self.den * (den // r[i]) * v for j, v in r.items() if j >= n}
+               for i, r in enumerate(rows)]
+        g = gcd(den, *(v for r in inv for v in r.values()))
+        return OperatorMatrix(n, n, [{j: v // g for j, v in r.items()} for r in inv],
+                              den // g).transpose()
 
     def __repr__(self):
         return f"OperatorMatrix({self.nrows}x{self.ncols}, den={self.den})"
@@ -344,7 +351,7 @@ def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
             return None
         v = row.get(m.ncols)
         if v:
-            sol[p] = v
+            sol[p] = Fraction(v, row[p])
     return sol
 
 
@@ -353,14 +360,21 @@ def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace in canonical reduced-row-echelon basis form."""
+    """A subspace as its canonical reduced echelon basis: ``rref``'s int rows."""
 
-    __slots__ = ("ambient", "pivots", "rows", "_index")
+    __slots__ = ("ambient", "pivots", "ints", "_index")
 
     def __init__(self, ambient: int, vectors: Iterable[Vec] = ()):
         self.ambient = ambient
-        self.pivots, self.rows = rref(vectors, ambient)
+        self.pivots, self.ints = rref(vectors, ambient)
         self._index = None
+
+    @classmethod
+    def _canonical(cls, ambient: int, pivots: list[int], ints: list[Vec]) -> "Subspace":
+        """The subspace whose ``rref`` these pivots and rows already are."""
+        sub = cls.__new__(cls)
+        sub.ambient, sub.pivots, sub.ints, sub._index = ambient, pivots, ints, None
+        return sub
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -372,10 +386,13 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def basis(self) -> list[Vec]:
-        return [dict(r) for r in self.rows]
+    @property
+    def rows(self) -> list[Vec]:
+        """The normalized basis rows (pivot entry 1) as Fractions, derived
+        on each read: a stored copy would hold every basis twice."""
+        return [_normalized(p, r) for p, r in zip(self.pivots, self.ints)]
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -390,17 +407,28 @@ class Subspace:
         return self._index
 
     def reduce(self, vec: Vec) -> Vec:
-        """Residual of ``vec`` modulo the subspace: row p's multiple is vec[p]."""
-        index = self.index
+        """Residual of ``vec`` modulo the subspace: row p's multiple is vec[p].
+        In ints: vec = V/e and the residual is (d·V − Σ V[p]·(d/q_p)·row p)/(d·e),
+        q_p row p's pivot entry, d their lcm.  An entry that no row used
+        touches stays as given, even a 0."""
+        index, ints = self.index, self.ints
+        used = [p for p, c in vec.items() if c and p in index]
+        e = lcm(*(v.denominator for v in vec.values()))
+        big = vec if e == 1 else {j: v.numerator * (e // v.denominator) for j, v in vec.items()}
+        d = lcm(*(ints[index[p]][p] for p in used))
+        total: Vec = {}
+        for p in used:
+            r = ints[index[p]]
+            f = big[p] * (d // r[p])
+            for j, v in r.items():
+                total[j] = total.get(j, 0) + f * v
         out = dict(vec)
-        for p, c in vec.items():
-            if c and p in index:
-                for j, v in self.rows[index[p]].items():
-                    w = out.get(j, 0) - c * v
-                    if w:
-                        out[j] = w
-                    else:
-                        out.pop(j, None)
+        for j, t in total.items():
+            w = d * big.get(j, 0) - t
+            if w:
+                out[j] = Fraction(w, d * e)
+            else:
+                out.pop(j, None)
         return out
 
     def contains(self, vec: Vec) -> bool:
@@ -408,7 +436,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.ints)
 
     def at_pivots(self, vec: Vec) -> Vec:
         """Non-zero pivot entries by pivot position: coordinates if vec is in."""
@@ -416,13 +444,13 @@ class Subspace:
         return {index[p]: c for p, c in vec.items() if c and p in index}
 
     def coordinates(self, vec: Vec) -> Vec | None:
-        """Sparse coefficients of ``vec`` over the canonical basis, or None."""
+        """Sparse coefficients of ``vec`` over the normalized basis, or None."""
         return None if self.reduce(vec) else self.at_pivots(vec)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return self.ambient == other.ambient and self.ints == other.ints
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -430,7 +458,7 @@ class Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check(b)
-    return Subspace(a.ambient, a.rows + b.rows)
+    return Subspace(a.ambient, a.ints + b.ints)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -438,11 +466,11 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check(b)
     n = a.ambient
     stacked = []
-    for r in a.rows:
+    for r in a.ints:
         row = dict(r)
         row.update({j + n: v for j, v in r.items()})
         stacked.append(row)
-    stacked.extend(dict(r) for r in b.rows)
+    stacked.extend(b.ints)
     _, rows = rref(stacked, 2 * n)
     inter = []
     for r in rows:
@@ -452,15 +480,22 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def kernel(m: OperatorMatrix) -> Subspace:
-    """Exact null space; row p's entry c at free column f is -c at p in f's vector."""
-    pivots, rows = rref(m.rows(), m.ncols)
-    pivot_set = set(pivots)
-    basis = {f: {f: Fraction(1)} for f in range(m.ncols) if f not in pivot_set}
+    """Exact null space, eliminating with the columns reversed: each reduced
+    row's pivot p is then its last column, so free column f's vector (f minus
+    row p's entry at f over its pivot entry q_p, at each p) starts at f and is
+    0 at the other free columns.  Over the lcm of its q_p it is a canonical row."""
+    last = m.ncols - 1
+    pivots, rows = rref([{last - j: v for j, v in r.items()} for r in m.rows()], m.ncols)
+    touches: list[list] = [[] for _ in range(m.ncols)]
     for p, row in zip(pivots, rows):
         for f, c in row.items():
-            if f != p:
-                basis[f][p] = -c
-    return Subspace(m.ncols, list(basis.values()))
+            touches[last - f].append((last - p, c, row[p]))
+    free = sorted(set(range(m.ncols)).difference(last - p for p in pivots))
+    basis = []
+    for f in free:
+        d = lcm(*(q for _, _, q in touches[f]))
+        basis.append(_primitive({f: d, **{p: -c * (d // q) for p, c, q in touches[f]}}))
+    return Subspace._canonical(m.ncols, free, basis)
 
 
 def image(m: OperatorMatrix) -> Subspace:
@@ -479,6 +514,6 @@ def quotient(numerator: Subspace, denominator: Subspace) -> tuple[int, list[Vec]
     if not numerator.contains_subspace(denominator):
         raise InclusionError("denominator is not contained in numerator")
     dpiv = set(denominator.pivots)
-    reps = [dict(row) for p, row in zip(numerator.pivots, numerator.rows)
+    reps = [_normalized(p, row) for p, row in zip(numerator.pivots, numerator.ints)
             if p not in dpiv]
     return len(reps), reps

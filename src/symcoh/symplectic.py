@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial as _factorial
+from math import factorial as _factorial, lcm
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
@@ -242,7 +242,11 @@ class SymplecticStructure:
         order = blade_index(self.dim, k)[0]
         sub = kernel(self.op("Lambda", k)) if 0 <= k <= self.n else Subspace(len(order))
         forms = [form_from_coords(row, order, self.dim) for row in sub.rows]
-        data = self._primitive[k] = (sub, forms, OperatorMatrix.from_columns(sub.rows, len(order)))
+        # basis row i is int row i over its pivot q_i: B_k is over lcm(q_i)
+        qs = [r[p] for p, r in zip(sub.pivots, sub.ints)]
+        den = lcm(*qs)
+        cols = [{j: v * (den // q) for j, v in r.items()} for q, r in zip(qs, sub.ints)]
+        data = self._primitive[k] = (sub, forms, OperatorMatrix(len(order), sub.dim, cols, den))
         return data
 
     def _prim_forms(self, k: int) -> list[Form]:

@@ -10,7 +10,10 @@ module keeps the earlier bodies unchanged:
 * ``coordinates`` runs a full ``reduce`` and returns a dense list with one
   entry per pivot;
 * ``kernel`` builds each free column's basis vector by scanning every pivot
-  row.
+  row;
+* ``rref`` back-substitutes on the int echelon rows and then normalizes
+  each row to Fractions with pivot entry 1; the engine's ``rref`` keeps the
+  rows in ints and derives that Fraction form only on read.
 
 They take the subspace (or operator) as their first argument.
 """
@@ -18,8 +21,29 @@ They take the subspace (or operator) as their first argument.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-from symcoh.linalg import OperatorMatrix, Subspace, Vec, rref
+from symcoh.linalg import OperatorMatrix, Subspace, Vec, _eliminate, echelon
+
+
+def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
+    """Canonical reduced row echelon form: (pivot columns, normalized rows)."""
+    pivoted = echelon(rows, ncols)
+    # clear each pivot column from the rows above it, bottom row first: a
+    # row below is already 0 in every other pivot column, so no elimination
+    # refills a pivot column
+    reduced: dict[int, Vec] = {}
+    for col, row in reversed(pivoted):
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[col] = row
+    pivots = [col for col, _ in pivoted]
+    out = []
+    for col in pivots:
+        row = reduced[col]
+        pv = row[col]
+        out.append({j: Fraction(v, pv) for j, v in row.items()})
+    return pivots, out
 
 
 def reduce(sub: Subspace, vec: Vec) -> Vec:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bareiss_oracle
+import subspace_oracle
 from symcoh import parse_form, parse_salamon
 from symcoh.exterior import Form, blades
 from symcoh.linalg import (
@@ -126,8 +127,11 @@ def test_rref_matches_bareiss_oracle(case):
     before = [dict(r) for r in rows]
     pivots, out = rref(rows, ncols)
     assert rows == before
-    assert (pivots, out) == bareiss_oracle.rref(before, ncols)
-    assert all(type(v) is Fraction for r in out for v in r.values())
+    expected = bareiss_oracle.rref(before, ncols)
+    assert (pivots, [{j: Fraction(v, r[p]) for j, v in r.items()}
+                     for p, r in zip(pivots, out)]) == expected
+    assert all(type(v) is int for r in out for v in r.values())
+    assert subspace_oracle.rref(before, ncols) == expected
     assert len(echelon(rows, ncols)) == len(bareiss_oracle.echelon(before, ncols))
 
 
@@ -264,6 +268,18 @@ def test_coordinates_and_reduce():
     assert coords == {0: Fraction(2), 1: Fraction(-1)}
     assert not s.reduce(v)
     assert s.coordinates({2: Fraction(1)}) is None
+
+
+def test_reduce_keeps_untouched_entries_as_given():
+    """``reduce`` works in ints but returns the rational residual: a touched
+    entry that cancels is dropped, and an entry that no basis row it uses
+    touches stays as given, an explicit 0 included."""
+    s = Subspace(3, [{0: 2, 2: 1}])
+    assert s.ints == [{0: 2, 2: 1}] and s.rows == [{0: 1, 2: Fraction(1, 2)}]
+    assert s.reduce({0: Fraction(1, 2), 1: 0, 2: 1}) == {1: 0, 2: Fraction(3, 4)}
+    assert s.reduce({0: 4, 2: 2}) == {}
+    assert s.reduce({1: 0}) == {1: 0} and not s.contains({1: 0})
+    assert Subspace.zero(1).reduce({0: 0}) == {0: 0}
 
 
 def test_solve_consistent_and_inconsistent():
