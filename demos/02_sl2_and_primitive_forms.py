@@ -6,6 +6,7 @@ weight vectors; every form splits uniquely into omega-powers of primitives.
 """
 
 from symcoh import Form, SymplecticStructure, parse_form, recursive_primitive_basis, standard_omega
+from symcoh.exterior import blade_index, form_from_coords, form_to_coords
 
 st = SymplecticStructure(parse_form("e16 + e25 - e34", 6))
 
@@ -17,12 +18,15 @@ print("  [Lambda, L] a == H a :", lhs == st.H(a))
 print("\ncontracting omega itself returns the half-dimension:")
 print("  Lambda(omega) =", st.Lambda(st.omega))
 
-print("\nLefschetz decomposition of a 3-form:")
-f = parse_form("e125 + e134 - e236", 6)
-dec = st.lefschetz_decompose(f, 3)
-for r, b in sorted(dec.components.items()):
-    print(f"  omega^{r} part: primitive {b}")
-print("  reconstruction exact:", dec.reconstruct() == f)
+print("\nLefschetz decomposition of a 3-form, one projection matrix per component:")
+f = parse_form("e125 + e236", 6)
+order, index = blade_index(6, 3)
+parts = {rs: form_from_coords(pi.apply(form_to_coords(f, index)), order, 6)
+         for rs, pi in st.projections(3).items()}
+for (r, s), part in parts.items():
+    print(f"  omega^{r}/{r}! ^ (primitive {s}-form): {part}")
+print("  the parts sum to the form:", sum(parts.values(), Form.zero(6)) == f)
+print("  the omega^0 part is primitive:", st.is_primitive(parts[0, 3]))
 
 print("\nprimitive basis sizes match the binomial difference:")
 for k in range(4):

@@ -21,9 +21,10 @@ All harmonic spaces, adjoints and decomposition checks are exact matrix
 computations over the primitive bases, each adjoint formed once per degree
 and direction.  Every matrix is an ``OperatorMatrix``, int columns over one
 denominator, so the Gram matrices, adjoints and Laplacians are int products
-scaled once.  The splitting-conjugation check reads J, del_plus and
-del_minus on the blades off their blade maps (``_blade_matrix``), the last
-two off the per-degree split of d, and H+R off the Lefschetz projections
+scaled once.  The splitting-conjugation check reads J on the blades off
+its blade map (``_blade_matrix``), del_plus and del_minus on the blades off
+the complex's per-degree matrices (``del_blades``: the split of d applied to
+each Lefschetz component C_r), and H+R off the Lefschetz projections
 (``scale_rs``), and compares matrix identities multiplied through by blade
 Gram matrices, so it inverts none.
 """
@@ -322,8 +323,7 @@ class HodgeTheory:
         n, st = self.n, self.st
         jk = _blade_matrix(self.triple.jay, k, k)
         jk1 = _blade_matrix(self.triple.jay, k + 1, k + 1)
-        m_dp = _blade_matrix(self.cx._del_blade[0], k, k + 1)
-        m_dm = _blade_matrix(self.cx._del_blade[1], k + 1, k)
+        m_dp, m_dm = self.cx.del_blades(k)[0], self.cx.del_blades(k + 1)[1]
         g_k, g_k1 = self.gram(k), self.gram(k + 1)
         s_hr_k = st.scale_rs(lambda r, s: n - r - s, k)
         details = []

@@ -4,28 +4,32 @@ Every identity is linear, so it holds exactly when it holds as a matrix
 equation on each degree.  Each side is an ``OperatorMatrix``, int columns
 over its own denominator, and the two are compared with ``==``, A/a = B/b
 as A b = B a.  The sides keep their own producers: d, L, Lambda and dLambda
-come from ``SymplecticComplex.op``; del_plus, del_minus and the symplectic
-star are read off their blade maps by ``symplectic._blade_matrix``; an
-eigenvalue operator sigma(H, R) is ``SymplecticStructure.scale_rs``, the sum
-of sigma(r, s) times the Lefschetz projections.  Degrees and blades are
-walked in the canonical order; only when the two sides differ are their
-columns compared, and the first differing column is the first
-counterexample blade; both its columns are rebuilt as forms for the
-detail.  The star reflection and the simplified expressions on primitive
-forms are checked on the primitive basis matrices.  The form-by-form
-battery is the test suite's oracle.
+come from ``SymplecticComplex.op``; del_plus and del_minus on the blades
+from ``SymplecticComplex.del_blades`` and the symplectic star from
+``SymplecticStructure.star_matrix``; an eigenvalue operator sigma(H, R) is
+``SymplecticStructure.scale_rs``, the sum of sigma(r, s) times the
+Lefschetz projections.  The last three are built from the same Lefschetz
+components C_r, which the "two routes" identities therefore share.  All
+are built once per degree and kept by the complex, so a second run builds
+nothing.  Degrees and blades are walked in the canonical order; only when
+the two sides differ are their columns compared, and the first differing
+column is the first counterexample blade; both its columns are rebuilt as
+forms for the detail.  The star reflection and the simplified expressions
+on primitive forms are checked on the primitive basis matrices.  The
+form-by-form battery, which decomposes each blade on its own, is the test
+suite's oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as F
-from functools import cache, partial
+from functools import partial
 from math import factorial
 
 from .exterior import Form, blade_index, form_from_coords
 from .linalg import OperatorMatrix
 from .reports import CheckResult
-from .symplectic import SymplecticComplex, _blade_matrix
+from .symplectic import SymplecticComplex
 
 
 def _differing(a: OperatorMatrix, b: OperatorMatrix) -> list[int]:
@@ -39,13 +43,6 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     details: list[str] = []
     ok = True
 
-    @cache
-    def blade_op(name: str, k: int) -> OperatorMatrix:
-        """del_plus, del_minus or the star from degree k, read once per run."""
-        images, to = {"del_plus": (cx.del_plus, k + 1), "del_minus": (cx.del_minus, k - 1),
-                      "star": (st._star_blade, dim - k)}[name]
-        return _blade_matrix(images, k, to)
-
     def one(k: int) -> OperatorMatrix:
         return OperatorMatrix.identity(len(blade_index(dim, k)[0]))
 
@@ -57,7 +54,7 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
         return out
 
     L, Lam, d, dL = (partial(cx.op, name) for name in ("L", "Lambda", "d", "dLambda"))
-    P, M, S = (partial(blade_op, name) for name in ("del_plus", "del_minus", "star"))
+    P, M, S = (lambda k: cx.del_blades(k)[0]), (lambda k: cx.del_blades(k)[1]), st.star_matrix
     sigma = st.scale_rs
 
     def check(name: str, shift: int, lhs, rhs) -> None:

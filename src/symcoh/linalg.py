@@ -409,10 +409,11 @@ class Subspace:
     def reduce(self, vec: Vec) -> Vec:
         """Residual of ``vec`` modulo the subspace: row p's multiple is vec[p].
         In ints: vec = V/e and the residual is (d·V − Σ V[p]·(d/q_p)·row p)/(d·e),
-        q_p row p's pivot entry, d their lcm.  An entry that no row used
-        touches stays as given, even a 0."""
+        q_p row p's pivot entry, d their lcm.  A 0 entry is dropped; any
+        other entry that no row used touches stays as given."""
         index, ints = self.index, self.ints
-        used = [p for p, c in vec.items() if c and p in index]
+        out = {j: c for j, c in vec.items() if c}
+        used = [p for p in out if p in index]
         e = lcm(*(v.denominator for v in vec.values()))
         big = vec if e == 1 else {j: v.numerator * (e // v.denominator) for j, v in vec.items()}
         d = lcm(*(ints[index[p]][p] for p in used))
@@ -422,7 +423,6 @@ class Subspace:
             f = big[p] * (d // r[p])
             for j, v in r.items():
                 total[j] = total.get(j, 0) + f * v
-        out = dict(vec)
         for j, t in total.items():
             w = d * big.get(j, 0) - t
             if w:

@@ -2,38 +2,54 @@
 
 ``SymplecticStructure`` wraps a non-degenerate 2-form: the sl(2) triple
 (L, Lambda, H), the Lefschetz decomposition into primitive pieces,
-primitive-form tests, bases and coordinates, and the symplectic star.
+primitive bases and coordinates, and the symplectic star.
 ``SymplecticComplex`` adds a Lie-algebra differential: d, its symplectic
 adjoint dLambda, and the degree +1/-1 pieces of d.
 
-L, Lambda, d, the star and del_plus/del_minus are memoised per blade in
-``exterior.BladeMap``s, and so is each blade's Lefschetz decomposition,
-keyed by (r, s).  The complex's one operator cache (``op``) reads d, L and
-Lambda on each degree off those images once, as ``OperatorMatrix``es that
-carry their own denominators; dLambda is their product.  ``SymplecticStructure.split``
-splits any degree +1 operator that commutes with L into its two pieces on
-the primitive basis; applied to d it gives del_plus and del_minus
-(``del_images``), applied to xi ^ it gives the symbols of the primitive
-complex (``symbolcheck``).  ``prim_matrix`` reads such blade-coordinate
-columns in primitive coordinates.  del_plus and del_minus on a blade read
-each of its Lefschetz components' pieces off the ``del_images`` columns at
-the component's primitive coordinates, so the form-level operators and the
-matrices come from one split of d.  Scalar operators such as 1/(H+2R+1), R
-counting the omega wedges, act by eigenvalue on each Lefschetz component.
-``projections`` reads the projection onto each (r, s) component once per
-degree off the kept decompositions, and ``scale_rs`` sums them weighted by
-the eigenvalue, evaluating it only on blocks that do not vanish.
+Every operator is an ``OperatorMatrix`` on each degree, int columns over
+one denominator, built once and kept in its owner's operator cache (``op``
+and ``_ops``); no cached matrix holds the structure or the complex.  L,
+Lambda and d are read off their blade images (``exterior.BladeMap``);
+dLambda is their product.  The Lefschetz decomposition is linear: on
+degree k its component r is C_r = sum over l of c_{r,l} L^l Lambda^{r+l},
+the closed sl(2) formula (``lefschetz_components``), and with s = k-2r
+every other Lefschetz operator is a sum of powers of L applied to the C_r,
+summed by Horner's rule:
+
+- the projection onto the (r, s) component, Pi_{r,s} = L^r C_r / r!
+  (``projections``); a scalar operator such as 1/(H+2R+1), R counting the
+  omega wedges, is the sum of its eigenvalues times the projections
+  (``scale_rs``), evaluated only on blocks that do not vanish;
+- the star on degree k, the sum over r of (-1)^{s(s+1)/2} L^{n-r-s} C_r /
+  (n-r-s)! (``star_matrix``);
+- del_plus and del_minus on the blades, the sums over r of L^r/r! P_s C_r
+  and L^r/r! M_s C_r, C_r read in primitive coordinates (``del_blades``).
+
+``SymplecticStructure.split`` splits any degree +1 operator that commutes
+with L into its two pieces on the primitive basis; applied to d it gives
+(P_s, M_s) (``del_images``), applied to xi ^ it gives the symbols of the
+primitive complex (``symbolcheck``).  ``prim_matrix`` reads such
+blade-coordinate columns in primitive coordinates.  The form-level star,
+del_plus and del_minus apply these matrices degree by degree; the
+form-by-form Lefschetz decomposition is the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import factorial as _factorial, lcm
+from functools import partial, partialmethod
+from math import factorial as _factorial, lcm, prod
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
-from .exterior import BladeMap, Form, blade_index, form_from_coords, form_to_coords
+from .exterior import (
+    BladeMap,
+    DimensionMismatchError,
+    Form,
+    blade_index,
+    form_from_coords,
+    form_to_coords,
+)
 from .linalg import OperatorMatrix, Subspace, det, kernel
 
 RS = Callable[[int, int], int | Fraction]
@@ -45,34 +61,6 @@ class NotSymplecticError(ValueError):
     def __init__(self, message: str, reason: str):
         super().__init__(message)
         self.reason = reason  # "not_2form" | "degenerate" | "not_closed"
-
-
-class LefschetzComponents:
-    """Primitive components of a homogeneous form.
-
-    ``components[r]`` is the primitive (k-2r)-form whose r-fold omega wedge
-    (divided by r!) contributes to the form; reconstruction is exact and is
-    checked at construction, as is primitivity of every component.
-    """
-
-    __slots__ = ("structure", "degree", "components")
-
-    def __init__(self, structure: "SymplecticStructure", degree: int,
-                 components: dict[int, Form], original: Form):
-        self.structure = structure
-        self.degree = degree
-        self.components = components
-        for r, b in components.items():
-            if not structure.is_primitive(b):
-                raise AssertionError(f"component r={r} is not primitive: {b}")
-        if self.reconstruct() != original:
-            raise AssertionError("Lefschetz reconstruction does not match input")
-
-    def reconstruct(self) -> Form:
-        out = Form.zero(self.structure.dim)
-        for r, b in self.components.items():
-            out = out + self.structure.L_power(b, r) / _factorial(r)
-        return out
 
 
 class SymplecticStructure:
@@ -110,11 +98,6 @@ class SymplecticStructure:
                  for i in range(self.dim) for j in range(i + 1, self.dim) if self.inverse[i][j]]
         self._L_blade = BladeMap(self.dim, lambda _, m: omega.wedge(Form(omega.dim, {m: 1})))
         self._Lambda_blade = BladeMap(self.dim, partial(self._Lambda_of_blade, pairs))
-        # per blade: its Lefschetz components keyed by (r, s), a memo never applied, and its star
-        self._pieces = BladeMap(self.dim, partial(
-            self._pieces_of_blade, self._L_blade, self._Lambda_blade, self.n))
-        self._star_blade = BladeMap(self.dim, partial(
-            self._star_of_blade, self._pieces, self._L_blade, self.n))
         if not self.volume():
             raise NotSymplecticError("omega^n vanishes", "degenerate")
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
@@ -161,60 +144,53 @@ class SymplecticStructure:
 
     # -- Lefschetz decomposition ------------------------------------------
 
-    def _decompose_degree(self, a: Form, k: int) -> dict[int, Form]:
-        """Primitive components of a homogeneous degree-k form (closed formula)."""
-        return self._decompose(self._L_blade, self._Lambda_blade, self.n, a, k)
+    def lefschetz_components(self, k: int) -> dict[int, OperatorMatrix]:
+        """C_r on degree k, keyed by r: the map to the primitive
+        (k-2r)-form b_r, where a degree-k form is the sum of L^r b_r / r!.
+        A C_r that is 0 is left out.  Built once per degree."""
+        if ("C", k) not in self._ops:
+            lam = [OperatorMatrix.identity(_size(self.dim, k))]
+            for j in range(k // 2):
+                lam.append(self.op("Lambda", k - 2 * j) @ lam[-1])
+            self._ops["C", k] = {r: c for r in range(max(k - self.n, 0), k // 2 + 1)
+                                 if not (c := self._component(lam, k, r)).is_zero()}
+        return self._ops["C", k]
 
-    @staticmethod
-    def _decompose(L: BladeMap, Lam: BladeMap, n: int, a: Form, k: int) -> dict[int, Form]:
-        comps: dict[int, Form] = {}
-        if a.is_zero():
-            return comps
-        max_pow = k // 2
-        lam_pows = [a]
-        for _ in range(max_pow):
-            lam_pows.append(Lam(lam_pows[-1]))
-        for r in range(max(k - n, 0), max_pow + 1):
-            m = n - k + 2 * r + 1
-            denom_r = 1
-            for i in range(r + 1):
-                denom_r *= m - i
-            b = Form.zero(a.dim)
-            denom_l = 1
-            for l in range(max_pow - r + 1):
-                denom_l *= m + l
-                coeff = Fraction((-1) ** l * m * m, denom_r * denom_l * _factorial(l))
-                term = lam_pows[r + l]
-                if term:
-                    b = b + _power(L, term, l) * coeff
-            if b:
-                comps[r] = b
-        return comps
+    def _component(self, lam: list[OperatorMatrix], k: int, r: int) -> OperatorMatrix:
+        """C_r on degree k by the closed sl(2) formula, from lam[j] =
+        Lambda^j on degree k: the sum over l of (-1)^l m^2 L^l Lambda^{r+l}
+        / (m (m-1) ... (m-r) m (m+1) ... (m+l) l!), m = n-k+2r+1."""
+        m = self.n - k + 2 * r + 1
+        den_r = prod(range(m - r, m + 1))
+        terms, den_l = [], 1
+        for l in range(len(lam) - r):
+            den_l *= m + l
+            terms.append((Fraction((-1) ** l * m * m, den_r * den_l * _factorial(l)), lam[r + l]))
+        return self._L_series(terms, k - 2 * r, lam[0].ncols)
 
-    @staticmethod
-    def _pieces_of_blade(L: BladeMap, Lam: BladeMap, n: int, images: BladeMap, mask: int) -> dict:
-        k = mask.bit_count()
-        comps = SymplecticStructure._decompose(L, Lam, n, Form(images.dim, {mask: 1}), k)
-        return {(r, k - 2 * r): b for r, b in comps.items()}
-
-    def lefschetz_decompose(self, a: Form, k: int | None = None) -> LefschetzComponents:
-        if a.is_zero():
-            return LefschetzComponents(self, k if k is not None else 0, {}, a)
-        if not a.is_homogeneous():
-            raise ValueError(f"form is not homogeneous: {a}")
-        deg = a.degree()
-        if k is not None and k != deg:
-            raise ValueError(f"form has degree {deg}, not {k}")
-        return LefschetzComponents(self, deg, self._decompose_degree(a, deg), a)
+    def _L_series(self, terms: list, j: int, ncols: int) -> OperatorMatrix:
+        """The sum of c L^i M over the (c, M) = terms[i], None for 0, each M
+        with values in degree j - 2i, by Horner's rule: one L product per
+        power of L."""
+        acc = None
+        for i in reversed(range(len(terms))):
+            step = [] if acc is None else [(1, self.op("L", j - 2 * i - 2) @ acc)]
+            if terms[i] is not None:
+                step.append(terms[i])
+            if step:
+                acc = OperatorMatrix.combination(step, _size(self.dim, j - 2 * i), ncols)
+        if acc is None:
+            return OperatorMatrix(_size(self.dim, j), ncols, [{} for _ in range(ncols)])
+        return acc
 
     def projections(self, k: int) -> dict[tuple[int, int], OperatorMatrix]:
         """The Lefschetz projections of degree k, keyed by (r, s): Pi_{r,s}
-        maps a blade to its (r, s) component L^r b / r!, b from ``_pieces``.
-        Built once per degree."""
+        = L^r C_r / r!.  Built once per degree."""
         if ("Pi", k) not in self._ops:
-            keys = sorted({rs for m in blade_index(self.dim, k)[0] for rs in self._pieces[m]})
-            self._ops["Pi", k] = {rs: _blade_matrix(BladeMap(self.dim, partial(
-                _lefschetz_piece, self._pieces, self._L_blade, rs)), k, k) for rs in keys}
+            self._ops["Pi", k] = {
+                (r, k - 2 * r): self._L_series([None] * r + [(Fraction(1, _factorial(r)), c)],
+                                               k, c.ncols)
+                for r, c in sorted(self.lefschetz_components(k).items())}
         return self._ops["Pi", k]
 
     def scale_rs(self, fn: RS, k: int, operand: OperatorMatrix | None = None) -> OperatorMatrix:
@@ -300,17 +276,22 @@ class SymplecticStructure:
 
     # -- symplectic star ----------------------------------------------------
 
-    @staticmethod
-    def _star_of_blade(pieces: BladeMap, L: BladeMap, n: int, images: BladeMap, mask: int) -> Form:
-        out = Form.zero(images.dim)
-        for (r, s), b in pieces[mask].items():
-            p = n - r - s
-            out = out + _power(L, b, p) * Fraction((-1) ** (s * (s + 1) // 2), _factorial(p))
-        return out
+    def star_matrix(self, k: int) -> OperatorMatrix:
+        """The star from degree k to 2n-k: the sum over r of
+        (-1)^{s(s+1)/2} L^{n-r-s} C_r / (n-r-s)!, s = k-2r.  Built once per
+        degree."""
+        if ("star", k) not in self._ops:
+            # C_r has values in degree k-2r = (2n-k) - 2i for the power i = n-r-s of L
+            terms = [None] * (self.n + 1)
+            for r, c in self.lefschetz_components(k).items():
+                s, i = k - 2 * r, self.n - k + r
+                terms[i] = (Fraction((-1) ** (s * (s + 1) // 2), _factorial(i)), c)
+            self._ops["star", k] = self._L_series(terms, self.dim - k, _size(self.dim, k))
+        return self._ops["star", k]
 
     def star(self, a: Form) -> Form:
         """Symplectic star: reflects Lefschetz components across the middle."""
-        return self._star_blade(a)
+        return _by_degree(a, self.dim, self.star_matrix, lambda k: self.dim - k)
 
     def volume(self) -> Form:
         """omega^n / n!."""
@@ -389,12 +370,12 @@ class SymplecticComplex:
     """A unimodular Lie-algebra differential together with a symplectic form.
 
     Provides d, the symplectic adjoint differential as a matrix (``op``),
-    and the two primitive pieces of d.  d is split once per degree
-    (``del_images``); on a form, del_plus and del_minus read each primitive
-    Lefschetz component's pieces off those columns.  The closed formulas
-    for the pieces, the star route for dLambda and the projection route,
-    which decomposes d of each component, are their oracles in the test
-    suite.
+    and the two primitive pieces of d.  d is split once per degree on the
+    primitive basis (``del_images``); del_plus and del_minus on the blades
+    read each Lefschetz component's pieces off that split (``del_blades``).
+    The closed formulas for the pieces, the star route for dLambda and the
+    projection route, which decomposes d of each component, are their
+    oracles in the test suite.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, omega: Form):
@@ -411,15 +392,6 @@ class SymplecticComplex:
         self.dim = algebra.dim
         self.n = self.structure.n
         self._ops: dict[tuple, OperatorMatrix | tuple] = {}
-        # per blade: both pieces of d, read off ``del_images``, a memo never applied;
-        # then each piece
-        self._del_pieces = BladeMap(self.dim, partial(
-            self._del_pieces_of_blade, self.structure, algebra._d_blade, self._ops))
-        self._del_blade = [BladeMap(self.dim, partial(
-            self._del_of_blade, self._del_pieces, which)) for which in (0, 1)]
-        # on a form: del_plus keeps the primitive part of d on each Lefschetz
-        # component, del_minus the omega-wedge part
-        self.del_plus, self.del_minus = self._del_blade
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -445,59 +417,52 @@ class SymplecticComplex:
         per complex, with dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
         if name not in ("d", "dLambda"):
             return self.structure.op(name, k)
-        if name == "d":
-            return self._d_op(self.algebra._d_blade, self._ops, k)
         if (name, k) not in self._ops:
-            self._ops[name, k] = (self.op("d", k - 2) @ self.op("Lambda", k)
-                                  - self.op("Lambda", k + 1) @ self.op("d", k))
+            self._ops[name, k] = (
+                _blade_matrix(self.algebra._d_blade, k, k + 1) if name == "d"
+                else self.op("d", k - 2) @ self.op("Lambda", k)
+                - self.op("Lambda", k + 1) @ self.op("d", k))
         return self._ops[name, k]
 
-    # ``op("d")`` and ``del_images`` on the cache dict alone, so that the
-    # per-blade del memo can build them without holding the complex
-    @staticmethod
-    def _d_op(d_blade: BladeMap, ops: dict, k: int) -> OperatorMatrix:
-        if ("d", k) not in ops:
-            ops["d", k] = _blade_matrix(d_blade, k, k + 1)
-        return ops["d", k]
-
-    @staticmethod
-    def _del_images(st: SymplecticStructure, d_blade: BladeMap, ops: dict,
-                    k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-        if ("del", k) not in ops:
-            ops["del", k] = st.split(SymplecticComplex._d_op(d_blade, ops, k), k)
-        return ops["del", k]
-
     # -- primitive pieces of d ----------------------------------------------
-
-    @staticmethod
-    def _del_pieces_of_blade(st: SymplecticStructure, d_blade: BladeMap, ops: dict,
-                             images: BladeMap, mask: int) -> tuple[Form, Form]:
-        """(del_plus, del_minus) of one blade: each Lefschetz component's two
-        pieces are the ``del_images`` columns at its primitive coordinates,
-        wedged with omega^r/r!."""
-        out = [Form.zero(st.dim), Form.zero(st.dim)]
-        for (r, s), b in st._pieces[mask].items():
-            coords = st.primitive_subspace(s).coordinates(
-                form_to_coords(b, blade_index(st.dim, s)[1]))
-            if coords is None:
-                raise AssertionError(f"Lefschetz component ({r}, {s}) is not primitive: {b}")
-            pieces = SymplecticComplex._del_images(st, d_blade, ops, s)
-            for which, (m, k) in enumerate(zip(pieces, (s + 1, s - 1))):
-                if col := m.apply(coords):
-                    piece = form_from_coords(col, blade_index(st.dim, k)[0], st.dim)
-                    out[which] = out[which] + st.L_power(piece, r) / _factorial(r)
-        return out[0], out[1]
-
-    @staticmethod
-    def _del_of_blade(pieces: BladeMap, which: int, images: BladeMap, mask: int) -> Form:
-        """Piece ``which`` (0: del_plus, 1: del_minus) of one blade."""
-        return pieces[mask][which]
 
     def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """``SymplecticStructure.split`` of d on degree k, built once: the
         columns of P and M are del_plus and del_minus of the primitive basis
         in blade coordinates."""
-        return self._del_images(self.structure, self.algebra._d_blade, self._ops, k)
+        if ("del", k) not in self._ops:
+            self._ops["del", k] = self.structure.split(self.op("d", k), k)
+        return self._ops["del", k]
+
+    def del_blades(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+        """(del_plus, del_minus) from the degree-k blades: the sum over r of
+        L^r/r! P_s C_r, and the same with M_s, where (P_s, M_s) =
+        ``del_images(s)``, s = k-2r, and C_r is read in primitive
+        coordinates.  Built once per degree."""
+        cached = self._ops.get(("del_blades", k))
+        if cached is None:
+            st = self.structure
+            comps = st.lefschetz_components(k)
+            terms = [[None] * (max(comps, default=-1) + 1) for _ in range(2)]
+            for r, c in comps.items():
+                s = k - 2 * r
+                st.check_primitive(c, s, f"Lefschetz component {r} of degree {k}")
+                prim = st.prim_matrix(c, s)
+                for t, piece in zip(terms, self.del_images(s)):
+                    t[r] = (Fraction(1, _factorial(r)), piece @ prim)
+            cached = self._ops["del_blades", k] = tuple(
+                st._L_series(t, k + step, _size(self.dim, k)) for t, step in zip(terms, (1, -1)))
+        return cached
+
+    def _del_piece(self, which: int, a: Form) -> Form:
+        """Piece ``which`` of d on a form, 0 for del_plus and 1 for
+        del_minus, through ``del_blades``."""
+        return _by_degree(a, self.dim, lambda k: self.del_blades(k)[which],
+                          lambda k: k + 1 - 2 * which)
+
+    # on a form: del_plus keeps the primitive part of d on each Lefschetz
+    # component, del_minus the omega-wedge part
+    del_plus, del_minus = partialmethod(_del_piece, 0), partialmethod(_del_piece, 1)
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive
@@ -510,17 +475,30 @@ class SymplecticComplex:
             cached = self._ops["del_matrices", k] = (prim(dp, k + 1), prim(dm, k - 1))
         return cached
 
+
 def _power(op: BladeMap, a: Form, r: int) -> Form:
     for _ in range(r):
         a = op(a)
     return a
 
 
-def _lefschetz_piece(pieces: BladeMap, L: BladeMap, rs: tuple[int, int],
-                     images: BladeMap, mask: int) -> Form:
-    """The (r, s) component L^r b / r! of one blade, b from ``pieces``."""
-    b = pieces[mask].get(rs)
-    return _power(L, b, rs[0]) / _factorial(rs[0]) if b else Form.zero(images.dim)
+def _size(dim: int, k: int) -> int:
+    """The number of degree-k blades; 0 outside 0..dim."""
+    return len(blade_index(dim, k)[0])
+
+
+def _by_degree(a: Form, dim: int, matrix: Callable[[int], OperatorMatrix],
+               to: Callable[[int], int]) -> Form:
+    """The form whose degree to(k) part is matrix(k) applied to the degree-k
+    part of a, in blade coordinates."""
+    if a.dim != dim:
+        raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {dim}")
+    c = {}
+    for k in a.degrees():
+        order = blade_index(dim, to(k))[0]
+        col = matrix(k).apply(form_to_coords(a.grade(k), blade_index(dim, k)[1]))
+        c.update((order[i], v) for i, v in col.items())
+    return Form(dim, c)
 
 
 def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:

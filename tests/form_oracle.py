@@ -25,11 +25,24 @@ before ``SymplecticStructure.split`` and ``prim_matrix``:
 * ``prim_op_matrix`` builds a matrix in primitive coordinates one basis
   form at a time, and ``symbol_maps`` the whole symbol sequence with it.
 
-And it keeps the Lefschetz routes the engine used before it kept each
-blade's primitive components: ``components`` decomposes every degree of a
-form by the closed formula on each call, and ``apply_rs``, ``star``,
-``del_plus`` and ``del_minus`` read those components, where the engine
-sums, or applies, the components it keeps for each blade.
+And it keeps the form-level Lefschetz decomposition, where the engine
+builds the decomposition of each degree as matrices C_r, products of its
+L and Lambda matrices (``SymplecticStructure.lefschetz_components``):
+``decompose_degree`` applies the same closed formula to one homogeneous
+form with the engine's L and Lambda blade maps, and
+``lefschetz_decompose`` wraps it in ``LefschetzComponents``, which checks
+that each component is primitive and that they rebuild the form.
+``components`` decomposes every degree of a form on each call, and
+``apply_rs``, ``star``, ``del_plus`` and ``del_minus`` read those
+components.
+
+And it keeps the per-blade routes the engine used before its per-degree
+Lefschetz matrices: ``pieces_of_blade`` decomposes one blade, and
+``lefschetz_piece``, ``star_of_blade`` and ``del_pieces_of_blade`` (with
+``del_of_blade``) give the blade's column of a projection Pi_{r,s}, of the
+star and of del_plus and del_minus, the last by reading the per-degree
+split of d at each component's primitive coordinates.  ``on_blades``
+makes a matrix of such a per-blade route.
 
 And it keeps the projection route for the two pieces of d that the
 engine reads off the per-degree split (``SymplecticComplex.del_images``):
@@ -56,16 +69,16 @@ blade, where the engine reads the images its blade maps keep
 And it keeps the form-by-form identity battery (``identity_battery``) that
 the engine checks as per-degree matrix equations, with the form routes only
 it calls: ``memo_components`` and ``memo_apply_rs`` sum and scale the
-Lefschetz components the engine keeps per blade, as the engine's
-``components`` and ``apply_rs`` did, where the engine now sums the Lefschetz
-projections per degree (``SymplecticStructure.scale_rs``); ``d_lambda`` is
-d Lambda - Lambda d with the engine's blade maps; ``d_lambda_via_star``,
-``del_plus_formula`` and ``del_minus_formula`` are the second routes the
-battery compares; ``del_minus_primitive``, ``del_plus_primitive`` and
-``scale_by_degree`` give the simplified expressions on primitive forms.
-Every route reads the engine's blade maps, so a perturbed blade image makes
-the form battery and the engine's battery name the same first
-counterexample.
+columns of the engine's C_r blade by blade, where the engine sums the
+Lefschetz projections per degree (``SymplecticStructure.scale_rs``);
+``d_lambda`` is d Lambda - Lambda d with the engine's blade maps;
+``d_lambda_via_star``, ``del_plus_formula`` and ``del_minus_formula`` are
+the second routes the battery compares; ``del_minus_primitive``,
+``del_plus_primitive`` and ``scale_by_degree`` give the simplified
+expressions on primitive forms.  Every route reads the engine's operators,
+the blade maps of L, Lambda and d and the per-degree C_r, star and del
+matrices, so a perturbed blade image or matrix column makes the form
+battery and the engine's battery name the same first counterexample.
 """
 
 from __future__ import annotations
@@ -74,7 +87,8 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
-from symcoh.exterior import Form, blade_index, blade_indices, blades, contract, form_to_coords
+from symcoh.exterior import (
+    Form, blade_index, blade_indices, blades, contract, form_from_coords, form_to_coords)
 from symcoh.hodge import top_dual
 from symcoh.linalg import OperatorMatrix
 from symcoh.reports import CheckResult
@@ -182,11 +196,79 @@ def symbol_maps(st, xi: Form) -> list[OperatorMatrix]:
     return maps
 
 
+def decompose_degree(st, a: Form, k: int) -> dict[int, Form]:
+    """Primitive components of a homogeneous degree-k form by the closed
+    sl(2) formula, keyed by r: the sum over l of (-1)^l m^2 L^l Lambda^{r+l} a
+    / (m (m-1) ... (m-r) m (m+1) ... (m+l) l!), m = n-k+2r+1, applied form by
+    form with the engine's L and Lambda blade maps."""
+    comps: dict[int, Form] = {}
+    if a.is_zero():
+        return comps
+    n, max_pow = st.n, k // 2
+    lam_pows = [a]
+    for _ in range(max_pow):
+        lam_pows.append(st.Lambda(lam_pows[-1]))
+    for r in range(max(k - n, 0), max_pow + 1):
+        m = n - k + 2 * r + 1
+        denom_r = 1
+        for i in range(r + 1):
+            denom_r *= m - i
+        b = Form.zero(a.dim)
+        denom_l = 1
+        for l in range(max_pow - r + 1):
+            denom_l *= m + l
+            coeff = Fraction((-1) ** l * m * m, denom_r * denom_l * factorial(l))
+            term = lam_pows[r + l]
+            if term:
+                b = b + st.L_power(term, l) * coeff
+        if b:
+            comps[r] = b
+    return comps
+
+
+class LefschetzComponents:
+    """Primitive components of a homogeneous form.
+
+    ``components[r]`` is the primitive (k-2r)-form whose r-fold omega wedge
+    (divided by r!) contributes to the form; reconstruction is exact and is
+    checked at construction, as is primitivity of every component.
+    """
+
+    __slots__ = ("structure", "degree", "components")
+
+    def __init__(self, structure, degree: int, components: dict[int, Form], original: Form):
+        self.structure = structure
+        self.degree = degree
+        self.components = components
+        for r, b in components.items():
+            if not structure.is_primitive(b):
+                raise AssertionError(f"component r={r} is not primitive: {b}")
+        if self.reconstruct() != original:
+            raise AssertionError("Lefschetz reconstruction does not match input")
+
+    def reconstruct(self) -> Form:
+        out = Form.zero(self.structure.dim)
+        for r, b in self.components.items():
+            out = out + self.structure.L_power(b, r) / factorial(r)
+        return out
+
+
+def lefschetz_decompose(st, a: Form, k: int | None = None) -> LefschetzComponents:
+    if a.is_zero():
+        return LefschetzComponents(st, k if k is not None else 0, {}, a)
+    if not a.is_homogeneous():
+        raise ValueError(f"form is not homogeneous: {a}")
+    deg = a.degree()
+    if k is not None and k != deg:
+        raise ValueError(f"form has degree {deg}, not {k}")
+    return LefschetzComponents(st, deg, decompose_degree(st, a, deg), a)
+
+
 def components(st, a: Form) -> dict[tuple[int, int], Form]:
     """Primitive components of an arbitrary form, keyed by (r, s)."""
     out = {}
     for k in a.degrees():
-        for r, b in st._decompose_degree(a.grade(k), k).items():
+        for r, b in decompose_degree(st, a.grade(k), k).items():
             out[(r, k - 2 * r)] = b
     return out
 
@@ -218,7 +300,7 @@ def split_d_primitive(cx, b: Form, s: int) -> tuple[Form, Form]:
     db = d(cx.algebra, b)
     if db.is_zero():
         return z, z
-    comps = st._decompose_degree(db, s + 1)
+    comps = decompose_degree(st, db, s + 1)
     if any(r > 1 for r in comps):
         raise AssertionError(
             f"d of a primitive form has components beyond one omega wedge: {b}")
@@ -245,6 +327,56 @@ def del_minus(cx, a: Form) -> Form:
     """Degree -1 piece of d: keeps the omega-wedge part of d on each
     Lefschetz component."""
     return _del_piece(cx, a, 1)
+
+
+def pieces_of_blade(st, mask: int) -> dict[tuple[int, int], Form]:
+    """The Lefschetz components of one blade, keyed by (r, s)."""
+    k = mask.bit_count()
+    return {(r, k - 2 * r): b
+            for r, b in decompose_degree(st, Form(st.dim, {mask: 1}), k).items()}
+
+
+def lefschetz_piece(st, rs: tuple[int, int], mask: int) -> Form:
+    """The (r, s) component L^r b / r! of one blade."""
+    b = pieces_of_blade(st, mask).get(rs)
+    return st.L_power(b, rs[0]) / factorial(rs[0]) if b else Form.zero(st.dim)
+
+
+def star_of_blade(st, mask: int) -> Form:
+    """The star of one blade, from its components."""
+    out = Form.zero(st.dim)
+    for (r, s), b in pieces_of_blade(st, mask).items():
+        p = st.n - r - s
+        out = out + st.L_power(b, p) * Fraction((-1) ** (s * (s + 1) // 2), factorial(p))
+    return out
+
+
+def del_pieces_of_blade(cx, mask: int) -> tuple[Form, Form]:
+    """(del_plus, del_minus) of one blade: each Lefschetz component's two
+    pieces are the ``del_images`` columns at its primitive coordinates,
+    wedged with omega^r/r!."""
+    st = cx.structure
+    out = [Form.zero(st.dim), Form.zero(st.dim)]
+    for (r, s), b in pieces_of_blade(st, mask).items():
+        coords = prim_coords(st, b, s)
+        for which, (m, k) in enumerate(zip(cx.del_images(s), (s + 1, s - 1))):
+            if col := m.apply(coords):
+                piece = form_from_coords(col, blade_index(st.dim, k)[0], st.dim)
+                out[which] = out[which] + st.L_power(piece, r) / factorial(r)
+    return out[0], out[1]
+
+
+def del_of_blade(cx, which: int, mask: int) -> Form:
+    """Piece ``which`` (0: del_plus, 1: del_minus) of one blade."""
+    return del_pieces_of_blade(cx, mask)[which]
+
+
+def on_blades(image_of_blade, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
+    """The matrix whose column for each degree-k_from blade is
+    ``image_of_blade(mask)`` in degree-k_to blade coordinates."""
+    idx = blade_index(dim, k_to)[1]
+    return OperatorMatrix.from_columns(
+        [form_to_coords(image_of_blade(m), idx) for m in blade_index(dim, k_from)[0]], len(idx))
 
 
 def volume_norm(st):
@@ -322,14 +454,19 @@ def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
 
 def memo_components(st, a: Form) -> dict[tuple[int, int], Form]:
     """Primitive components of an arbitrary form, keyed by (r, s): the
-    sums of its blades' memoised components, with the zero sums dropped."""
+    sums of its blades' columns of the engine's C_r
+    (``SymplecticStructure.lefschetz_components``), with the zero sums
+    dropped."""
     st.omega._check_dim(a)
     sums: dict[tuple[int, int], dict] = {}
     for mask, v in a._c.items():
-        for rs, b in st._pieces[mask].items():
-            c = sums.setdefault(rs, {})
-            for m, w in b._c.items():
-                c[m] = c.get(m, 0) + v * w
+        k = mask.bit_count()
+        j = blade_index(st.dim, k)[1][mask]
+        for r, comp in st.lefschetz_components(k).items():
+            c = sums.setdefault((r, k - 2 * r), {})
+            order = blade_index(st.dim, k - 2 * r)[0]
+            for i, w in comp.cols[j].items():
+                c[order[i]] = c.get(order[i], 0) + v * Fraction(w, comp.den)
     return {rs: b for rs, c in sums.items() if (b := Form(st.dim, c))}
 
 

@@ -47,8 +47,9 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
 
 
 def reduce(sub: Subspace, vec: Vec) -> Vec:
-    """Residual of ``vec`` after eliminating this subspace's pivots."""
-    out = dict(vec)
+    """Residual of ``vec`` after eliminating this subspace's pivots, with
+    no 0 entry."""
+    out = {j: v for j, v in vec.items() if v}
     for p, row in zip(sub.pivots, sub.rows):
         c = out.get(p)
         if c:

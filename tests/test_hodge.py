@@ -17,7 +17,7 @@ from symcoh import (
 )
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.hodge import adjoint_in_bases, run_hodge_suite
-from symcoh.linalg import OperatorMatrix, Subspace, det
+from symcoh.linalg import OperatorMatrix, Subspace, det, image, vec_dot
 
 import form_oracle
 from form_oracle import matrix_on_blades
@@ -324,3 +324,57 @@ def test_metric_independence(nil_cx, nil_hodge):
 def test_full_hodge_suite(nil_cx):
     result = run_hodge_suite(nil_cx)
     assert result.passed, result.details
+
+
+# -- each structure check fails on a broken input ------------------------------------
+
+def test_hodge_decomposition_fails_on_a_non_orthogonal_gram(nil_cx):
+    """The primitive Gram swapped, after the harmonic spaces are built, for
+    G + u u^T with u = a + b, a harmonic and b a coimage vector: still
+    positive definite, but <a, b> becomes (a.u)(u.b), which is not 0."""
+    ht = HodgeTheory(nil_cx)
+    k, which = 1, "plus"
+    assert ht.check_hodge_decomposition(k, which).passed
+    a = ht.harmonic_space(k, which).ints[0]
+    b = image(ht._updown(which, k)[2]).ints[0]
+    g = ht.prim_gram(k)
+    u = {j: a.get(j, 0) + b.get(j, 0) for j in a.keys() | b.keys()}
+    bumped = g + OperatorMatrix(g.nrows, g.ncols, [{i: u_i * u.get(j, 0) for i, u_i in u.items()
+                                                    if u.get(j, 0)} for j in range(g.ncols)])
+    assert vec_dot(a, u) * vec_dot(u, b) != 0
+    rows = [[bumped.entry(i, j) for j in range(g.ncols)] for i in range(g.nrows)]
+    assert all(det([r[:m] for r in rows[:m]], m) > 0 for m in range(1, g.nrows + 1))
+    ht._prim_gram[k] = bumped
+    result = ht.check_hodge_decomposition(k, which)
+    assert not result.passed
+    assert set(result.details) == {"harmonic not orthogonal to coimage"}
+
+
+def test_harmonic_cross_check_fails_on_a_lost_adjoint(nil_cx):
+    """With the adjoint of the outgoing piece replaced by 0, the Laplacian
+    on P^1 is 0, and its kernel, all of P^1, is not ker(d) ^ ker(d*)."""
+    ht = HodgeTheory(nil_cx)
+    d_out, d_in, d_out_star, d_in_star = ht._updown("plus", 1)
+    assert not d_out_star.is_zero()
+    zero = OperatorMatrix(d_out_star.nrows, d_out_star.ncols, [{} for _ in d_out_star.cols])
+    ht._updowns["plus", 1] = (d_out, d_in, zero, d_in_star)
+    with pytest.raises(AssertionError, match="harmonic space differs"):
+        ht.harmonic_space(1, "plus")
+
+
+def test_hodge_suite_fails_on_a_singular_pairing(nil_cx, monkeypatch):
+    """A pairing matrix in degree 1 whose second column repeats its first."""
+    pairing = HodgeTheory.pairing_matrix
+
+    def singular(self, k, reps_plus, reps_minus):
+        pm = pairing(self, k, reps_plus, reps_minus)
+        if k == 1:
+            pm = OperatorMatrix(pm.nrows, pm.ncols, [pm.cols[0], pm.cols[0], *pm.cols[2:]],
+                                pm.den)
+            assert pm.rank() == pm.ncols - 1
+        return pm
+
+    monkeypatch.setattr(HodgeTheory, "pairing_matrix", singular)
+    result = run_hodge_suite(nil_cx)
+    assert not result.passed
+    assert result.details == ["k=1: pairing matrix rank-deficient"]

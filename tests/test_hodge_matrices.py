@@ -6,9 +6,9 @@ basis, and ``HodgeTheory.pairing_matrix`` wedges the power of omega onto
 each p+ form once; ``form_oracle.gram`` reads a blade Gram column off a
 starred blade, and ``form_oracle.wedge_gram`` and
 ``form_oracle.pairing_matrix`` wedge every pair.  ``check_jay_conjugation``
-reads del_plus and del_minus off their blade maps and compares its
-identities multiplied through by blade Gram matrices, so one perturbed
-blade image of either, or a perturbed Gram matrix, must still fail both
+reads del_plus and del_minus on the blades (``del_blades``) and compares
+its identities multiplied through by blade Gram matrices, so one perturbed
+blade column of either, or a perturbed Gram matrix, must still fail both
 comparisons.  Each adjoint is formed once per degree and direction in a
 Hodge suite run.
 """
@@ -17,7 +17,7 @@ import pytest
 
 import form_oracle
 from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
-from symcoh.exterior import Form, blade_index
+from symcoh.exterior import Form, blade_index, form_to_coords
 from symcoh import hodge as hodge_module
 from symcoh.hodge import CompatibleTriple, HodgeTheory, run_hodge_suite
 from symcoh.linalg import OperatorMatrix
@@ -88,8 +88,14 @@ def test_pairing_matrices_match_wedge_route(name):
 def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
     ht = hodge("N6", False)
     assert ht.check_jay_conjugation(1).passed
-    images = ht.cx._del_blade[("del_plus", "del_minus").index(which)]
-    images[blade] = images[blade] + extra
+    # del_plus from degree 1 and del_minus from degree 2 enter the check at k = 1
+    k = blade.bit_count()
+    m = ht.cx.del_blades(k)[("del_plus", "del_minus").index(which)]
+    j = blade_index(6, k)[1][blade]
+    col = dict(m.cols[j])
+    for i, v in form_to_coords(extra, blade_index(6, extra.degree())[1]).items():
+        col[i] = col.get(i, 0) + int(v * m.den)
+    m.cols[j] = {i: v for i, v in col.items() if v}
     result = ht.check_jay_conjugation(1)
     assert not result.passed
     assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",

@@ -3,10 +3,12 @@ form-by-form battery of ``form_oracle``.
 
 ``run_identity_suite`` checks each identity once per degree as an equation
 between two int matrices over their own denominators; the oracle applies
-each side to every blade.  Both read the engine's blade maps, so on every
-fixture, and after one perturbed blade image of L, Lambda, d, the star,
-del_plus or del_minus or one perturbed Lefschetz piece, the two must
-return the same result, detail for detail.  ``scale_rs`` is the
+each side to every blade.  Both read the engine's operators: the blade maps
+of L, Lambda and d, and the per-degree matrices of the star, del_plus,
+del_minus and the Lefschetz components C_r.  So on every fixture, and after
+one perturbed blade image of L, Lambda or d or one perturbed column of the
+star, del_plus, del_minus or a C_r, the two must return the same result,
+detail for detail.  ``scale_rs`` is the
 eigenvalue-operator route of the battery and of the Hodge suite's H+R: it
 must equal the oracle's ``apply_rs`` on every degree, and, like it, raise
 rather than scale a surviving component by an undefined eigenvalue.
@@ -51,25 +53,34 @@ def test_matrix_battery_equals_form_battery(name):
 
 def blade_maps(cx):
     st = cx.structure
-    return {"L": st._L_blade, "Lambda": st._Lambda_blade, "d": cx.algebra._d_blade,
-            "star": st._star_blade, "del_plus": cx._del_blade[0], "del_minus": cx._del_blade[1]}
+    return {"L": st._L_blade, "Lambda": st._Lambda_blade, "d": cx.algebra._d_blade}
 
 
-# one blade image per map, doubled; each fails a different set of identities
+def degree_matrices(cx):
+    """Each family's matrix from the degree-k blades, by k; "pieces" is
+    the C_r of the highest r."""
+    st = cx.structure
+    return {"star": st.star_matrix, "del_plus": lambda k: cx.del_blades(k)[0],
+            "del_minus": lambda k: cx.del_blades(k)[1],
+            "pieces": lambda k: (c := st.lefschetz_components(k))[max(c)]}
+
+
+# one blade image or blade column per family, doubled; each fails a
+# different set of identities
 PERTURBED = {"L": 0b1101, "Lambda": 0b101110, "d": 0b100000, "star": 0b1,
              "del_plus": 0b1000, "del_minus": 0b10100}
 
 
 def perturbed(family, mask):
     cx = build("N6")
-    if family == "pieces":
-        pieces = dict(cx.structure._pieces[mask])
-        rs = max(pieces)
-        pieces[rs] = pieces[rs] * 2
-        cx.structure._pieces[mask] = pieces
-    else:
+    if family in blade_maps(cx):
         images = blade_maps(cx)[family]
         images[mask] = images[mask] * 2
+    else:
+        k = mask.bit_count()
+        m = degree_matrices(cx)[family](k)
+        j = blade_index(cx.dim, k)[1][mask]
+        m.cols[j] = {i: 2 * v for i, v in m.cols[j].items()}
     return cx
 
 
@@ -128,26 +139,31 @@ def test_undefined_eigenvalue_on_a_surviving_component_raises():
 
 def test_both_batteries_raise_on_a_surviving_boundary_component():
     """A primitive 3-form added to Lambda of one 5-blade, after every
-    blade's Lefschetz pieces are kept, makes the del_minus formula's operand
-    keep a (0, 3) component: neither battery scales it by 0."""
+    degree's Lefschetz components are built, makes the del_minus formula's
+    operand keep a (0, 3) component: neither battery scales it by 0.  The
+    cached Lambda_5, built with the components, is dropped, so that both
+    batteries read the perturbed image."""
     for battery in (run_identity_suite, form_oracle.identity_battery):
         cx = build("N6")
         st = cx.structure
-        for mask in range(1 << cx.dim):
-            st._pieces[mask]
+        for k in range(cx.dim + 1):
+            st.lefschetz_components(k)
         st._Lambda_blade[0b11111] = st._Lambda_blade[0b11111] + Form.e(6, 1, 3, 5)
+        del st._ops["Lambda", 5]
         with pytest.raises(ZeroDivisionError):
             battery(cx)
 
 
 def test_battery_caches_are_freed_with_their_owners():
-    """The Lefschetz projections and the operator matrices hold neither the
-    complex nor the structure."""
+    """The Lefschetz components and projections, the star, del_plus and
+    del_minus matrices and the operator matrices hold neither the complex
+    nor the structure."""
     gc.disable()
     try:
         cx = build("N6")
         assert run_identity_suite(cx).passed
-        assert ("Pi", 2) in cx.structure._ops
+        assert {("C", 2), ("Pi", 2), ("star", 2)} <= cx.structure._ops.keys()
+        assert ("del_blades", 2) in cx._ops
         refs = [weakref.ref(cx), weakref.ref(cx.structure)]
         del cx
         assert [r() for r in refs] == [None, None]

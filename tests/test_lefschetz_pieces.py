@@ -1,14 +1,18 @@
-"""The memoised Lefschetz pieces against the form-level routes.
+"""The per-degree Lefschetz matrices against the form-level routes.
 
-``SymplecticStructure`` keeps each blade's primitive components, keyed by
-(r, s), and its symplectic star; ``SymplecticComplex`` keeps each blade's
-del_plus and del_minus.  The sums and scalings of the kept components
+``SymplecticStructure`` keeps, per degree, the Lefschetz components C_r of
+the closed sl(2) formula, and from them the projections Pi_{r,s} and the
+symplectic star; ``SymplecticComplex`` keeps del_plus and del_minus on the
+blades (``del_blades``).  Each matrix must equal the per-blade routes of
+``form_oracle``, which decompose one blade at a time by the closed formula
+on Forms, in every degree.  The sums and scalings of the C_r columns
 (``form_oracle.memo_components`` and ``memo_apply_rs``), ``star``,
-``del_plus`` and ``del_minus`` must equal the routes of ``form_oracle``,
-which decompose the whole form on every call, on random inhomogeneous forms.
-``memo_apply_rs`` sums the components of all blades before it applies fn, so
-the closed formula for del_minus, whose fn divides by n-r-s, is defined on an
-operand whose blades have components with n-r-s = 0 that cancel in the sum.
+``del_plus`` and ``del_minus`` must equal the routes of ``form_oracle``
+that decompose the whole form on every call, on random inhomogeneous forms.
+``memo_apply_rs`` sums the components of all blades before it applies fn,
+so the closed formula for del_minus, whose fn divides by n-r-s, is defined
+on an operand whose blades have components with n-r-s = 0 that cancel in
+the sum.
 """
 
 import gc
@@ -21,11 +25,12 @@ import pytest
 
 import form_oracle
 from symcoh import SymplecticComplex, parse_algebra
-from symcoh.exterior import DimensionMismatchError, Form
+from symcoh.exterior import DimensionMismatchError, Form, blade_index
 from symcoh.identities import run_identity_suite
 from symcoh.symplectic import SymplecticStructure, parse_omega
 
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
+from test_blade_map import SCRAMBLED_N6
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),
@@ -116,48 +121,52 @@ def test_boundary_components_cancel_before_scaling():
             == oracle_formulas(cx, f)[1]
 
 
-def count_splits_and_decompositions(monkeypatch):
+def count_splits_and_components(monkeypatch):
     """Record the degree of every ``SymplecticStructure.split`` call and
-    every ``_decompose`` call (the closed Lefschetz decomposition)."""
-    calls = {"split": [], "_decompose": 0}
-    split, decompose = SymplecticStructure.split, SymplecticStructure._decompose
+    the (k, r) of every C_r built (the closed Lefschetz decomposition)."""
+    calls = {"split": [], "component": []}
+    split, component = SymplecticStructure.split, SymplecticStructure._component
 
     def counting_split(self, d, k):
         calls["split"].append(k)
         return split(self, d, k)
 
-    def counting_decompose(*args):
-        calls["_decompose"] += 1
-        return decompose(*args)
+    def counting_component(self, lam, k, r):
+        calls["component"].append((k, r))
+        return component(self, lam, k, r)
 
     monkeypatch.setattr(SymplecticStructure, "split", counting_split)
-    monkeypatch.setattr(SymplecticStructure, "_decompose", staticmethod(counting_decompose))
+    monkeypatch.setattr(SymplecticStructure, "_component", counting_component)
     return calls
 
 
+def every_component(cx):
+    """Each (k, r) of the closed formula, in order."""
+    return [(k, r) for k in range(cx.dim + 1) for r in range(max(k - cx.n, 0), k // 2 + 1)]
+
+
 def test_second_identity_run_decomposes_nothing(monkeypatch):
-    """The first run splits d once in each degree 0..n and decomposes each
-    blade once; the second splits and decomposes nothing and adds no entry
+    """The first run splits d once in each degree 0..n and builds each C_r
+    once per (k, r); the second splits and builds nothing and adds no entry
     to the operator caches."""
     cx = build(*N8)
-    calls = count_splits_and_decompositions(monkeypatch)
+    calls = count_splits_and_components(monkeypatch)
     assert run_identity_suite(cx).passed
     assert sorted(calls["split"]) == list(range(cx.n + 1))
-    assert calls["_decompose"] == 1 << cx.dim
+    assert sorted(calls["component"]) == every_component(cx)
     calls["split"].clear()
-    calls["_decompose"] = 0
+    calls["component"].clear()
     caches = (len(cx._ops), len(cx.structure._ops))
     assert run_identity_suite(cx).passed
-    assert calls == {"split": [], "_decompose": 0}
+    assert calls == {"split": [], "component": []}
     assert (len(cx._ops), len(cx.structure._ops)) == caches
 
 
 def test_corrupted_star_image_is_named():
     cx = build(*FIXTURES["N6"])
-    st = cx.structure
-    e1 = Form.e(6, 1)
-    st.star(e1)
-    st._star_blade[0b1] = -st._star_blade[0b1]
+    star = cx.structure.star_matrix(1)
+    # e1 is the first 1-blade
+    star.cols[0] = {i: -v for i, v in star.cols[0].items()}
     result = run_identity_suite(cx)
     assert not result.passed
     assert any(d.startswith("star star = 1: first counterexample e1:") for d in result.details), \
@@ -166,15 +175,15 @@ def test_corrupted_star_image_is_named():
 
 def test_each_lefschetz_component_is_split_once(monkeypatch):
     """del_plus and del_minus of every blade read each component's pieces
-    off the one split of its degree: d is split once per degree, and only
-    the blades themselves are decomposed, never d of a component."""
+    off the one split of its degree: d is split once per degree, and each
+    C_r is built once per (k, r); d of a component is never decomposed."""
     cx = build(*FIXTURES["N6"])
-    calls = count_splits_and_decompositions(monkeypatch)
+    calls = count_splits_and_components(monkeypatch)
     for mask in range(1 << cx.dim):
         cx.del_plus(Form(cx.dim, {mask: 1}))
         cx.del_minus(Form(cx.dim, {mask: 1}))
     assert sorted(calls["split"]) == list(range(cx.n + 1))
-    assert calls["_decompose"] == 1 << cx.dim
+    assert sorted(calls["component"]) == every_component(cx)
 
 
 def test_identity_battery_reads_the_split_of_d():
@@ -191,15 +200,40 @@ def test_identity_battery_reads_the_split_of_d():
 
 
 def test_piece_maps_are_freed_with_their_owners():
+    """The per-degree Lefschetz, star and del matrices that the form-level
+    star, del_plus and del_minus build hold neither the complex nor the
+    structure."""
     gc.disable()
     try:
         cx = build(*FIXTURES["N6"])
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
         cx.star(f), cx.del_plus(f), cx.del_minus(f)
-        maps = (cx.structure._pieces, cx.structure._star_blade, cx._del_pieces, *cx._del_blade)
-        assert all(0b1011 in m for m in maps)
-        refs = [weakref.ref(m) for m in maps]
-        del cx, maps
-        assert [r() for r in refs] == [None] * len(refs)
+        assert {("C", 3), ("star", 3), ("C", 2), ("star", 2)} <= cx.structure._ops.keys()
+        assert {("del_blades", 3), ("del_blades", 2)} <= cx._ops.keys()
+        refs = [weakref.ref(cx), weakref.ref(cx.structure)]
+        del cx
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+MATRIX_FIXTURES = {"N6": FIXTURES["N6"], "N8": N8, "scrambled-N6": SCRAMBLED_N6}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_FIXTURES))
+def test_lefschetz_matrices_match_form_oracle(name):
+    """Every Pi_{r,s}, del_plus, del_minus and star matrix equals the
+    per-blade form route in every degree, keys included."""
+    cx = build(*MATRIX_FIXTURES[name])
+    st, dim = cx.structure, cx.dim
+    for k in range(dim + 1):
+        keys = {rs for m in blade_index(dim, k)[0] for rs in form_oracle.pieces_of_blade(st, m)}
+        assert list(st.projections(k)) == sorted(keys)
+        for rs, pi in st.projections(k).items():
+            assert pi == form_oracle.on_blades(
+                partial(form_oracle.lefschetz_piece, st, rs), dim, k, k), (k, rs)
+        assert st.star_matrix(k) == form_oracle.on_blades(
+            partial(form_oracle.star_of_blade, st), dim, k, dim - k), k
+        for which, step in ((0, 1), (1, -1)):
+            assert cx.del_blades(k)[which] == form_oracle.on_blades(
+                partial(form_oracle.del_of_blade, cx, which), dim, k, k + step), (k, which)

@@ -272,14 +272,19 @@ def test_coordinates_and_reduce():
 
 def test_reduce_keeps_untouched_entries_as_given():
     """``reduce`` works in ints but returns the rational residual: a touched
-    entry that cancels is dropped, and an entry that no basis row it uses
-    touches stays as given, an explicit 0 included."""
+    entry that cancels is dropped, an explicit 0 is dropped, and any other
+    entry that no basis row it uses touches stays as given.  So the zero
+    vector written with explicit zeros is in every subspace."""
     s = Subspace(3, [{0: 2, 2: 1}])
     assert s.ints == [{0: 2, 2: 1}] and s.rows == [{0: 1, 2: Fraction(1, 2)}]
-    assert s.reduce({0: Fraction(1, 2), 1: 0, 2: 1}) == {1: 0, 2: Fraction(3, 4)}
+    assert s.reduce({0: Fraction(1, 2), 1: 0, 2: 1}) == {2: Fraction(3, 4)}
     assert s.reduce({0: 4, 2: 2}) == {}
-    assert s.reduce({1: 0}) == {1: 0} and not s.contains({1: 0})
-    assert Subspace.zero(1).reduce({0: 0}) == {0: 0}
+    assert s.reduce({1: 3}) == {1: 3} and type(s.reduce({1: 3})[1]) is int
+    assert s.reduce({1: 0}) == {} and s.contains({1: 0})
+    assert Subspace.zero(1).reduce({0: 0}) == {}
+    assert Subspace.zero(2).contains({1: 0}) and Subspace.full(2).contains({0: 0})
+    assert Subspace(2, [{0: 1}]).contains({0: 1, 1: 0})
+    assert Subspace(2, [{0: 1}]).coordinates({0: 1, 1: 0}) == {0: 1}
 
 
 def test_solve_consistent_and_inconsistent():

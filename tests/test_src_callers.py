@@ -20,8 +20,10 @@ SRC = Path(symcoh.__file__).parent
 
 NO_SRC_CALLER = {
     "check_intersection_bounds", "check_low_degree_equivalence", "classes_span_equal",
-    "diagnostic_one_step_kernel", "omega_dependence", "lefschetz_decompose",
-    "integrate", "is_abelian", "support",
+    "diagnostic_one_step_kernel", "omega_dependence", "integrate", "is_abelian", "support",
+    # their one src caller, the Form-level Lefschetz decomposition and the
+    # per-blade del memo, moved to tests/form_oracle.py
+    "is_primitive", "is_homogeneous", "coordinates",
 }
 
 
