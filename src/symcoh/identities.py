@@ -29,7 +29,7 @@ from math import factorial
 from .exterior import Form, blade_index, form_from_coords
 from .linalg import OperatorMatrix
 from .reports import CheckResult
-from .symplectic import SymplecticComplex
+from .symplectic import SymplecticComplex, _size
 
 
 def _differing(a: OperatorMatrix, b: OperatorMatrix) -> list[int]:
@@ -44,7 +44,7 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     ok = True
 
     def one(k: int) -> OperatorMatrix:
-        return OperatorMatrix.identity(len(blade_index(dim, k)[0]))
+        return OperatorMatrix.identity(_size(dim, k))
 
     def Lp(k: int, r: int) -> OperatorMatrix:
         """L^r from degree k."""

@@ -37,7 +37,7 @@ form-by-form Lefschetz decomposition is the test suite's oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, partialmethod
+from functools import partial
 from math import factorial as _factorial, lcm, prod
 from typing import Callable
 
@@ -198,7 +198,7 @@ class SymplecticStructure:
         given.  fn is evaluated only on the blocks Pi_{r,s} operand that are
         not zero: a component that cancels is never scaled, and one that
         survives where fn divides by 0 raises."""
-        size = len(blade_index(self.dim, k)[0])
+        size = _size(self.dim, k)
         terms = [(fn(r, s), block) for (r, s), p in self.projections(k).items()
                  if not (block := p if operand is None else p @ operand).is_zero()]
         return OperatorMatrix.combination(terms, size, size if operand is None else operand.ncols)
@@ -460,9 +460,13 @@ class SymplecticComplex:
         return _by_degree(a, self.dim, lambda k: self.del_blades(k)[which],
                           lambda k: k + 1 - 2 * which)
 
-    # on a form: del_plus keeps the primitive part of d on each Lefschetz
-    # component, del_minus the omega-wedge part
-    del_plus, del_minus = partialmethod(_del_piece, 0), partialmethod(_del_piece, 1)
+    def del_plus(self, a: Form) -> Form:
+        """The primitive part of d on each Lefschetz component of a."""
+        return self._del_piece(0, a)
+
+    def del_minus(self, a: Form) -> Form:
+        """The omega-wedge part of d on each Lefschetz component of a."""
+        return self._del_piece(1, a)
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive

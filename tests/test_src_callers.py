@@ -24,6 +24,8 @@ NO_SRC_CALLER = {
     # their one src caller, the Form-level Lefschetz decomposition and the
     # per-blade del memo, moved to tests/form_oracle.py
     "is_primitive", "is_homogeneous", "coordinates",
+    # the Form-level route over del_blades, kept for demos 03/04 and the tests
+    "del_plus", "del_minus",
 }
 
 

@@ -6,8 +6,7 @@ the script prints the wall time, the peak RSS of that process and the first
 differs from the pinned one.  Standard library only; pytest does not
 collect it.
 
-    python tools/rung_hashes.py                  # every rung, once
-    python tools/rung_hashes.py --repeat 3 N12   # rungs whose name holds N12
+    python tools/rung_hashes.py                  # this checkout's source
     python tools/rung_hashes.py --src OTHER/src  # another checkout's source
 """
 
@@ -79,22 +78,17 @@ def run(argv: list[str], src: Path) -> tuple[float, float, str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("only", nargs="*", help="run only the rungs whose name holds one of these")
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                    help="the source directory to run (default: this checkout's src)")
-    p.add_argument("--repeat", type=int, default=1, help="runs per rung")
     args = p.parse_args(argv)
     mismatches = 0
     for name, rung_argv, pinned in RUNGS:
-        if args.only and not any(word in name for word in args.only):
-            continue
-        for _ in range(args.repeat):
-            wall, rss, prefix, code = run(rung_argv, args.src)
-            status = "ok" if prefix == pinned else f"MISMATCH, pinned {pinned}"
-            if code:
-                status += f", exit {code}"
-            mismatches += prefix != pinned
-            print(f"{name:<20} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
+        wall, rss, prefix, code = run(rung_argv, args.src)
+        status = "ok" if prefix == pinned else f"MISMATCH, pinned {pinned}"
+        if code:
+            status += f", exit {code}"
+        mismatches += prefix != pinned
+        print(f"{name:<20} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
     return 1 if mismatches else 0
 
 
