@@ -2,11 +2,12 @@
 
 A ``LieAlgebraSpec`` records, for each generator ``e_i`` of a 2n-dimensional
 dual space, its exterior derivative as a 2-form.  ``d`` extends to the whole
-exterior algebra as an anti-derivation.  Construction validates that d is a
-differential (d o d = 0 on every generator, i.e. the Jacobi identity) and
-that the algebra is unimodular (no (2n-1)-form has an exact top-degree part),
-so that top-coefficient extraction behaves like integration over a compact
-quotient.
+exterior algebra as an anti-derivation: d_k, from the degree-k blades, is an
+int matrix built once from the structure constants (``d_matrix``).
+Construction validates that d is a differential (d_2 d_1 = 0, d o d = 0 on
+every generator, i.e. the Jacobi identity) and that the algebra is
+unimodular (d_{2n-1}, into the top degree, is 0), so that top-coefficient
+extraction behaves like integration over a compact quotient.
 
 Nilpotency itself is deliberately not checked: the engine is correct for any
 unimodular Lie algebra.
@@ -26,13 +27,15 @@ import json
 from fractions import Fraction
 
 from .exterior import (
-    BladeMap,
     Form,
     FormParseError,
-    blade_from_indices,
-    blades,
+    _by_degree,
     _CHAR_TO_INDEX,
+    blade_from_indices,
+    blade_index,
+    blade_operator,
 )
+from .linalg import OperatorMatrix
 
 
 class AlgebraValidationError(ValueError):
@@ -42,7 +45,7 @@ class AlgebraValidationError(ValueError):
 class LieAlgebraSpec:
     """Dimension 2n plus the differential of each generator as a 2-form."""
 
-    __slots__ = ("dim", "differentials", "_d_blade")
+    __slots__ = ("dim", "differentials", "_d_ops")
 
     def __init__(self, differentials: list[Form]):
         dim = len(differentials)
@@ -56,41 +59,39 @@ class LieAlgebraSpec:
                 raise AlgebraValidationError(f"d(e_{i}) must be a 2-form, got {f}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "differentials", tuple(differentials))
-        object.__setattr__(self, "_d_blade", BladeMap(dim, self._d_of_blade, {0: Form.zero(dim)}))
-        self._d_blade.update({1 << i: f for i, f in enumerate(differentials)})
+        object.__setattr__(self, "_d_ops", {})
         self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebraSpec is immutable")
 
     def _validate(self):
-        for i in range(1, self.dim + 1):
-            dd = self.d(self.differentials[i - 1])
-            if dd:
+        for i, col in enumerate((self.d_matrix(2) @ self.d_matrix(1)).cols):
+            if col:
                 raise AlgebraValidationError(
-                    f"d(d(e_{i})) = {dd} != 0: structure constants violate the Jacobi identity")
-        top = (1 << self.dim) - 1
-        for beta in blades(self.dim, self.dim - 1):
-            c = self.d(Form(self.dim, {beta: 1})).coeff(top)
-            if c:
+                    f"d(d(e_{i + 1})) = {self.d(self.differentials[i])} != 0: "
+                    "structure constants violate the Jacobi identity")
+        for beta, col in zip(blade_index(self.dim, self.dim - 1)[0],
+                             self.d_matrix(self.dim - 1).cols):
+            if col:
                 raise AlgebraValidationError(
                     "algebra is not unimodular: d of a codimension-one form has "
                     f"a top-degree part ({Form(self.dim, {beta: 1})})")
 
     # -- the differential ----------------------------------------------
 
-    @staticmethod
-    def _d_of_blade(images: BladeMap, mask: int) -> Form:
-        """Image of a blade of degree >= 2 by the Leibniz rule on its lowest
-        factor e_i: d(e_i ^ rest) = d(e_i) ^ rest - e_i ^ d(rest)."""
-        low = mask & -mask
-        rest = mask ^ low
-        return (images[low].wedge(Form(images.dim, {rest: 1}))
-                - Form(images.dim, {low: 1}).wedge(images[rest]))
+    def d_matrix(self, k: int) -> OperatorMatrix:
+        """d from the degree-k blades, built once: d e_I is the sum over its
+        factors e_i of d(e_i) ^ (e_I with e_i contracted), one term for each
+        term of each d(e_i)."""
+        if k not in self._d_ops:
+            self._d_ops[k] = blade_operator(self.dim, k, k + 1, [
+                (1 << i, m, c) for i, f in enumerate(self.differentials) for m, c in f.items()])
+        return self._d_ops[k]
 
     def d(self, a: Form) -> Form:
         """Exterior derivative, extended as an anti-derivation."""
-        return self._d_blade(a)
+        return _by_degree(a, self.dim, self.d_matrix, lambda k: k + 1)
 
     def integrate(self, a: Form):
         """Coefficient of e_{1..2n}; the volume class is normalized to 1."""

@@ -285,10 +285,9 @@ class CohomologyCalculator:
         """Matrix of wedging with omega^power on classes: H^k -> H^{k+2*power}."""
         src = self.group("dR", k)
         dst = self.group("dR", k + 2 * power)
-        w_pow = self.st.L_power(Form.scalar(self.dim, 1), power)
         cols = []
         for rep in src.representatives:
-            target = w_pow.wedge(rep)
+            target = self.st.L_power(rep, power)
             coords = self.class_coordinates(dst, target)
             if coords is None:
                 raise AssertionError("image of a closed form is not closed")

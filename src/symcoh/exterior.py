@@ -21,7 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from math import gcd, lcm
+from typing import Callable, Iterable
+
+from .linalg import OperatorMatrix
 
 MAX_DIM = 15
 
@@ -80,17 +83,19 @@ def blade_str(mask: int) -> str:
     return "e" + "".join(_INDEX_CHARS[i - 1] for i in blade_indices(mask))
 
 
+def _below(mask: int) -> int:
+    """The bits below an odd number of the bits of mask."""
+    out = 0
+    while mask:
+        out ^= (mask & -mask) - 1
+        mask &= mask - 1
+    return out
+
+
 def wedge_sign(a: int, b: int) -> int:
-    """Sign of e_A ^ e_B for disjoint blades: parity of index inversions."""
-    sign = 1
-    x = b
-    while x:
-        low = x & -x
-        # indices of `a` strictly greater than this index of `b`
-        if (a >> low.bit_length()).bit_count() & 1:
-            sign = -sign
-        x ^= low
-    return sign
+    """Sign of e_A ^ e_B for disjoint blades: parity of index inversions,
+    the pairs of an index of B below one of A."""
+    return -1 if (b & _below(a)).bit_count() & 1 else 1
 
 
 def blades(dim: int, k: int) -> list[int]:
@@ -322,6 +327,50 @@ class BladeMap(dict):
         return Form(a.dim, c)
 
 
+def blade_operator(dim: int, k_from: int, k_to: int, terms: list) -> OperatorMatrix:
+    """The matrix, over the least denominator, from the degree-k_from to the
+    degree-k_to blades of the sum over the (need, add, c) in ``terms`` of c
+    e_add ^ after contracting e_need's factors from the left, highest first:
+    e_mask holding need and not add goes to +-c e_{mask ^ need ^ add}."""
+    den = lcm(*(c.denominator for _, _, c in terms))
+    ints = [(need, add, _below(need) ^ _below(add), (-1) ** (need & _below(add)).bit_count()
+             * c.numerator * (den // c.denominator)) for need, add, c in terms]
+    idx = blade_index(dim, k_to)[1]
+    cols = []
+    for mask in blade_index(dim, k_from)[0]:
+        col: dict[int, int] = {}
+        for need, add, signs, c in ints:
+            if mask & need == need and not (mask ^ need) & add:
+                i = idx[mask ^ need ^ add]
+                col[i] = col.get(i, 0) + (-c if (mask & signs).bit_count() & 1 else c)
+        cols.append({i: v for i, v in col.items() if v})
+    g = gcd(den, *(v for c in cols for v in c.values()))
+    return OperatorMatrix(len(idx), len(cols), [{i: v // g for i, v in c.items()} for c in cols],
+                          den // g)
+
+
+def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
+    """The matrix of a blade map from degree k_from to k_to, read off the
+    map's memoised blade images."""
+    idx = blade_index(images.dim, k_to)[1]
+    return OperatorMatrix.from_columns([form_to_coords(images[m], idx)
+                                        for m in blade_index(images.dim, k_from)[0]], len(idx))
+
+
+def _by_degree(a: Form, dim: int, matrix: Callable[[int], OperatorMatrix],
+              to: Callable[[int], int]) -> Form:
+    """The form whose degree to(k) part is matrix(k) applied to the degree-k
+    part of a, in blade coordinates."""
+    if a.dim != dim:
+        raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {dim}")
+    c = {}
+    for k in a.degrees():
+        order = blade_index(dim, to(k))[0]
+        col = matrix(k).apply(form_to_coords(a.grade(k), blade_index(dim, k)[1]))
+        c.update((order[i], v) for i, v in col.items())
+    return Form(dim, c)
+
+
 def grade_project(a: Form, k: int) -> Form:
     if not 0 <= k <= a.dim:
         raise ValueError(f"degree {k} out of range 0..{a.dim}")
@@ -332,10 +381,6 @@ def grade_project(a: Form, k: int) -> Form:
 # printing / parsing
 # ---------------------------------------------------------------------------
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def form_to_str(a: Form) -> str:
     if a.is_zero():
         return "0"
@@ -344,11 +389,11 @@ def form_to_str(a: Form) -> str:
         neg = c < 0
         mag = -c if neg else c
         if mask == 0:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = blade_str(mask)
         else:
-            body = f"{_coeff_str(mag)}*{blade_str(mask)}"
+            body = f"{mag}*{blade_str(mask)}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

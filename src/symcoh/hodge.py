@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import CohomologyCalculator
-from .exterior import BladeMap, Form, wedge_sign
+from .exterior import BladeMap, Form, _blade_matrix, wedge_sign
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -45,7 +45,7 @@ from .linalg import (
     vec_dot,
 )
 from .reports import CheckResult
-from .symplectic import SymplecticComplex, SymplecticStructure, _blade_matrix, _factorial
+from .symplectic import SymplecticComplex, SymplecticStructure, _factorial
 
 
 def _pairing(w: list[list[Fraction]], x: dict, y: dict) -> Fraction:
@@ -352,11 +352,10 @@ class HodgeTheory:
                        reps_minus: list[Form]) -> OperatorMatrix:
         """Gram matrix of the duality pairing between degree-k classes:
         entry (i, j) integrates omega^(n-k)/(n-k)! ^ b_plus_i ^ b_minus_j.
-        Each b_plus_i is wedged onto the power once, and the top
+        Each b_plus_i is lifted by L^(n-k)/(n-k)! once, and the top
         coefficient is read with ``top_dual`` of b_minus_j."""
-        power = self.st.L_power(Form.scalar(self.dim, 1), self.n - k) \
-            / _factorial(self.n - k)
-        lifted = [power.wedge(b_plus)._c for b_plus in reps_plus]
+        lifted = [(self.st.L_power(b_plus, self.n - k) / _factorial(self.n - k))._c
+                  for b_plus in reps_plus]
         cols = []
         for b_minus in reps_minus:
             dual = top_dual(b_minus)

@@ -42,16 +42,17 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     dim, n = cx.dim, cx.n
     details: list[str] = []
     ok = True
+    powers: dict[tuple[int, int], OperatorMatrix] = {}
 
     def one(k: int) -> OperatorMatrix:
         return OperatorMatrix.identity(_size(dim, k))
 
     def Lp(k: int, r: int) -> OperatorMatrix:
-        """L^r from degree k."""
-        out = one(k)
-        for i in range(r):
-            out = L(k + 2 * i) @ out
-        return out
+        """L^r from degree k, kept for the run: L^i = L_{k+2i-2} L^{i-1}."""
+        for i in range(r + 1):
+            if (k, i) not in powers:
+                powers[k, i] = L(k + 2 * i - 2) @ powers[k, i - 1] if i else one(k)
+        return powers[k, r]
 
     L, Lam, d, dL = (partial(cx.op, name) for name in ("L", "Lambda", "d", "dLambda"))
     P, M, S = (lambda k: cx.del_blades(k)[0]), (lambda k: cx.del_blades(k)[1]), st.star_matrix

@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exterior import BladeMap, Form
+from .exterior import Form, blade_operator
 from .linalg import OperatorMatrix, Subspace, image, kernel
 from .reports import CheckResult
-from .symplectic import SymplecticStructure, _blade_matrix, standard_omega
+from .symplectic import SymplecticStructure, standard_omega
 
 DEFAULT_SEED = 1729
 
@@ -61,10 +61,8 @@ def _basis_symbols(n: int) -> tuple[list[list[tuple]], list[OperatorMatrix]]:
     pieces: list[list[tuple]] = [[] for _ in range(n + 1)]
     wedges = []
     for i in range(2 * n):
-        e = Form.e(2 * n, i + 1)
-        wedge = BladeMap(2 * n, lambda _, m: e.wedge(Form(2 * n, {m: 1})))
         for k in range(n + 1):
-            w = _blade_matrix(wedge, k, k + 1)
+            w = blade_operator(2 * n, k, k + 1, [(0, 1 << i, 1)])
             pieces[k].append(st.split(w, k))
             if k == n - 1:
                 wedges.append(w)

@@ -9,9 +9,10 @@ adjoint dLambda, and the degree +1/-1 pieces of d.
 Every operator is an ``OperatorMatrix`` on each degree, int columns over
 one denominator, built once and kept in its owner's operator cache (``op``
 and ``_ops``); no cached matrix holds the structure or the complex.  L,
-Lambda and d are read off their blade images (``exterior.BladeMap``);
-dLambda is their product.  The Lefschetz decomposition is linear: on
-degree k its component r is C_r = sum over l of c_{r,l} L^l Lambda^{r+l},
+Lambda and d are built on the blade masks (``exterior.blade_operator``)
+from omega, its inverse and the structure constants; dLambda is their
+product.  The Lefschetz decomposition is linear: on degree k its
+component r is C_r = sum over l of c_{r,l} L^l Lambda^{r+l},
 the closed sl(2) formula (``lefschetz_components``), and with s = k-2r
 every other Lefschetz operator is a sum of powers of L applied to the C_r,
 summed by Horner's rule:
@@ -29,9 +30,9 @@ summed by Horner's rule:
 with L into its two pieces on the primitive basis; applied to d it gives
 (P_s, M_s) (``del_images``), applied to xi ^ it gives the symbols of the
 primitive complex (``symbolcheck``).  ``prim_matrix`` reads such
-blade-coordinate columns in primitive coordinates.  The form-level star,
-del_plus and del_minus apply these matrices degree by degree; the
-form-by-form Lefschetz decomposition is the test suite's oracle.
+blade-coordinate columns in primitive coordinates.  The form-level L,
+Lambda, d, star, del_plus and del_minus apply these matrices degree by
+degree; the form-by-form Lefschetz decomposition is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import (
-    BladeMap,
-    DimensionMismatchError,
     Form,
+    _by_degree,
     blade_index,
+    blade_indices,
+    blade_operator,
     form_from_coords,
-    form_to_coords,
 )
 from .linalg import OperatorMatrix, Subspace, det, kernel
 
@@ -81,9 +82,8 @@ class SymplecticStructure:
         self.n = self.dim // 2
         w = [[Fraction(0)] * self.dim for _ in range(self.dim)]
         for mask, c in omega.items():
-            i, j = [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
-            w[i - 1][j - 1] = c
-            w[j - 1][i - 1] = -c
+            i, j = blade_indices(mask)
+            w[i - 1][j - 1], w[j - 1][i - 1] = c, -c
         self.matrix = w
         if det(w, self.dim) == 0:
             raise NotSymplecticError(
@@ -94,53 +94,38 @@ class SymplecticStructure:
         if winv @ self.omega_matrix != OperatorMatrix.identity(self.dim):
             raise AssertionError("inverse bivector check failed")
         self.inverse = [[winv.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        pairs = [(i, j, self.inverse[i][j])
-                 for i in range(self.dim) for j in range(i + 1, self.dim) if self.inverse[i][j]]
-        self._L_blade = BladeMap(self.dim, lambda _, m: omega.wedge(Form(omega.dim, {m: 1})))
-        self._Lambda_blade = BladeMap(self.dim, partial(self._Lambda_of_blade, pairs))
-        if not self.volume():
-            raise NotSymplecticError("omega^n vanishes", "degenerate")
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
         self._ops: dict[tuple, OperatorMatrix | dict] = {}
+        if not self.volume():
+            raise NotSymplecticError("omega^n vanishes", "degenerate")
 
     # -- sl(2) action ----------------------------------------------------
 
-    @staticmethod
-    def _Lambda_of_blade(pairs, images: BladeMap, mask: int) -> Form:
-        """Contract e_j, then e_i, for each pair i < j of the bivector.  The
-        two signs count the factors before e_j and before e_i, so together,
-        mod 2, the factors from e_i up to but not including e_j."""
-        c = {}
-        for i, j, v in pairs:
-            if mask >> i & 1 and mask >> j & 1:
-                odd = (mask & ((1 << j) - (1 << i))).bit_count() & 1
-                c[mask ^ (1 << i) ^ (1 << j)] = -v if odd else v
-        return Form(images.dim, c)
-
     def L(self, a: Form) -> Form:
         """Wedge with omega."""
-        return self._L_blade(a)
+        return _by_degree(a, self.dim, partial(self.op, "L"), lambda k: k + 2)
 
     def L_power(self, a: Form, r: int) -> Form:
-        return _power(self._L_blade, a, r)
+        return self.L_power(self.L(a), r - 1) if r else a
 
     def Lambda(self, a: Form) -> Form:
         """Contraction with the inverse bivector (degree -2)."""
-        return self._Lambda_blade(a)
+        return _by_degree(a, self.dim, partial(self.op, "Lambda"), lambda k: k - 2)
 
     def op(self, name: str, k: int) -> OperatorMatrix:
-        """L or Lambda on degree k as in ``SymplecticComplex.op``."""
+        """L or Lambda on degree k as in ``SymplecticComplex.op``: L wedges each
+        term of omega, Lambda contracts e_j, then e_i, for each term e_ij of
+        the inverse bivector."""
         if (name, k) not in self._ops:
-            images, step = {"L": (self._L_blade, 2), "Lambda": (self._Lambda_blade, -2)}[name]
-            self._ops[name, k] = _blade_matrix(images, k, k + step)
+            step, terms = {"L": (2, [(0, m, c) for m, c in self.omega.items()]), "Lambda": (
+                -2, [(1 << i | 1 << j, 0, v) for i, row in enumerate(self.inverse)
+                     for j, v in enumerate(row) if i < j and v])}[name]
+            self._ops[name, k] = blade_operator(self.dim, k, k + step, terms)
         return self._ops[name, k]
 
     def H(self, a: Form) -> Form:
         """Grading operator: multiplies the degree-k part by n-k."""
-        out = Form.zero(a.dim)
-        for k in a.degrees():
-            out = out + a.grade(k) * (self.n - k)
-        return out
+        return Form(a.dim, {m: c * (self.n - m.bit_count()) for m, c in a.items()})
 
     # -- Lefschetz decomposition ------------------------------------------
 
@@ -384,7 +369,7 @@ class SymplecticComplex:
                 f"algebra dimension {algebra.dim} != omega dimension {omega.dim}")
         self.algebra = algebra
         self.structure = SymplecticStructure(omega)
-        d_omega = algebra.d(omega)
+        d_omega = algebra.d(omega)  # d_2 omega
         if d_omega:
             raise NotSymplecticError(
                 f"omega is not closed: d(omega) = {d_omega}", "not_closed")
@@ -414,12 +399,12 @@ class SymplecticComplex:
 
     def op(self, name: str, k: int) -> OperatorMatrix:
         """"d", "L", "Lambda" or "dLambda" on the degree-k blades, built once
-        per complex, with dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
+        by their owners, with dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
         if name not in ("d", "dLambda"):
             return self.structure.op(name, k)
         if (name, k) not in self._ops:
             self._ops[name, k] = (
-                _blade_matrix(self.algebra._d_blade, k, k + 1) if name == "d"
+                self.algebra.d_matrix(k) if name == "d"
                 else self.op("d", k - 2) @ self.op("Lambda", k)
                 - self.op("Lambda", k + 1) @ self.op("d", k))
         return self._ops[name, k]
@@ -480,34 +465,6 @@ class SymplecticComplex:
         return cached
 
 
-def _power(op: BladeMap, a: Form, r: int) -> Form:
-    for _ in range(r):
-        a = op(a)
-    return a
-
-
 def _size(dim: int, k: int) -> int:
     """The number of degree-k blades; 0 outside 0..dim."""
     return len(blade_index(dim, k)[0])
-
-
-def _by_degree(a: Form, dim: int, matrix: Callable[[int], OperatorMatrix],
-               to: Callable[[int], int]) -> Form:
-    """The form whose degree to(k) part is matrix(k) applied to the degree-k
-    part of a, in blade coordinates."""
-    if a.dim != dim:
-        raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {dim}")
-    c = {}
-    for k in a.degrees():
-        order = blade_index(dim, to(k))[0]
-        col = matrix(k).apply(form_to_coords(a.grade(k), blade_index(dim, k)[1]))
-        c.update((order[i], v) for i, v in col.items())
-    return Form(dim, c)
-
-
-def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
-    """The matrix of a blade map from degree k_from to k_to, read off the
-    map's memoised blade images."""
-    idx = blade_index(images.dim, k_to)[1]
-    return OperatorMatrix.from_columns([form_to_coords(images[m], idx)
-                                        for m in blade_index(images.dim, k_from)[0]], len(idx))

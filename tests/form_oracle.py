@@ -1,12 +1,13 @@
-"""Test oracle: the form-level operator routes symcoh used before its blade maps.
+"""Test oracle: the form-level operator routes symcoh used before its matrices.
 
-The engine now keeps each operator (L, Lambda, d and the splitting operator)
-as a ``BladeMap``: every blade's image is built once, kept, and applied in
-one pass.  This module keeps independent routes that build nothing per blade
-and keep nothing between calls:
+The engine builds d, L and Lambda as int matrices, one per degree, by bit
+arithmetic on the blade masks (``exterior.blade_operator``), and keeps the
+splitting operator as a ``BladeMap``: every blade's image is built once,
+kept, and applied in one pass.  This module keeps independent routes that
+build nothing per blade and keep nothing between calls:
 
-* ``Lambda`` is the contraction sum over the inverse bivector, unchanged
-  from the engine, with the bivector's pairs read off ``inverse``;
+* ``Lambda`` is the contraction sum over the inverse bivector, with the
+  bivector's pairs read off ``inverse``;
 * ``L`` and ``L_power`` wedge with omega;
 * ``d`` applies the Leibniz rule to every factor of every blade, left to
   right, from the generators' differentials;
@@ -14,6 +15,14 @@ and keep nothing between calls:
 
 Sums of exact Fractions do not depend on their order, so both routes must
 return equal Forms.
+
+It also keeps the blade maps the engine read its d, L and Lambda matrices
+off before it built them from the structure constants: ``d_blade_map``
+builds d of a blade by the Leibniz rule on its lowest factor from the
+images of smaller blades (``d_of_blade``), ``L_blade_map`` wedges omega
+with a blade, and ``Lambda_blade_map`` contracts a blade with each pair of
+the bivector (``Lambda_of_blade``).  ``exterior._blade_matrix`` of each,
+over the least denominator, must equal the engine's matrix int for int.
 
 It also keeps the form-level primitive-coordinate route the engine used
 before ``SymplecticStructure.split`` and ``prim_matrix``:
@@ -29,7 +38,7 @@ And it keeps the form-level Lefschetz decomposition, where the engine
 builds the decomposition of each degree as matrices C_r, products of its
 L and Lambda matrices (``SymplecticStructure.lefschetz_components``):
 ``decompose_degree`` applies the same closed formula to one homogeneous
-form with the engine's L and Lambda blade maps, and
+form with the engine's form-level L and Lambda, and
 ``lefschetz_decompose`` wraps it in ``LefschetzComponents``, which checks
 that each component is primitive and that they rebuild the form.
 ``components`` decomposes every degree of a form on each call, and
@@ -63,22 +72,24 @@ And it keeps the wedge route for the duality pairing that
 every pair and integrates the product.
 
 And it keeps ``matrix_on_blades``, which applies a form operator to each
-blade, where the engine reads the images its blade maps keep
-(``symplectic._blade_matrix``).
+blade, where the engine builds its matrices from the structure constants
+and reads the others off the images its blade maps keep
+(``exterior._blade_matrix``).
 
 And it keeps the form-by-form identity battery (``identity_battery``) that
 the engine checks as per-degree matrix equations, with the form routes only
 it calls: ``memo_components`` and ``memo_apply_rs`` sum and scale the
 columns of the engine's C_r blade by blade, where the engine sums the
 Lefschetz projections per degree (``SymplecticStructure.scale_rs``);
-``d_lambda`` is d Lambda - Lambda d with the engine's blade maps;
+``d_lambda`` is d Lambda - Lambda d with the engine's form-level d and
+Lambda;
 ``d_lambda_via_star``, ``del_plus_formula`` and ``del_minus_formula`` are
 the second routes the battery compares; ``del_minus_primitive``,
 ``del_plus_primitive`` and ``scale_by_degree`` give the simplified
 expressions on primitive forms.  Every route reads the engine's operators,
-the blade maps of L, Lambda and d and the per-degree C_r, star and del
-matrices, so a perturbed blade image or matrix column makes the form
-battery and the engine's battery name the same first counterexample.
+the per-degree matrices of L, Lambda and d, C_r, the star and del, so a
+perturbed matrix column makes the form battery and the engine's battery
+name the same first counterexample.
 """
 
 from __future__ import annotations
@@ -88,7 +99,8 @@ from functools import partial
 from math import factorial
 
 from symcoh.exterior import (
-    Form, blade_index, blade_indices, blades, contract, form_from_coords, form_to_coords)
+    BladeMap, Form, blade_index, blade_indices, blades, contract, form_from_coords,
+    form_to_coords)
 from symcoh.hodge import top_dual
 from symcoh.linalg import OperatorMatrix
 from symcoh.reports import CheckResult
@@ -128,6 +140,46 @@ def d(algebra, a: Form) -> Form:
                 term = term.wedge(algebra.differentials[i - 1] if s == t else Form.e(dim, j))
             out = out + term
     return out
+
+
+def d_of_blade(images: BladeMap, mask: int) -> Form:
+    """Image of a blade of degree >= 2 by the Leibniz rule on its lowest
+    factor e_i: d(e_i ^ rest) = d(e_i) ^ rest - e_i ^ d(rest)."""
+    low = mask & -mask
+    rest = mask ^ low
+    return (images[low].wedge(Form(images.dim, {rest: 1}))
+            - Form(images.dim, {low: 1}).wedge(images[rest]))
+
+
+def d_blade_map(algebra) -> BladeMap:
+    """d on the blades, from the generators' differentials."""
+    images = BladeMap(algebra.dim, d_of_blade, {0: Form.zero(algebra.dim)})
+    images.update({1 << i: f for i, f in enumerate(algebra.differentials)})
+    return images
+
+
+def L_blade_map(st) -> BladeMap:
+    """omega ^ on the blades."""
+    return BladeMap(st.dim, lambda _, m: st.omega.wedge(Form(st.dim, {m: 1})))
+
+
+def Lambda_of_blade(pairs, images: BladeMap, mask: int) -> Form:
+    """Contract e_j, then e_i, for each pair i < j of the bivector.  The
+    two signs count the factors before e_j and before e_i, so together,
+    mod 2, the factors from e_i up to but not including e_j."""
+    c = {}
+    for i, j, v in pairs:
+        if mask >> i & 1 and mask >> j & 1:
+            odd = (mask & ((1 << j) - (1 << i))).bit_count() & 1
+            c[mask ^ (1 << i) ^ (1 << j)] = -v if odd else v
+    return Form(images.dim, c)
+
+
+def Lambda_blade_map(st) -> BladeMap:
+    """Lambda on the blades, from the pairs of the inverse bivector."""
+    pairs = [(i, j, st.inverse[i][j])
+             for i in range(st.dim) for j in range(i + 1, st.dim) if st.inverse[i][j]]
+    return BladeMap(st.dim, partial(Lambda_of_blade, pairs))
 
 
 def jay(triple, a: Form) -> Form:
@@ -200,7 +252,7 @@ def decompose_degree(st, a: Form, k: int) -> dict[int, Form]:
     """Primitive components of a homogeneous degree-k form by the closed
     sl(2) formula, keyed by r: the sum over l of (-1)^l m^2 L^l Lambda^{r+l} a
     / (m (m-1) ... (m-r) m (m+1) ... (m+l) l!), m = n-k+2r+1, applied form by
-    form with the engine's L and Lambda blade maps."""
+    form with the engine's form-level L and Lambda."""
     comps: dict[int, Form] = {}
     if a.is_zero():
         return comps

@@ -14,11 +14,10 @@ routes:
 
 from __future__ import annotations
 
-from symcoh.exterior import BladeMap, Form
+from symcoh.exterior import BladeMap, Form, _blade_matrix
 from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
 from symcoh.reports import CheckResult
 from symcoh.symbolcheck import SymbolComplex, _standard_structure
-from symcoh.symplectic import _blade_matrix
 
 
 def split_symbol_maps(n: int, xi: Form) -> list[OperatorMatrix]:

@@ -11,6 +11,7 @@ from symcoh.cealgebra import (
     parse_algebra,
     parse_algebra_json,
 )
+from symcoh.cli import main
 from symcoh.exterior import FormParseError, blades
 
 
@@ -113,6 +114,35 @@ def test_jacobi_violation_rejected():
 def test_non_unimodular_rejected():
     with pytest.raises(AlgebraValidationError, match="unimodular"):
         parse_salamon("(0,12)")
+
+
+# the full rejection text: the first generator i, in order, with d(d(e_i))
+# != 0 and that form; or the first codimension-one blade, in canonical order,
+# whose d has a top-degree part
+REJECTIONS = [
+    ("(0,0,0,12,13,45)",
+     "d(d(e_6)) = e125 - e134 != 0: structure constants violate the Jacobi identity"),
+    ("(0,0,12,13,24,45)",
+     "d(d(e_5)) = e123 != 0: structure constants violate the Jacobi identity"),
+    ('{"dim": 6, "d": {"4": [[1, 2, "1/2"]], "5": [[1, 3, "2/3"]], "6": [[4, 5, "3/4"]]}}',
+     "d(d(e_6)) = 3/8*e125 - 1/2*e134 != 0: structure constants violate the Jacobi identity"),
+    ("(0,12)",
+     "algebra is not unimodular: d of a codimension-one form has a top-degree part (e2)"),
+    ("(0,12,0,0)",
+     "algebra is not unimodular: d of a codimension-one form has a top-degree part (e234)"),
+    ("(0,0,0,0,0,0,0,0,0,0,0,0,3*1d,2*3e)",
+     "algebra is not unimodular: d of a codimension-one form has a top-degree part "
+     "(e12456789abcde)"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTIONS)
+def test_rejection_text_is_pinned(text, message, capsys):
+    with pytest.raises(AlgebraValidationError) as exc:
+        parse_algebra(text)
+    assert str(exc.value) == message
+    assert main(["compute", "--algebra", text, "--omega", "12"]) == 2
+    assert capsys.readouterr().err == f"error: bad algebra: {message}\n"
 
 
 def test_non_nilpotent_unimodular_accepted():

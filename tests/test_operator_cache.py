@@ -16,7 +16,7 @@ from functools import partial
 import pytest
 
 from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
-from symcoh import symplectic
+from symcoh import cealgebra, exterior, symplectic
 from symcoh.exterior import blade_index, form_to_coords
 from symcoh.symplectic import parse_omega
 
@@ -78,14 +78,17 @@ def test_del_images_match_projection_routes(name):
 
 @pytest.mark.parametrize("name", ["N6", "KT4-half"])
 def test_each_matrix_built_once_per_complex(name, monkeypatch):
+    """d, L and Lambda are each built once per degree, d at the algebra's
+    validation included, and kept."""
     built = []
-    blade_matrix = symplectic._blade_matrix
+    blade_operator = exterior.blade_operator
 
-    def counting(images, k_from, k_to):
-        built.append((id(images), k_from))
-        return blade_matrix(images, k_from, k_to)
+    def counting(dim, k_from, k_to, terms):
+        built.append((k_from, k_to - k_from))
+        return blade_operator(dim, k_from, k_to, terms)
 
-    monkeypatch.setattr(symplectic, "_blade_matrix", counting)
+    for module in (cealgebra, symplectic):
+        monkeypatch.setattr(module, "blade_operator", counting)
     cx = build(name)
     calc = CohomologyCalculator(cx)
     for group in ("dR", "dL", "p+", "p-", "d+dL", "ddL"):
@@ -93,7 +96,8 @@ def test_each_matrix_built_once_per_complex(name, monkeypatch):
             calc.group(group, k)
     for k in range(-1, cx.n + 1):
         cx.del_matrices(k)
-    assert built and len(built) == len(set(built))
+    assert {step for _, step in built} == {1, 2, -2}
+    assert len(built) == len(set(built))
     for op in ("d", "L", "Lambda", "dLambda"):
         assert cx.op(op, 2) is cx.op(op, 2)
     assert cx.del_images(1) is cx.del_images(1)

@@ -11,10 +11,10 @@ import pytest
 
 import form_oracle as oracle
 from symcoh import Form, SymplecticStructure, standard_omega
-from symcoh.exterior import BladeMap, blade_index
+from symcoh.exterior import BladeMap, _blade_matrix, blade_index
 from symcoh.linalg import OperatorMatrix
 from symcoh.symbolcheck import build_symbols, random_covectors
-from symcoh.symplectic import _blade_matrix, parse_omega
+from symcoh.symplectic import parse_omega
 
 
 def covectors(dim: int) -> list[Form]:

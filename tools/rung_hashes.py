@@ -50,6 +50,7 @@ def _fixture(command: list[str], fixture: tuple[str, str]) -> list[str]:
 RUNGS = [
     ("N12 compute", _fixture(["compute"], N12), "9b88b986eb77"),
     ("N14 compute", _fixture(["compute"], N14), "bf8d3c2e9859"),
+    ("scrambled N8 compute", _fixture(["compute"], SCRAMBLED_N8), "ae107a66e96f"),
     ("N8 hodge", _fixture(["check", "--suite=hodge"], N8), "8f0538ca2f58"),
     ("N10 hodge", _fixture(["check", "--suite=hodge"], N10), "657347e2ae27"),
     ("N12 hodge", _fixture(["check", "--suite=hodge"], N12), "2c241d2ed9c9"),
