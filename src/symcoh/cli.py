@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .cealgebra import AlgebraValidationError, parse_algebra
 from .cohomology import GROUP_NAMES, CohomologyCalculator
-from .exterior import FormParseError, form_to_str
+from .exterior import FormParseError, row_to_str
 from .identities import run_identity_suite
 from .hodge import run_hodge_suite
 from .symbolcheck import DEFAULT_SEED, run_symbol_suite
@@ -89,7 +89,7 @@ def cmd_compute(cfg: RunConfig) -> tuple[int, str]:
         for k in degrees:
             grp = calc.group(g, k)
             entry[str(k)] = {"dim": grp.dimension,
-                             "basis": [form_to_str(f) for f in grp.representatives]}
+                             "basis": [row_to_str(cx.dim, k, r, r[p]) for p, r in grp.rows]}
         table[g] = entry
     report = {"algebra": cfg.algebra_source, "omega": cfg.omega_source,
               "groups": table, "checks": {}}

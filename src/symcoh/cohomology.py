@@ -13,7 +13,8 @@ Six families are computed as exact quotients with canonical representatives:
               both first-order images, degree 0..n.
 
 Before every quotient the denominator is checked to lie inside the
-numerator; a failure indicates a broken operator, never bad input.
+numerator; a failure indicates a broken operator, never bad input.  A group
+keeps ``quotient``'s int rows; its representative Forms are built on read.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cealgebra import LieAlgebraSpec
-from .exterior import Form, blade_index, form_from_coords, form_to_coords
+from .exterior import Form, blade_index, form_to_coords, row_to_str
 from .linalg import (
     OperatorMatrix,
     Subspace,
     image,
     kernel,
     quotient,
-    solve,
     subspace_intersect,
     subspace_sum,
 )
@@ -47,10 +47,21 @@ class DegreeRangeError(ValueError):
 class CohomologyGroup:
     name: str
     degree: int
-    dimension: int
-    representatives: list[Form]
+    rows: list[tuple[int, dict]]    # ``quotient``'s (pivot, int row) pairs
     numerator: Subspace
     denominator: Subspace
+    form_dim: int                   # 2n, the dimension of the forms
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+    @property
+    def representatives(self) -> list[Form]:
+        """Each row over its pivot entry, as a Form built on each read."""
+        order = blade_index(self.form_dim, self.degree)[0]
+        return [Form(self.form_dim, {order[j]: Fraction(v, r[p]) for j, v in r.items()})
+                for p, r in self.rows]
 
 
 class CohomologyCalculator:
@@ -70,9 +81,6 @@ class CohomologyCalculator:
 
     def to_vec(self, f: Form, k: int) -> dict:
         return form_to_coords(f, blade_index(self.dim, k)[1])
-
-    def to_form(self, vec: dict, k: int) -> Form:
-        return form_from_coords(vec, self.blade_order(k), self.dim)
 
     def span_of_forms(self, forms: list[Form], k: int) -> Subspace:
         return Subspace(len(self.blade_order(k)), [self.to_vec(f, k) for f in forms])
@@ -158,9 +166,7 @@ class CohomologyCalculator:
     # -- groups ----------------------------------------------------------------
 
     def _finish(self, name: str, k: int, num: Subspace, den: Subspace) -> CohomologyGroup:
-        dim, reps = quotient(num, den)
-        return CohomologyGroup(name, k, dim, [self.to_form(r, k) for r in reps],
-                               num, den)
+        return CohomologyGroup(name, k, quotient(num, den), num, den, self.dim)
 
     def de_rham(self, k: int) -> CohomologyGroup:
         if not 0 <= k <= 2 * self.n:
@@ -232,17 +238,15 @@ class CohomologyCalculator:
 
     # -- class arithmetic -------------------------------------------------------
 
-    def class_coordinates(self, g: CohomologyGroup, f: Form) -> list | None:
-        """Coordinates of [f] over the group's representatives, or None if f
-        is not in the numerator."""
-        v = self.to_vec(f, g.degree)
+    def class_coordinates(self, g: CohomologyGroup, f: Form | dict) -> list | None:
+        """Coordinates of [f] (a Form or its blade coordinates) over the
+        representatives, or None if f is not in the numerator: f's residual
+        modulo the denominator, read at the kept rows' pivots."""
+        v = f if isinstance(f, dict) else self.to_vec(f, g.degree)
         if not g.numerator.contains(v):
             return None
-        cols = [self.to_vec(r, g.degree) for r in g.representatives] + g.denominator.ints
-        sol = solve(OperatorMatrix.from_columns(cols, len(self.blade_order(g.degree))), v)
-        if sol is None:
-            raise AssertionError("class decomposition failed")
-        return [sol.get(i, Fraction(0)) for i in range(len(g.representatives))]
+        residual = g.denominator.reduce(v)
+        return [Fraction(residual.get(p, 0)) for p, _ in g.rows]
 
     def classes_span_equal(self, g: CohomologyGroup, forms: list[Form]) -> bool:
         """Do the given forms represent a basis of the group?
@@ -286,12 +290,14 @@ class CohomologyCalculator:
         src = self.group("dR", k)
         dst = self.group("dR", k + 2 * power)
         cols = []
-        for rep in src.representatives:
-            target = self.st.L_power(rep, power)
+        for p, row in src.rows:
+            target = row
+            for j in range(k, k + 2 * power, 2):
+                target = self.st.op("L", j).apply(target)
             coords = self.class_coordinates(dst, target)
             if coords is None:
                 raise AssertionError("image of a closed form is not closed")
-            cols.append({i: c for i, c in enumerate(coords) if c})
+            cols.append({i: c / row[p] for i, c in enumerate(coords) if c})
         return OperatorMatrix.from_columns(cols, dst.dimension)
 
     def check_strong_lefschetz(self) -> CheckResult:
@@ -348,8 +354,10 @@ class CohomologyCalculator:
                         ok = False
                         big, small, b_label, s_label = (
                             (sa, sb, la, lb) if sa.dim >= sb.dim else (sb, sa, lb, la))
-                        witness = next((r for r in big.rows if not small.contains(r)), None)
-                        w_str = str(self.to_form(witness, k)) if witness else "?"
+                        witness = next((r for r in big.ints if not small.contains(r)), None)
+                        # an echelon row's pivot is its first column
+                        w_str = (row_to_str(self.dim, k, witness, witness[min(witness)])
+                                 if witness else "?")
                         details.append(
                             f"k={k}: {b_label} and {s_label} differ; witness {w_str}")
         sl = self.check_strong_lefschetz()

@@ -12,8 +12,10 @@ then lexicographically by the index tuple.
 
 The printed grammar is a signed sum of terms ``[c/d*]e{i1}{i2}...`` with
 single-character indices 1-9, a-f (so 2n <= 15); a degree-zero term is the
-bare coefficient; a coefficient of +-1 on a blade is elided.  ``parse_form``
-inverts ``form_to_str`` exactly.
+bare coefficient; a coefficient of +-1 on a blade is elided.  One renderer,
+``row_to_str``, prints a degree-k int row over the ``blade_index`` basis and
+a positive int denominator; ``form_to_str`` prints each degree of a Form
+through it.  ``parse_form`` inverts ``form_to_str`` exactly.
 """
 
 from __future__ import annotations
@@ -69,14 +71,6 @@ def blade_degree(mask: int) -> int:
     return mask.bit_count()
 
 
-def blade_sort_key(mask: int) -> int:
-    """The canonical encoding: indices read as base-16 digits."""
-    key = 0
-    for i in blade_indices(mask):
-        key = key * 16 + i
-    return key
-
-
 def blade_str(mask: int) -> str:
     if mask == 0:
         return "1"
@@ -102,9 +96,8 @@ def blades(dim: int, k: int) -> list[int]:
     """All degree-k blades in canonical order."""
     if k < 0 or k > dim:
         return []
-    out = [blade_from_indices(c) for c in combinations(range(1, dim + 1), k)]
-    out.sort(key=blade_sort_key)
-    return out
+    # combinations come in lexicographic order, which is the canonical one
+    return [blade_from_indices(c) for c in combinations(range(1, dim + 1), k)]
 
 
 @lru_cache(maxsize=None)
@@ -116,6 +109,13 @@ def blade_index(dim: int, k: int) -> tuple[list[int], dict[int, int]]:
     """
     order = blades(dim, k)
     return order, {m: i for i, m in enumerate(order)}
+
+
+@lru_cache(maxsize=None)
+def blade_labels(dim: int, k: int) -> list[str]:
+    """Each degree-k blade's printed name, in ``blade_index`` order; shared
+    like ``blade_index``."""
+    return [blade_str(m) for m in blade_index(dim, k)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ class Form:
 
     def items(self) -> list[tuple[int, object]]:
         """(blade, coefficient) pairs in canonical blade order."""
-        return sorted(self._c.items(), key=lambda kv: blade_sort_key(kv[0]))
+        return sorted(self._c.items(), key=lambda kv: (kv[0].bit_count(), blade_indices(kv[0])))
 
     def support(self) -> set[int]:
         return set(self._c)
@@ -381,24 +381,31 @@ def grade_project(a: Form, k: int) -> Form:
 # printing / parsing
 # ---------------------------------------------------------------------------
 
+def row_to_str(dim: int, k: int, row: dict[int, int], den: int = 1) -> str:
+    """The printed degree-k form with coordinate row[j]/den on the j-th blade
+    of ``blade_index``: non-zero int entries over a positive int den.  Each
+    coefficient is ``n`` or ``n/d`` in lowest terms, as a Fraction prints."""
+    labels = blade_labels(dim, k)
+    terms = []
+    for j in sorted(row):
+        g = gcd(row[j], den)
+        c = f"{row[j] // g}" if g == den else f"{row[j] // g}/{den // g}"
+        # a bare coefficient in degree 0; a unit one is elided on a blade
+        terms.append(c if not k else c[:-1] + labels[j] if c in ("1", "-1")
+                     else f"{c}*{labels[j]}")
+    # each term carries its sign: "a + -b" prints as "a - b"
+    return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
 def form_to_str(a: Form) -> str:
-    if a.is_zero():
-        return "0"
+    """Each degree of ``a``, lowest first, through ``row_to_str`` over the
+    lcm of its denominators."""
     parts = []
-    for mask, c in a.items():
-        neg = c < 0
-        mag = -c if neg else c
-        if mask == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = blade_str(mask)
-        else:
-            body = f"{mag}*{blade_str(mask)}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    for k in sorted(a.degrees()):
+        idx = blade_index(a.dim, k)[1]
+        m = OperatorMatrix.from_columns([form_to_coords(a.grade(k), idx)], len(idx))
+        parts.append(row_to_str(a.dim, k, m.cols[0], m.den))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _parse_blade(text: str, pos: int, dim: int) -> tuple[int, int]:

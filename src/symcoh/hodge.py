@@ -142,6 +142,7 @@ class CompatibleTriple:
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
                     raise AssertionError("metric is not symmetric")
+        # g is 1 in the Darboux basis, so only a metric set by hand fails this
         for k in range(1, dim + 1):
             minor = det([row[:k] for row in self.metric[:k]], k)
             if minor <= 0:

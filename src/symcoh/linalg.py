@@ -146,10 +146,6 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     return pivots, [reduced[col] for col in pivots]
 
 
-def _normalized(pivot: int, row: Vec) -> Vec:
-    return {j: Fraction(v, row[pivot]) for j, v in row.items()}
-
-
 def det(rows: Sequence[Sequence], n: int):
     """Determinant of a dense n x n matrix via fraction-free elimination."""
     m = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
@@ -266,9 +262,13 @@ class OperatorMatrix:
         return {i: w for i, w in out.items() if w}
 
     def apply(self, vec: Vec) -> Vec:
-        """(M/den)·vec, exact."""
-        out = self._times(vec)
-        return out if self.den == 1 else {i: Fraction(w, self.den) for i, w in out.items()}
+        """(M/den)·vec, exact: vec's denominators are cleared once, by their
+        lcm e, so the product runs on ints and is divided once by den·e."""
+        e = lcm(*(v.denominator for v in vec.values()))
+        out = self._times(vec if e == 1 else
+                          {j: v.numerator * (e // v.denominator) for j, v in vec.items()})
+        e *= self.den
+        return out if e == 1 else {i: Fraction(w, e) for i, w in out.items()}
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self o other (apply ``other`` first)."""
@@ -335,26 +335,6 @@ class OperatorMatrix:
         return f"OperatorMatrix({self.nrows}x{self.ncols}, den={self.den})"
 
 
-def solve(m: OperatorMatrix, target: Vec) -> Vec | None:
-    """A particular solution of (M/den) x = target, that is M x = den·target
-    (free variables 0), or None."""
-    aug = []
-    for i, r in enumerate(m.rows()):
-        if target.get(i):
-            r[m.ncols] = target[i] * m.den
-        if r:
-            aug.append(r)
-    pivots, rows = rref(aug, m.ncols + 1)
-    sol: Vec = {}
-    for p, row in zip(pivots, rows):
-        if p == m.ncols:
-            return None
-        v = row.get(m.ncols)
-        if v:
-            sol[p] = Fraction(v, row[p])
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
@@ -392,7 +372,8 @@ class Subspace:
     def rows(self) -> list[Vec]:
         """The normalized basis rows (pivot entry 1) as Fractions, derived
         on each read: a stored copy would hold every basis twice."""
-        return [_normalized(p, r) for p, r in zip(self.pivots, self.ints)]
+        return [{j: Fraction(v, r[p]) for j, v in r.items()}
+                for p, r in zip(self.pivots, self.ints)]
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -503,17 +484,15 @@ def image(m: OperatorMatrix) -> Subspace:
     return Subspace(m.nrows, m.cols)
 
 
-def quotient(numerator: Subspace, denominator: Subspace) -> tuple[int, list[Vec]]:
-    """Dimension and canonical representatives of numerator/denominator.
-
-    Representatives are the echelon basis rows of the numerator whose pivots
-    are not pivots of the denominator; together with the denominator they
-    span the numerator, and they are independent modulo it.
+def quotient(numerator: Subspace, denominator: Subspace) -> list[tuple[int, Vec]]:
+    """Canonical representatives of numerator/denominator: the (pivot, int
+    row) pairs of the numerator's echelon basis whose pivots are not pivots
+    of the denominator.  Each row over its pivot entry is a representative;
+    together with the denominator they span the numerator, and they are
+    independent modulo it.
     """
     numerator._check(denominator)
     if not numerator.contains_subspace(denominator):
         raise InclusionError("denominator is not contained in numerator")
     dpiv = set(denominator.pivots)
-    reps = [_normalized(p, row) for p, row in zip(numerator.pivots, numerator.ints)
-            if p not in dpiv]
-    return len(reps), reps
+    return [(p, row) for p, row in zip(numerator.pivots, numerator.ints) if p not in dpiv]

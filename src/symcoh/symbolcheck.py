@@ -112,7 +112,8 @@ def check_exactness(c: SymbolComplex) -> CheckResult:
         if not c.maps[i + 1].compose(c.maps[i]).is_zero():
             composed_to_zero = False
             details.append(f"composition at step {i} -> {i + 1} is non-zero")
-    # Euler characteristic must vanish for an exact sequence
+    # Euler characteristic must vanish for an exact sequence.  build_symbols puts one
+    # basis at p and 2n + 1 - p, of opposite parity, so only a hand-built sequence fails
     euler = sum((-1) ** p * len(basis) for p, basis in enumerate(c.spaces))
     if euler != 0:
         details.append(f"alternating dimension sum is {euler}, not 0")

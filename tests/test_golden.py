@@ -14,7 +14,8 @@ matrices were read without wedges and the splitting-conjugation check
 stopped inverting blade Gram matrices; ``identities`` on the two fixtures
 with a non-integer omega^-1, where every Lambda, Pi_{r,s} and del_plus/del_minus
 has a denominator above 1, before the operator matrices carried their own
-denominator.  The
+denominator; the two ``compute --format=md`` hashes before the cohomology
+representatives stayed int rows printed by one renderer.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
@@ -99,4 +100,21 @@ def test_stdout_matches_pinned_hash(capsys, algebra, omega, command, exit_code, 
     code = main(argv + ["--algebra", algebra, "--omega", omega])
     out = capsys.readouterr().out
     assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# compute --format=md: the markdown table prints the same basis strings as
+# the JSON; the (0,0,0,12) basis under 2*13+24 holds 1/2 coefficients
+MARKDOWN = [
+    (N8, "16+25-34+78", "96339974f6c8d8ad34fdf1b6825a9e08e7ca418e9242c95446f0d43831337cca"),
+    ("(0,0,0,12)", "2*13+24", "3efd46f14cac5cbb088ef800fe52401d1d2635c57c250b8908653af164a4f2a3"),
+]
+
+
+@pytest.mark.parametrize("algebra,omega,sha256", MARKDOWN,
+                         ids=[f"{a}-{w}-compute-md" for a, w, _ in MARKDOWN])
+def test_markdown_stdout_matches_pinned_hash(capsys, algebra, omega, sha256):
+    code = main(["compute", "--format=md", "--algebra", algebra, "--omega", omega])
+    out = capsys.readouterr().out
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -378,3 +378,16 @@ def test_hodge_suite_fails_on_a_singular_pairing(nil_cx, monkeypatch):
     result = run_hodge_suite(nil_cx)
     assert not result.passed
     assert result.details == ["k=1: pairing matrix rank-deficient"]
+
+
+def test_validate_rejects_an_indefinite_metric(nil_cx):
+    """The metric of a built triple is the identity in its Darboux basis, so
+    it is always positive definite; this one is set by hand.  It is symmetric
+    with first leading minor 1 and second -3, and J is left as built, so the
+    checks before the minors pass."""
+    tr = CompatibleTriple(nil_cx.structure)
+    metric = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    metric[0][1] = metric[1][0] = Fraction(2)
+    tr.metric = metric
+    with pytest.raises(AssertionError, match="^metric is not positive definite$"):
+        tr._validate(nil_cx.structure.omega_matrix)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bareiss_oracle
+import quotient_oracle
 import subspace_oracle
 from symcoh import parse_form, parse_salamon
 from symcoh.exterior import Form, blades
@@ -19,12 +20,12 @@ from symcoh.linalg import (
     kernel,
     quotient,
     rref,
-    solve,
     subspace_intersect,
     subspace_sum,
 )
 
 from form_oracle import matrix_on_blades
+from quotient_oracle import solve
 
 
 # -- independent dense oracle --------------------------------------------------
@@ -210,12 +211,26 @@ def test_ambient_mismatch():
 
 # -- quotients ---------------------------------------------------------------------
 
+def normalized(kept):
+    """The kept (pivot, int row) pairs as Fraction rows with pivot entry 1."""
+    return [{j: Fraction(v, r[p]) for j, v in r.items()} for p, r in kept]
+
+
+def assert_matches_oracle(num, den):
+    """The int rows are the numerator's own rows, positive at their pivots,
+    and normalise to the Fraction oracle's representatives."""
+    kept = quotient(num, den)
+    assert all((p, r) in zip(num.pivots, num.ints) and r[p] > 0 for p, r in kept)
+    assert (len(kept), normalized(kept)) == quotient_oracle.quotient(num, den)
+    return kept
+
+
 def test_quotient_trivial_cases():
     z = Subspace(4, [{0: 1}, {1: 1}])
-    dim, reps = quotient(z, z)
-    assert dim == 0 and reps == []
-    dim, reps = quotient(z, Subspace.zero(4))
-    assert dim == 2 and Subspace(4, reps) == z
+    kept = assert_matches_oracle(z, z)
+    assert kept == []
+    kept = assert_matches_oracle(z, Subspace.zero(4))
+    assert len(kept) == 2 and Subspace(4, [r for _, r in kept]) == z
 
 
 def test_quotient_inclusion_error():
@@ -228,10 +243,10 @@ def test_quotient_inclusion_error():
 def test_quotient_second_betti_number(nil_cx):
     z = kernel(matrix_on_blades(nil_cx.d, 6, 2, 3))
     b = image(matrix_on_blades(nil_cx.d, 6, 1, 2))
-    dim, reps = quotient(z, b)
-    assert dim == 5
-    assert dim == z.dim - b.dim
-    for r in reps:
+    kept = assert_matches_oracle(z, b)
+    assert len(kept) == 5
+    assert len(kept) == z.dim - b.dim
+    for _, r in kept:
         assert z.contains(r) and not b.contains(r)
 
 
@@ -244,8 +259,8 @@ def test_quotient_dimension_cross_check_random():
         z = kernel(m)
         sub_rows = z.rows[: rng.randint(0, z.dim)]
         b = Subspace(5, sub_rows)
-        dim, _ = quotient(z, b)
-        assert dim == z.dim - b.dim
+        kept = assert_matches_oracle(z, b)
+        assert len(kept) == z.dim - b.dim
 
 
 # -- canonical representation and solving ------------------------------------------

