@@ -265,8 +265,7 @@ class OperatorMatrix:
         """(M/den)·vec, exact: vec's denominators are cleared once, by their
         lcm e, so the product runs on ints and is divided once by den·e."""
         e = lcm(*(v.denominator for v in vec.values()))
-        out = self._times(vec if e == 1 else
-                          {j: v.numerator * (e // v.denominator) for j, v in vec.items()})
+        out = self._times({j: v.numerator * (e // v.denominator) for j, v in vec.items()})
         e *= self.den
         return out if e == 1 else {i: Fraction(w, e) for i, w in out.items()}
 
