@@ -286,7 +286,11 @@ class CohomologyCalculator:
         return CheckResult("low-degree-equivalence", ok, details)
 
     def lefschetz_power_map(self, k: int, power: int) -> OperatorMatrix:
-        """Matrix of wedging with omega^power on classes: H^k -> H^{k+2*power}."""
+        """Matrix of wedging with omega^power on classes: H^k -> H^{k+2*power},
+        built once per (k, power)."""
+        return self._memo(("lefschetz", k, power), lambda: self._power_map(k, power))
+
+    def _power_map(self, k: int, power: int) -> OperatorMatrix:
         src = self.group("dR", k)
         dst = self.group("dR", k + 2 * power)
         cols = []

@@ -301,32 +301,6 @@ def contract(i: int, a: Form) -> Form:
     return Form(a.dim, c)
 
 
-class BladeMap(dict):
-    """A linear map on dimension ``dim``, kept as its blade images: from
-    ``known`` on, each is built once, by ``image_of_blade(images, mask)``.
-    The builder must not hold this mapping or its owner, so that no
-    reference cycle keeps the memo alive after its owner is gone."""
-
-    def __init__(self, dim: int, image_of_blade, known=()):
-        super().__init__(known)
-        self.dim = dim
-        self._image_of_blade = image_of_blade
-
-    def __missing__(self, mask: int) -> Form:
-        image = self[mask] = self._image_of_blade(self, mask)
-        return image
-
-    def __call__(self, a: Form) -> Form:
-        """Apply the map in one pass over ``a`` that builds one Form."""
-        if a.dim != self.dim:
-            raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {self.dim}")
-        c: dict[int, object] = {}
-        for mask, v in a._c.items():
-            for m, w in self[mask]._c.items():
-                c[m] = c.get(m, 0) + v * w
-        return Form(a.dim, c)
-
-
 def blade_operator(dim: int, k_from: int, k_to: int, terms: list) -> OperatorMatrix:
     """The matrix, over the least denominator, from the degree-k_from to the
     degree-k_to blades of the sum over the (need, add, c) in ``terms`` of c
@@ -349,12 +323,29 @@ def blade_operator(dim: int, k_from: int, k_to: int, terms: list) -> OperatorMat
                           den // g)
 
 
-def _blade_matrix(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
-    """The matrix of a blade map from degree k_from to k_to, read off the
-    map's memoised blade images."""
-    idx = blade_index(images.dim, k_to)[1]
-    return OperatorMatrix.from_columns([form_to_coords(images[m], idx)
-                                        for m in blade_index(images.dim, k_from)[0]], len(idx))
+def compound(a: OperatorMatrix, k: int, lower: OperatorMatrix | None) -> OperatorMatrix:
+    """The degree-k matrix of the algebra map that sends e_{i+1} to column i
+    of the square matrix a.  A blade's column is the image of its lowest
+    factor wedged onto the image of the rest, which is the rest's column of
+    ``lower``, the degree k-1 matrix.  At k = 0 it is the 1x1 identity and
+    outside 0..dim the 0x0 matrix; ``lower`` is not read there."""
+    dim = a.nrows
+    order = blade_index(dim, k)[0]
+    if not 0 < k <= dim:
+        return OperatorMatrix.identity(len(order))
+    rest = blade_index(dim, k - 1)[1]
+    wedges: dict[int, OperatorMatrix] = {}
+    cols = []
+    for mask in order:
+        low = (mask & -mask).bit_length() - 1
+        if low not in wedges:
+            wedges[low] = blade_operator(dim, k - 1, k,
+                                         [(0, 1 << j, v) for j, v in a.cols[low].items()])
+        cols.append(wedges[low]._times(lower.cols[rest[mask ^ 1 << low]]))
+    den = a.den * lower.den
+    g = gcd(den, *(v for c in cols for v in c.values()))
+    return OperatorMatrix(len(order), len(order), [{i: v // g for i, v in c.items()} for c in cols],
+                          den // g)
 
 
 def _by_degree(a: Form, dim: int, matrix: Callable[[int], OperatorMatrix],

@@ -4,26 +4,27 @@ A compatible triple (omega, J, g) is built exactly: a symplectic basis is
 computed by linear symplectic Gram-Schmidt over the rationals, J is the
 standard rotation in that basis, and g(x, y) = omega(x, Jy).  The complex
 splitting operator multiplies each (p, q) component by i^(p-q); that is the
-algebra automorphism induced by J on covectors, so it is computed over the
-rationals by wedging the images of each blade's factors.  The inner product
-on forms is the one g induces.  The symplectic basis T is orthonormal for
-g, so g^-1 = T T^T, and the Gram matrix of the degree-k blades is the k-th
-compound of g^-1 (Cauchy-Binet): the blade matrix of the algebra map that
-sends e_i to row i of g^-1, built by the same wedging.  It equals
-integration of a ^ *a' against the Liouville volume, normalized so that
-<1, 1> = 1, with * the splitting operator after the symplectic star; that
-star route is the test suite's oracle.  The primitive Gram is B^T G_k B
-over the primitive basis matrix B.  The pairing matrix reads each top
-coefficient as a sparse dot product with the other factor's complementary
-blades (``top_dual``), forming no wedge per pair.
+algebra automorphism induced by J on covectors, so on each degree its
+matrix is a compound of J^T, an int matrix built over the rationals
+(``exterior.compound``).  The inner product on forms is the one g induces.
+The symplectic basis T is orthonormal for g, so g^-1 = T T^T, and the Gram
+matrix of the degree-k blades is the k-th compound of g^-1
+(Cauchy-Binet).  The triple builds both once per degree (``op``).  The
+Gram matrix equals integration of a ^ *a' against the Liouville volume,
+normalized so that <1, 1> = 1, with * the splitting operator after the
+symplectic star; that star route is the test suite's oracle.  The
+primitive Gram is B^T G_k B over the primitive basis matrix B.  The
+pairing matrix reads each top coefficient as a sparse dot product with the
+other factor's complementary blades (``top_dual``), forming no wedge per
+pair.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
 computations over the primitive bases, each adjoint formed once per degree
 and direction.  Every matrix is an ``OperatorMatrix``, int columns over one
 denominator, so the Gram matrices, adjoints and Laplacians are int products
 scaled once.  The splitting-conjugation check reads J on the blades off
-its blade map (``_blade_matrix``), del_plus and del_minus on the blades off
-the complex's per-degree matrices (``del_blades``: the split of d applied to
+the triple (``op``), del_plus and del_minus on the blades off the
+complex's per-degree matrices (``del_blades``: the split of d applied to
 each Lefschetz component C_r), and H+R off the Lefschetz projections
 (``scale_rs``), and compares matrix identities multiplied through by blade
 Gram matrices, so it inverts none.
@@ -32,9 +33,10 @@ Gram matrices, so it inverts none.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .cohomology import CohomologyCalculator
-from .exterior import BladeMap, Form, _blade_matrix, wedge_sign
+from .exterior import Form, _by_degree, compound, wedge_sign
 from .linalg import (
     OperatorMatrix,
     Subspace,
@@ -120,19 +122,14 @@ class CompatibleTriple:
         g = w_mat @ self.J
         self.metric = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
         self._validate(w_mat)
-        # The basis is orthonormal for g, so g^-1 = basis basis^T.  Two algebra
-        # maps, each built from its covector images by wedging: ``jay``, the
-        # splitting operator, multiplies each (p, q) component by i^(p - q)
-        # and sends e_i to row i of J; the metric map sends e_i to row i of
-        # g^-1, so its blade matrix is the compound of g^-1, the Gram matrix.
+        # The basis is orthonormal for g, so g^-1 = basis basis^T.  Each of J
+        # and g^-1 induces an algebra map on forms, whose blade matrices are
+        # its compounds (``op``).
         ginv = self.basis @ self.basis.transpose()
         if ginv @ g != OperatorMatrix.identity(dim):
             raise AssertionError("basis basis^T is not the inverse metric")
-        self.jay = BladeMap(dim, self._jay_of_blade, {0: Form.scalar(dim, 1)})
-        self._ginv_blade = BladeMap(dim, self._jay_of_blade, {0: Form.scalar(dim, 1)})
-        for i in range(dim):
-            self.jay[1 << i] = Form(dim, {1 << j: self.J.entry(i, j) for j in range(dim)})
-            self._ginv_blade[1 << i] = Form(dim, {1 << j: ginv.entry(i, j) for j in range(dim)})
+        self._generators = {"jay": self.J.transpose(), "gram": ginv}
+        self._ops: dict[tuple[str, int], OperatorMatrix] = {}
 
     def _validate(self, w_mat: OperatorMatrix):
         dim = self.structure.dim
@@ -150,12 +147,20 @@ class CompatibleTriple:
         if (self.J.transpose() @ w_mat @ self.J) != w_mat:
             raise AssertionError("J does not preserve omega")
 
-    @staticmethod
-    def _jay_of_blade(images: BladeMap, mask: int) -> Form:
-        """Image of one blade: the lowest factor's image wedged onto the
-        image of the rest."""
-        low = mask & -mask
-        return images[low].wedge(images[mask ^ low])
+    def op(self, name: str, k: int) -> OperatorMatrix:
+        """"jay" or "gram" on the degree-k blades, built once per degree as
+        the compound of J^T or of g^-1 (``exterior.compound``).  "jay" is the
+        splitting operator, which sends e_i to row i of J and multiplies each
+        (p, q) component by i^(p - q); "gram" sends e_i to row i of g^-1, so
+        it is the Gram matrix of the degree-k blades (Cauchy-Binet)."""
+        if (name, k) not in self._ops:
+            lower = self.op(name, k - 1) if 0 < k <= self.structure.dim else None
+            self._ops[name, k] = compound(self._generators[name], k, lower)
+        return self._ops[name, k]
+
+    def jay(self, a: Form) -> Form:
+        """The splitting operator on a form, degree by degree."""
+        return _by_degree(a, self.structure.dim, partial(self.op, "jay"), lambda k: k)
 
 
 def build_triple(omega, order: list[int] | None = None) -> CompatibleTriple:
@@ -210,10 +215,10 @@ class HodgeTheory:
 
     def gram(self, k: int) -> OperatorMatrix:
         """The Gram matrix of <a, a'> on the degree-k blades: the k-th
-        compound of g^-1, read off the triple's metric map."""
+        compound of g^-1, read off the triple."""
         cached = self._gram.get(k)
         if cached is None:
-            cached = _blade_matrix(self.triple._ginv_blade, k, k)
+            cached = self.triple.op("gram", k)
             if cached != cached.transpose():
                 raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
             self._gram[k] = cached
@@ -322,8 +327,7 @@ class HodgeTheory:
         inverted and each comparison is equivalent to the identity."""
         name = f"jay-conjugation(k={k})"
         n, st = self.n, self.st
-        jk = _blade_matrix(self.triple.jay, k, k)
-        jk1 = _blade_matrix(self.triple.jay, k + 1, k + 1)
+        jk, jk1 = self.triple.op("jay", k), self.triple.op("jay", k + 1)
         m_dp, m_dm = self.cx.del_blades(k)[0], self.cx.del_blades(k + 1)[1]
         g_k, g_k1 = self.gram(k), self.gram(k + 1)
         s_hr_k = st.scale_rs(lambda r, s: n - r - s, k)

@@ -85,6 +85,8 @@ class SymplecticStructure:
             i, j = blade_indices(mask)
             w[i - 1][j - 1], w[j - 1][i - 1] = c, -c
         self.matrix = w
+        # omega^n/n! has top coefficient Pf(omega), and Pf(omega)^2 = det, so
+        # this check also refuses every omega whose n-th power vanishes
         if det(w, self.dim) == 0:
             raise NotSymplecticError(
                 f"omega is degenerate (det of its coefficient matrix is 0): {omega}",
@@ -96,8 +98,6 @@ class SymplecticStructure:
         self.inverse = [[winv.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
         self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
         self._ops: dict[tuple, OperatorMatrix | dict] = {}
-        if not self.volume():
-            raise NotSymplecticError("omega^n vanishes", "degenerate")
 
     # -- sl(2) action ----------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Test oracle: the form-level operator routes symcoh used before its matrices.
 
 The engine builds d, L and Lambda as int matrices, one per degree, by bit
-arithmetic on the blade masks (``exterior.blade_operator``), and keeps the
-splitting operator as a ``BladeMap``: every blade's image is built once,
-kept, and applied in one pass.  This module keeps independent routes that
-build nothing per blade and keep nothing between calls:
+arithmetic on the blade masks (``exterior.blade_operator``), and the
+splitting operator and the blade Gram matrix as int compound matrices of J^T
+and g^-1 (``exterior.compound``).  This module keeps independent routes
+that build nothing per blade and keep nothing between calls:
 
 * ``Lambda`` is the contraction sum over the inverse bivector, with the
   bivector's pairs read off ``inverse``;
@@ -16,13 +16,17 @@ build nothing per blade and keep nothing between calls:
 Sums of exact Fractions do not depend on their order, so both routes must
 return equal Forms.
 
-It also keeps the blade maps the engine read its d, L and Lambda matrices
-off before it built them from the structure constants: ``d_blade_map``
-builds d of a blade by the Leibniz rule on its lowest factor from the
-images of smaller blades (``d_of_blade``), ``L_blade_map`` wedges omega
-with a blade, and ``Lambda_blade_map`` contracts a blade with each pair of
-the bivector (``Lambda_of_blade``).  ``exterior._blade_matrix`` of each,
-over the least denominator, must equal the engine's matrix int for int.
+It also keeps the blade maps the engine read its d, L, Lambda, splitting
+operator and Gram matrices off before it built them as int matrices: a
+``BladeMap`` memoises one Fraction Form per blade, each built from the
+images of smaller blades, and ``blade_matrix`` reads those images into an
+``OperatorMatrix`` over the least denominator.  ``d_blade_map`` builds d
+of a blade by the Leibniz rule on its lowest factor (``d_of_blade``),
+``L_blade_map`` wedges omega with a blade, ``Lambda_blade_map`` contracts a
+blade with each pair of the bivector (``Lambda_of_blade``), and
+``algebra_map`` wedges the images of a blade's lowest factor and the rest
+(``image_of_blade``), for J and g^-1 given the image of each covector.
+``blade_matrix`` of each must equal the engine's matrix.
 
 It also keeps the form-level primitive-coordinate route the engine used
 before ``SymplecticStructure.split`` and ``prim_matrix``:
@@ -61,10 +65,10 @@ component.
 
 And it keeps the star route for the inner product that the engine reads
 as the compound of the inverse metric (``HodgeTheory.gram``): ``pair``
-integrates a ^ *b against the Liouville volume, *b the splitting operator
+integrates a ^ *b against the Liouville volume, *b this module's ``jay``
 after the symplectic star, ``wedge_gram`` does so for every pair of a list
 of forms, and ``gram`` reads a blade Gram column as ``top_dual`` of a
-starred blade.
+starred blade.  No step of it reads the engine's compound matrices.
 
 And it keeps the wedge route for the duality pairing that
 ``HodgeTheory.pairing_matrix`` reads without a wedge per pair:
@@ -72,9 +76,8 @@ And it keeps the wedge route for the duality pairing that
 every pair and integrates the product.
 
 And it keeps ``matrix_on_blades``, which applies a form operator to each
-blade, where the engine builds its matrices from the structure constants
-and reads the others off the images its blade maps keep
-(``exterior._blade_matrix``).
+blade, where the engine builds its matrices from the structure constants,
+omega and the triple's J and g^-1.
 
 And it keeps the form-by-form identity battery (``identity_battery``) that
 the engine checks as per-degree matrix equations, with the form routes only
@@ -99,8 +102,8 @@ from functools import partial
 from math import factorial
 
 from symcoh.exterior import (
-    BladeMap, Form, blade_index, blade_indices, blades, contract, form_from_coords,
-    form_to_coords)
+    DimensionMismatchError, Form, blade_index, blade_indices, blades, contract,
+    form_from_coords, form_to_coords)
 from symcoh.hodge import top_dual
 from symcoh.linalg import OperatorMatrix
 from symcoh.reports import CheckResult
@@ -140,6 +143,57 @@ def d(algebra, a: Form) -> Form:
                 term = term.wedge(algebra.differentials[i - 1] if s == t else Form.e(dim, j))
             out = out + term
     return out
+
+
+class BladeMap(dict):
+    """A linear map on dimension ``dim``, kept as its blade images: from
+    ``known`` on, each is built once, by ``image_of_blade(images, mask)``.
+    The builder must not hold this mapping or its owner, so that no
+    reference cycle keeps the memo alive after its owner is gone."""
+
+    def __init__(self, dim: int, image_of_blade, known=()):
+        super().__init__(known)
+        self.dim = dim
+        self._image_of_blade = image_of_blade
+
+    def __missing__(self, mask: int) -> Form:
+        image = self[mask] = self._image_of_blade(self, mask)
+        return image
+
+    def __call__(self, a: Form) -> Form:
+        """Apply the map in one pass over ``a`` that builds one Form."""
+        if a.dim != self.dim:
+            raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {self.dim}")
+        c: dict[int, object] = {}
+        for mask, v in a._c.items():
+            for m, w in self[mask]._c.items():
+                c[m] = c.get(m, 0) + v * w
+        return Form(a.dim, c)
+
+
+def blade_matrix(images: BladeMap, k_from: int, k_to: int) -> OperatorMatrix:
+    """The matrix of a blade map from degree k_from to k_to, read off the
+    map's memoised blade images."""
+    idx = blade_index(images.dim, k_to)[1]
+    return OperatorMatrix.from_columns([form_to_coords(images[m], idx)
+                                        for m in blade_index(images.dim, k_from)[0]], len(idx))
+
+
+def image_of_blade(images: BladeMap, mask: int) -> Form:
+    """Image of a blade under an algebra map: the lowest factor's image
+    wedged onto the image of the rest."""
+    low = mask & -mask
+    return images[low].wedge(images[mask ^ low])
+
+
+def algebra_map(rows) -> BladeMap:
+    """The algebra map on forms sending e_{i+1} to the 1-form with
+    coefficients rows[i], a square list of rows."""
+    dim = len(rows)
+    images = BladeMap(dim, image_of_blade, {0: Form.scalar(dim, 1)})
+    images.update({1 << i: Form(dim, {1 << j: v for j, v in enumerate(r)})
+                   for i, r in enumerate(rows)})
+    return images
 
 
 def d_of_blade(images: BladeMap, mask: int) -> Form:
@@ -440,7 +494,7 @@ def volume_norm(st):
 def hodge_star(triple, a: Form) -> Form:
     """Riemannian star of the triple: the splitting operator after the
     symplectic star."""
-    return triple.jay(triple.structure.star(a))
+    return jay(triple, triple.structure.star(a))
 
 
 def _integral(st, f: Form):

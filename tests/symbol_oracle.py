@@ -14,7 +14,8 @@ routes:
 
 from __future__ import annotations
 
-from symcoh.exterior import BladeMap, Form, _blade_matrix
+from form_oracle import BladeMap, blade_matrix
+from symcoh.exterior import Form
 from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
 from symcoh.reports import CheckResult
 from symcoh.symbolcheck import SymbolComplex, _standard_structure
@@ -24,7 +25,7 @@ def split_symbol_maps(n: int, xi: Form) -> list[OperatorMatrix]:
     """The symbol sequence of xi from the split of xi ^ itself."""
     st = _standard_structure(n)
     wedge = BladeMap(2 * n, lambda _, m: xi.wedge(Form(2 * n, {m: 1})))
-    ws = [_blade_matrix(wedge, k, k + 1) for k in range(n + 1)]
+    ws = [blade_matrix(wedge, k, k + 1) for k in range(n + 1)]
     pieces = [st.split(w, k) for k, w in enumerate(ws)]
     maps = [st.prim_matrix(dp, k + 1) for k, (dp, _) in enumerate(pieces[:n])]
     middle = ws[n - 1] @ pieces[n][1]

@@ -1,6 +1,6 @@
-"""The form-level operators (L, Lambda and d, which apply their per-degree
-matrices, and the splitting operator's blade map) against the form-level
-oracle routes of ``form_oracle``."""
+"""The form-level operators (L, Lambda, d and the splitting operator, which
+apply their per-degree matrices) against the form-level oracle routes of
+``form_oracle``."""
 
 import gc
 import weakref
@@ -98,26 +98,27 @@ class Probe:
 
 
 def test_blade_maps_are_freed_with_their_owners():
-    """No reference cycle: the memoised images of J and g^-1, and the
-    algebra's and the structure's caches of the d, L and Lambda matrices,
-    go when the last reference to their owner does, without waiting for the
-    cycle collector.  A probe stored in each matrix cache goes with it."""
+    """No reference cycle: the triple's cache of the J and g^-1 compound
+    matrices, and the algebra's and the structure's caches of the d, L and
+    Lambda matrices, go when the last reference to their owner does,
+    without waiting for the cycle collector.  A probe stored in each matrix
+    cache goes with it."""
     gc.disable()
     try:
         alg = parse_salamon("(0,0,0,12,14,15+23+24)")
         cx = SymplecticComplex(alg, parse_omega("16+25-34", 6))
         triple = build_triple(cx.structure)
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
-        for op in (cx.d, cx.L, cx.Lambda, triple.jay, triple._ginv_blade):
+        for op in (cx.d, cx.L, cx.Lambda, triple.jay):
             op(f)
-        maps = (triple.jay, triple._ginv_blade)
-        assert all(0b1011 in m for m in maps)
+        triple.op("gram", 3)
+        assert {("jay", 2), ("jay", 3), ("gram", 3)} <= triple._ops.keys()
         assert {2, 3} <= alg._d_ops.keys()
         assert {("L", 2), ("L", 3), ("Lambda", 2), ("Lambda", 3)} <= cx.structure._ops.keys()
-        probes = (Probe(), Probe())
-        alg._d_ops["probe"], cx.structure._ops["probe"] = probes
-        refs = [weakref.ref(m) for m in (*maps, *probes)]
-        del alg, cx, triple, maps, op, probes
+        probes = (Probe(), Probe(), Probe())
+        alg._d_ops["probe"], cx.structure._ops["probe"], triple._ops["probe"] = probes
+        refs = [weakref.ref(p) for p in probes]
+        del alg, cx, triple, op, probes
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

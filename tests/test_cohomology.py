@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from symcoh import CohomologyCalculator, Form, SymplecticComplex, parse_form
+from symcoh import CohomologyCalculator, Form, SymplecticComplex, parse_form, parse_salamon
 from symcoh.cohomology import DegreeRangeError, omega_dependence
 from symcoh.linalg import InclusionError, kernel
 
@@ -248,6 +249,27 @@ def test_lemma_and_strong_lefschetz_co_occur(nil_calc, nil_calc_prime, torus_cal
         lemma = calc.check_ddlambda_lemma().passed
         lefschetz = calc.check_strong_lefschetz().passed
         assert lemma == lefschetz
+
+
+def test_lefschetz_power_maps_are_built_once_across_suites():
+    """The lefschetz and ddlambda suites on N8 build each omega-power map
+    on classes once: omega^(4-k) from H^k for k = 0..4 and omega on H^1."""
+    cx = SymplecticComplex(parse_salamon("(0,0,0,12,14,15+23+24,0,0)"),
+                           parse_form("e16 + e25 - e34 + e78", 8))
+    calc = CohomologyCalculator(cx)
+    built = Counter()
+    power_map = calc._power_map
+
+    def counting(k, power):
+        built[k, power] += 1
+        return power_map(k, power)
+
+    calc._power_map = counting
+    first = calc.check_strong_lefschetz()
+    lemma = calc.check_ddlambda_lemma()
+    assert built == Counter([(k, 4 - k) for k in range(5)] + [(1, 1)])
+    assert first == calc.check_strong_lefschetz()
+    assert lemma == CohomologyCalculator(cx).check_ddlambda_lemma()
 
 
 # -- intersection groups and bounds ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""d, L and Lambda as int matrices against the Form-wedge blade maps.
+"""d, L, Lambda, J and g^-1 as int matrices against the Form-wedge blade maps.
 
 The engine builds d from the structure constants by the Leibniz rule, L
 from omega's coefficients and Lambda from the inverse of omega's matrix,
@@ -6,8 +6,15 @@ each as an int matrix per degree over the least denominator.
 ``form_oracle`` keeps the blade maps it read them off before: d of a blade
 by the Leibniz rule on its lowest factor, omega wedged with a blade, and a
 blade contracted with each pair of the bivector, all in Fractions.
-``_blade_matrix`` of each, which takes the least denominator of the Fraction
+``blade_matrix`` of each, which takes the least denominator of the Fraction
 images, must give the same ints and the same denominator in every degree.
+
+The compatible triple builds the splitting operator and the blade Gram
+matrix as compounds of J^T and g^-1 (``CompatibleTriple.op``).  They must
+equal, as rational maps, the blade maps that wedge the rows of J and of
+g^-1 = T T^T, T the symplectic basis, in every degree.  The top
+coefficient of the volume form omega^n/n! is the Pfaffian of omega, so its
+square is the determinant of omega's matrix.
 
 The inputs are every ladder fixture, dimensions 2 and 14, a seeded dense
 integer change of basis of N8, and a JSON algebra with p/q structure
@@ -24,7 +31,9 @@ import pytest
 import form_oracle as oracle
 from symcoh import SymplecticComplex, parse_algebra
 from symcoh.cealgebra import LieAlgebraSpec
-from symcoh.exterior import Form, _blade_matrix, blade_indices
+from symcoh.exterior import Form, blade_indices
+from symcoh.hodge import build_triple
+from symcoh.linalg import det
 from symcoh.symplectic import parse_omega
 
 FIXTURES = {
@@ -94,7 +103,7 @@ def pairs(cx):
               "Lambda": (lambda k: st.op("Lambda", k), oracle.Lambda_blade_map(st), -2)}
     for name, (engine, images, step) in routes.items():
         for k in range(-1, cx.dim + 2):
-            yield name, k, engine(k), _blade_matrix(images, k, k + step)
+            yield name, k, engine(k), oracle.blade_matrix(images, k, k + step)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -132,3 +141,34 @@ def test_form_level_operators_apply_the_matrices(name):
     assert st.Lambda(a) == oracle.Lambda_blade_map(st)(a)
     for r in range(cx.n + 1):
         assert st.L_power(a, r) == oracle.L_power(st, a, r)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_volume_is_a_pfaffian(name):
+    """(omega^n/n!)[top]^2 = det(omega's matrix), so omega^n vanishes only
+    where the determinant check has already refused omega."""
+    st = build(name).structure
+    assert st.volume().coeff((1 << st.dim) - 1) ** 2 == det(st.matrix, st.dim)
+
+
+@pytest.mark.parametrize("name", ["dim-2", "N6", "N8", "N6-p/q", "scrambled-N8"])
+def test_compound_matrices_equal_the_form_wedge_route(name):
+    """``op("jay", k)`` and ``op("gram", k)`` against the blade maps of the
+    rows of J and of T T^T, from degree -1 to dim + 1."""
+    cx = build(name)
+    triple, dim = build_triple(cx.structure), cx.dim
+    j_rows = [[triple.J.entry(i, j) for j in range(dim)] for i in range(dim)]
+    t_rows = [[triple.basis.entry(i, j) for j in range(dim)] for i in range(dim)]
+    g_rows = [[sum(a * b for a, b in zip(r, s)) for s in t_rows] for r in t_rows]
+    for op, rows in (("jay", j_rows), ("gram", g_rows)):
+        images = oracle.algebra_map(rows)
+        for k in range(-1, dim + 2):
+            got, want = triple.op(op, k), oracle.blade_matrix(images, k, k)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols), (op, k)
+            assert got == want, (op, k)
+
+
+def test_compound_inputs_reach_denominators():
+    """On the p/q fixture J and g^-1 both have denominators above 1."""
+    triple = build_triple(build("N6-p/q").structure)
+    assert triple.op("jay", 1).den > 1 and triple.op("gram", 1).den > 1

@@ -26,6 +26,12 @@ NO_SRC_CALLER = {
     "is_primitive", "is_homogeneous", "coordinates",
     # the Form-level route over del_blades, kept for demos 03/04 and the tests
     "del_plus", "del_minus",
+    # the Form-level route over the triple's compound matrices, kept for
+    # demo 05 and the tests
+    "jay",
+    # omega^n/n!: the degeneracy check it fed could not fail after the
+    # determinant check; the tests' volume norm and Pfaffian check read it
+    "volume",
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import form_oracle as oracle
 from symcoh import Form, SymplecticStructure, standard_omega
-from symcoh.exterior import BladeMap, _blade_matrix, blade_index
+from symcoh.exterior import blade_index
 from symcoh.linalg import OperatorMatrix
 from symcoh.symbolcheck import build_symbols, random_covectors
 from symcoh.symplectic import parse_omega
@@ -22,7 +22,8 @@ def covectors(dim: int) -> list[Form]:
 
 
 def wedge_matrix(xi: Form, k: int) -> OperatorMatrix:
-    return _blade_matrix(BladeMap(xi.dim, lambda _, m: xi.wedge(Form(xi.dim, {m: 1}))), k, k + 1)
+    return oracle.blade_matrix(
+        oracle.BladeMap(xi.dim, lambda _, m: xi.wedge(Form(xi.dim, {m: 1}))), k, k + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
