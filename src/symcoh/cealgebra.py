@@ -35,7 +35,7 @@ from .exterior import (
     blade_index,
     blade_operator,
 )
-from .linalg import OperatorMatrix
+from .linalg import OperatorMatrix, memo
 
 
 class AlgebraValidationError(ValueError):
@@ -45,7 +45,7 @@ class AlgebraValidationError(ValueError):
 class LieAlgebraSpec:
     """Dimension 2n plus the differential of each generator as a 2-form."""
 
-    __slots__ = ("dim", "differentials", "_d_ops")
+    __slots__ = ("dim", "differentials", "_ops")
 
     def __init__(self, differentials: list[Form]):
         dim = len(differentials)
@@ -59,7 +59,7 @@ class LieAlgebraSpec:
                 raise AlgebraValidationError(f"d(e_{i}) must be a 2-form, got {f}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "differentials", tuple(differentials))
-        object.__setattr__(self, "_d_ops", {})
+        object.__setattr__(self, "_ops", {})
         self._validate()
 
     def __setattr__(self, name, value):
@@ -84,10 +84,8 @@ class LieAlgebraSpec:
         """d from the degree-k blades, built once: d e_I is the sum over its
         factors e_i of d(e_i) ^ (e_I with e_i contracted), one term for each
         term of each d(e_i)."""
-        if k not in self._d_ops:
-            self._d_ops[k] = blade_operator(self.dim, k, k + 1, [
-                (1 << i, m, c) for i, f in enumerate(self.differentials) for m, c in f.items()])
-        return self._d_ops[k]
+        return memo(self._ops, k, lambda: blade_operator(self.dim, k, k + 1, [
+            (1 << i, m, c) for i, f in enumerate(self.differentials) for m, c in f.items()]))
 
     def d(self, a: Form) -> Form:
         """Exterior derivative, extended as an anti-derivation."""
@@ -133,7 +131,7 @@ def _parse_structure_entry(entry: str, dim: int, text: str, offset: int) -> Form
         while pos < len(s) and s[pos] == " ":
             pos += 1
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and s[pos].isdecimal():
             pos += 1
         coeff = 1
         if pos < len(s) and s[pos] == "*":

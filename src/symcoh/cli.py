@@ -113,12 +113,6 @@ def _markdown_table(report: dict) -> str:
             row.append("" if cell is None
                        else f"dim {cell['dim']}: " + ", ".join(cell["basis"]))
         lines.append("| " + " | ".join(row) + " |")
-    if report.get("checks"):
-        lines.append("")
-        for name, chk in report["checks"].items():
-            status = "pass" if chk["passed"] else "FAIL"
-            lines.append(f"* {name}: {status}")
-            lines.extend(f"    * {d}" for d in chk["details"])
     return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,10 @@ Six families are computed as exact quotients with canonical representatives:
               both first-order images, degree 0..n.
 
 Before every quotient the denominator is checked to lie inside the
-numerator; a failure indicates a broken operator, never bad input.  A group
-keeps ``quotient``'s int rows; its representative Forms are built on read.
+numerator; a failure indicates a broken operator, never bad input.  Every
+subspace and group is built once by ``linalg.memo`` into the calculator's
+one cache, ``_ops``.  A group keeps ``quotient``'s int rows; its
+representative Forms are built on read.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .linalg import (
     Subspace,
     image,
     kernel,
+    memo,
     quotient,
     subspace_intersect,
     subspace_sum,
@@ -72,7 +75,7 @@ class CohomologyCalculator:
         self.st = cx.structure
         self.dim = cx.dim
         self.n = cx.n
-        self._cache: dict = {}
+        self._ops: dict = {}
 
     # -- coordinates -------------------------------------------------------
 
@@ -87,11 +90,6 @@ class CohomologyCalculator:
 
     # -- operator matrices ---------------------------------------------------
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
     def d_matrix(self, k: int) -> OperatorMatrix:
         return self.cx.op("d", k)
 
@@ -101,21 +99,21 @@ class CohomologyCalculator:
     # -- full-complex subspaces ----------------------------------------------
 
     def ker_d(self, k: int) -> Subspace:
-        return self._memo(("ker_d", k), lambda: kernel(self.d_matrix(k)))
+        return memo(self._ops, ("ker_d", k), lambda: kernel(self.d_matrix(k)))
 
     def im_d(self, k: int) -> Subspace:
         """Image of d inside degree k."""
         if k == 0:
             return Subspace.zero(len(self.blade_order(0)))
-        return self._memo(("im_d", k), lambda: image(self.d_matrix(k - 1)))
+        return memo(self._ops, ("im_d", k), lambda: image(self.d_matrix(k - 1)))
 
     def ker_dl(self, k: int) -> Subspace:
-        return self._memo(("ker_dl", k), lambda: kernel(self.dl_matrix(k)))
+        return memo(self._ops, ("ker_dl", k), lambda: kernel(self.dl_matrix(k)))
 
     def im_dl(self, k: int) -> Subspace:
         if k == 2 * self.n:
             return Subspace.zero(len(self.blade_order(k)))
-        return self._memo(("im_dl", k), lambda: image(self.dl_matrix(k + 1)))
+        return memo(self._ops, ("im_dl", k), lambda: image(self.dl_matrix(k + 1)))
 
     def prim(self, k: int) -> Subspace:
         return self.st.primitive_subspace(k)
@@ -129,39 +127,39 @@ class CohomologyCalculator:
         """Kernel, in degree-k blades, of the map sending the primitive basis
         to the primitive degree-``k_to`` forms, the columns of ``m``."""
         kern = kernel(self.st.prim_matrix(m, k_to))
-        b = self.st._primitive_data(k)[2]
+        b = self.st._primitive_data(k)[1]
         return Subspace(b.nrows, (b @ OperatorMatrix(b.ncols, kern.dim, kern.ints)).cols)
 
     def _dpdm(self, k: int) -> OperatorMatrix:
         """Blade coordinates of del_plus del_minus of the primitive degree-k
         basis."""
-        return self._memo(("dpdm", k), lambda: self.cx.del_images(k - 1)[0]
+        return memo(self._ops, ("dpdm", k), lambda: self.cx.del_images(k - 1)[0]
                           @ self.st.prim_matrix(self.cx.del_images(k)[1], k - 1))
 
     def dp_span(self, k: int) -> Subspace:
         """Image of the degree +1 piece on primitive degree-k forms."""
-        return self._memo(("dp_span", k), lambda: Subspace(
+        return memo(self._ops, ("dp_span", k), lambda: Subspace(
             len(self.blade_order(k + 1)), self.cx.del_images(k)[0].cols))
 
     def dm_span(self, k: int) -> Subspace:
         """Image of the degree -1 piece on primitive degree-k forms."""
-        return self._memo(("dm_span", k), lambda: Subspace(
+        return memo(self._ops, ("dm_span", k), lambda: Subspace(
             len(self.blade_order(k - 1)), self.cx.del_images(k)[1].cols))
 
     def dpdm_span(self, k: int) -> Subspace:
-        return self._memo(("dpdm_span", k), lambda: Subspace(
+        return memo(self._ops, ("dpdm_span", k), lambda: Subspace(
             len(self.blade_order(k)), self._dpdm(k).cols))
 
     def ker_dp(self, k: int) -> Subspace:
-        return self._memo(("ker_dp", k), lambda: self._prim_kernel(
+        return memo(self._ops, ("ker_dp", k), lambda: self._prim_kernel(
             self.cx.del_images(k)[0], k + 1, k))
 
     def ker_dm(self, k: int) -> Subspace:
-        return self._memo(("ker_dm", k), lambda: self._prim_kernel(
+        return memo(self._ops, ("ker_dm", k), lambda: self._prim_kernel(
             self.cx.del_images(k)[1], k - 1, k))
 
     def ker_dpdm(self, k: int) -> Subspace:
-        return self._memo(("ker_dpdm", k), lambda: self._prim_kernel(self._dpdm(k), k, k))
+        return memo(self._ops, ("ker_dpdm", k), lambda: self._prim_kernel(self._dpdm(k), k, k))
 
     # -- groups ----------------------------------------------------------------
 
@@ -220,7 +218,7 @@ class CohomologyCalculator:
               "d+dL": self.d_plus_dlambda, "ddL": self.ddlambda}.get(name)
         if fn is None:
             raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
-        return self._memo(("group", name, k), lambda: fn(k))
+        return memo(self._ops, ("group", name, k), lambda: fn(k))
 
     # -- intersection groups (closed forms that happen to be primitive) --------
 
@@ -288,7 +286,7 @@ class CohomologyCalculator:
     def lefschetz_power_map(self, k: int, power: int) -> OperatorMatrix:
         """Matrix of wedging with omega^power on classes: H^k -> H^{k+2*power},
         built once per (k, power)."""
-        return self._memo(("lefschetz", k, power), lambda: self._power_map(k, power))
+        return memo(self._ops, ("lefschetz", k, power), lambda: self._power_map(k, power))
 
     def _power_map(self, k: int, power: int) -> OperatorMatrix:
         src = self.group("dR", k)

@@ -418,7 +418,7 @@ def _parse_blade(text: str, pos: int, dim: int) -> tuple[int, int]:
 
 def _parse_number(text: str, pos: int) -> tuple[Fraction, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos].isdecimal():
         pos += 1
     if pos == start:
         raise FormParseError("expected a number", text, start)
@@ -427,7 +427,7 @@ def _parse_number(text: str, pos: int) -> tuple[Fraction, int]:
     if pos < len(text) and text[pos] == "/":
         pos += 1
         dstart = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and text[pos].isdecimal():
             pos += 1
         if pos == dstart:
             raise FormParseError("expected a denominator", text, dstart)
@@ -460,7 +460,7 @@ def parse_form(text: str, dim: int) -> Form:
             raise FormParseError("expected '+' or '-' between terms", text, pos)
         if pos == len(text):
             raise FormParseError("dangling sign", text, pos)
-        if text[pos].isdigit():
+        if text[pos].isdecimal():
             coeff, pos = _parse_number(text, pos)
             if pos < len(text) and text[pos] == "*":
                 pos += 1

@@ -2,14 +2,16 @@
 
 A compatible triple (omega, J, g) is built exactly: a symplectic basis is
 computed by linear symplectic Gram-Schmidt over the rationals, J is the
-standard rotation in that basis, and g(x, y) = omega(x, Jy).  The complex
+standard rotation in that basis, and g(x, y) = omega(x, Jy); omega, J and
+g are ``OperatorMatrix``es, and the basis pairs vectors through omega's.  The complex
 splitting operator multiplies each (p, q) component by i^(p-q); that is the
 algebra automorphism induced by J on covectors, so on each degree its
 matrix is a compound of J^T, an int matrix built over the rationals
 (``exterior.compound``).  The inner product on forms is the one g induces.
 The symplectic basis T is orthonormal for g, so g^-1 = T T^T, and the Gram
 matrix of the degree-k blades is the k-th compound of g^-1
-(Cauchy-Binet).  The triple builds both once per degree (``op``).  The
+(Cauchy-Binet).  The triple builds both once per degree (``op``) and checks
+each Gram matrix symmetric as it builds it.  The
 Gram matrix equals integration of a ^ *a' against the Liouville volume,
 normalized so that <1, 1> = 1, with * the splitting operator after the
 symplectic star; that star route is the test suite's oracle.  The
@@ -19,8 +21,10 @@ other factor's complementary blades (``top_dual``), forming no wedge per
 pair.
 
 All harmonic spaces, adjoints and decomposition checks are exact matrix
-computations over the primitive bases, each adjoint formed once per degree
-and direction.  Every matrix is an ``OperatorMatrix``, int columns over one
+computations over the primitive bases.  ``HodgeTheory`` reads the blade
+Gram matrices off the triple and builds each primitive Gram, its inverse,
+each pair of adjoints and each harmonic space once per degree by
+``linalg.memo`` into its one cache, ``_ops``.  Every matrix is an ``OperatorMatrix``, int columns over one
 denominator, so the Gram matrices, adjoints and Laplacians are int products
 scaled once.  The splitting-conjugation check reads J on the blades off
 the triple (``op``), del_plus and del_minus on the blades off the
@@ -43,20 +47,12 @@ from .linalg import (
     det,
     image,
     kernel,
+    memo,
     subspace_intersect,
     vec_dot,
 )
 from .reports import CheckResult
 from .symplectic import SymplecticComplex, SymplecticStructure, _factorial
-
-
-def _pairing(w: list[list[Fraction]], x: dict, y: dict) -> Fraction:
-    out = Fraction(0)
-    for i, xv in x.items():
-        for j, yv in y.items():
-            if w[i][j]:
-                out += xv * w[i][j] * yv
-    return out
 
 
 def darboux_basis(structure: SymplecticStructure,
@@ -67,7 +63,7 @@ def darboux_basis(structure: SymplecticStructure,
     yields a valid basis (used to exhibit metric independence).
     """
     dim = structure.dim
-    w = structure.matrix
+    w = structure.omega_matrix
     seq = list(order) if order is not None else list(range(dim))
     if sorted(seq) != list(range(dim)):
         raise ValueError("order must be a permutation of 0..2n-1")
@@ -79,7 +75,7 @@ def darboux_basis(structure: SymplecticStructure,
             raise AssertionError("degenerate vector during symplectic reduction")
         partner = None
         for idx, cand in enumerate(remaining):
-            val = _pairing(w, u, cand)
+            val = vec_dot(u, w.apply(cand))
             if val:
                 partner = idx
                 break
@@ -88,8 +84,8 @@ def darboux_basis(structure: SymplecticStructure,
         v = {j: c / val for j, c in remaining.pop(partner).items()}
         projected = []
         for x in remaining:
-            wx = _pairing(w, v, x)
-            ux = _pairing(w, u, x)
+            w_x = w.apply(x)
+            wx, ux = vec_dot(v, w_x), vec_dot(u, w_x)
             y = dict(x)
             for j, c in u.items():
                 y[j] = y.get(j, 0) + wx * c
@@ -119,29 +115,27 @@ class CompatibleTriple:
                                          for c in ({2 * j + 1: 1}, {2 * j: -1})])
         self.J = self.basis @ jstd @ basis_inv
         w_mat = structure.omega_matrix
-        g = w_mat @ self.J
-        self.metric = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
+        self.metric = w_mat @ self.J
         self._validate(w_mat)
         # The basis is orthonormal for g, so g^-1 = basis basis^T.  Each of J
         # and g^-1 induces an algebra map on forms, whose blade matrices are
         # its compounds (``op``).
         ginv = self.basis @ self.basis.transpose()
-        if ginv @ g != OperatorMatrix.identity(dim):
+        if ginv @ self.metric != OperatorMatrix.identity(dim):
             raise AssertionError("basis basis^T is not the inverse metric")
         self._generators = {"jay": self.J.transpose(), "gram": ginv}
-        self._ops: dict[tuple[str, int], OperatorMatrix] = {}
+        self._ops: dict = {}
 
     def _validate(self, w_mat: OperatorMatrix):
         dim = self.structure.dim
+        g = self.metric
         if (self.J @ self.J) != OperatorMatrix.identity(dim).scale(-1):
             raise AssertionError("J^2 != -1")
-        for i in range(dim):
-            for j in range(i):
-                if self.metric[i][j] != self.metric[j][i]:
-                    raise AssertionError("metric is not symmetric")
+        if g != g.transpose():
+            raise AssertionError("metric is not symmetric")
         # g is 1 in the Darboux basis, so only a metric set by hand fails this
         for k in range(1, dim + 1):
-            minor = det([row[:k] for row in self.metric[:k]], k)
+            minor = det([[g.entry(i, j) for j in range(k)] for i in range(k)], k)
             if minor <= 0:
                 raise AssertionError("metric is not positive definite")
         if (self.J.transpose() @ w_mat @ self.J) != w_mat:
@@ -152,11 +146,16 @@ class CompatibleTriple:
         the compound of J^T or of g^-1 (``exterior.compound``).  "jay" is the
         splitting operator, which sends e_i to row i of J and multiplies each
         (p, q) component by i^(p - q); "gram" sends e_i to row i of g^-1, so
-        it is the Gram matrix of the degree-k blades (Cauchy-Binet)."""
-        if (name, k) not in self._ops:
-            lower = self.op(name, k - 1) if 0 < k <= self.structure.dim else None
-            self._ops[name, k] = compound(self._generators[name], k, lower)
-        return self._ops[name, k]
+        it is the Gram matrix of the degree-k blades (Cauchy-Binet), checked
+        symmetric."""
+        return memo(self._ops, (name, k), lambda: self._compound(name, k))
+
+    def _compound(self, name: str, k: int) -> OperatorMatrix:
+        lower = self.op(name, k - 1) if 0 < k <= self.structure.dim else None
+        m = compound(self._generators[name], k, lower)
+        if name == "gram" and m != m.transpose():
+            raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
+        return m
 
     def jay(self, a: Form) -> Form:
         """The splitting operator on a form, degree by degree."""
@@ -202,44 +201,23 @@ class HodgeTheory:
         self.triple = triple if triple is not None else CompatibleTriple(self.st)
         if self.triple.structure.omega != self.st.omega:
             raise ValueError("triple was built for a different omega")
-        self._gram: dict[int, OperatorMatrix] = {}
-        self._prim_gram: dict[int, OperatorMatrix] = {}
-        self._prim_gram_inv: dict[int, OperatorMatrix] = {}
-        self._updowns: dict[tuple[str, int], tuple] = {}
-        self._harmonic: dict[tuple[int, str], Subspace] = {}
+        self._ops: dict = {}
 
     # -- primitive-basis plumbing ----------------------------------------
-
-    def prim_basis(self, k: int) -> list[Form]:
-        return self.st._prim_forms(k)
 
     def gram(self, k: int) -> OperatorMatrix:
         """The Gram matrix of <a, a'> on the degree-k blades: the k-th
         compound of g^-1, read off the triple."""
-        cached = self._gram.get(k)
-        if cached is None:
-            cached = self.triple.op("gram", k)
-            if cached != cached.transpose():
-                raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
-            self._gram[k] = cached
-        return cached
+        return self.triple.op("gram", k)
 
     def prim_gram(self, k: int) -> OperatorMatrix:
         """B^T G_k B, B the primitive basis in blade coordinates and G_k the
         blade Gram matrix."""
-        cached = self._prim_gram.get(k)
-        if cached is None:
-            b = self.st._primitive_data(k)[2]
-            cached = b.transpose() @ self.gram(k) @ b
-            self._prim_gram[k] = cached
-        return cached
+        return memo(self._ops, ("prim_gram", k), lambda: (
+            b := self.st._primitive_data(k)[1]).transpose() @ self.gram(k) @ b)
 
     def prim_gram_inverse(self, k: int) -> OperatorMatrix:
-        cached = self._prim_gram_inv.get(k)
-        if cached is None:
-            cached = self.prim_gram(k).invert()
-            self._prim_gram_inv[k] = cached
-        return cached
+        return memo(self._ops, ("prim_gram_inv", k), lambda: self.prim_gram(k).invert())
 
     # -- harmonic spaces ---------------------------------------------------
 
@@ -247,9 +225,9 @@ class HodgeTheory:
         """The piece of d leaving P^k, the one arriving in P^k, and their
         adjoints, formed once per (which, k); outside 0..n a primitive
         space is 0."""
-        cached = self._updowns.get((which, k))
-        if cached is not None:
-            return cached
+        return memo(self._ops, ("updown", which, k), lambda: self._adjoints(which, k))
+
+    def _adjoints(self, which: str, k: int) -> tuple[OperatorMatrix, ...]:
         if which not in ("plus", "minus"):
             raise ValueError("which must be 'plus' or 'minus'")
         if not 0 <= k < self.n:
@@ -258,11 +236,9 @@ class HodgeTheory:
         piece, step = (0, 1) if which == "plus" else (1, -1)
         d_out = self.cx.del_matrices(k)[piece]
         d_in = self.cx.del_matrices(k - step)[piece]
-        cached = self._updowns[which, k] = (
-            d_out, d_in,
-            adjoint_in_bases(d_out, self.prim_gram_inverse(k), self.prim_gram(k + step)),
-            adjoint_in_bases(d_in, self.prim_gram_inverse(k - step), self.prim_gram(k)))
-        return cached
+        return (d_out, d_in,
+                adjoint_in_bases(d_out, self.prim_gram_inverse(k), self.prim_gram(k + step)),
+                adjoint_in_bases(d_in, self.prim_gram_inverse(k - step), self.prim_gram(k)))
 
     def laplacian(self, k: int, which: str) -> OperatorMatrix:
         d_out, d_in, d_out_star, d_in_star = self._updown(which, k)
@@ -271,16 +247,15 @@ class HodgeTheory:
     def harmonic_space(self, k: int, which: str) -> Subspace:
         """Kernel of the Laplacian on P^k in primitive coordinates, computed
         once per (k, which); checked against ker(d) ^ ker(d*)."""
-        cached = self._harmonic.get((k, which))
-        if cached is not None:
-            return cached
+        return memo(self._ops, ("harmonic", k, which), lambda: self._harmonic(k, which))
+
+    def _harmonic(self, k: int, which: str) -> Subspace:
         d_out, _, _, d_in_star = self._updown(which, k)
         via_laplacian = kernel(self.laplacian(k, which))
         via_kernels = subspace_intersect(kernel(d_out), kernel(d_in_star))
         if via_laplacian != via_kernels:
             raise AssertionError(
                 "harmonic space differs between Laplacian kernel and ker(d) ^ ker(d*)")
-        self._harmonic[(k, which)] = via_laplacian
         return via_laplacian
 
     def harmonic_dimension(self, k: int, which: str) -> int:
@@ -299,10 +274,9 @@ class HodgeTheory:
         details = []
         ok = True
         total = harm.dim + im_in.dim + im_adj.dim
-        if total != len(self.prim_basis(k)):
+        if total != g_k.nrows:
             ok = False
-            details.append(
-                f"dimensions {harm.dim}+{im_in.dim}+{im_adj.dim} != {len(self.prim_basis(k))}")
+            details.append(f"dimensions {harm.dim}+{im_in.dim}+{im_adj.dim} != {g_k.nrows}")
         pieces = [("harmonic", harm), ("image", im_in), ("coimage", im_adj)]
         for j in (1, 2):
             g_bs = [g_k.apply(b) for b in pieces[j][1].ints]

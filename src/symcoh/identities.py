@@ -15,7 +15,8 @@ nothing.  Degrees and blades are walked in the canonical order; only when
 the two sides differ are their columns compared, and the first differing
 column is the first counterexample blade; both its columns are rebuilt as
 forms for the detail.  The star reflection and the simplified expressions
-on primitive forms are checked on the primitive basis matrices.  The
+on primitive forms are checked on the primitive basis matrices, and a
+primitive Form is built only to name a failing column.  The
 form-by-form battery, which decomposes each blade on its own, is the test
 suite's oracle.
 """
@@ -124,18 +125,17 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     # on the primitive basis matrices B_s: the star on each omega-power of a
     # primitive form reflects the power, and the simplified expressions
     for s in range(n + 1):
-        b_s = st._primitive_data(s)[2]
+        b_s = st._primitive_data(s)[1]
         sign = (-1) ** (s * (s + 1) // 2)
         bad = [set(_differing((S(s + 2 * r) @ Lp(s, r) @ b_s).scale(F(1, factorial(r))),
                               (Lp(s, n - r - s) @ b_s).scale(F(sign, factorial(n - r - s)))))
                for r in range(n - s + 1)]
-        for j, b in enumerate(st.primitive_basis(s)):
-            r = next((r for r, cols in enumerate(bad) if j in cols), None)
-            if r is not None:
-                ok = False
-                details.append(f"star reflection fails at (r={r}, s={s}): {b}")
+        for j in sorted(set().union(*bad)):
+            r = next(r for r, cols in enumerate(bad) if j in cols)
+            ok = False
+            details.append(f"star reflection fails at (r={r}, s={s}): {st.primitive_basis(s)[j]}")
     for s in range(n + 1):
-        b_s = st._primitive_data(s)[2]
+        b_s = st._primitive_data(s)[1]
         db = d(s) @ b_s
         lam_db, dm_b, c = Lam(s + 1) @ db, M(s) @ b_s, F(1, n - s + 1)
         checks = [(dm_b, lam_db.scale(c), "del_minus != (1/H) Lambda d"),
@@ -145,10 +145,9 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
                    "del_plus del_minus != (1/(H+1)) d Lambda d"),
                   (dL(s) @ b_s, dm_b.scale(s - n - 1), "d_lambda != -H del_minus")]
         bad = [(set(_differing(lhs, rhs)), what) for lhs, rhs, what in checks]
-        for j, b in enumerate(st.primitive_basis(s)):
-            for cols, what in bad:
-                if j in cols:
-                    ok = False
-                    details.append(f"{what} on {b}")
+        for j in sorted(set().union(*(cols for cols, _ in bad))):
+            ok = False
+            details.extend(f"{what} on {st.primitive_basis(s)[j]}"
+                           for cols, what in bad if j in cols)
 
     return CheckResult("operator-identities", ok, details)

@@ -51,6 +51,15 @@ def vec_dot(a: Vec, b: Vec):
     return out
 
 
+def memo(cache: dict, key, build):
+    """cache[key], set to ``build()`` on first use.  Every owner keeps its
+    per-degree builds in one dict through this; ``build`` is not stored, so
+    a cached value never refers back to its owner."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------

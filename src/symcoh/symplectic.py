@@ -7,11 +7,15 @@ primitive bases and coordinates, and the symplectic star.
 adjoint dLambda, and the degree +1/-1 pieces of d.
 
 Every operator is an ``OperatorMatrix`` on each degree, int columns over
-one denominator, built once and kept in its owner's operator cache (``op``
-and ``_ops``); no cached matrix holds the structure or the complex.  L,
-Lambda and d are built on the blade masks (``exterior.blade_operator``)
-from omega, its inverse and the structure constants; dLambda is their
-product.  The Lefschetz decomposition is linear: on degree k its
+one denominator, built once by ``linalg.memo`` into its owner's one cache,
+``_ops``: d in the algebra's, L, Lambda, the Lefschetz pieces and the
+primitive bases in the structure's, dLambda and the pieces of d in the
+complex's; no cached value holds its owner.  omega and its inverse
+bivector are kept only as ``OperatorMatrix``es (``omega_matrix``,
+``inverse``), and omega is degenerate exactly when inverting its matrix
+fails.  L, Lambda and d are built on the blade masks
+(``exterior.blade_operator``) from the terms of omega, of its inverse and
+of the structure constants; dLambda is their product.  The Lefschetz decomposition is linear: on degree k its
 component r is C_r = sum over l of c_{r,l} L^l Lambda^{r+l},
 the closed sl(2) formula (``lefschetz_components``), and with s = k-2r
 every other Lefschetz operator is a sum of powers of L applied to the C_r,
@@ -29,8 +33,10 @@ summed by Horner's rule:
 ``SymplecticStructure.split`` splits any degree +1 operator that commutes
 with L into its two pieces on the primitive basis; applied to d it gives
 (P_s, M_s) (``del_images``), applied to xi ^ it gives the symbols of the
-primitive complex (``symbolcheck``).  ``prim_matrix`` reads such
-blade-coordinate columns in primitive coordinates.  The form-level L,
+primitive complex (``symbolcheck``).  The primitive forms of degree k are
+kept as the kernel of Lambda and its basis matrix B_k; ``primitive_basis``
+builds their Forms on each read.  ``prim_matrix`` reads blade-coordinate
+columns in primitive coordinates.  The form-level L,
 Lambda, d, star, del_plus and del_minus apply these matrices degree by
 degree; the form-by-form Lefschetz decomposition is the test suite's oracle.
 """
@@ -51,7 +57,7 @@ from .exterior import (
     blade_operator,
     form_from_coords,
 )
-from .linalg import OperatorMatrix, Subspace, det, kernel
+from .linalg import OperatorMatrix, Subspace, kernel, memo
 
 RS = Callable[[int, int], int | Fraction]
 
@@ -80,24 +86,29 @@ class SymplecticStructure:
         if self.dim % 2:
             raise NotSymplecticError("ambient dimension must be even", "not_2form")
         self.n = self.dim // 2
-        w = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        rows: list[dict] = [{} for _ in range(self.dim)]
         for mask, c in omega.items():
             i, j = blade_indices(mask)
-            w[i - 1][j - 1], w[j - 1][i - 1] = c, -c
-        self.matrix = w
-        # omega^n/n! has top coefficient Pf(omega), and Pf(omega)^2 = det, so
-        # this check also refuses every omega whose n-th power vanishes
-        if det(w, self.dim) == 0:
+            rows[i - 1][j - 1], rows[j - 1][i - 1] = c, -c
+        self.omega_matrix = OperatorMatrix.from_rows(rows, self.dim)
+        # the matrix is singular iff its det is 0; omega^n/n! has top
+        # coefficient Pf(omega), and Pf(omega)^2 = det, so this also refuses
+        # every omega whose n-th power vanishes
+        try:
+            self.inverse = self.omega_matrix.invert()
+        except ValueError:
             raise NotSymplecticError(
                 f"omega is degenerate (det of its coefficient matrix is 0): {omega}",
-                "degenerate")
-        self.omega_matrix = OperatorMatrix.from_rows([dict(enumerate(r)) for r in w], self.dim)
-        winv = self.omega_matrix.invert()
-        if winv @ self.omega_matrix != OperatorMatrix.identity(self.dim):
+                "degenerate") from None
+        if self.inverse @ self.omega_matrix != OperatorMatrix.identity(self.dim):
             raise AssertionError("inverse bivector check failed")
-        self.inverse = [[winv.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        self._primitive: dict[int, tuple[Subspace, list[Form], OperatorMatrix]] = {}
-        self._ops: dict[tuple, OperatorMatrix | dict] = {}
+        # L wedges each term of omega; Lambda contracts e_j, then e_i, for
+        # each term e_ij of the inverse bivector
+        inv = self.inverse
+        self._terms = {"L": (2, [(0, m, c) for m, c in omega.items()]), "Lambda": (
+            -2, [(1 << i | 1 << j, 0, Fraction(v, inv.den)) for i, row in enumerate(inv.rows())
+                 for j, v in row.items() if i < j])}
+        self._ops: dict = {}
 
     # -- sl(2) action ----------------------------------------------------
 
@@ -113,15 +124,10 @@ class SymplecticStructure:
         return _by_degree(a, self.dim, partial(self.op, "Lambda"), lambda k: k - 2)
 
     def op(self, name: str, k: int) -> OperatorMatrix:
-        """L or Lambda on degree k as in ``SymplecticComplex.op``: L wedges each
-        term of omega, Lambda contracts e_j, then e_i, for each term e_ij of
-        the inverse bivector."""
-        if (name, k) not in self._ops:
-            step, terms = {"L": (2, [(0, m, c) for m, c in self.omega.items()]), "Lambda": (
-                -2, [(1 << i | 1 << j, 0, v) for i, row in enumerate(self.inverse)
-                     for j, v in enumerate(row) if i < j and v])}[name]
-            self._ops[name, k] = blade_operator(self.dim, k, k + step, terms)
-        return self._ops[name, k]
+        """L or Lambda on degree k as in ``SymplecticComplex.op``, built once
+        on the blade masks from the terms of omega or of its inverse."""
+        step, terms = self._terms[name]
+        return memo(self._ops, (name, k), lambda: blade_operator(self.dim, k, k + step, terms))
 
     def H(self, a: Form) -> Form:
         """Grading operator: multiplies the degree-k part by n-k."""
@@ -133,13 +139,14 @@ class SymplecticStructure:
         """C_r on degree k, keyed by r: the map to the primitive
         (k-2r)-form b_r, where a degree-k form is the sum of L^r b_r / r!.
         A C_r that is 0 is left out.  Built once per degree."""
-        if ("C", k) not in self._ops:
-            lam = [OperatorMatrix.identity(_size(self.dim, k))]
-            for j in range(k // 2):
-                lam.append(self.op("Lambda", k - 2 * j) @ lam[-1])
-            self._ops["C", k] = {r: c for r in range(max(k - self.n, 0), k // 2 + 1)
-                                 if not (c := self._component(lam, k, r)).is_zero()}
-        return self._ops["C", k]
+        return memo(self._ops, ("C", k), lambda: self._components(k))
+
+    def _components(self, k: int) -> dict[int, OperatorMatrix]:
+        lam = [OperatorMatrix.identity(_size(self.dim, k))]
+        for j in range(k // 2):
+            lam.append(self.op("Lambda", k - 2 * j) @ lam[-1])
+        return {r: c for r in range(max(k - self.n, 0), k // 2 + 1)
+                if not (c := self._component(lam, k, r)).is_zero()}
 
     def _component(self, lam: list[OperatorMatrix], k: int, r: int) -> OperatorMatrix:
         """C_r on degree k by the closed sl(2) formula, from lam[j] =
@@ -171,12 +178,10 @@ class SymplecticStructure:
     def projections(self, k: int) -> dict[tuple[int, int], OperatorMatrix]:
         """The Lefschetz projections of degree k, keyed by (r, s): Pi_{r,s}
         = L^r C_r / r!.  Built once per degree."""
-        if ("Pi", k) not in self._ops:
-            self._ops["Pi", k] = {
-                (r, k - 2 * r): self._L_series([None] * r + [(Fraction(1, _factorial(r)), c)],
-                                               k, c.ncols)
-                for r, c in sorted(self.lefschetz_components(k).items())}
-        return self._ops["Pi", k]
+        return memo(self._ops, ("Pi", k), lambda: {
+            (r, k - 2 * r): self._L_series([None] * r + [(Fraction(1, _factorial(r)), c)],
+                                           k, c.ncols)
+            for r, c in sorted(self.lefschetz_components(k).items())})
 
     def scale_rs(self, fn: RS, k: int, operand: OperatorMatrix | None = None) -> OperatorMatrix:
         """The sum of fn(r, s) Pi_{r,s} on degree k, times ``operand`` if
@@ -193,32 +198,28 @@ class SymplecticStructure:
     def is_primitive(self, a: Form) -> bool:
         return self.Lambda(a).is_zero()
 
-    def _primitive_data(self, k: int) -> tuple[Subspace, list[Form], OperatorMatrix]:
-        """Kernel of Lambda in blade coordinates (0 outside 0..n), its basis
-        forms, and the matrix B_k whose columns are those forms' blade
-        coordinates."""
-        cached = self._primitive.get(k)
-        if cached is not None:
-            return cached
-        order = blade_index(self.dim, k)[0]
-        sub = kernel(self.op("Lambda", k)) if 0 <= k <= self.n else Subspace(len(order))
-        forms = [form_from_coords(row, order, self.dim) for row in sub.rows]
+    def _primitive_data(self, k: int) -> tuple[Subspace, OperatorMatrix]:
+        """Kernel of Lambda in blade coordinates (0 outside 0..n) and the
+        matrix B_k whose columns are its normalized basis rows.  Built once
+        per degree."""
+        return memo(self._ops, ("prim", k), lambda: self._primitive_pair(k))
+
+    def _primitive_pair(self, k: int) -> tuple[Subspace, OperatorMatrix]:
+        size = _size(self.dim, k)
+        sub = kernel(self.op("Lambda", k)) if 0 <= k <= self.n else Subspace(size)
         # basis row i is int row i over its pivot q_i: B_k is over lcm(q_i)
         qs = [r[p] for p, r in zip(sub.pivots, sub.ints)]
         den = lcm(*qs)
         cols = [{j: v * (den // q) for j, v in r.items()} for q, r in zip(qs, sub.ints)]
-        data = self._primitive[k] = (sub, forms, OperatorMatrix(len(order), sub.dim, cols, den))
-        return data
-
-    def _prim_forms(self, k: int) -> list[Form]:
-        """The primitive basis of degree k; empty outside 0..n."""
-        return self._primitive_data(k)[1]
+        return sub, OperatorMatrix(size, sub.dim, cols, den)
 
     def primitive_basis(self, k: int) -> list[Form]:
-        """Canonical basis of the primitive degree-k forms (kernel of Lambda)."""
+        """Canonical basis of the primitive degree-k forms (kernel of Lambda),
+        as Forms built on each read."""
         if not 0 <= k <= self.n:
             raise ValueError(f"primitive degree must be in 0..{self.n}, got {k}")
-        return list(self._primitive_data(k)[1])
+        order = blade_index(self.dim, k)[0]
+        return [form_from_coords(row, order, self.dim) for row in self.primitive_subspace(k).rows]
 
     def primitive_subspace(self, k: int) -> Subspace:
         """Primitive forms as a subspace over the degree-k blade basis, in
@@ -230,7 +231,7 @@ class SymplecticStructure:
     def lift(self, vec: dict, k: int) -> dict:
         """Degree-k blade coordinates of the form with primitive coordinates
         ``vec``."""
-        return self._primitive_data(k)[2].apply(vec)
+        return self._primitive_data(k)[1].apply(vec)
 
     def prim_matrix(self, m: OperatorMatrix, k: int) -> OperatorMatrix:
         """The columns of m, blade coordinates of primitive degree-k forms,
@@ -252,7 +253,7 @@ class SymplecticStructure:
         D = d B_k by the closed primitive formulas del_minus =
         Lambda_{k+1} D/(n-k+1) and del_plus = D - L_{k-1} del_minus; Lambda
         kills both."""
-        db = d @ self._primitive_data(k)[2]
+        db = d @ self._primitive_data(k)[1]
         dm = (self.op("Lambda", k + 1) @ db).scale(Fraction(1, self.n - k + 1))
         dp = db - self.op("L", k - 1) @ dm
         self.check_primitive(dp, k + 1, f"a primitive piece from degree {k}")
@@ -265,14 +266,15 @@ class SymplecticStructure:
         """The star from degree k to 2n-k: the sum over r of
         (-1)^{s(s+1)/2} L^{n-r-s} C_r / (n-r-s)!, s = k-2r.  Built once per
         degree."""
-        if ("star", k) not in self._ops:
-            # C_r has values in degree k-2r = (2n-k) - 2i for the power i = n-r-s of L
-            terms = [None] * (self.n + 1)
-            for r, c in self.lefschetz_components(k).items():
-                s, i = k - 2 * r, self.n - k + r
-                terms[i] = (Fraction((-1) ** (s * (s + 1) // 2), _factorial(i)), c)
-            self._ops["star", k] = self._L_series(terms, self.dim - k, _size(self.dim, k))
-        return self._ops["star", k]
+        return memo(self._ops, ("star", k), lambda: self._star(k))
+
+    def _star(self, k: int) -> OperatorMatrix:
+        # C_r has values in degree k-2r = (2n-k) - 2i for the power i = n-r-s of L
+        terms = [None] * (self.n + 1)
+        for r, c in self.lefschetz_components(k).items():
+            s, i = k - 2 * r, self.n - k + r
+            terms[i] = (Fraction((-1) ** (s * (s + 1) // 2), _factorial(i)), c)
+        return self._L_series(terms, self.dim - k, _size(self.dim, k))
 
     def star(self, a: Form) -> Form:
         """Symplectic star: reflects Lefschetz components across the middle."""
@@ -376,7 +378,7 @@ class SymplecticComplex:
         self.omega = omega
         self.dim = algebra.dim
         self.n = self.structure.n
-        self._ops: dict[tuple, OperatorMatrix | tuple] = {}
+        self._ops: dict = {}
 
     # convenience passthroughs
     def d(self, a: Form) -> Form:
@@ -398,16 +400,15 @@ class SymplecticComplex:
         return self.structure.star(a)
 
     def op(self, name: str, k: int) -> OperatorMatrix:
-        """"d", "L", "Lambda" or "dLambda" on the degree-k blades, built once
-        by their owners, with dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k."""
-        if name not in ("d", "dLambda"):
+        """"d", "L", "Lambda" or "dLambda" on the degree-k blades, each built
+        once by its owner: d by the algebra, L and Lambda by the structure,
+        and dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k by the complex."""
+        if name == "d":
+            return self.algebra.d_matrix(k)
+        if name != "dLambda":
             return self.structure.op(name, k)
-        if (name, k) not in self._ops:
-            self._ops[name, k] = (
-                self.algebra.d_matrix(k) if name == "d"
-                else self.op("d", k - 2) @ self.op("Lambda", k)
-                - self.op("Lambda", k + 1) @ self.op("d", k))
-        return self._ops[name, k]
+        return memo(self._ops, (name, k), lambda: self.op("d", k - 2) @ self.op("Lambda", k)
+                    - self.op("Lambda", k + 1) @ self.op("d", k))
 
     # -- primitive pieces of d ----------------------------------------------
 
@@ -415,29 +416,27 @@ class SymplecticComplex:
         """``SymplecticStructure.split`` of d on degree k, built once: the
         columns of P and M are del_plus and del_minus of the primitive basis
         in blade coordinates."""
-        if ("del", k) not in self._ops:
-            self._ops["del", k] = self.structure.split(self.op("d", k), k)
-        return self._ops["del", k]
+        return memo(self._ops, ("del", k), lambda: self.structure.split(self.op("d", k), k))
 
     def del_blades(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus, del_minus) from the degree-k blades: the sum over r of
         L^r/r! P_s C_r, and the same with M_s, where (P_s, M_s) =
         ``del_images(s)``, s = k-2r, and C_r is read in primitive
         coordinates.  Built once per degree."""
-        cached = self._ops.get(("del_blades", k))
-        if cached is None:
-            st = self.structure
-            comps = st.lefschetz_components(k)
-            terms = [[None] * (max(comps, default=-1) + 1) for _ in range(2)]
-            for r, c in comps.items():
-                s = k - 2 * r
-                st.check_primitive(c, s, f"Lefschetz component {r} of degree {k}")
-                prim = st.prim_matrix(c, s)
-                for t, piece in zip(terms, self.del_images(s)):
-                    t[r] = (Fraction(1, _factorial(r)), piece @ prim)
-            cached = self._ops["del_blades", k] = tuple(
-                st._L_series(t, k + step, _size(self.dim, k)) for t, step in zip(terms, (1, -1)))
-        return cached
+        return memo(self._ops, ("del_blades", k), lambda: self._del_blades(k))
+
+    def _del_blades(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+        st = self.structure
+        comps = st.lefschetz_components(k)
+        terms = [[None] * (max(comps, default=-1) + 1) for _ in range(2)]
+        for r, c in comps.items():
+            s = k - 2 * r
+            st.check_primitive(c, s, f"Lefschetz component {r} of degree {k}")
+            prim = st.prim_matrix(c, s)
+            for t, piece in zip(terms, self.del_images(s)):
+                t[r] = (Fraction(1, _factorial(r)), piece @ prim)
+        return tuple(st._L_series(t, k + step, _size(self.dim, k))
+                     for t, step in zip(terms, (1, -1)))
 
     def _del_piece(self, which: int, a: Form) -> Form:
         """Piece ``which`` of d on a form, 0 for del_plus and 1 for
@@ -457,12 +456,8 @@ class SymplecticComplex:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive
         coordinates, exact, built once per degree from ``del_images``; the
         projection routes ``del_plus``/``del_minus`` are their oracle."""
-        cached = self._ops.get(("del_matrices", k))
-        if cached is None:
-            dp, dm = self.del_images(k)
-            prim = self.structure.prim_matrix
-            cached = self._ops["del_matrices", k] = (prim(dp, k + 1), prim(dm, k - 1))
-        return cached
+        return memo(self._ops, ("del_matrices", k), lambda: tuple(
+            map(self.structure.prim_matrix, self.del_images(k), (k + 1, k - 1))))
 
 
 def _size(dim: int, k: int) -> int:

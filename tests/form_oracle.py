@@ -111,8 +111,8 @@ from symcoh.reports import CheckResult
 
 def Lambda(st, a: Form) -> Form:
     """Contraction with the inverse bivector (degree -2)."""
-    pairs = [(i, j, st.inverse[i][j])
-             for i in range(st.dim) for j in range(i + 1, st.dim) if st.inverse[i][j]]
+    pairs = [(i, j, st.inverse.entry(i, j))
+             for i in range(st.dim) for j in range(i + 1, st.dim) if st.inverse.entry(i, j)]
     out = Form.zero(a.dim)
     for i, j, c in pairs:
         out = out + contract(i + 1, contract(j + 1, a)) * c
@@ -231,8 +231,8 @@ def Lambda_of_blade(pairs, images: BladeMap, mask: int) -> Form:
 
 def Lambda_blade_map(st) -> BladeMap:
     """Lambda on the blades, from the pairs of the inverse bivector."""
-    pairs = [(i, j, st.inverse[i][j])
-             for i in range(st.dim) for j in range(i + 1, st.dim) if st.inverse[i][j]]
+    pairs = [(i, j, st.inverse.entry(i, j))
+             for i in range(st.dim) for j in range(i + 1, st.dim) if st.inverse.entry(i, j)]
     return BladeMap(st.dim, partial(Lambda_of_blade, pairs))
 
 
@@ -264,11 +264,16 @@ def prim_coords(st, f: Form, k: int) -> dict:
     return coords
 
 
+def prim_forms(st, k: int) -> list[Form]:
+    """The primitive basis of degree k; empty outside 0..n."""
+    return st.primitive_basis(k) if 0 <= k <= st.n else []
+
+
 def prim_op_matrix(st, op, k_from: int, k_to: int) -> OperatorMatrix:
     """Matrix of a form operator from the primitive k_from-forms to the
     primitive k_to-forms, both in primitive coordinates."""
-    cols = [prim_coords(st, op(b), k_to) for b in st._prim_forms(k_from)]
-    return OperatorMatrix.from_columns(cols, len(st._prim_forms(k_to)))
+    cols = [prim_coords(st, op(b), k_to) for b in prim_forms(st, k_from)]
+    return OperatorMatrix.from_columns(cols, len(prim_forms(st, k_to)))
 
 
 def _symbol_plus(st, xi: Form, mu: Form) -> Form:

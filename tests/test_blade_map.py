@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import form_oracle as oracle
-from symcoh import SymplecticComplex, SymplecticStructure, parse_salamon
+from symcoh import CohomologyCalculator, SymplecticComplex, SymplecticStructure, parse_salamon
 from symcoh.exterior import DimensionMismatchError, Form
-from symcoh.hodge import build_triple
+from symcoh.hodge import HodgeTheory, build_triple
 from symcoh.symplectic import parse_omega
 
 # N6 under a dense unit upper-triangular integer change of basis of all six
@@ -53,7 +53,8 @@ def forms(dim):
 
 def test_scrambled_fixture_has_a_non_integer_inverse():
     inverse = _fixture("scrambled-N6")[0].structure.inverse
-    assert any(v.denominator != 1 for row in inverse for v in row)
+    assert any(inverse.entry(i, j).denominator != 1
+               for i in range(inverse.nrows) for j in range(inverse.ncols))
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))
@@ -98,27 +99,41 @@ class Probe:
 
 
 def test_blade_maps_are_freed_with_their_owners():
-    """No reference cycle: the triple's cache of the J and g^-1 compound
-    matrices, and the algebra's and the structure's caches of the d, L and
-    Lambda matrices, go when the last reference to their owner does,
-    without waiting for the cycle collector.  A probe stored in each matrix
-    cache goes with it."""
+    """No reference cycle: each owner's one cache of per-degree builds,
+    ``_ops``, goes when the last reference to its owner does, without
+    waiting for the cycle collector.  The owners are the algebra (d), the
+    structure (L, Lambda, the primitive bases), the complex (dLambda and the
+    pieces of d), the triple (the J and g^-1 compound matrices), the Hodge
+    theory (Gram matrices, adjoints, harmonic spaces) and the calculator
+    (subspaces and groups).  A probe stored in each cache goes with it."""
     gc.disable()
     try:
         alg = parse_salamon("(0,0,0,12,14,15+23+24)")
         cx = SymplecticComplex(alg, parse_omega("16+25-34", 6))
         triple = build_triple(cx.structure)
+        ht = HodgeTheory(cx, triple)
+        calc = CohomologyCalculator(cx)
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
         for op in (cx.d, cx.L, cx.Lambda, triple.jay):
             op(f)
         triple.op("gram", 3)
+        cx.op("dLambda", 3)
+        ht.harmonic_space(1, "plus")
+        calc.group("p+", 1)
         assert {("jay", 2), ("jay", 3), ("gram", 3)} <= triple._ops.keys()
-        assert {2, 3} <= alg._d_ops.keys()
-        assert {("L", 2), ("L", 3), ("Lambda", 2), ("Lambda", 3)} <= cx.structure._ops.keys()
-        probes = (Probe(), Probe(), Probe())
-        alg._d_ops["probe"], cx.structure._ops["probe"], triple._ops["probe"] = probes
+        assert {2, 3} <= alg._ops.keys()
+        assert {("L", 2), ("L", 3), ("Lambda", 2), ("Lambda", 3),
+                ("prim", 1)} <= cx.structure._ops.keys()
+        assert {("dLambda", 3), ("del", 1), ("del_matrices", 1)} <= cx._ops.keys()
+        assert {("prim_gram", 1), ("updown", "plus", 1), ("harmonic", 1, "plus")} \
+            <= ht._ops.keys()
+        assert ("group", "p+", 1) in calc._ops
+        owners = (alg, cx.structure, cx, triple, ht, calc)
+        probes = tuple(Probe() for _ in owners)
+        for owner, probe in zip(owners, probes):
+            owner._ops["probe"] = probe
         refs = [weakref.ref(p) for p in probes]
-        del alg, cx, triple, op, probes
+        del alg, cx, triple, ht, calc, op, owners, owner, probes, probe
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

@@ -37,6 +37,24 @@ def test_degenerate_omega_is_input_error(capsys):
     assert "degenerate" in err
 
 
+def test_degenerate_omega_without_a_zero_row_is_input_error(capsys):
+    """12+13+14 on R^4 has Pfaffian 0 and no zero row."""
+    code, out, err = run_cli(capsys, "compute", "--algebra=(0,0,0,0)", "--omega=12+13+14")
+    assert code == 2 and out == ""
+    assert err.startswith("error: omega is not symplectic: degenerate (omega is degenerate")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--omega=²*e13+e24", "--omega=13+²*24",
+                                    "--algebra=(0,0,0,²*12)"])
+def test_a_non_decimal_digit_is_input_error(capsys, option):
+    """'²' passes str.isdigit, but int() refuses it; the parsers read the
+    characters int() reads, the str.isdecimal ones."""
+    code, out, err = run_cli(capsys, "compute", option)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_non_closed_omega_is_distinguished(capsys):
     code, _, err = run_cli(capsys, "compute", "--omega", "16+25-34+46")
     assert code == 2
@@ -255,18 +273,18 @@ def test_double_dash_option_value_is_input_error(capsys, argv):
 
 def test_hodge_shares_the_check_calculator(capsys, monkeypatch):
     """``hodge`` reads its quotients from the calculator the other suites
-    use, so naming ``index`` too computes no group a second time."""
+    use, so naming ``index`` too computes no group a second time: every
+    group is formed by one ``_finish`` call."""
     from symcoh.cohomology import CohomologyCalculator
 
     computed = []
-    memo = CohomologyCalculator._memo
+    finish = CohomologyCalculator._finish
 
-    def counting(self, key, fn):
-        if key[0] == "group" and key not in self._cache:
-            computed.append(key)
-        return memo(self, key, fn)
+    def counting(self, name, k, num, den):
+        computed.append((name, k))
+        return finish(self, name, k, num, den)
 
-    monkeypatch.setattr(CohomologyCalculator, "_memo", counting)
+    monkeypatch.setattr(CohomologyCalculator, "_finish", counting)
     counts = {}
     for suites in ("hodge", "index", "hodge,index"):
         computed.clear()

@@ -63,7 +63,8 @@ def test_gram_matrices_match_wedge_route(name, reverse):
         assert ht.gram(k) == form_oracle.gram(ht.triple, k) == \
             form_oracle.wedge_gram(ht.triple, blades)
     for k in range(-1, ht.n + 2):
-        assert ht.prim_gram(k) == form_oracle.wedge_gram(ht.triple, ht.prim_basis(k))
+        assert ht.prim_gram(k) == form_oracle.wedge_gram(ht.triple,
+                                                         form_oracle.prim_forms(ht.st, k))
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))
@@ -75,7 +76,7 @@ def test_pairing_matrices_match_wedge_route(name):
         minus = calc.group("p-", k).representatives
         assert ht.pairing_matrix(k, plus, minus) == \
             form_oracle.pairing_matrix(ht.cx, k, plus, minus)
-        basis = ht.prim_basis(k)
+        basis = ht.st.primitive_basis(k)
         pm = ht.pairing_matrix(k, basis, basis)
         assert not pm.is_zero()
         assert pm == form_oracle.pairing_matrix(ht.cx, k, basis, basis)
@@ -106,7 +107,7 @@ def test_conjugation_check_fails_on_a_perturbed_gram():
     ht = hodge("N6", False)
     assert ht.check_jay_conjugation(1).passed
     g = ht.gram(2)
-    ht._gram[2] = g + OperatorMatrix.identity(g.nrows)
+    ht.triple._ops["gram", 2] = g + OperatorMatrix.identity(g.nrows)
     result = ht.check_jay_conjugation(1)
     assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
                               "conjugate of adjoint(del_plus) != (H+R) del_minus"]

@@ -148,7 +148,8 @@ def test_volume_is_a_pfaffian(name):
     """(omega^n/n!)[top]^2 = det(omega's matrix), so omega^n vanishes only
     where the determinant check has already refused omega."""
     st = build(name).structure
-    assert st.volume().coeff((1 << st.dim) - 1) ** 2 == det(st.matrix, st.dim)
+    w = [[st.omega_matrix.entry(i, j) for j in range(st.dim)] for i in range(st.dim)]
+    assert st.volume().coeff((1 << st.dim) - 1) ** 2 == det(w, st.dim)
 
 
 @pytest.mark.parametrize("name", ["dim-2", "N6", "N8", "N6-p/q", "scrambled-N8"])

@@ -21,7 +21,7 @@ from symcoh.exterior import blade_index, form_to_coords
 from symcoh.symplectic import parse_omega
 
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
-from form_oracle import d_lambda, matrix_on_blades
+from form_oracle import d_lambda, matrix_on_blades, prim_forms
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),
@@ -68,7 +68,7 @@ def test_del_images_match_projection_routes(name):
     cx = build(name)
     for k in range(-1, cx.n + 1):
         dp, dm = cx.del_images(k)
-        basis = cx.structure._prim_forms(k)
+        basis = prim_forms(cx.structure, k)
         assert dp.ncols == dm.ncols == len(basis)
         for j, b in enumerate(basis):
             for m, route, deg in ((dp, cx.del_plus, k + 1), (dm, cx.del_minus, k - 1)):

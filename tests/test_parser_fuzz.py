@@ -17,7 +17,14 @@ from symcoh.cli import main
 from symcoh.exterior import Form, FormParseError, form_to_str, parse_form
 from symcoh.symplectic import parse_omega
 
-TEXT = hst.text(alphabet="0123456789abcdef()+-*/e, ", max_size=16)
+# '²' passes str.isdigit but int() refuses it; '٣' is a decimal digit int() reads as 3
+TEXT = hst.text(alphabet="0123456789abcdef()+-*/e, ²٣", max_size=16)
+
+
+def test_a_decimal_digit_of_another_script_is_read_as_int_reads_it():
+    assert parse_form("٣*e13", 4) == Form.e(4, 1, 3) * 3
+    assert parse_omega("٣*13+24", 4) == parse_omega("3*13+24", 4)
+    assert parse_algebra("(0,0,0,٣*12)") == parse_algebra("(0,0,0,3*12)")
 
 
 @settings(max_examples=300, deadline=None)

@@ -227,7 +227,7 @@ def symp_inner_oracle(st, a, b, k):
         si = blade_indices(s_mask)
         for t_mask, cb in b.items():
             ti = blade_indices(t_mask)
-            sub = [[st.inverse[i - 1][j - 1] for j in ti] for i in si]
+            sub = [[st.inverse.entry(i - 1, j - 1) for j in ti] for i in si]
             total += ca * cb * det(sub, k)
     return total
 
@@ -354,6 +354,16 @@ def test_not_symplectic_degenerate():
     with pytest.raises(NotSymplecticError) as err:
         SymplecticComplex(torus, parse_form("e12", 6))
     assert err.value.reason == "degenerate"
+
+
+def test_not_symplectic_degenerate_without_a_zero_row():
+    """12+13+14 on R^4: every row of its matrix is non-zero, and its
+    Pfaffian is 0, so inverting the matrix fails."""
+    omega = parse_omega("12+13+14", 4)
+    with pytest.raises(NotSymplecticError) as err:
+        SymplecticComplex(parse_salamon("(0,0,0,0)"), omega)
+    assert err.value.reason == "degenerate"
+    assert str(err.value) == f"omega is degenerate (det of its coefficient matrix is 0): {omega}"
 
 
 def test_not_symplectic_not_closed(nil_algebra):
