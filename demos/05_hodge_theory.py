@@ -36,8 +36,7 @@ for k in range(3):
     print(f"  degree {k}: {'ok' if res.passed else res.details}")
 
 print("\nduality pairing at degree 2 (5x5, full rank):")
-pm = ht.pairing_matrix(2, calc.group("p+", 2).representatives,
-                       calc.group("p-", 2).representatives)
+pm = ht.pairing_matrix(2, calc.group("p+", 2).rows, calc.group("p-", 2).rows)
 for i in range(pm.nrows):
     print("  ", [str(pm.entry(i, j)) for j in range(pm.ncols)])
 print("  rank:", pm.rank())

@@ -1,37 +1,27 @@
 """Finite-dimensional Hodge theory on the invariant complex.
 
-A compatible triple (omega, J, g) is built exactly: a symplectic basis is
-computed by linear symplectic Gram-Schmidt over the rationals, J is the
-standard rotation in that basis, and g(x, y) = omega(x, Jy); omega, J and
-g are ``OperatorMatrix``es, and the basis pairs vectors through omega's.  The complex
-splitting operator multiplies each (p, q) component by i^(p-q); that is the
-algebra automorphism induced by J on covectors, so on each degree its
-matrix is a compound of J^T, an int matrix built over the rationals
-(``exterior.compound``).  The inner product on forms is the one g induces.
-The symplectic basis T is orthonormal for g, so g^-1 = T T^T, and the Gram
-matrix of the degree-k blades is the k-th compound of g^-1
-(Cauchy-Binet).  The triple builds both once per degree (``op``) and checks
-each Gram matrix symmetric as it builds it.  The
-Gram matrix equals integration of a ^ *a' against the Liouville volume,
-normalized so that <1, 1> = 1, with * the splitting operator after the
-symplectic star; that star route is the test suite's oracle.  The
-primitive Gram is B^T G_k B over the primitive basis matrix B.  The
-pairing matrix reads each top coefficient as a sparse dot product with the
-other factor's complementary blades (``top_dual``), forming no wedge per
-pair.
+A compatible triple (omega, J, g) is built exactly: symplectic Gram-Schmidt
+over Q gives a basis T in which J is the standard rotation, g(x, y) =
+omega(x, Jy), and all three are ``OperatorMatrix``es.  The triple checks g
+positive definite by its leading minors, read off one fraction-free pass
+over g's int columns (``linalg.leading_minors``).  On each degree the
+splitting operator, i^(p-q) on the (p, q) component, is a compound of J^T,
+and the Gram matrix of the blades for the metric g induces is a compound of
+g^-1 = T T^T (Cauchy-Binet, ``exterior.compound``); the triple builds both
+once per degree (``op``).  The test suite's oracle reads the Gram matrix by
+the star route, integrating a ^ *a' against the Liouville volume.
 
-All harmonic spaces, adjoints and decomposition checks are exact matrix
-computations over the primitive bases.  ``HodgeTheory`` reads the blade
-Gram matrices off the triple and builds each primitive Gram, its inverse,
-each pair of adjoints and each harmonic space once per degree by
-``linalg.memo`` into its one cache, ``_ops``.  Every matrix is an ``OperatorMatrix``, int columns over one
-denominator, so the Gram matrices, adjoints and Laplacians are int products
-scaled once.  The splitting-conjugation check reads J on the blades off
-the triple (``op``), del_plus and del_minus on the blades off the
-complex's per-degree matrices (``del_blades``: the split of d applied to
-each Lefschetz component C_r), and H+R off the Lefschetz projections
-(``scale_rs``), and compares matrix identities multiplied through by blade
-Gram matrices, so it inverts none.
+``HodgeTheory`` works on int matrices over the primitive bases, each built
+once per degree by ``linalg.memo`` into its one cache, ``_ops``: the
+primitive Gram B^T G_k B and its inverse, the pieces of d and their
+adjoints, and each harmonic space, the kernel of its Laplacian checked
+against the kernel of d_out stacked on d_in*.  Two pieces of the Hodge
+decomposition with basis matrices A and B are orthogonal iff A^T (G B) = 0.
+The pairing matrix lifts the p+ classes' int rows by the L matrices and
+reads each top coefficient against the p- rows through the signed
+permutation ``top_dual``.  The splitting-conjugation check compares matrix
+identities multiplied through by blade Gram matrices, so it inverts none.
+A failing check names its witness forms, printed by ``exterior.row_to_str``.
 """
 
 from __future__ import annotations
@@ -40,19 +30,10 @@ from fractions import Fraction
 from functools import partial
 
 from .cohomology import CohomologyCalculator
-from .exterior import Form, _by_degree, compound, wedge_sign
-from .linalg import (
-    OperatorMatrix,
-    Subspace,
-    det,
-    image,
-    kernel,
-    memo,
-    subspace_intersect,
-    vec_dot,
-)
+from .exterior import Form, _by_degree, blade_index, compound, row_to_str, wedge_sign
+from .linalg import OperatorMatrix, Subspace, image, kernel, leading_minors, memo, vec_dot
 from .reports import CheckResult
-from .symplectic import SymplecticComplex, SymplecticStructure, _factorial
+from .symplectic import SymplecticComplex, SymplecticStructure, _factorial, _size
 
 
 def darboux_basis(structure: SymplecticStructure,
@@ -105,11 +86,7 @@ class CompatibleTriple:
         dim = structure.dim
         n = structure.n
         pairs = darboux_basis(structure, order)
-        basis_cols = []
-        for u, v in pairs:
-            basis_cols.append(u)
-            basis_cols.append(v)
-        self.basis = OperatorMatrix.from_columns(basis_cols, dim)
+        self.basis = OperatorMatrix.from_columns([c for pair in pairs for c in pair], dim)
         basis_inv = self.basis.invert()
         jstd = OperatorMatrix(dim, dim, [c for j in range(n)
                                          for c in ({2 * j + 1: 1}, {2 * j: -1})])
@@ -133,11 +110,10 @@ class CompatibleTriple:
             raise AssertionError("J^2 != -1")
         if g != g.transpose():
             raise AssertionError("metric is not symmetric")
-        # g is 1 in the Darboux basis, so only a metric set by hand fails this
-        for k in range(1, dim + 1):
-            minor = det([[g.entry(i, j) for j in range(k)] for i in range(k)], k)
-            if minor <= 0:
-                raise AssertionError("metric is not positive definite")
+        # g is 1 in the Darboux basis, so only a metric set by hand fails this;
+        # den > 0, so each minor of g has the sign of the int minor
+        if any(minor <= 0 for minor in leading_minors(g)):
+            raise AssertionError("metric is not positive definite")
         if (self.J.transpose() @ w_mat @ self.J) != w_mat:
             raise AssertionError("J does not preserve omega")
 
@@ -179,11 +155,21 @@ def adjoint_in_bases(op: OperatorMatrix, gram_dom_inverse: OperatorMatrix,
     return gram_dom_inverse @ op.transpose() @ gram_cod
 
 
-def top_dual(b: Form) -> dict:
-    """The blade-keyed vector c with vec_dot(a, c) = (a ^ b)[top] for every
-    form a: c[I] = eps(I, I^c) b[I^c], eps the sign of e_I ^ e_{I^c}."""
-    top = (1 << b.dim) - 1
-    return {top ^ m: wedge_sign(top ^ m, m) * v for m, v in b._c.items()}
+def top_dual(dim: int, k: int) -> OperatorMatrix:
+    """The signed permutation sending the degree-k coordinates of b to the
+    degree-(dim - k) coordinates of c with vec_dot(a, c) = (a ^ b)[top] for
+    every form a: c[I] = eps(I, I^c) b[I^c], eps the sign of e_I ^ e_{I^c}."""
+    top = (1 << dim) - 1
+    at = blade_index(dim, dim - k)[1]
+    return OperatorMatrix(len(at), _size(dim, k), [
+        {at[top ^ m]: wedge_sign(top ^ m, m)} for m in blade_index(dim, k)[0]])
+
+
+def _printed(dim: int, k: int, lift: OperatorMatrix, vecs: list[dict]) -> list[str]:
+    """The printed degree-k forms with blade coordinates lift·v, for the int
+    vectors v."""
+    m = lift @ OperatorMatrix(lift.ncols, len(vecs), vecs)
+    return [row_to_str(dim, k, c, m.den) for c in m.cols]
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +232,14 @@ class HodgeTheory:
 
     def harmonic_space(self, k: int, which: str) -> Subspace:
         """Kernel of the Laplacian on P^k in primitive coordinates, computed
-        once per (k, which); checked against ker(d) ^ ker(d*)."""
+        once per (k, which); checked against ker(d) ^ ker(d*), the kernel of
+        the two stacked."""
         return memo(self._ops, ("harmonic", k, which), lambda: self._harmonic(k, which))
 
     def _harmonic(self, k: int, which: str) -> Subspace:
         d_out, _, _, d_in_star = self._updown(which, k)
         via_laplacian = kernel(self.laplacian(k, which))
-        via_kernels = subspace_intersect(kernel(d_out), kernel(d_in_star))
+        via_kernels = kernel(d_out.stack(d_in_star))
         if via_laplacian != via_kernels:
             raise AssertionError(
                 "harmonic space differs between Laplacian kernel and ker(d) ^ ker(d*)")
@@ -264,30 +251,32 @@ class HodgeTheory:
     # -- structure checks ----------------------------------------------------
 
     def check_hodge_decomposition(self, k: int, which: str) -> CheckResult:
-        """P^k = harmonic + image + coimage, orthogonal with matching dims."""
+        """P^k = harmonic + image + coimage, orthogonal with matching dims.
+        With A and B the basis matrices of two pieces, they are orthogonal iff
+        A^T (G B) = 0, G the primitive Gram; a failure names the pair of basis
+        forms at its first non-zero entry."""
         name = f"hodge-decomposition(k={k}, {which})"
         g_k = self.prim_gram(k)
         _, d_in, d_out_star, _ = self._updown(which, k)
-        harm = self.harmonic_space(k, which)
-        im_in = image(d_in)
-        im_adj = image(d_out_star)
+        pieces = [("harmonic", self.harmonic_space(k, which)), ("image", image(d_in)),
+                  ("coimage", image(d_out_star))]
         details = []
-        ok = True
-        total = harm.dim + im_in.dim + im_adj.dim
-        if total != g_k.nrows:
-            ok = False
-            details.append(f"dimensions {harm.dim}+{im_in.dim}+{im_adj.dim} != {g_k.nrows}")
-        pieces = [("harmonic", harm), ("image", im_in), ("coimage", im_adj)]
+        dims = [s.dim for _, s in pieces]
+        if sum(dims) != g_k.nrows:
+            details.append(f"dimensions {'+'.join(map(str, dims))} != {g_k.nrows}")
+        mats = [OperatorMatrix(g_k.nrows, s.dim, s.ints) for _, s in pieces]
         for j in (1, 2):
-            g_bs = [g_k.apply(b) for b in pieces[j][1].ints]
+            g_b = g_k @ mats[j]
             for i in range(j):
-                for a in pieces[i][1].ints:
-                    for g_b in g_bs:
-                        if vec_dot(a, g_b):
-                            ok = False
-                            details.append(
-                                f"{pieces[i][0]} not orthogonal to {pieces[j][0]}")
-        return CheckResult(name, ok, details)
+                entries = [(r, c) for c, col in enumerate((mats[i].transpose() @ g_b).cols)
+                           for r in col]
+                if entries:
+                    r, c = min(entries)
+                    a, b = _printed(self.dim, k, self.st._primitive_data(k)[1],
+                                    [mats[i].cols[r], mats[j].cols[c]])
+                    details.append(f"{pieces[i][0]} not orthogonal to {pieces[j][0]}: "
+                                   f"<{a}, {b}> != 0")
+        return CheckResult(name, not details, details)
 
     def check_jay_conjugation(self, k: int) -> CheckResult:
         """Conjugating del_plus by the splitting operator gives the adjoint of
@@ -306,40 +295,49 @@ class HodgeTheory:
         g_k, g_k1 = self.gram(k), self.gram(k + 1)
         s_hr_k = st.scale_rs(lambda r, s: n - r - s, k)
         details = []
-        ok = True
         # the splitting operator squares to (-1)^k on degree k
         jk_inv = jk.scale((-1) ** k)
         # J del_plus J^-1 = adjoint(del_minus) (H+R), times G_{k+1}
         if (g_k1 @ jk1 @ m_dp @ jk_inv) != (m_dm.transpose() @ g_k @ s_hr_k):
-            ok = False
             details.append("conjugate of del_plus != adjoint(del_minus) (H+R)")
         # J adjoint(del_plus) J^-1 = (H+R) del_minus, conjugated back by J
         # and times G_k
         if (m_dp.transpose() @ g_k1) != (g_k @ jk_inv @ s_hr_k @ m_dm @ jk1):
-            ok = False
             details.append("conjugate of adjoint(del_plus) != (H+R) del_minus")
         if k < n:
             harm = self.harmonic_space(k, "plus").rows
             mapped = jk @ OperatorMatrix.from_columns([st.lift(r, k) for r in harm], jk.nrows)
             st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
             if image(st.prim_matrix(mapped, k)) != self.harmonic_space(k, "minus"):
-                ok = False
                 details.append("splitting operator does not map harmonic(+) onto harmonic(-)")
-        return CheckResult(name, ok, details)
+        return CheckResult(name, not details, details)
 
-    def pairing_matrix(self, k: int, reps_plus: list[Form],
-                       reps_minus: list[Form]) -> OperatorMatrix:
+    def pairing_matrix(self, k: int, plus: list[tuple[int, dict]],
+                       minus: list[tuple[int, dict]]) -> OperatorMatrix:
         """Gram matrix of the duality pairing between degree-k classes:
         entry (i, j) integrates omega^(n-k)/(n-k)! ^ b_plus_i ^ b_minus_j.
-        Each b_plus_i is lifted by L^(n-k)/(n-k)! once, and the top
-        coefficient is read with ``top_dual`` of b_minus_j."""
-        lifted = [(self.st.L_power(b_plus, self.n - k) / _factorial(self.n - k))._c
-                  for b_plus in reps_plus]
-        cols = []
-        for b_minus in reps_minus:
-            dual = top_dual(b_minus)
-            cols.append({i: v for i, a in enumerate(lifted) if (v := vec_dot(a, dual))})
-        return OperatorMatrix.from_columns(cols, len(reps_plus))
+        ``plus`` and ``minus`` are (pivot, int row) pairs in blade
+        coordinates, each row over its pivot entry a b (``CohomologyGroup``'s
+        rows).  The b_plus are lifted by the L matrices, and each top
+        coefficient is read against ``top_dual`` of a b_minus."""
+        size = _size(self.dim, k)
+        lifted = OperatorMatrix.over_pivots(plus, size)
+        for j in range(k, self.dim - k, 2):
+            lifted = self.st.op("L", j) @ lifted
+        dual = top_dual(self.dim, k) @ OperatorMatrix.over_pivots(minus, size)
+        return (lifted.transpose() @ dual).scale(Fraction(1, _factorial(self.n - k)))
+
+    def pairing_witness(self, k: int, pm: OperatorMatrix, plus: list[tuple[int, dict]],
+                        minus: list[tuple[int, dict]]) -> str:
+        """A class that pairs to 0 with every class of the other family, for
+        a pairing matrix ``pm`` that is not square of full rank: a p- class
+        in its kernel, else a p+ class in the kernel of its transpose."""
+        name, other, rows, null = next(side for side in (
+            ("p-", "p+", minus, kernel(pm)), ("p+", "p-", plus, kernel(pm.transpose())))
+            if side[3].dim)
+        lift = OperatorMatrix.over_pivots(rows, _size(self.dim, k))
+        form = _printed(self.dim, k, lift, null.ints[:1])[0]
+        return f"the {name} class of {form} pairs to 0 with every {other} class"
 
 
 def run_hodge_suite(cx: SymplecticComplex,
@@ -349,7 +347,6 @@ def run_hodge_suite(cx: SymplecticComplex,
     dimensions under a different symplectic basis choice.  The quotients
     come from ``calc``, a ``CohomologyCalculator`` of cx, if given."""
     details = []
-    ok = True
     ht = HodgeTheory(cx)
     if calc is None:
         calc = CohomologyCalculator(cx)
@@ -359,24 +356,18 @@ def run_hodge_suite(cx: SymplecticComplex,
             hdim = ht.harmonic_dimension(k, which)
             qdim = calc.group(gname, k).dimension
             if hdim != qdim:
-                ok = False
                 details.append(f"k={k} {which}: harmonic {hdim} != quotient {qdim}")
             dec = ht.check_hodge_decomposition(k, which)
-            if not dec.passed:
-                ok = False
-                details.extend(f"{dec.name}: {d}" for d in dec.details)
+            details.extend(f"{dec.name}: {d}" for d in dec.details)
         conj = ht.check_jay_conjugation(k)
-        if not conj.passed:
-            ok = False
-            details.extend(f"{conj.name}: {d}" for d in conj.details)
-        pm = ht.pairing_matrix(k, calc.group("p+", k).representatives,
-                               calc.group("p-", k).representatives)
+        details.extend(f"{conj.name}: {d}" for d in conj.details)
+        plus, minus = calc.group("p+", k).rows, calc.group("p-", k).rows
+        pm = ht.pairing_matrix(k, plus, minus)
         if not (pm.nrows == pm.ncols == pm.rank()):
-            ok = False
-            details.append(f"k={k}: pairing matrix rank-deficient")
+            details.append(f"k={k}: pairing matrix rank-deficient; "
+                           f"{ht.pairing_witness(k, pm, plus, minus)}")
     idx = calc.elliptic_index()
     if idx != 0:
-        ok = False
         details.append(f"elliptic index = {idx}, expected 0")
     # metric independence: a second symplectic basis choice, reversed pivots
     alt = HodgeTheory(cx, CompatibleTriple(cx.structure,
@@ -384,6 +375,5 @@ def run_hodge_suite(cx: SymplecticComplex,
     for k in range(n):
         for which in ("plus", "minus"):
             if alt.harmonic_dimension(k, which) != ht.harmonic_dimension(k, which):
-                ok = False
                 details.append(f"k={k} {which}: harmonic dimension depends on the metric")
-    return CheckResult("hodge-suite", ok, details)
+    return CheckResult("hodge-suite", not details, details)

@@ -42,7 +42,6 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     st = cx.structure
     dim, n = cx.dim, cx.n
     details: list[str] = []
-    ok = True
     powers: dict[tuple[int, int], OperatorMatrix] = {}
 
     def one(k: int) -> OperatorMatrix:
@@ -61,12 +60,10 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
 
     def check(name: str, shift: int, lhs, rhs) -> None:
         """lhs(k) = rhs(k), or 0 if rhs is None, from degree k to k + shift."""
-        nonlocal ok
         for k in range(dim + 1):
             a = lhs(k)
             b = rhs(k) if rhs else OperatorMatrix(a.nrows, a.ncols, [{}] * a.ncols)
             if cols := _differing(a, b):
-                ok = False
                 f = Form(dim, {blade_index(dim, k)[0][cols[0]]: 1})
                 a_j, b_j = (form_from_coords(side.column(cols[0]), blade_index(dim, k + shift)[0],
                                              dim) for side in (a, b))
@@ -132,7 +129,6 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
                for r in range(n - s + 1)]
         for j in sorted(set().union(*bad)):
             r = next(r for r, cols in enumerate(bad) if j in cols)
-            ok = False
             details.append(f"star reflection fails at (r={r}, s={s}): {st.primitive_basis(s)[j]}")
     for s in range(n + 1):
         b_s = st._primitive_data(s)[1]
@@ -146,8 +142,7 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
                   (dL(s) @ b_s, dm_b.scale(s - n - 1), "d_lambda != -H del_minus")]
         bad = [(set(_differing(lhs, rhs)), what) for lhs, rhs, what in checks]
         for j in sorted(set().union(*(cols for cols, _ in bad))):
-            ok = False
             details.extend(f"{what} on {st.primitive_basis(s)[j]}"
                            for cols, what in bad if j in cols)
 
-    return CheckResult("operator-identities", ok, details)
+    return CheckResult("operator-identities", not details, details)

@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Vec = dict
 
@@ -155,26 +155,24 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     return pivots, [reduced[col] for col in pivots]
 
 
-def det(rows: Sequence[Sequence], n: int):
-    """Determinant of a dense n x n matrix via fraction-free elimination."""
-    m = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
-    sign = 1
+def leading_minors(m: "OperatorMatrix"):
+    """The leading principal minors of the square int matrix M, in order:
+    one fraction-free pass with no pivoting (Bareiss, Math. Comp. 22 (1968)),
+    whose pivot k is the k-th minor by Sylvester's identity.  M/den's k-th
+    minor is it over den^k.  Past a zero minor no pivot is defined, so the
+    minors stop there."""
+    a = [[r.get(j, 0) for j in range(m.ncols)] for r in m.rows()]
     prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else Fraction(1)
+    for k, top in enumerate(a):
+        p = top[k]
+        yield p
+        if not p:
+            return
+        for r in a[k + 1:]:
+            f = r[k]
+            for j in range(k + 1, m.ncols):
+                r[j] = (p * r[j] - f * top[j]) // prev
+        prev = p
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +218,16 @@ class OperatorMatrix:
             for j, v in r.items():
                 cols[j][i] = v
         return cls.from_columns(cols, len(rows))
+
+    @classmethod
+    def over_pivots(cls, pairs: list[tuple[int, Vec]], nrows: int) -> "OperatorMatrix":
+        """Column i is int row i of the (pivot, row) ``pairs`` over its pivot
+        entry, as in a ``Subspace`` or a ``quotient``: the int columns over
+        the lcm of the pivot entries."""
+        qs = [r[p] for p, r in pairs]
+        den = lcm(*qs)
+        return cls(nrows, len(qs), [{j: v * (den // q) for j, v in r.items()}
+                                    for q, (_, r) in zip(qs, pairs)], den)
 
     @classmethod
     def identity(cls, n: int) -> "OperatorMatrix":
@@ -287,6 +295,17 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self.compose(other)
+
+    def stack(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """[self; other]: other's rows below self's.  Its kernel is the
+        intersection of theirs."""
+        if self.ncols != other.ncols:
+            raise ValueError("operator shapes do not stack")
+        den = lcm(self.den, other.den)
+        f, h, top = den // self.den, den // other.den, self.nrows
+        return OperatorMatrix(top + other.nrows, self.ncols, [
+            {**{i: f * v for i, v in a.items()}, **{top + i: h * v for i, v in b.items()}}
+            for a, b in zip(self.cols, other.cols)], den)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix.combination([(1, self), (1, other)], self.nrows, self.ncols)

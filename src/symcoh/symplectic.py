@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial as _factorial, lcm, prod
+from math import factorial as _factorial, prod
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
@@ -207,11 +207,7 @@ class SymplecticStructure:
     def _primitive_pair(self, k: int) -> tuple[Subspace, OperatorMatrix]:
         size = _size(self.dim, k)
         sub = kernel(self.op("Lambda", k)) if 0 <= k <= self.n else Subspace(size)
-        # basis row i is int row i over its pivot q_i: B_k is over lcm(q_i)
-        qs = [r[p] for p, r in zip(sub.pivots, sub.ints)]
-        den = lcm(*qs)
-        cols = [{j: v * (den // q) for j, v in r.items()} for q, r in zip(qs, sub.ints)]
-        return sub, OperatorMatrix(size, sub.dim, cols, den)
+        return sub, OperatorMatrix.over_pivots(list(zip(sub.pivots, sub.ints)), size)
 
     def primitive_basis(self, k: int) -> list[Form]:
         """Canonical basis of the primitive degree-k forms (kernel of Lambda),

@@ -83,3 +83,26 @@ def inverse(a: Dense) -> Dense | None:
     if pivots != list(range(n)):
         return None
     return [r[n:] for r in rows]
+
+
+def det(rows, n: int) -> Fraction:
+    """Determinant of a dense n x n matrix via fraction-free elimination
+    with row swaps."""
+    m = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else Fraction(1)

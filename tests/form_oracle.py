@@ -68,12 +68,14 @@ as the compound of the inverse metric (``HodgeTheory.gram``): ``pair``
 integrates a ^ *b against the Liouville volume, *b this module's ``jay``
 after the symplectic star, ``wedge_gram`` does so for every pair of a list
 of forms, and ``gram`` reads a blade Gram column as ``top_dual`` of a
-starred blade.  No step of it reads the engine's compound matrices.
+starred blade, the blade-keyed vector that reads a top coefficient off one
+factor.  No step of it reads the engine's compound matrices.
 
 And it keeps the wedge route for the duality pairing that
-``HodgeTheory.pairing_matrix`` reads without a wedge per pair:
-``pairing_matrix`` wedges omega^(n-k)/(n-k)!, the p+ and the p- form for
-every pair and integrates the product.
+``HodgeTheory.pairing_matrix`` reads off int rows, the L matrices and the
+signed permutation ``hodge.top_dual``: ``pairing_matrix`` wedges
+omega^(n-k)/(n-k)!, the p+ and the p- form for every pair and integrates
+the product.
 
 And it keeps ``matrix_on_blades``, which applies a form operator to each
 blade, where the engine builds its matrices from the structure constants,
@@ -103,8 +105,7 @@ from math import factorial
 
 from symcoh.exterior import (
     DimensionMismatchError, Form, blade_index, blade_indices, blades, contract,
-    form_from_coords, form_to_coords)
-from symcoh.hodge import top_dual
+    form_from_coords, form_to_coords, wedge_sign)
 from symcoh.linalg import OperatorMatrix
 from symcoh.reports import CheckResult
 
@@ -532,6 +533,13 @@ def gram(triple, k: int) -> OperatorMatrix:
     return OperatorMatrix.from_columns(
         [{idx[m]: v / norm for m, v in top_dual(hodge_star(triple, Form(dim, {j: 1}))).items()}
          for j in order], len(order))
+
+
+def top_dual(b: Form) -> dict:
+    """The blade-keyed vector c with (a ^ b)[top] = sum of a[I] c[I] for
+    every form a: c[I] = eps(I, I^c) b[I^c], eps the sign of e_I ^ e_{I^c}."""
+    top = (1 << b.dim) - 1
+    return {top ^ m: wedge_sign(top ^ m, m) * v for m, v in b._c.items()}
 
 
 def pairing_matrix(cx, k: int, reps_plus: list[Form], reps_minus: list[Form]) -> OperatorMatrix:

@@ -133,8 +133,7 @@ def test_criterion_08_hodge_suite(nil_cx, nil_cx_prime, torus_cx):
                 assert res.passed, res.details
             res = ht.check_jay_conjugation(k)
             assert res.passed, res.details
-            pm = ht.pairing_matrix(k, calc.group("p+", k).representatives,
-                                   calc.group("p-", k).representatives)
+            pm = ht.pairing_matrix(k, calc.group("p+", k).rows, calc.group("p-", k).rows)
             assert pm.nrows == pm.ncols == pm.rank()
         assert calc.elliptic_index() == 0
         alt = HodgeTheory(cx, CompatibleTriple(cx.structure,

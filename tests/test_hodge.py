@@ -17,9 +17,10 @@ from symcoh import (
 )
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.hodge import adjoint_in_bases, run_hodge_suite
-from symcoh.linalg import OperatorMatrix, Subspace, det, image, vec_dot
+from symcoh.linalg import OperatorMatrix, Subspace, image, vec_dot
 
 import form_oracle
+from dense_oracle import det
 from form_oracle import matrix_on_blades
 from qi_oracle import ComplexSplitting, imag_part, real_part
 
@@ -299,14 +300,12 @@ def test_jay_conjugation(nil_hodge, torus_hodge):
 
 
 def test_pairing_matrices(nil_hodge, nil_calc, torus_hodge, torus_calc):
-    pm = nil_hodge.pairing_matrix(2, nil_calc.group("p+", 2).representatives,
-                                  nil_calc.group("p-", 2).representatives)
+    pm = nil_hodge.pairing_matrix(2, nil_calc.group("p+", 2).rows, nil_calc.group("p-", 2).rows)
     assert pm.nrows == pm.ncols == 5 and pm.rank() == 5
-    pm0 = nil_hodge.pairing_matrix(0, nil_calc.group("p+", 0).representatives,
-                                   nil_calc.group("p-", 0).representatives)
+    pm0 = nil_hodge.pairing_matrix(0, nil_calc.group("p+", 0).rows, nil_calc.group("p-", 0).rows)
     assert pm0.nrows == pm0.ncols == 1 and pm0.entry(0, 0) != 0
-    pmt = torus_hodge.pairing_matrix(1, torus_calc.group("p+", 1).representatives,
-                                     torus_calc.group("p-", 1).representatives)
+    pmt = torus_hodge.pairing_matrix(1, torus_calc.group("p+", 1).rows,
+                                     torus_calc.group("p-", 1).rows)
     assert pmt.nrows == pmt.ncols == 6 and pmt.rank() == 6
 
 
@@ -329,7 +328,9 @@ def test_full_hodge_suite(nil_cx):
 def test_hodge_decomposition_fails_on_a_non_orthogonal_gram(nil_cx):
     """The primitive Gram swapped, after the harmonic spaces are built, for
     G + u u^T with u = a + b, a harmonic and b a coimage vector: still
-    positive definite, but <a, b> becomes (a.u)(u.b), which is not 0."""
+    positive definite, but <a, b> becomes (a.u)(u.b), which is not 0.  The
+    failure names a and b, lifted to blades: the first basis vector of each
+    piece here, since only a and b are not orthogonal."""
     ht = HodgeTheory(nil_cx)
     k, which = 1, "plus"
     assert ht.check_hodge_decomposition(k, which).passed
@@ -345,7 +346,10 @@ def test_hodge_decomposition_fails_on_a_non_orthogonal_gram(nil_cx):
     ht._ops["prim_gram", k] = bumped
     result = ht.check_hodge_decomposition(k, which)
     assert not result.passed
-    assert set(result.details) == {"harmonic not orthogonal to coimage"}
+    assert (a, b) == ({0: 1}, {3: 1})
+    basis = nil_cx.structure.primitive_basis(k)
+    assert (str(basis[0]), str(basis[3])) == ("e1", "e4")
+    assert result.details == ["harmonic not orthogonal to coimage: <e1, e4> != 0"]
 
 
 def test_harmonic_cross_check_fails_on_a_lost_adjoint(nil_cx):
@@ -361,11 +365,13 @@ def test_harmonic_cross_check_fails_on_a_lost_adjoint(nil_cx):
 
 
 def test_hodge_suite_fails_on_a_singular_pairing(nil_cx, monkeypatch):
-    """A pairing matrix in degree 1 whose second column repeats its first."""
+    """A pairing matrix in degree 1 whose second column repeats its first:
+    the difference of the first two p- representatives pairs to 0 with
+    every p+ class, and the failure prints it."""
     pairing = HodgeTheory.pairing_matrix
 
-    def singular(self, k, reps_plus, reps_minus):
-        pm = pairing(self, k, reps_plus, reps_minus)
+    def singular(self, k, plus, minus):
+        pm = pairing(self, k, plus, minus)
         if k == 1:
             pm = OperatorMatrix(pm.nrows, pm.ncols, [pm.cols[0], pm.cols[0], *pm.cols[2:]],
                                 pm.den)
@@ -375,7 +381,10 @@ def test_hodge_suite_fails_on_a_singular_pairing(nil_cx, monkeypatch):
     monkeypatch.setattr(HodgeTheory, "pairing_matrix", singular)
     result = run_hodge_suite(nil_cx)
     assert not result.passed
-    assert result.details == ["k=1: pairing matrix rank-deficient"]
+    reps = CohomologyCalculator(nil_cx).group("p-", 1).representatives
+    assert str(reps[0] - reps[1]) == "e4 - e5"
+    assert result.details == ["k=1: pairing matrix rank-deficient; "
+                              "the p- class of e4 - e5 pairs to 0 with every p+ class"]
 
 
 def test_validate_rejects_an_indefinite_metric(nil_cx):

@@ -2,8 +2,9 @@
 
 ``HodgeTheory.gram`` reads each blade Gram matrix as the compound of the
 inverse metric, ``HodgeTheory.prim_gram`` is B^T G_k B over the primitive
-basis, and ``HodgeTheory.pairing_matrix`` wedges the power of omega onto
-each p+ form once; ``form_oracle.gram`` reads a blade Gram column off a
+basis, and ``HodgeTheory.pairing_matrix`` lifts the int rows of the p+
+classes by the L matrices and reads each top coefficient against the p-
+rows; ``form_oracle.gram`` reads a blade Gram column off a
 starred blade, and ``form_oracle.wedge_gram`` and
 ``form_oracle.pairing_matrix`` wedge every pair.  ``check_jay_conjugation``
 reads del_plus and del_minus on the blades (``del_blades``) and compares
@@ -67,19 +68,29 @@ def test_gram_matrices_match_wedge_route(name, reverse):
                                                          form_oracle.prim_forms(ht.st, k))
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
-def test_pairing_matrices_match_wedge_route(name):
-    ht = hodge(name, False)
+def check_pairing_matrices(ht):
+    """At every k, on the two groups' rows and on the primitive basis with
+    itself, against the wedge route on the same classes as Forms."""
     calc = CohomologyCalculator(ht.cx)
     for k in range(ht.n):
-        plus = calc.group("p+", k).representatives
-        minus = calc.group("p-", k).representatives
-        assert ht.pairing_matrix(k, plus, minus) == \
-            form_oracle.pairing_matrix(ht.cx, k, plus, minus)
-        basis = ht.st.primitive_basis(k)
-        pm = ht.pairing_matrix(k, basis, basis)
+        plus, minus = calc.group("p+", k), calc.group("p-", k)
+        assert ht.pairing_matrix(k, plus.rows, minus.rows) == form_oracle.pairing_matrix(
+            ht.cx, k, plus.representatives, minus.representatives)
+        sub = ht.st.primitive_subspace(k)
+        pm = ht.pairing_matrix(k, list(zip(sub.pivots, sub.ints)), list(zip(sub.pivots, sub.ints)))
         assert not pm.is_zero()
+        basis = ht.st.primitive_basis(k)
         assert pm == form_oracle.pairing_matrix(ht.cx, k, basis, basis)
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_pairing_matrices_match_wedge_route(name):
+    check_pairing_matrices(hodge(name, False))
+
+
+def test_pairing_matrices_match_wedge_route_on_nil_and_torus(nil_cx, torus_cx):
+    for cx in (nil_cx, torus_cx):
+        check_pairing_matrices(HodgeTheory(cx))
 
 
 @pytest.mark.parametrize("which,blade,extra", [

@@ -33,8 +33,9 @@ from symcoh import SymplecticComplex, parse_algebra
 from symcoh.cealgebra import LieAlgebraSpec
 from symcoh.exterior import Form, blade_indices
 from symcoh.hodge import build_triple
-from symcoh.linalg import det
 from symcoh.symplectic import parse_omega
+
+from dense_oracle import det
 
 FIXTURES = {
     "dim-2": ("(0,0)", "12"),

@@ -14,7 +14,6 @@ from symcoh.linalg import (
     InclusionError,
     OperatorMatrix,
     Subspace,
-    det,
     echelon,
     image,
     kernel,
@@ -24,6 +23,7 @@ from symcoh.linalg import (
     subspace_sum,
 )
 
+from dense_oracle import det
 from form_oracle import matrix_on_blades
 from quotient_oracle import solve
 

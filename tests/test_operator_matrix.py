@@ -9,12 +9,13 @@ denominator.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from quotient_oracle import solve
-from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
+from symcoh.linalg import (
+    OperatorMatrix, Subspace, image, kernel, leading_minors, subspace_intersect)
 
 ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
@@ -188,3 +189,60 @@ def test_equality_is_rational():
     assert a != OperatorMatrix(2, 2, plain.cols)
     assert (a @ b).den == a.den * b.den and (a @ b) == plain @ plain
     assert OperatorMatrix.from_columns([a.column(j) for j in range(2)], 2) == plain
+
+
+@st.composite
+def symmetric(draw):
+    """(m, its dense oracle): a symmetric int matrix over a denominator, the
+    int matrix one of a random one (mostly indefinite, sometimes singular), A^T A
+    (semi-definite, singular when A has fewer rows) or A^T A + 1
+    (definite)."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["any", "gram", "definite"]))
+    if kind == "any":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    else:
+        a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+        rows = [[sum(r[i] * r[j] for r in a) + (kind == "definite" and i == j)
+                 for j in range(n)] for i in range(n)]
+    f = draw(st.sampled_from([1, 2, 6]))
+    return (OperatorMatrix(n, n, from_dense(rows, n).cols, f),
+            [[Fraction(v, f) for v in r] for r in rows])
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(symmetric())
+def test_leading_minors_are_the_dense_determinants(case):
+    """One pass gives every leading minor of M, which is den^k times the
+    k-th minor of M/den, up to the first zero one; and it rejects a metric
+    exactly where the minors one at a time do."""
+    m, rows = case
+    minors = [oracle.det([r[:k] for r in rows[:k]], k) for k in range(1, m.nrows + 1)]
+    upto = minors[:minors.index(0) + 1] if 0 in minors else minors
+    assert list(leading_minors(m)) == [v * m.den ** k for k, v in enumerate(upto, 1)]
+    assert any(p <= 0 for p in leading_minors(m)) == any(v <= 0 for v in minors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_of_a_stack_is_the_intersection_of_kernels(data):
+    a, da = data.draw(matrices())
+    b, db = data.draw(matrices(None, a.ncols))
+    s = a.stack(b)
+    assert oracle.dense(s) == da + db
+    assert kernel(s) == subspace_intersect(kernel(a), kernel(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_over_pivots_divides_each_row_by_its_pivot_entry(case):
+    m, _ = case
+    sub = image(m)
+    pairs = list(zip(sub.pivots, sub.ints))
+    got = oracle.dense(OperatorMatrix.over_pivots(pairs, m.nrows))
+    assert [[r[i] for r in got] for i in range(len(pairs))] == \
+        [[Fraction(r.get(j, 0), r[p]) for j in range(m.nrows)] for p, r in pairs]

@@ -32,6 +32,9 @@ NO_SRC_CALLER = {
     # omega^n/n!: the degeneracy check it fed could not fail after the
     # determinant check; the tests' volume norm and Pfaffian check read it
     "volume",
+    # public API: a group's classes as Forms, for demo 03, the tests and
+    # library users; the Hodge suite's pairing reads the int rows instead
+    "representatives",
 }
 
 

@@ -20,10 +20,11 @@ from symcoh import (
 )
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.identities import run_identity_suite
-from symcoh.linalg import OperatorMatrix, Subspace, det
+from symcoh.linalg import OperatorMatrix, Subspace
 from symcoh.symplectic import _factorial, parse_omega
 
 import form_oracle
+from dense_oracle import det
 from quotient_oracle import solve
 from conftest import wedge_chain
 from form_oracle import (
