@@ -327,8 +327,8 @@ class HodgeTheory:
         dual = top_dual(self.dim, k) @ OperatorMatrix.over_pivots(minus, size)
         return (lifted.transpose() @ dual).scale(Fraction(1, _factorial(self.n - k)))
 
-    def pairing_witness(self, k: int, pm: OperatorMatrix, plus: list[tuple[int, dict]],
-                        minus: list[tuple[int, dict]]) -> str:
+    def _pairing_witness(self, k: int, pm: OperatorMatrix, plus: list[tuple[int, dict]],
+                         minus: list[tuple[int, dict]]) -> str:
         """A class that pairs to 0 with every class of the other family, for
         a pairing matrix ``pm`` that is not square of full rank: a p- class
         in its kernel, else a p+ class in the kernel of its transpose."""
@@ -365,7 +365,7 @@ def run_hodge_suite(cx: SymplecticComplex,
         pm = ht.pairing_matrix(k, plus, minus)
         if not (pm.nrows == pm.ncols == pm.rank()):
             details.append(f"k={k}: pairing matrix rank-deficient; "
-                           f"{ht.pairing_witness(k, pm, plus, minus)}")
+                           f"{ht._pairing_witness(k, pm, plus, minus)}")
     idx = calc.elliptic_index()
     if idx != 0:
         details.append(f"elliptic index = {idx}, expected 0")

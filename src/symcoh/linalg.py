@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Vec = dict
 
@@ -155,7 +155,7 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     return pivots, [reduced[col] for col in pivots]
 
 
-def leading_minors(m: "OperatorMatrix"):
+def leading_minors(m: "OperatorMatrix") -> Iterator[int]:
     """The leading principal minors of the square int matrix M, in order:
     one fraction-free pass with no pivoting (Bareiss, Math. Comp. 22 (1968)),
     whose pivot k is the k-th minor by Sylvester's identity.  M/den's k-th

@@ -24,13 +24,14 @@ from symcoh.hodge import CompatibleTriple, HodgeTheory, run_hodge_suite
 from symcoh.linalg import OperatorMatrix
 from symcoh.symplectic import parse_omega
 
-from conftest import NIL_ALGEBRA
+from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
 from test_blade_map import SCRAMBLED_N6
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),
     "N6-prime": (NIL_ALGEBRA, "13+26-45"),
     "KT4-half": ("(0,0,0,12)", "2*13+24"),
+    "T6": (TORUS_ALGEBRA, "12+34+56"),
 }
 # the Gram test also runs on a fixture whose inverse metric is dense
 GRAM_FIXTURES = {**FIXTURES, "scrambled-N6": SCRAMBLED_N6}
@@ -68,9 +69,11 @@ def test_gram_matrices_match_wedge_route(name, reverse):
                                                          form_oracle.prim_forms(ht.st, k))
 
 
-def check_pairing_matrices(ht):
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_pairing_matrices_match_wedge_route(name):
     """At every k, on the two groups' rows and on the primitive basis with
     itself, against the wedge route on the same classes as Forms."""
+    ht = hodge(name, False)
     calc = CohomologyCalculator(ht.cx)
     for k in range(ht.n):
         plus, minus = calc.group("p+", k), calc.group("p-", k)
@@ -81,16 +84,6 @@ def check_pairing_matrices(ht):
         assert not pm.is_zero()
         basis = ht.st.primitive_basis(k)
         assert pm == form_oracle.pairing_matrix(ht.cx, k, basis, basis)
-
-
-@pytest.mark.parametrize("name", list(FIXTURES))
-def test_pairing_matrices_match_wedge_route(name):
-    check_pairing_matrices(hodge(name, False))
-
-
-def test_pairing_matrices_match_wedge_route_on_nil_and_torus(nil_cx, torus_cx):
-    for cx in (nil_cx, torus_cx):
-        check_pairing_matrices(HodgeTheory(cx))
 
 
 @pytest.mark.parametrize("which,blade,extra", [
