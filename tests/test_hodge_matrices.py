@@ -80,7 +80,8 @@ def test_pairing_matrices_match_wedge_route(name):
         assert ht.pairing_matrix(k, plus.rows, minus.rows) == form_oracle.pairing_matrix(
             ht.cx, k, plus.representatives, minus.representatives)
         sub = ht.st.primitive_subspace(k)
-        pm = ht.pairing_matrix(k, list(zip(sub.pivots, sub.ints)), list(zip(sub.pivots, sub.ints)))
+        pairs = list(zip(sub.pivots, sub.ints))
+        pm = ht.pairing_matrix(k, pairs, pairs)
         assert not pm.is_zero()
         basis = ht.st.primitive_basis(k)
         assert pm == form_oracle.pairing_matrix(ht.cx, k, basis, basis)
