@@ -11,9 +11,8 @@ from symcoh.symbolcheck import build_symbols, check_exactness, random_covectors
 
 for n in (1, 2, 3):
     c = build_symbols(n, Form.e(2 * n, 1))
-    dims = [len(b) for b in c.spaces]
     res = check_exactness(c)
-    print(f"n={n}: primitive space dims {dims} -> exact: {res.passed}")
+    print(f"n={n}: primitive space dims {c.dims} -> exact: {res.passed}")
 
 print("\nand with a generic rational covector:")
 xi = Form.e(6, 1) + Form.e(6, 4) * 2 - Form.e(6, 5)

@@ -3,7 +3,6 @@
 from .cealgebra import LieAlgebraSpec, parse_algebra, parse_salamon
 from .cohomology import CohomologyCalculator, CohomologyGroup
 from .exterior import Form, contract, grade_project, parse_form, wedge
-from .hodge import CompatibleTriple, HodgeTheory, build_triple
 from .symplectic import (
     NotSymplecticError,
     SymplecticComplex,
@@ -21,3 +20,11 @@ __all__ = [
     "CohomologyCalculator", "CohomologyGroup",
     "CompatibleTriple", "HodgeTheory", "build_triple",
 ]
+
+
+def __getattr__(name: str):
+    """The Hodge exports, imported from ``hodge`` on first access (PEP 562)."""
+    if name in ("CompatibleTriple", "HodgeTheory", "build_triple"):
+        from . import hodge
+        return getattr(hodge, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

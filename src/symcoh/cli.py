@@ -2,7 +2,8 @@
 
 Output is deterministic: the same input produces byte-identical JSON
 (canonical key order, canonical form printing).  Exit codes: 0 on success,
-1 when a requested check fails, 2 on input errors.
+1 when a requested check fails, 2 on input errors.  A check suite's module
+is imported only when that suite runs, so ``compute`` never loads one.
 """
 
 from __future__ import annotations
@@ -10,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from importlib import import_module
 
 from .cealgebra import AlgebraValidationError, parse_algebra
 from .cohomology import GROUP_NAMES, CohomologyCalculator
 from .exterior import FormParseError, row_to_str
-from .identities import run_identity_suite
-from .hodge import run_hodge_suite
-from .symbolcheck import DEFAULT_SEED, run_symbol_suite
+from .reports import DEFAULT_SEED
 from .symplectic import NotSymplecticError, SymplecticComplex, parse_omega
 
 DEFAULT_ALGEBRA = "(0,0,0,12,14,15+23+24)"
@@ -29,18 +28,19 @@ class InputError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    command: str
-    algebra_source: str = DEFAULT_ALGEBRA
-    omega_source: str = DEFAULT_OMEGA
-    groups: list[str] = field(default_factory=lambda: list(GROUP_NAMES))
-    degrees: list[int] | None = None
-    suites: list[str] = field(default_factory=list)
-    fmt: str = "json"
-    seed: int = DEFAULT_SEED
-    symbol_n: int = 3
-    out: str | None = None
+    """One command's settings; ``groups`` defaults to every group."""
+
+    def __init__(self, command: str, algebra_source: str = DEFAULT_ALGEBRA,
+                 omega_source: str = DEFAULT_OMEGA, groups: list[str] | None = None,
+                 degrees: list[int] | None = None, suites: list[str] | None = None,
+                 fmt: str = "json", seed: int = DEFAULT_SEED, symbol_n: int = 3,
+                 out: str | None = None):
+        self.command = command
+        self.algebra_source, self.omega_source = algebra_source, omega_source
+        self.groups = list(GROUP_NAMES) if groups is None else groups
+        self.degrees, self.suites = degrees, [] if suites is None else suites
+        self.fmt, self.seed, self.symbol_n, self.out = fmt, seed, symbol_n, out
 
 
 def _build_complex(cfg: RunConfig) -> SymplecticComplex:
@@ -125,9 +125,14 @@ def cmd_check(cfg: RunConfig) -> tuple[int, str]:
         raise InputError("check requires --suite")
     cx = _build_complex(cfg)
     calc = CohomologyCalculator(cx)
-    suites = {"identities": lambda: run_identity_suite(cx),
-              "symbol": lambda: run_symbol_suite(cfg.symbol_n, count=20, seed=cfg.seed),
-              "hodge": lambda: run_hodge_suite(cx, calc),
+
+    def suite(module: str):  # imported when its suite runs
+        return import_module(f".{module}", __package__)
+
+    suites = {"identities": lambda: suite("identities").run_identity_suite(cx),
+              "symbol": lambda: suite("symbolcheck").run_symbol_suite(
+                  cfg.symbol_n, count=20, seed=cfg.seed),
+              "hodge": lambda: suite("hodge").run_hodge_suite(cx, calc),
               "lefschetz": calc.check_strong_lefschetz,
               "ddlambda": calc.check_ddlambda_lemma,
               "index": calc.check_index}
@@ -240,10 +245,7 @@ def main(argv: list[str] | None = None) -> int:
             code, text = cmd_compute(cfg)
         else:
             code, text = cmd_check(cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormParseError, AlgebraValidationError, NotSymplecticError) as exc:
+    except (InputError, FormParseError, AlgebraValidationError, NotSymplecticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.out:

@@ -21,7 +21,8 @@ representative Forms are built on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 
 from .cealgebra import LieAlgebraSpec
@@ -46,14 +47,12 @@ class DegreeRangeError(ValueError):
     """Requested a group outside its legal degree range."""
 
 
-@dataclass
-class CohomologyGroup:
-    name: str
-    degree: int
-    rows: list[tuple[int, dict]]    # ``quotient``'s (pivot, int row) pairs
-    numerator: Subspace
-    denominator: Subspace
-    form_dim: int                   # 2n, the dimension of the forms
+class CohomologyGroup(namedtuple("CohomologyGroup",
+                                 "name degree rows numerator denominator form_dim")):
+    """numerator/denominator in degree k: ``rows`` are ``quotient``'s (pivot,
+    int row) pairs and ``form_dim`` is 2n, the dimension of the forms."""
+
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -236,15 +235,18 @@ class CohomologyCalculator:
 
     # -- class arithmetic -------------------------------------------------------
 
-    def class_coordinates(self, g: CohomologyGroup, f: Form | dict) -> list | None:
-        """Coordinates of [f] (a Form or its blade coordinates) over the
-        representatives, or None if f is not in the numerator: f's residual
-        modulo the denominator, read at the kept rows' pivots."""
+    def class_coordinates(self, g: CohomologyGroup, f: Form | dict) -> dict | None:
+        """The non-zero coordinates {i: c} of [f] (a Form or its blade
+        coordinates) over the representatives, or None if f is not in the
+        numerator.  f's residual modulo the denominator is read sparsely at
+        the numerator's pivots: it is 0 at the denominator's, which are among
+        them, and numerator row r is kept row r - (denominator pivots before)."""
         v = f if isinstance(f, dict) else self.to_vec(f, g.degree)
         if not g.numerator.contains(v):
             return None
-        residual = g.denominator.reduce(v)
-        return [Fraction(residual.get(p, 0)) for p, _ in g.rows]
+        index, dpiv = g.numerator.index, g.denominator.pivots
+        return {index[p] - bisect_left(dpiv, p): Fraction(c)
+                for p, c in g.denominator.reduce(v).items() if p in index}
 
     def classes_span_equal(self, g: CohomologyGroup, forms: list[Form]) -> bool:
         """Do the given forms represent a basis of the group?
@@ -266,7 +268,6 @@ class CohomologyCalculator:
         """In degrees 0 and 1 the one-sided primitive groups coincide with the
         d- and dL-cohomologies: numerators and denominators agree as subspaces."""
         details = []
-        ok = True
         for k in (0, 1):
             if k >= self.n:
                 continue
@@ -279,9 +280,8 @@ class CohomologyCalculator:
                 (f"p-/dL denominator k={k}", pm.denominator, dl.denominator),
             ):
                 if a != b:
-                    ok = False
                     details.append(f"{label}: subspaces differ ({a.dim} vs {b.dim})")
-        return CheckResult("low-degree-equivalence", ok, details)
+        return CheckResult("low-degree-equivalence", not details, details)
 
     def lefschetz_power_map(self, k: int, power: int) -> OperatorMatrix:
         """Matrix of wedging with omega^power on classes: H^k -> H^{k+2*power},
@@ -299,28 +299,24 @@ class CohomologyCalculator:
             coords = self.class_coordinates(dst, target)
             if coords is None:
                 raise AssertionError("image of a closed form is not closed")
-            cols.append({i: c / row[p] for i, c in enumerate(coords) if c})
+            cols.append({i: c / row[p] for i, c in coords.items()})
         return OperatorMatrix.from_columns(cols, dst.dimension)
 
     def check_strong_lefschetz(self) -> CheckResult:
         """Bijectivity of omega^(n-k): H^k -> H^(2n-k) for every k <= n, plus
         the one-step diagnostic omega: H^1 -> H^3 when n >= 2."""
         details = []
-        per_degree = {}
         for k in range(self.n + 1):
-            m = self.lefschetz_power_map(k, self.n - k)
+            rank = self.lefschetz_power_map(k, self.n - k).rank()
             src_dim = self.group("dR", k).dimension
             dst_dim = self.group("dR", 2 * self.n - k).dimension
-            bij = (src_dim == dst_dim == m.rank())
-            per_degree[k] = bij
-            if not bij:
+            if not src_dim == dst_dim == rank:
                 details.append(
                     f"omega^{self.n - k}: H^{k} -> H^{2 * self.n - k} "
-                    f"has rank {m.rank()} (dims {src_dim}, {dst_dim})")
-        holds = all(per_degree.values())
+                    f"has rank {rank} (dims {src_dim}, {dst_dim})")
+        holds = not details
         if self.n >= 2:
-            diag = self.lefschetz_power_map(1, 1)
-            ker_dim = kernel(diag).dim
+            ker_dim = kernel(self.lefschetz_power_map(1, 1)).dim
             details.append(
                 f"omega: H^1 -> H^3 {'injective' if ker_dim == 0 else 'not injective'}")
         return CheckResult("strong-lefschetz", holds, details)
@@ -335,7 +331,6 @@ class CohomologyCalculator:
         reports the first witness otherwise.  Also records co-occurrence with
         the strong Lefschetz property."""
         details = []
-        ok = True
         for k in range(self.n + 1):
             closed_prim = subspace_intersect(self.ker_d(k), self.prim(k))
             conditions = []
@@ -353,7 +348,6 @@ class CohomologyCalculator:
                 for j in range(i + 1, len(conditions)):
                     (la, sa), (lb, sb) = conditions[i], conditions[j]
                     if sa != sb:
-                        ok = False
                         big, small, b_label, s_label = (
                             (sa, sb, la, lb) if sa.dim >= sb.dim else (sb, sa, lb, la))
                         witness = next((r for r in big.ints if not small.contains(r)), None)
@@ -362,11 +356,11 @@ class CohomologyCalculator:
                                  if witness else "?")
                         details.append(
                             f"k={k}: {b_label} and {s_label} differ; witness {w_str}")
+        ok = not details
         sl = self.check_strong_lefschetz()
         details.append(f"strong Lefschetz {'holds' if sl.passed else 'fails'}; "
                        f"exactness lemma {'holds' if ok else 'fails'}")
-        result = CheckResult("ddlambda-lemma", ok, details)
-        return result
+        return CheckResult("ddlambda-lemma", ok, details)
 
     def check_intersection_bounds(self) -> CheckResult:
         """dim p+(k) = dim p-(k) >= dim(dL-cohomology ^ P^k) at every k < n;

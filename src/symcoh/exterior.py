@@ -388,6 +388,18 @@ def row_to_str(dim: int, k: int, row: dict[int, int], den: int = 1) -> str:
     return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
+def counterexample(dim: int, k: int, shift: int, a: OperatorMatrix, b: OperatorMatrix) -> str:
+    """"" if the maps a and b from the degree-k blades to degree k + shift
+    are equal, else the first blade they send apart, with both images:
+    "first counterexample e1: e12 != 0".  Columns are compared only after
+    ``a != b``, so equal maps cost one comparison."""
+    if a == b:
+        return ""
+    j = next(j for j in range(a.ncols) if a.column(j) != b.column(j))
+    a_j, b_j = (row_to_str(dim, k + shift, m.cols[j], m.den) for m in (a, b))
+    return f"first counterexample {row_to_str(dim, k, {j: 1})}: {a_j} != {b_j}"
+
+
 def form_to_str(a: Form) -> str:
     """Each degree of ``a``, lowest first, through ``row_to_str`` over the
     lcm of its denominators."""

@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import partial
 
 from .cohomology import CohomologyCalculator
-from .exterior import Form, _by_degree, blade_index, compound, row_to_str, wedge_sign
+from .exterior import (Form, _by_degree, blade_index, compound, counterexample, row_to_str,
+                       wedge_sign)
 from .linalg import OperatorMatrix, Subspace, image, kernel, leading_minors, memo, vec_dot
 from .reports import CheckResult
 from .symplectic import SymplecticComplex, SymplecticStructure, _factorial, _size
@@ -287,7 +288,8 @@ class HodgeTheory:
         G_k^-1 del_plus^T G_{k+1}.  Both identities are compared multiplied
         through by G_{k+1} and G_k, which are positive definite because the
         metric is (``CompatibleTriple._validate``), so no Gram matrix is
-        inverted and each comparison is equivalent to the identity."""
+        inverted and each comparison is equivalent to the identity.  A failure
+        names the first blade column where the two sides differ."""
         name = f"jay-conjugation(k={k})"
         n, st = self.n, self.st
         jk, jk1 = self.triple.op("jay", k), self.triple.op("jay", k + 1)
@@ -298,12 +300,14 @@ class HodgeTheory:
         # the splitting operator squares to (-1)^k on degree k
         jk_inv = jk.scale((-1) ** k)
         # J del_plus J^-1 = adjoint(del_minus) (H+R), times G_{k+1}
-        if (g_k1 @ jk1 @ m_dp @ jk_inv) != (m_dm.transpose() @ g_k @ s_hr_k):
-            details.append("conjugate of del_plus != adjoint(del_minus) (H+R)")
+        if w := counterexample(self.dim, k, 1, g_k1 @ jk1 @ m_dp @ jk_inv,
+                               m_dm.transpose() @ g_k @ s_hr_k):
+            details.append(f"conjugate of del_plus != adjoint(del_minus) (H+R): {w}")
         # J adjoint(del_plus) J^-1 = (H+R) del_minus, conjugated back by J
         # and times G_k
-        if (m_dp.transpose() @ g_k1) != (g_k @ jk_inv @ s_hr_k @ m_dm @ jk1):
-            details.append("conjugate of adjoint(del_plus) != (H+R) del_minus")
+        if w := counterexample(self.dim, k + 1, -1, m_dp.transpose() @ g_k1,
+                               g_k @ jk_inv @ s_hr_k @ m_dm @ jk1):
+            details.append(f"conjugate of adjoint(del_plus) != (H+R) del_minus: {w}")
         if k < n:
             harm = self.harmonic_space(k, "plus").rows
             mapped = jk @ OperatorMatrix.from_columns([st.lift(r, k) for r in harm], jk.nrows)

@@ -13,10 +13,10 @@ components C_r, which the "two routes" identities therefore share.  All
 are built once per degree and kept by the complex, so a second run builds
 nothing.  Degrees and blades are walked in the canonical order; only when
 the two sides differ are their columns compared, and the first differing
-column is the first counterexample blade; both its columns are rebuilt as
-forms for the detail.  The star reflection and the simplified expressions
-on primitive forms are checked on the primitive basis matrices, and a
-primitive Form is built only to name a failing column.  The
+column is the first counterexample blade, printed with both its columns
+by ``exterior.counterexample``.  The star reflection and the simplified
+expressions on primitive forms are checked on the primitive basis matrices,
+and a primitive Form is built only to name a failing column.  The
 form-by-form battery, which decomposes each blade on its own, is the test
 suite's oracle.
 """
@@ -27,7 +27,7 @@ from fractions import Fraction as F
 from functools import partial
 from math import factorial
 
-from .exterior import Form, blade_index, form_from_coords
+from .exterior import counterexample
 from .linalg import OperatorMatrix
 from .reports import CheckResult
 from .symplectic import SymplecticComplex, _size
@@ -63,11 +63,8 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
         for k in range(dim + 1):
             a = lhs(k)
             b = rhs(k) if rhs else OperatorMatrix(a.nrows, a.ncols, [{}] * a.ncols)
-            if cols := _differing(a, b):
-                f = Form(dim, {blade_index(dim, k)[0][cols[0]]: 1})
-                a_j, b_j = (form_from_coords(side.column(cols[0]), blade_index(dim, k + shift)[0],
-                                             dim) for side in (a, b))
-                details.append(f"{name}: first counterexample {f}: {a_j} != {b_j}")
+            if witness := counterexample(dim, k, shift, a, b):
+                details.append(f"{name}: {witness}")
                 return
 
     # sl(2) commutators

@@ -1,12 +1,10 @@
-"""Small pass/fail report type shared by the check suites."""
+"""Small pass/fail report type shared by the check suites, and the symbol
+suite's default seed, which the CLI reads without importing the suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
+DEFAULT_SEED = 1729
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    details: list[str] = field(default_factory=list)
+CheckResult = namedtuple("CheckResult", "name passed details")

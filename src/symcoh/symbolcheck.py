@@ -25,24 +25,17 @@ compositions and ranks run on ints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exterior import Form, blade_operator
 from .linalg import OperatorMatrix, Subspace, image, kernel
-from .reports import CheckResult
+from .reports import DEFAULT_SEED, CheckResult
 from .symplectic import SymplecticStructure, standard_omega
 
-DEFAULT_SEED = 1729
-
-
-@dataclass
-class SymbolComplex:
-    n: int
-    xi: Form
-    structure: SymplecticStructure
-    spaces: list[list[Form]]          # primitive bases, first ascending then descending
-    maps: list[OperatorMatrix]        # maps[i]: spaces[i] -> spaces[i+1]
+# dims: the primitive dimensions, first ascending then descending;
+# maps[i]: the map from position i to position i + 1
+SymbolComplex = namedtuple("SymbolComplex", "n xi structure dims maps")
 
 
 @lru_cache(maxsize=None)
@@ -91,13 +84,13 @@ def build_symbols(n: int, xi: Form) -> SymbolComplex:
         st.check_primitive(m, k, what)
         return st.prim_matrix(m, k)
 
-    asc = [st.primitive_basis(k) for k in range(n + 1)]
+    asc = [st.primitive_subspace(k).dim for k in range(n + 1)]
     maps = [symbol(combine([p for p, _ in pieces[k]]), k + 1, "an ascending symbol")
             for k in range(n)]
     minus = {k: combine([m for _, m in pieces[k]]) for k in range(1, n + 1)}
     maps.append(symbol(combine(wedges) @ minus[n], n, "the middle symbol"))
     maps += [symbol(minus[k], k - 1, "a descending symbol") for k in range(n, 0, -1)]
-    return SymbolComplex(n=n, xi=xi, structure=st, spaces=asc + asc[::-1], maps=maps)
+    return SymbolComplex(n, xi, st, asc + asc[::-1], maps)
 
 
 def check_exactness(c: SymbolComplex) -> CheckResult:
@@ -113,19 +106,19 @@ def check_exactness(c: SymbolComplex) -> CheckResult:
             composed_to_zero = False
             details.append(f"composition at step {i} -> {i + 1} is non-zero")
     # Euler characteristic must vanish for an exact sequence.  build_symbols puts one
-    # basis at p and 2n + 1 - p, of opposite parity, so only a hand-built sequence fails
-    euler = sum((-1) ** p * len(basis) for p, basis in enumerate(c.spaces))
+    # dimension at p and 2n + 1 - p, of opposite parity, so only a hand-built sequence fails
+    euler = sum((-1) ** p * dim for p, dim in enumerate(c.dims))
     if euler != 0:
         details.append(f"alternating dimension sum is {euler}, not 0")
     if composed_to_zero:
         ranks = [0] + [m.rank() for m in c.maps] + [0]
-        dims = [(len(basis) - ranks[p + 1], ranks[p]) for p, basis in enumerate(c.spaces)]
-        failing = [(p, ker, im) for p, (ker, im) in enumerate(dims) if ker != im]
+        failing = [(p, dim - ranks[p + 1], ranks[p]) for p, dim in enumerate(c.dims)
+                   if dim - ranks[p + 1] != ranks[p]]
     else:
         failing = []
-        for p, basis in enumerate(c.spaces):
-            incoming = image(c.maps[p - 1]) if p > 0 else Subspace.zero(len(basis))
-            outgoing = kernel(c.maps[p]) if p < len(c.maps) else Subspace.full(len(basis))
+        for p, dim in enumerate(c.dims):
+            incoming = image(c.maps[p - 1]) if p > 0 else Subspace.zero(dim)
+            outgoing = kernel(c.maps[p]) if p < len(c.maps) else Subspace.full(dim)
             if incoming != outgoing:
                 failing.append((p, outgoing.dim, incoming.dim))
     details += [f"position {p}: ker dim {ker} != im dim {im}" for p, ker, im in failing]

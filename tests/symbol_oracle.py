@@ -44,12 +44,11 @@ def subspace_exactness(c: SymbolComplex) -> CheckResult:
             ok = False
             details.append(f"composition at step {i} -> {i + 1} is non-zero")
     # Euler characteristic must vanish for an exact sequence
-    euler = sum((-1) ** p * len(basis) for p, basis in enumerate(c.spaces))
+    euler = sum((-1) ** p * dim for p, dim in enumerate(c.dims))
     if euler != 0:
         ok = False
         details.append(f"alternating dimension sum is {euler}, not 0")
-    for p in range(len(c.spaces)):
-        dim_p = len(c.spaces[p])
+    for p, dim_p in enumerate(c.dims):
         incoming = image(c.maps[p - 1]) if p > 0 else Subspace.zero(dim_p)
         if p < len(c.maps):
             outgoing = kernel(c.maps[p])

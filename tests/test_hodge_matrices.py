@@ -87,11 +87,18 @@ def test_pairing_matrices_match_wedge_route(name):
         assert pm == form_oracle.pairing_matrix(ht.cx, k, basis, basis)
 
 
-@pytest.mark.parametrize("which,blade,extra", [
-    ("del_plus", 0b1, Form.e(6, 1, 2)),
-    ("del_minus", 0b11, Form.e(6, 1)),
+CONJUGATE_PLUS = "conjugate of del_plus != adjoint(del_minus) (H+R): first counterexample"
+CONJUGATE_ADJOINT = "conjugate of adjoint(del_plus) != (H+R) del_minus: first counterexample"
+
+
+@pytest.mark.parametrize("which,blade,extra,witnesses", [
+    ("del_plus", 0b1, Form.e(6, 1, 2), ["e6: e56 != 0", "e12: e1 + e4 != e4"]),
+    ("del_minus", 0b11, Form.e(6, 1),
+     ["e1: e26 - e35 + e45 != 2*e12 + e26 - e35 + e45", "e56: 0 != -2*e6"]),
 ])
-def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
+def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra, witnesses):
+    """Each failing identity names the first blade column where its two
+    sides differ: J mixes the columns, so it need not be the perturbed one."""
     ht = hodge("N6", False)
     assert ht.check_jay_conjugation(1).passed
     # del_plus from degree 1 and del_minus from degree 2 enter the check at k = 1
@@ -104,8 +111,8 @@ def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
     m.cols[j] = {i: v for i, v in col.items() if v}
     result = ht.check_jay_conjugation(1)
     assert not result.passed
-    assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
-                              "conjugate of adjoint(del_plus) != (H+R) del_minus"]
+    assert result.details == [f"{CONJUGATE_PLUS} {witnesses[0]}",
+                              f"{CONJUGATE_ADJOINT} {witnesses[1]}"]
 
 
 def test_conjugation_check_fails_on_a_perturbed_gram():
@@ -114,8 +121,9 @@ def test_conjugation_check_fails_on_a_perturbed_gram():
     g = ht.gram(2)
     ht.triple._ops["gram", 2] = g + OperatorMatrix.identity(g.nrows)
     result = ht.check_jay_conjugation(1)
-    assert result.details == ["conjugate of del_plus != adjoint(del_minus) (H+R)",
-                              "conjugate of adjoint(del_plus) != (H+R) del_minus"]
+    assert result.details == [
+        f"{CONJUGATE_PLUS} e1: 2*e26 - 2*e35 + 2*e45 != e26 - e35 + e45",
+        f"{CONJUGATE_ADJOINT} e12: 2*e4 != e4"]
 
 
 def test_hodge_suite_forms_each_adjoint_once(monkeypatch):

@@ -121,7 +121,10 @@ def test_class_coordinates_equal_the_solve_route(name):
                 shift = grp.denominator.ints[-1]
                 mix = mix + Form(calc.dim, {order[j]: 5 * v for j, v in shift.items()})
             for f in [mix, *reps[:1], Form(calc.dim, {order[-1]: 1})]:
-                assert calc.class_coordinates(grp, f) == oracle.class_coordinates(calc, grp, f)
+                expected = oracle.class_coordinates(calc, grp, f)
+                if expected is not None:  # the engine keeps the non-zero coordinates
+                    expected = {i: c for i, c in enumerate(expected) if c}
+                assert calc.class_coordinates(grp, f) == expected
 
 
 @pytest.mark.parametrize("name", ["N6", "N8", "scrambled-N6", "N6-p/q"])

@@ -13,12 +13,14 @@ from symcoh.symbolcheck import (
 
 def test_space_dimensions_n2():
     c = build_symbols(2, Form.e(4, 1))
-    assert [len(b) for b in c.spaces] == [1, 4, 5, 5, 4, 1]
+    assert c.dims == [1, 4, 5, 5, 4, 1]
+    # each dimension is the length of the primitive basis it stands for
+    assert c.dims == [len(c.structure.primitive_basis(k)) for k in (0, 1, 2, 2, 1, 0)]
 
 
 def test_tiny_complex_n1():
     c = build_symbols(1, Form.e(2, 1))
-    assert [len(b) for b in c.spaces] == [1, 2, 2, 1]
+    assert c.dims == [1, 2, 2, 1]
     assert check_exactness(c).passed
 
 
@@ -55,7 +57,7 @@ def test_zero_composition_explicitly():
 def test_euler_characteristic_zero():
     for n in (1, 2, 3):
         c = build_symbols(n, Form.e(2 * n, 1))
-        assert sum((-1) ** p * len(b) for p, b in enumerate(c.spaces)) == 0
+        assert sum((-1) ** p * dim for p, dim in enumerate(c.dims)) == 0
 
 
 def test_zero_covector_rejected():
@@ -94,12 +96,13 @@ def test_exactness_fails_when_a_map_is_zero(index, positions):
 
 
 def test_euler_sum_is_reported_when_a_basis_element_is_dropped():
-    """build_symbols holds one basis at positions p and 2n + 1 - p, so its
-    alternating dimension sum is always 0; this sequence is built by hand,
-    with one basis element dropped from position 1 of the n = 3 sequence."""
+    """build_symbols holds one dimension at positions p and 2n + 1 - p, so
+    its alternating dimension sum is always 0; this sequence is built by
+    hand, with the dimension at position 1 of the n = 3 sequence one short,
+    as if a basis element were dropped."""
     c = build_symbols(3, Form.e(6, 1))
-    assert [len(b) for b in c.spaces] == [1, 6, 14, 14, 14, 14, 6, 1]
-    c.spaces[1] = c.spaces[1][:-1]
+    assert c.dims == [1, 6, 14, 14, 14, 14, 6, 1]
+    c.dims[1] -= 1
     result = check_exactness(c)
     assert not result.passed
     assert result.details == ["alternating dimension sum is 1, not 0",
