@@ -12,6 +12,12 @@ Six families are computed as exact quotients with canonical representatives:
 * ``ddL``   - primitive forms killed by the composition, modulo the sum of
               both first-order images, degree 0..n.
 
+del_plus and del_minus map primitive forms to primitive forms, so the four
+primitive families are quotients of subspaces of P^k, eliminated in its
+primitive coordinates (dim P^k columns, not C(2n, k)) and lifted by B_k with
+no second elimination: B_k is den at its own primitive pivot and 0 at the
+others, so a canonical row's lift over its content is canonical (``_lift``).
+
 Before every quotient the denominator is checked to lie inside the
 numerator; a failure indicates a broken operator, never bad input.  Every
 subspace and group is built once by ``linalg.memo`` into the calculator's
@@ -27,16 +33,8 @@ from fractions import Fraction
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import Form, blade_index, form_to_coords, row_to_str
-from .linalg import (
-    OperatorMatrix,
-    Subspace,
-    image,
-    kernel,
-    memo,
-    quotient,
-    subspace_intersect,
-    subspace_sum,
-)
+from .linalg import (OperatorMatrix, Subspace, _primitive, image, kernel, memo, quotient,
+                     subspace_intersect, subspace_sum)
 from .reports import CheckResult
 from .symplectic import SymplecticComplex
 
@@ -74,6 +72,7 @@ class CohomologyCalculator:
         self.st = cx.structure
         self.dim = cx.dim
         self.n = cx.n
+        self._del = cx.del_matrices  # (del_plus, del_minus) from P^k, primitive coordinates
         self._ops: dict = {}
 
     # -- coordinates -------------------------------------------------------
@@ -118,47 +117,44 @@ class CohomologyCalculator:
         return self.st.primitive_subspace(k)
 
     # -- primitive operator spaces -------------------------------------------
-    # The pieces of d on the primitive basis, in blade coordinates
-    # (``SymplecticComplex.del_images``), span their images; kernels are
-    # taken in primitive coordinates and lifted back.
+    # Each is eliminated in the primitive coordinates of P^k, on ``_del``'s
+    # pieces, and lifted to blades by ``_lift``.
 
-    def _prim_kernel(self, m: OperatorMatrix, k_to: int, k: int) -> Subspace:
-        """Kernel, in degree-k blades, of the map sending the primitive basis
-        to the primitive degree-``k_to`` forms, the columns of ``m``."""
-        kern = kernel(self.st.prim_matrix(m, k_to))
-        b = self.st._primitive_data(k)[1]
-        return Subspace(b.nrows, (b @ OperatorMatrix(b.ncols, kern.dim, kern.ints)).cols)
+    def _lift(self, sub: Subspace, k: int) -> Subspace:
+        """sub, in the primitive coordinates of P^k, in degree-k blades.  Column
+        i of B_k is row i of P^k over its pivot entry, so B_k·c is den·c_i at
+        row i's pivot.  For a canonical row c that leads at i, B_k·c leads at
+        row i's pivot, positive, and is 0 at the pivots of the other rows of
+        sub: over its content it is canonical, with no second elimination."""
+        prim, b = self.st._primitive_data(k)
+        lifted = (b @ OperatorMatrix(b.ncols, sub.dim, sub.ints)).cols
+        return Subspace._canonical(b.nrows, [prim.pivots[i] for i in sub.pivots],
+                                   [_primitive(r) for r in lifted])
 
     def _dpdm(self, k: int) -> OperatorMatrix:
-        """Blade coordinates of del_plus del_minus of the primitive degree-k
-        basis."""
-        return memo(self._ops, ("dpdm", k), lambda: self.cx.del_images(k - 1)[0]
-                          @ self.st.prim_matrix(self.cx.del_images(k)[1], k - 1))
+        """del_plus del_minus on P^k in primitive coordinates."""
+        return memo(self._ops, ("dpdm", k), lambda: self._del(k - 1)[0] @ self._del(k)[1])
 
     def dp_span(self, k: int) -> Subspace:
-        """Image of the degree +1 piece on primitive degree-k forms."""
-        return memo(self._ops, ("dp_span", k), lambda: Subspace(
-            len(self.blade_order(k + 1)), self.cx.del_images(k)[0].cols))
+        """Image of the degree +1 piece on primitive degree-k forms; 0 for
+        k = -1, as P^-1 = 0."""
+        return memo(self._ops, ("dp_span", k), lambda: self._lift(image(self._del(k)[0]), k + 1))
 
     def dm_span(self, k: int) -> Subspace:
         """Image of the degree -1 piece on primitive degree-k forms."""
-        return memo(self._ops, ("dm_span", k), lambda: Subspace(
-            len(self.blade_order(k - 1)), self.cx.del_images(k)[1].cols))
+        return memo(self._ops, ("dm_span", k), lambda: self._lift(image(self._del(k)[1]), k - 1))
 
     def dpdm_span(self, k: int) -> Subspace:
-        return memo(self._ops, ("dpdm_span", k), lambda: Subspace(
-            len(self.blade_order(k)), self._dpdm(k).cols))
+        return memo(self._ops, ("dpdm_span", k), lambda: self._lift(image(self._dpdm(k)), k))
 
     def ker_dp(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dp", k), lambda: self._prim_kernel(
-            self.cx.del_images(k)[0], k + 1, k))
+        return memo(self._ops, ("ker_dp", k), lambda: self._lift(kernel(self._del(k)[0]), k))
 
     def ker_dm(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dm", k), lambda: self._prim_kernel(
-            self.cx.del_images(k)[1], k - 1, k))
+        return memo(self._ops, ("ker_dm", k), lambda: self._lift(kernel(self._del(k)[1]), k))
 
     def ker_dpdm(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dpdm", k), lambda: self._prim_kernel(self._dpdm(k), k, k))
+        return memo(self._ops, ("ker_dpdm", k), lambda: self._lift(kernel(self._dpdm(k)), k))
 
     # -- groups ----------------------------------------------------------------
 
@@ -178,8 +174,7 @@ class CohomologyCalculator:
     def primitive_plus(self, k: int) -> CohomologyGroup:
         if not 0 <= k < self.n:
             raise DegreeRangeError(f"p+ degree must be in 0..{self.n - 1}, got {k}")
-        den = self.dp_span(k - 1) if k >= 1 else Subspace.zero(len(self.blade_order(k)))
-        return self._finish("p+", k, self.ker_dp(k), den)
+        return self._finish("p+", k, self.ker_dp(k), self.dp_span(k - 1))
 
     def primitive_minus(self, k: int) -> CohomologyGroup:
         if not 0 <= k < self.n:
@@ -189,18 +184,15 @@ class CohomologyCalculator:
     def d_plus_dlambda(self, k: int) -> CohomologyGroup:
         if not 0 <= k <= self.n:
             raise DegreeRangeError(f"d+dL degree must be in 0..{self.n}, got {k}")
-        num = subspace_intersect(self.ker_dp(k), self.ker_dm(k))
+        # ker P ^ ker M is the kernel of [P; M]
+        num = self._lift(kernel(OperatorMatrix.stack(*self._del(k))), k)
         return self._finish("d+dL", k, num, self.dpdm_span(k))
 
     def ddlambda(self, k: int) -> CohomologyGroup:
         if not 0 <= k <= self.n:
             raise DegreeRangeError(f"ddL degree must be in 0..{self.n}, got {k}")
-        den = Subspace.zero(len(self.blade_order(k)))
-        if k >= 1:
-            den = subspace_sum(den, self.dp_span(k - 1))
-        if k + 1 <= self.n:
-            den = subspace_sum(den, self.dm_span(k + 1))
-        return self._finish("ddL", k, self.ker_dpdm(k), den)
+        rows = [*self.dp_span(k - 1).ints, *(self.dm_span(k + 1).ints if k < self.n else [])]
+        return self._finish("ddL", k, self.ker_dpdm(k), Subspace(len(self.blade_order(k)), rows))
 
     def legal_degrees(self, name: str) -> range:
         if name in ("dR", "dL"):
@@ -280,8 +272,14 @@ class CohomologyCalculator:
                 (f"p-/dL denominator k={k}", pm.denominator, dl.denominator),
             ):
                 if a != b:
-                    details.append(f"{label}: subspaces differ ({a.dim} vs {b.dim})")
+                    details.append(f"{label}: subspaces differ ({a.dim} vs {b.dim}); "
+                                   f"witness {self._witness(k, a, b)}")
         return CheckResult("low-degree-equivalence", not details, details)
+
+    def _witness(self, k: int, a: Subspace, b: Subspace) -> str:
+        """A basis row of a that b lacks, else one of b that a lacks, printed."""
+        r = next(r for s, t in ((a, b), (b, a)) for r in s.ints if not t.contains(r))
+        return row_to_str(self.dim, k, r, r[min(r)])  # over its pivot, its first column
 
     def lefschetz_power_map(self, k: int, power: int) -> OperatorMatrix:
         """Matrix of wedging with omega^power on classes: H^k -> H^{k+2*power},
@@ -333,11 +331,7 @@ class CohomologyCalculator:
         details = []
         for k in range(self.n + 1):
             closed_prim = subspace_intersect(self.ker_d(k), self.prim(k))
-            conditions = []
-            zero = Subspace.zero(len(self.blade_order(k)))
-            conditions.append(("plus-exact",
-                               subspace_intersect(self.dp_span(k - 1), closed_prim)
-                               if k >= 1 else zero))
+            conditions = [("plus-exact", subspace_intersect(self.dp_span(k - 1), closed_prim))]
             if k < self.n:
                 conditions.append(("minus-exact",
                                    subspace_intersect(self.dm_span(k + 1), closed_prim)))
@@ -350,12 +344,8 @@ class CohomologyCalculator:
                     if sa != sb:
                         big, small, b_label, s_label = (
                             (sa, sb, la, lb) if sa.dim >= sb.dim else (sb, sa, lb, la))
-                        witness = next((r for r in big.ints if not small.contains(r)), None)
-                        # an echelon row's pivot is its first column
-                        w_str = (row_to_str(self.dim, k, witness, witness[min(witness)])
-                                 if witness else "?")
-                        details.append(
-                            f"k={k}: {b_label} and {s_label} differ; witness {w_str}")
+                        details.append(f"k={k}: {b_label} and {s_label} differ; "
+                                       f"witness {self._witness(k, big, small)}")
         ok = not details
         sl = self.check_strong_lefschetz()
         details.append(f"strong Lefschetz {'holds' if sl.passed else 'fails'}; "

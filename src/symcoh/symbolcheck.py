@@ -28,7 +28,7 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 
-from .exterior import Form, blade_operator
+from .exterior import Form, blade_operator, row_to_str
 from .linalg import OperatorMatrix, Subspace, image, kernel
 from .reports import DEFAULT_SEED, CheckResult
 from .symplectic import SymplecticStructure, standard_omega
@@ -102,9 +102,14 @@ def check_exactness(c: SymbolComplex) -> CheckResult:
     details = []
     composed_to_zero = True
     for i in range(len(c.maps) - 1):
-        if not c.maps[i + 1].compose(c.maps[i]).is_zero():
+        cols = c.maps[i + 1].compose(c.maps[i]).cols
+        j = next((j for j, col in enumerate(cols) if col), None)
+        if j is not None:
             composed_to_zero = False
-            details.append(f"composition at step {i} -> {i + 1} is non-zero")
+            k = min(i, 2 * c.n + 1 - i)  # position i's degree; column j is basis row j of P^k
+            row = c.structure.primitive_subspace(k).ints[j]
+            details.append(f"composition at step {i} -> {i + 1} is non-zero on "
+                           f"{row_to_str(2 * c.n, k, row, row[min(row)])}")
     # Euler characteristic must vanish for an exact sequence.  build_symbols puts one
     # dimension at p and 2n + 1 - p, of opposite parity, so only a hand-built sequence fails
     euler = sum((-1) ** p * dim for p, dim in enumerate(c.dims))

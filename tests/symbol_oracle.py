@@ -9,12 +9,15 @@ routes:
   ``SymplecticStructure.split`` and reads each map in primitive
   coordinates;
 * ``subspace_exactness`` multiplies the maps as they are and compares the
-  kernel and the image at every position as canonical subspaces.
+  kernel and the image at every position as canonical subspaces; a
+  non-zero composition names its first non-zero column as a Form of the
+  primitive basis, printed by ``quotient_oracle.form_to_str``.
 """
 
 from __future__ import annotations
 
 from form_oracle import BladeMap, blade_matrix
+from quotient_oracle import form_to_str
 from symcoh.exterior import Form
 from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
 from symcoh.reports import CheckResult
@@ -39,10 +42,15 @@ def subspace_exactness(c: SymbolComplex) -> CheckResult:
     """Zero composition plus ker = im at every position of the sequence."""
     details = []
     ok = True
+    degrees = [*range(c.n + 1), *range(c.n, -1, -1)]
     for i in range(len(c.maps) - 1):
-        if not c.maps[i + 1].compose(c.maps[i]).is_zero():
+        composed = c.maps[i + 1].compose(c.maps[i])
+        if not composed.is_zero():
             ok = False
-            details.append(f"composition at step {i} -> {i + 1} is non-zero")
+            # the first non-zero column, named as a Form of the primitive basis
+            j = next(j for j in range(composed.ncols) if any(composed.column(j).values()))
+            witness = form_to_str(c.structure.primitive_basis(degrees[i])[j])
+            details.append(f"composition at step {i} -> {i + 1} is non-zero on {witness}")
     # Euler characteristic must vanish for an exact sequence
     euler = sum((-1) ** p * dim for p, dim in enumerate(c.dims))
     if euler != 0:

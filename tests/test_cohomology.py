@@ -6,7 +6,7 @@ import pytest
 
 from symcoh import CohomologyCalculator, Form, SymplecticComplex, parse_form, parse_salamon
 from symcoh.cohomology import DegreeRangeError, omega_dependence
-from symcoh.linalg import InclusionError, kernel
+from symcoh.linalg import InclusionError, Subspace, kernel
 
 from conftest import wedge_chain
 
@@ -186,6 +186,23 @@ def test_low_degree_equivalence(nil_calc, nil_calc_prime, torus_calc):
     for calc in (nil_calc, nil_calc_prime, torus_calc):
         result = calc.check_low_degree_equivalence()
         assert result.passed, result.details
+
+
+@pytest.mark.parametrize("numerator, detail", [
+    # wider than ker d = span(e1, e2, e3): e4 is the first row ker d lacks
+    ([{i: 1} for i in range(6)], "(6 vs 3); witness e4"),
+    # narrower: every row of span(e1) lies in ker d, whose row e2 it lacks
+    ([{0: 1}], "(1 vs 3); witness e2"),
+])
+def test_low_degree_equivalence_names_a_witness(nil_cx, numerator, detail):
+    """The p+ numerator in degree 1, replaced by hand in the calculator's
+    cache, differs from ker d; the detail names a basis row of one space
+    that the other does not contain."""
+    calc = CohomologyCalculator(nil_cx)
+    calc._ops[("ker_dp", 1)] = Subspace(6, numerator)
+    result = calc.check_low_degree_equivalence()
+    assert not result.passed
+    assert result.details == [f"p+/dR numerator k=1: subspaces differ {detail}"]
 
 
 # -- strong Lefschetz -------------------------------------------------------------------

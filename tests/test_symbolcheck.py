@@ -107,3 +107,19 @@ def test_euler_sum_is_reported_when_a_basis_element_is_dropped():
     assert not result.passed
     assert result.details == ["alternating dimension sum is 1, not 0",
                               "position 1: ker dim 0 != im dim 1"]
+
+
+def test_non_zero_composition_names_a_primitive_basis_element():
+    """With the middle map of the n = 2 sequence for e1 replaced by hand by
+    the identity, the compositions into and out of it are the maps beside
+    it, which are not zero.  Each detail names the first non-zero column as
+    a primitive basis element: e1 ^ e1 = 0, so the first column of P^1
+    that the ascending map moves is e2, and the first of P^2 that the
+    descending map moves is its first basis element, e12 - e34."""
+    c = build_symbols(2, Form.e(4, 1))
+    assert c.dims == [1, 4, 5, 5, 4, 1]
+    c.maps[2] = OperatorMatrix.identity(5)
+    result = check_exactness(c)
+    assert not result.passed
+    assert result.details[:2] == ["composition at step 1 -> 2 is non-zero on e2",
+                                  "composition at step 2 -> 3 is non-zero on e12 - e34"]

@@ -67,6 +67,12 @@ RUNGS = [
     ("N14 ddlambda", _fixture(["check", "--suite=ddlambda"], N14), "91cedee2f5f8", 1),
     ("N14 lefschetz", _fixture(["check", "--suite=lefschetz"], N14), "ecf84ee4112d", 1),
     ("N14 index", _fixture(["check", "--suite=index"], N14), "c663295e2c49", 0),
+    # the scrambled N8's primitive groups, dense in blade and primitive
+    # coordinates alike; its ddLambda-lemma fails, as on N8, so exit 1
+    ("scrambled N8 index", _fixture(["check", "--suite=index"], SCRAMBLED_N8),
+     "254c1c747828", 0),
+    ("scrambled N8 ddlambda", _fixture(["check", "--suite=ddlambda"], SCRAMBLED_N8),
+     "d6f989b37b7c", 1),
 ]
 
 
@@ -98,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         if code != pinned_code:
             status += f", exit {code}, pinned {pinned_code}"
         mismatches += prefix != pinned or code != pinned_code
-        print(f"{name:<20} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
+        print(f"{name:<22} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
     return 1 if mismatches else 0
 
 
