@@ -15,8 +15,10 @@ Six families are computed as exact quotients with canonical representatives:
 del_plus and del_minus map primitive forms to primitive forms, so the four
 primitive families are quotients of subspaces of P^k, eliminated in its
 primitive coordinates (dim P^k columns, not C(2n, k)) and lifted by B_k with
-no second elimination: B_k is den at its own primitive pivot and 0 at the
-others, so a canonical row's lift over its content is canonical (``_lift``).
+no second elimination (``_lift``).  Every intersection is a kernel: the d+dL
+numerator is the kernel of [del_plus; del_minus], and the exactness lemma and
+the primitive parts of the d- and dL-cohomologies meet a subspace with ker d,
+ker dL or P^k = ker Lambda (``linalg.meet``), ker d ^ P^k as ker [d; Lambda].
 
 Before every quotient the denominator is checked to lie inside the
 numerator; a failure indicates a broken operator, never bad input.  Every
@@ -30,11 +32,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import Form, blade_index, form_to_coords, row_to_str
-from .linalg import (OperatorMatrix, Subspace, _primitive, image, kernel, memo, quotient,
-                     subspace_intersect, subspace_sum)
+from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, lift_canonical,
+                     meet, memo, quotient)
 from .reports import CheckResult
 from .symplectic import SymplecticComplex
 
@@ -83,9 +86,6 @@ class CohomologyCalculator:
     def to_vec(self, f: Form, k: int) -> dict:
         return form_to_coords(f, blade_index(self.dim, k)[1])
 
-    def span_of_forms(self, forms: list[Form], k: int) -> Subspace:
-        return Subspace(len(self.blade_order(k)), [self.to_vec(f, k) for f in forms])
-
     # -- operator matrices ---------------------------------------------------
 
     def d_matrix(self, k: int) -> OperatorMatrix:
@@ -121,15 +121,9 @@ class CohomologyCalculator:
     # pieces, and lifted to blades by ``_lift``.
 
     def _lift(self, sub: Subspace, k: int) -> Subspace:
-        """sub, in the primitive coordinates of P^k, in degree-k blades.  Column
-        i of B_k is row i of P^k over its pivot entry, so B_k·c is den·c_i at
-        row i's pivot.  For a canonical row c that leads at i, B_k·c leads at
-        row i's pivot, positive, and is 0 at the pivots of the other rows of
-        sub: over its content it is canonical, with no second elimination."""
-        prim, b = self.st._primitive_data(k)
-        lifted = (b @ OperatorMatrix(b.ncols, sub.dim, sub.ints)).cols
-        return Subspace._canonical(b.nrows, [prim.pivots[i] for i in sub.pivots],
-                                   [_primitive(r) for r in lifted])
+        """sub, in the primitive coordinates of P^k, lifted to degree-k blades
+        by B_k, whose column i is row i of P^k over its pivot entry."""
+        return lift_canonical(*self.st._primitive_data(k), sub)
 
     def _dpdm(self, k: int) -> OperatorMatrix:
         """del_plus del_minus on P^k in primitive coordinates."""
@@ -214,16 +208,14 @@ class CohomologyCalculator:
     # -- intersection groups (closed forms that happen to be primitive) --------
 
     def de_rham_primitive_part(self, k: int) -> CohomologyGroup:
-        """(ker d ^ P^k) / (im d ^ P^k)."""
-        num = subspace_intersect(self.ker_d(k), self.prim(k))
-        den = subspace_intersect(self.im_d(k), self.prim(k))
-        return self._finish("dR^P", k, num, den)
+        """(ker d ^ P^k) / (im d ^ P^k), P^k = ker Lambda."""
+        return self._finish("dR^P", k, meet(self.prim(k), self.d_matrix(k)),
+                            meet(self.im_d(k), self.cx.op("Lambda", k)))
 
     def dlambda_primitive_part(self, k: int) -> CohomologyGroup:
         """(ker dL ^ P^k) / (im dL ^ P^k)."""
-        num = subspace_intersect(self.ker_dl(k), self.prim(k))
-        den = subspace_intersect(self.im_dl(k), self.prim(k))
-        return self._finish("dL^P", k, num, den)
+        return self._finish("dL^P", k, meet(self.prim(k), self.dl_matrix(k)),
+                            meet(self.im_dl(k), self.cx.op("Lambda", k)))
 
     # -- class arithmetic -------------------------------------------------------
 
@@ -246,12 +238,10 @@ class CohomologyCalculator:
         Checked as subspace equality modulo the denominator, never as string
         equality of representatives.
         """
-        for f in forms:
-            if not g.numerator.contains(self.to_vec(f, g.degree)):
-                return False
-        if len(forms) != g.dimension:
+        vecs = [self.to_vec(f, g.degree) for f in forms]
+        if len(vecs) != g.dimension or not all(map(g.numerator.contains, vecs)):
             return False
-        lifted = subspace_sum(g.denominator, self.span_of_forms(forms, g.degree))
+        lifted = Subspace(g.denominator.ambient, [*g.denominator.ints, *vecs])
         return lifted.dim == g.denominator.dim + g.dimension
 
     # -- structure checks ---------------------------------------------------------
@@ -278,7 +268,7 @@ class CohomologyCalculator:
 
     def _witness(self, k: int, a: Subspace, b: Subspace) -> str:
         """A basis row of a that b lacks, else one of b that a lacks, printed."""
-        r = next(r for s, t in ((a, b), (b, a)) for r in s.ints if not t.contains(r))
+        r = differing_row(a, b)
         return row_to_str(self.dim, k, r, r[min(r)])  # over its pivot, its first column
 
     def lefschetz_power_map(self, k: int, power: int) -> OperatorMatrix:
@@ -314,7 +304,7 @@ class CohomologyCalculator:
                     f"has rank {rank} (dims {src_dim}, {dst_dim})")
         holds = not details
         if self.n >= 2:
-            ker_dim = kernel(self.lefschetz_power_map(1, 1)).dim
+            ker_dim = self.diagnostic_one_step_kernel().dim
             details.append(
                 f"omega: H^1 -> H^3 {'injective' if ker_dim == 0 else 'not injective'}")
         return CheckResult("strong-lefschetz", holds, details)
@@ -323,6 +313,18 @@ class CohomologyCalculator:
         """Kernel of omega: H^1 -> H^3 in class coordinates of H^1."""
         return kernel(self.lefschetz_power_map(1, 1))
 
+    def exactness_conditions(self, k: int) -> list[tuple[str, Subspace]]:
+        """The d-closed primitive degree-k forms that are exact under
+        del_plus, del_minus (k < n) and del_plus del_minus (k > 0): each span
+        met with ker d ^ P^k, the kernel of [d; Lambda]."""
+        closed = self.d_matrix(k).stack(self.cx.op("Lambda", k))
+        spans = [("plus-exact", self.dp_span(k - 1))]
+        if k < self.n:
+            spans.append(("minus-exact", self.dm_span(k + 1)))
+        if k > 0:
+            spans.append(("composite-exact", self.dpdm_span(k)))
+        return [(label, meet(span, closed)) for label, span in spans]
+
     def check_ddlambda_lemma(self) -> CheckResult:
         """For d-closed primitive forms, exactness under the two first-order
         pieces and under their composition must be one and the same subspace;
@@ -330,22 +332,12 @@ class CohomologyCalculator:
         the strong Lefschetz property."""
         details = []
         for k in range(self.n + 1):
-            closed_prim = subspace_intersect(self.ker_d(k), self.prim(k))
-            conditions = [("plus-exact", subspace_intersect(self.dp_span(k - 1), closed_prim))]
-            if k < self.n:
-                conditions.append(("minus-exact",
-                                   subspace_intersect(self.dm_span(k + 1), closed_prim)))
-            if k > 0:
-                conditions.append(("composite-exact",
-                                   subspace_intersect(self.dpdm_span(k), closed_prim)))
-            for i in range(len(conditions)):
-                for j in range(i + 1, len(conditions)):
-                    (la, sa), (lb, sb) = conditions[i], conditions[j]
-                    if sa != sb:
-                        big, small, b_label, s_label = (
-                            (sa, sb, la, lb) if sa.dim >= sb.dim else (sb, sa, lb, la))
-                        details.append(f"k={k}: {b_label} and {s_label} differ; "
-                                       f"witness {self._witness(k, big, small)}")
+            for (la, sa), (lb, sb) in combinations(self.exactness_conditions(k), 2):
+                if sa != sb:
+                    big, small, b_label, s_label = (
+                        (sa, sb, la, lb) if sa.dim >= sb.dim else (sb, sa, lb, la))
+                    details.append(f"k={k}: {b_label} and {s_label} differ; "
+                                   f"witness {self._witness(k, big, small)}")
         ok = not details
         sl = self.check_strong_lefschetz()
         details.append(f"strong Lefschetz {'holds' if sl.passed else 'fails'}; "

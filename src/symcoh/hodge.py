@@ -32,7 +32,8 @@ from functools import partial
 from .cohomology import CohomologyCalculator
 from .exterior import (Form, _by_degree, blade_index, compound, counterexample, row_to_str,
                        wedge_sign)
-from .linalg import OperatorMatrix, Subspace, image, kernel, leading_minors, memo, vec_dot
+from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, leading_minors,
+                     memo, vec_dot)
 from .reports import CheckResult
 from .symplectic import SymplecticComplex, SymplecticStructure, _factorial, _size
 
@@ -312,8 +313,12 @@ class HodgeTheory:
             harm = self.harmonic_space(k, "plus").rows
             mapped = jk @ OperatorMatrix.from_columns([st.lift(r, k) for r in harm], jk.nrows)
             st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
-            if image(st.prim_matrix(mapped, k)) != self.harmonic_space(k, "minus"):
-                details.append("splitting operator does not map harmonic(+) onto harmonic(-)")
+            reached, minus = image(st.prim_matrix(mapped, k)), self.harmonic_space(k, "minus")
+            if reached != minus:
+                w = _printed(self.dim, k, st._primitive_data(k)[1],
+                             [differing_row(reached, minus)])[0]
+                details.append("splitting operator does not map harmonic(+) onto harmonic(-); "
+                               f"witness {w}")
         return CheckResult(name, not details, details)
 
     def pairing_matrix(self, k: int, plus: list[tuple[int, dict]],

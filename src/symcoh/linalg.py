@@ -464,29 +464,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check(b)
-    return Subspace(a.ambient, a.ints + b.ints)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: echelonize [A|A; B|0]; rows with zero left half span A^B."""
-    a._check(b)
-    n = a.ambient
-    stacked = []
-    for r in a.ints:
-        row = dict(r)
-        row.update({j + n: v for j, v in r.items()})
-        stacked.append(row)
-    stacked.extend(b.ints)
-    _, rows = rref(stacked, 2 * n)
-    inter = []
-    for r in rows:
-        if all(j >= n for j in r):
-            inter.append({j - n: v for j, v in r.items()})
-    return Subspace(n, inter)
-
-
 def kernel(m: OperatorMatrix) -> Subspace:
     """Exact null space, eliminating with the columns reversed: each reduced
     row's pivot p is then its last column, so free column f's vector (f minus
@@ -509,6 +486,30 @@ def kernel(m: OperatorMatrix) -> Subspace:
 def image(m: OperatorMatrix) -> Subspace:
     """Exact column space of the operator."""
     return Subspace(m.nrows, m.cols)
+
+
+def differing_row(a: Subspace, b: Subspace) -> Vec:
+    """A basis row of a that b lacks, else one of b that a lacks: for a != b,
+    an int row that tells them apart."""
+    return next(r for s, t in ((a, b), (b, a)) for r in s.ints if not t.contains(r))
+
+
+def lift_canonical(basis: Subspace, b: OperatorMatrix, coords: Subspace) -> Subspace:
+    """b·coords, for ``coords`` a subspace in coordinates over ``basis`` and
+    b a matrix whose column i is a positive multiple of basis row i, so
+    positive at row i's pivot and 0 at the other pivots.  b·c, for a
+    canonical row c that leads at i, then leads at row i's pivot, positive,
+    and is 0 at the pivots of coords' other rows: over its content it is
+    canonical, with no second elimination."""
+    lifted = (b @ OperatorMatrix(b.ncols, coords.dim, coords.ints)).cols
+    return Subspace._canonical(b.nrows, [basis.pivots[i] for i in coords.pivots],
+                               [_primitive(r) for r in lifted])
+
+
+def meet(sub: Subspace, m: OperatorMatrix) -> Subspace:
+    """sub ^ ker m: the lift, by sub's basis matrix b, of ker(m·b)."""
+    b = OperatorMatrix(sub.ambient, sub.dim, sub.ints)
+    return lift_canonical(sub, b, kernel(m @ b))
 
 
 def quotient(numerator: Subspace, denominator: Subspace) -> list[tuple[int, Vec]]:

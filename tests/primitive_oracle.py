@@ -11,7 +11,7 @@ This module keeps the earlier bodies:
 * an image is eliminated in blade coordinates, from the blade columns of
   ``SymplecticComplex.del_images``;
 * the d+dL numerator is the Zassenhaus intersection of ker del_plus and
-  ker del_minus (``subspace_intersect``);
+  ker del_minus (``subspace_intersect``, kept in ``subspace_oracle``);
 * the ddL denominator is two chained ``subspace_sum`` calls, the first a sum
   with the zero space.
 
@@ -21,7 +21,8 @@ families by these routes; ``linalg.quotient`` of the two is the group's rows.
 
 from __future__ import annotations
 
-from symcoh.linalg import OperatorMatrix, Subspace, kernel, subspace_intersect, subspace_sum
+from subspace_oracle import subspace_intersect, subspace_sum
+from symcoh.linalg import OperatorMatrix, Subspace, kernel
 
 PRIMITIVE_GROUPS = ("p+", "p-", "d+dL", "ddL")
 

@@ -16,6 +16,13 @@ module keeps the earlier bodies unchanged:
   rows in ints and derives that Fraction form only on read.
 
 They take the subspace (or operator) as their first argument.
+
+The engine meets subspaces only as kernels (``linalg.meet``, and
+``OperatorMatrix.stack`` for two kernels) and sums them as one ``Subspace``
+of both bases.  ``subspace_intersect`` (Zassenhaus) and ``subspace_sum``,
+which it used before, are kept here.  The Zassenhaus elimination names the
+engine's int ``rref`` (``linalg.rref``), as it did in the engine, so it
+does not run on this module's Fraction ``rref``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from symcoh import linalg
 from symcoh.linalg import OperatorMatrix, Subspace, Vec, _eliminate, echelon
 
 
@@ -88,3 +96,26 @@ def kernel(m: OperatorMatrix) -> Subspace:
                 v[p] = -c
         basis.append(v)
     return Subspace(m.ncols, basis)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    a._check(b)
+    return Subspace(a.ambient, a.ints + b.ints)
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus: echelonize [A|A; B|0]; rows with zero left half span A^B."""
+    a._check(b)
+    n = a.ambient
+    stacked = []
+    for r in a.ints:
+        row = dict(r)
+        row.update({j + n: v for j, v in r.items()})
+        stacked.append(row)
+    stacked.extend(b.ints)
+    _, rows = linalg.rref(stacked, 2 * n)
+    inter = []
+    for r in rows:
+        if all(j >= n for j in r):
+            inter.append({j - n: v for j, v in r.items()})
+    return Subspace(n, inter)

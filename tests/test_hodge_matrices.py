@@ -10,8 +10,9 @@ starred blade, and ``form_oracle.wedge_gram`` and
 reads del_plus and del_minus on the blades (``del_blades``) and compares
 its identities multiplied through by blade Gram matrices, so one perturbed
 blade column of either, or a perturbed Gram matrix, must still fail both
-comparisons.  Each adjoint is formed once per degree and direction in a
-Hodge suite run.
+comparisons.  When J does not map harmonic(+) onto harmonic(-), the check
+names a basis form of one space that the other lacks.  Each adjoint is
+formed once per degree and direction in a Hodge suite run.
 """
 
 import pytest
@@ -21,7 +22,7 @@ from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
 from symcoh.exterior import Form, blade_index, form_to_coords
 from symcoh import hodge as hodge_module
 from symcoh.hodge import CompatibleTriple, HodgeTheory, run_hodge_suite
-from symcoh.linalg import OperatorMatrix
+from symcoh.linalg import OperatorMatrix, Subspace
 from symcoh.symplectic import parse_omega
 
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
@@ -126,6 +127,24 @@ def test_conjugation_check_fails_on_a_perturbed_gram():
     assert result.details == [
         f"{CONJUGATE_PLUS} e1: 2*e26 - 2*e35 + 2*e45 != e26 - e35 + e45",
         f"{CONJUGATE_ADJOINT} e12: 2*e4 != e4"]
+
+
+@pytest.mark.parametrize("narrow,witness", [(True, "e6"), (False, "e1")],
+                         ids=["narrowed", "widened"])
+def test_harmonic_mismatch_names_a_witness(narrow, witness):
+    """On N6, J maps harmonic(+) onto harmonic(-) = span(e4, e5, e6) in
+    degree 1.  With harmonic(-) narrowed to span(e4, e5), e6 is in J's image
+    and not in it; with harmonic(-) widened to all of P^1, e1 is in it and
+    not in J's image."""
+    ht = hodge("N6", False)
+    minus = ht.harmonic_space(1, "minus")
+    assert minus.ints == [{3: 1}, {4: 1}, {5: 1}]
+    assert ht.check_jay_conjugation(1).passed
+    ht._ops["harmonic", 1, "minus"] = (Subspace(minus.ambient, minus.ints[:-1]) if narrow
+                                       else Subspace.full(minus.ambient))
+    result = ht.check_jay_conjugation(1)
+    assert result.details == ["splitting operator does not map harmonic(+) onto harmonic(-); "
+                              f"witness {witness}"]
 
 
 def test_hodge_suite_forms_each_adjoint_once(monkeypatch):

@@ -19,13 +19,12 @@ from symcoh.linalg import (
     kernel,
     quotient,
     rref,
-    subspace_intersect,
-    subspace_sum,
 )
 
 from dense_oracle import det
 from form_oracle import matrix_on_blades
 from quotient_oracle import solve
+from subspace_oracle import subspace_intersect, subspace_sum
 
 
 # -- independent dense oracle --------------------------------------------------
@@ -202,6 +201,15 @@ def test_intersection_contains_maximal():
         b = Subspace(n, vecs[:2])
         assert subspace_intersect(a, b) == b
         assert subspace_sum(a, b) == a
+
+
+def test_zassenhaus_runs_on_the_engine_rref(monkeypatch):
+    """The oracle's Zassenhaus eliminates with ``linalg.rref``, not with the
+    Fraction ``rref`` that ``subspace_oracle`` also defines."""
+    monkeypatch.setattr(subspace_oracle, "rref", None)
+    a = Subspace(3, [{0: 1, 1: 1}, {2: 1}])
+    b = Subspace(3, [{0: 1}, {1: 1}])
+    assert subspace_intersect(a, b) == Subspace(3, [{0: 1, 1: 1}])
 
 
 def test_ambient_mismatch():

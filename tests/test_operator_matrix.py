@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from quotient_oracle import solve
-from symcoh.linalg import (
-    OperatorMatrix, Subspace, image, kernel, leading_minors, subspace_intersect)
+from subspace_oracle import subspace_intersect
+from symcoh.linalg import OperatorMatrix, Subspace, image, kernel, leading_minors
 
 ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))

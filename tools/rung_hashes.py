@@ -24,6 +24,7 @@ N8 = ("(0,0,0,12,14,15+23+24,0,0)", "16+25-34+78")
 N10 = ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a")
 N12 = ("(0,0,0,12,14,15+23+24,0,0,0,0,0,0)", "16+25-34+78+9a+bc")
 N14 = ("(0,0,0,12,14,15+23+24,0,0,0,0,0,0,0,0)", "16+25-34+78+9a+bc+de")
+T8 = ("(0,0,0,0,0,0,0,0)", "12+34+56+78")
 # perfbench/scramble.py's scramble of N8, all 8 generators moved, random.Random(5)
 SCRAMBLED_N8 = (
     "(2*12-2*13-8*14-14*15-20*16+10*17+76*18+4*23+14*24+16*25+26*26-22*27-98*28+10*35"
@@ -73,6 +74,8 @@ RUNGS = [
      "254c1c747828", 0),
     ("scrambled N8 ddlambda", _fixture(["check", "--suite=ddlambda"], SCRAMBLED_N8),
      "d6f989b37b7c", 1),
+    # the passing path of the ddLambda-lemma: the flat torus satisfies it
+    ("T8 ddlambda", _fixture(["check", "--suite=ddlambda"], T8), "eec9943d29a2", 0),
 ]
 
 
