@@ -20,6 +20,11 @@ numerator is the kernel of [del_plus; del_minus], and the exactness lemma and
 the primitive parts of the d- and dL-cohomologies meet a subspace with ker d,
 ker dL or P^k = ker Lambda (``linalg.meet``), ker d ^ P^k as ker [d; Lambda].
 
+The images of d and dL are eliminated on the columns outside the free set of
+the memoized kernel of the same matrix (``linalg.image`` given the kernel's
+pivots), which checks that rank and nullity add up; the primitive spans
+eliminate every column.
+
 Before every quotient the denominator is checked to lie inside the
 numerator; a failure indicates a broken operator, never bad input.  Every
 subspace and group is built once by ``linalg.memo`` into the calculator's
@@ -100,10 +105,12 @@ class CohomologyCalculator:
         return memo(self._ops, ("ker_d", k), lambda: kernel(self.d_matrix(k)))
 
     def im_d(self, k: int) -> Subspace:
-        """Image of d inside degree k."""
+        """Image of d inside degree k, from the columns of d_(k-1) outside
+        ker_d(k - 1)'s free set."""
         if k == 0:
             return Subspace.zero(len(self.blade_order(0)))
-        return memo(self._ops, ("im_d", k), lambda: image(self.d_matrix(k - 1)))
+        return memo(self._ops, ("im_d", k),
+                    lambda: image(self.d_matrix(k - 1), self.ker_d(k - 1).pivots))
 
     def ker_dl(self, k: int) -> Subspace:
         return memo(self._ops, ("ker_dl", k), lambda: kernel(self.dl_matrix(k)))
@@ -111,7 +118,8 @@ class CohomologyCalculator:
     def im_dl(self, k: int) -> Subspace:
         if k == 2 * self.n:
             return Subspace.zero(len(self.blade_order(k)))
-        return memo(self._ops, ("im_dl", k), lambda: image(self.dl_matrix(k + 1)))
+        return memo(self._ops, ("im_dl", k),
+                    lambda: image(self.dl_matrix(k + 1), self.ker_dl(k + 1).pivots))
 
     def prim(self, k: int) -> Subspace:
         return self.st.primitive_subspace(k)

@@ -16,6 +16,12 @@ positive at their pivots.  That form of a row space is unique, so two
 subspaces are equal iff their stored rows are identical, whichever rows
 elimination pivoted on.  A basis row is 0 at the other pivots, so ``reduce``
 visits a vector's own pivot entries.  Fraction rows are formed on read.
+
+``kernel`` writes a matrix's rows, columns reversed, in one pass over its
+columns and eliminates only the non-zero ones; the canonical kernel's pivots
+are the free columns.  Given them, ``image`` eliminates only the other
+columns, rank-many and a basis of the image, and checks that rank and
+nullity add up to the column count.
 """
 
 from __future__ import annotations
@@ -468,24 +474,48 @@ def kernel(m: OperatorMatrix) -> Subspace:
     """Exact null space, eliminating with the columns reversed: each reduced
     row's pivot p is then its last column, so free column f's vector (f minus
     row p's entry at f over its pivot entry q_p, at each p) starts at f and is
-    0 at the other free columns.  Over the lcm of its q_p it is a canonical row."""
+    0 at the other free columns.  Over the lcm of its q_p it is a canonical
+    row, and a free column that no row touches is the unit row {f: 1}.  One
+    pass writes the reversed rows from the columns, and only the non-zero
+    rows are eliminated."""
     last = m.ncols - 1
-    pivots, rows = rref([{last - j: v for j, v in r.items()} for r in m.rows()], m.ncols)
-    touches: list[list] = [[] for _ in range(m.ncols)]
-    for p, row in zip(pivots, rows):
+    rows: list[Vec] = [{} for _ in range(m.nrows)]
+    for j, c in enumerate(m.cols):
+        for i, v in c.items():
+            rows[i][last - j] = v
+    pivots, reduced = rref([r for r in rows if r], m.ncols)
+    touches: dict[int, list] = {}
+    for p, row in zip(pivots, reduced):
+        q = row[p]
         for f, c in row.items():
-            touches[last - f].append((last - p, c, row[p]))
-    free = sorted(set(range(m.ncols)).difference(last - p for p in pivots))
+            if f != p:
+                touches.setdefault(last - f, []).append((last - p, c, q))
+    bound = {last - p for p in pivots}
+    free = [f for f in range(m.ncols) if f not in bound]
     basis = []
     for f in free:
-        d = lcm(*(q for _, _, q in touches[f]))
-        basis.append(_primitive({f: d, **{p: -c * (d // q) for p, c, q in touches[f]}}))
+        t = touches.get(f)
+        if t is None:
+            basis.append({f: 1})
+            continue
+        d = lcm(*(q for _, _, q in t))
+        basis.append(_primitive({f: d, **{p: -c * (d // q) for p, c, q in t}}))
     return Subspace._canonical(m.ncols, free, basis)
 
 
-def image(m: OperatorMatrix) -> Subspace:
-    """Exact column space of the operator."""
-    return Subspace(m.nrows, m.cols)
+def image(m: OperatorMatrix, free: list[int] | None = None) -> Subspace:
+    """Exact column space of the operator.  Given ``free``, the pivots of
+    ``kernel(m)``, only the other columns are eliminated: each canonical
+    kernel row writes its free column as a combination of them, so they
+    span the image, and being rank-many they are independent.  If they
+    turn out dependent, ``free`` was not m's kernel."""
+    if free is None:
+        return Subspace(m.nrows, m.cols)
+    skip = set(free)
+    sub = Subspace(m.nrows, [c for j, c in enumerate(m.cols) if j not in skip])
+    if sub.dim + len(free) != m.ncols:
+        raise AssertionError("rank and nullity do not add up")
+    return sub
 
 
 def differing_row(a: Subspace, b: Subspace) -> Vec:
