@@ -91,15 +91,6 @@ class LieAlgebraSpec:
         """Exterior derivative, extended as an anti-derivation."""
         return _by_degree(a, self.dim, self.d_matrix, lambda k: k + 1)
 
-    def integrate(self, a: Form):
-        """Coefficient of e_{1..2n}; the volume class is normalized to 1."""
-        if a.dim != self.dim:
-            raise ValueError(f"form has dimension {a.dim}, algebra has {self.dim}")
-        return a.coeff((1 << self.dim) - 1)
-
-    def is_abelian(self) -> bool:
-        return all(f.is_zero() for f in self.differentials)
-
     def __eq__(self, other):
         if not isinstance(other, LieAlgebraSpec):
             return NotImplemented

@@ -2,7 +2,8 @@
 
 Output is deterministic: the same input produces byte-identical JSON
 (canonical key order, canonical form printing).  Exit codes: 0 on success,
-1 when a requested check fails, 2 on input errors.  A check suite's module
+1 when a requested check fails, 2 on input errors and when the report
+cannot be written, to ``--out`` or to stdout.  A check suite's module
 is imported only when that suite runs, so ``compute`` never loads one.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
 
@@ -256,7 +258,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            if isinstance(exc, BrokenPipeError):
+                # so the flush at interpreter exit writes to nothing
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

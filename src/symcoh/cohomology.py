@@ -16,9 +16,8 @@ del_plus and del_minus map primitive forms to primitive forms, so the four
 primitive families are quotients of subspaces of P^k, eliminated in its
 primitive coordinates (dim P^k columns, not C(2n, k)) and lifted by B_k with
 no second elimination (``_lift``).  Every intersection is a kernel: the d+dL
-numerator is the kernel of [del_plus; del_minus], and the exactness lemma and
-the primitive parts of the d- and dL-cohomologies meet a subspace with ker d,
-ker dL or P^k = ker Lambda (``linalg.meet``), ker d ^ P^k as ker [d; Lambda].
+numerator is the kernel of [del_plus; del_minus], and the exactness lemma
+meets each span with ker d ^ P^k, the kernel of [d; Lambda] (``linalg.meet``).
 
 The images of d and dL are eliminated on the columns outside the free set of
 the memoized kernel of the same matrix (``linalg.image`` given the kernel's
@@ -39,7 +38,6 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .cealgebra import LieAlgebraSpec
 from .exterior import Form, blade_index, form_to_coords, row_to_str
 from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, lift_canonical,
                      meet, memo, quotient)
@@ -120,9 +118,6 @@ class CohomologyCalculator:
             return Subspace.zero(len(self.blade_order(k)))
         return memo(self._ops, ("im_dl", k),
                     lambda: image(self.dl_matrix(k + 1), self.ker_dl(k + 1).pivots))
-
-    def prim(self, k: int) -> Subspace:
-        return self.st.primitive_subspace(k)
 
     # -- primitive operator spaces -------------------------------------------
     # Each is eliminated in the primitive coordinates of P^k, on ``_del``'s
@@ -213,18 +208,6 @@ class CohomologyCalculator:
             raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
         return memo(self._ops, ("group", name, k), lambda: fn(k))
 
-    # -- intersection groups (closed forms that happen to be primitive) --------
-
-    def de_rham_primitive_part(self, k: int) -> CohomologyGroup:
-        """(ker d ^ P^k) / (im d ^ P^k), P^k = ker Lambda."""
-        return self._finish("dR^P", k, meet(self.prim(k), self.d_matrix(k)),
-                            meet(self.im_d(k), self.cx.op("Lambda", k)))
-
-    def dlambda_primitive_part(self, k: int) -> CohomologyGroup:
-        """(ker dL ^ P^k) / (im dL ^ P^k)."""
-        return self._finish("dL^P", k, meet(self.prim(k), self.dl_matrix(k)),
-                            meet(self.im_dl(k), self.cx.op("Lambda", k)))
-
     # -- class arithmetic -------------------------------------------------------
 
     def class_coordinates(self, g: CohomologyGroup, f: Form | dict) -> dict | None:
@@ -240,39 +223,7 @@ class CohomologyCalculator:
         return {index[p] - bisect_left(dpiv, p): Fraction(c)
                 for p, c in g.denominator.reduce(v).items() if p in index}
 
-    def classes_span_equal(self, g: CohomologyGroup, forms: list[Form]) -> bool:
-        """Do the given forms represent a basis of the group?
-
-        Checked as subspace equality modulo the denominator, never as string
-        equality of representatives.
-        """
-        vecs = [self.to_vec(f, g.degree) for f in forms]
-        if len(vecs) != g.dimension or not all(map(g.numerator.contains, vecs)):
-            return False
-        lifted = Subspace(g.denominator.ambient, [*g.denominator.ints, *vecs])
-        return lifted.dim == g.denominator.dim + g.dimension
-
     # -- structure checks ---------------------------------------------------------
-
-    def check_low_degree_equivalence(self) -> CheckResult:
-        """In degrees 0 and 1 the one-sided primitive groups coincide with the
-        d- and dL-cohomologies: numerators and denominators agree as subspaces."""
-        details = []
-        for k in (0, 1):
-            if k >= self.n:
-                continue
-            pp, dr = self.group("p+", k), self.group("dR", k)
-            pm, dl = self.group("p-", k), self.group("dL", k)
-            for label, a, b in (
-                (f"p+/dR numerator k={k}", pp.numerator, dr.numerator),
-                (f"p+/dR denominator k={k}", pp.denominator, dr.denominator),
-                (f"p-/dL numerator k={k}", pm.numerator, dl.numerator),
-                (f"p-/dL denominator k={k}", pm.denominator, dl.denominator),
-            ):
-                if a != b:
-                    details.append(f"{label}: subspaces differ ({a.dim} vs {b.dim}); "
-                                   f"witness {self._witness(k, a, b)}")
-        return CheckResult("low-degree-equivalence", not details, details)
 
     def _witness(self, k: int, a: Subspace, b: Subspace) -> str:
         """A basis row of a that b lacks, else one of b that a lacks, printed."""
@@ -352,31 +303,6 @@ class CohomologyCalculator:
                        f"exactness lemma {'holds' if ok else 'fails'}")
         return CheckResult("ddlambda-lemma", ok, details)
 
-    def check_intersection_bounds(self) -> CheckResult:
-        """dim p+(k) = dim p-(k) >= dim(dL-cohomology ^ P^k) at every k < n;
-        when the exactness lemma holds, the one-sided groups equal the
-        primitive parts of the d- and dL-cohomologies for 2 <= k < n."""
-        details = []
-        ok = True
-        lemma = self.check_ddlambda_lemma().passed
-        for k in range(self.n):
-            dp = self.group("p+", k).dimension
-            dm = self.group("p-", k).dimension
-            d_cap = self.de_rham_primitive_part(k).dimension
-            dl_cap = self.dlambda_primitive_part(k).dimension
-            details.append(
-                f"k={k}: p+={dp} p-={dm} dR^P={d_cap} dL^P={dl_cap}")
-            if dp != dm:
-                ok = False
-                details.append(f"k={k}: one-sided dimensions differ")
-            if dp < dl_cap:
-                ok = False
-                details.append(f"k={k}: lower bound violated ({dp} < {dl_cap})")
-            if lemma and 2 <= k < self.n and (dp != d_cap or dm != dl_cap):
-                ok = False
-                details.append(f"k={k}: lemma holds but equalities fail")
-        return CheckResult("intersection-bounds", ok, details)
-
     def elliptic_index(self) -> int:
         """Alternating dimension sum along the primitive elliptic sequence."""
         n = self.n
@@ -392,15 +318,3 @@ class CohomologyCalculator:
     def check_index(self) -> CheckResult:
         idx = self.elliptic_index()
         return CheckResult("elliptic-index", idx == 0, [f"index = {idx}"])
-
-
-def omega_dependence(algebra: LieAlgebraSpec, omegas: list[Form],
-                     degree: int = 2) -> list[dict[str, int]]:
-    """Dimensions of the one-sided primitive groups for several symplectic
-    forms on the same algebra."""
-    out = []
-    for w in omegas:
-        calc = CohomologyCalculator(SymplecticComplex(algebra, w))
-        out.append({"p+": calc.group("p+", degree).dimension,
-                    "p-": calc.group("p-", degree).dimension})
-    return out

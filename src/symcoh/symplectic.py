@@ -276,10 +276,6 @@ class SymplecticStructure:
         """Symplectic star: reflects Lefschetz components across the middle."""
         return _by_degree(a, self.dim, self.star_matrix, lambda k: self.dim - k)
 
-    def volume(self) -> Form:
-        """omega^n / n!."""
-        return self.L_power(Form.scalar(self.dim, 1), self.n) / _factorial(self.n)
-
 
 def standard_omega(n: int) -> Form:
     """e_{12} + e_{34} + ... + e_{2n-1,2n}."""
@@ -305,6 +301,8 @@ def parse_omega(text: str, dim: int) -> Form:
 # ---------------------------------------------------------------------------
 # recursive primitive basis for the standard structure
 # ---------------------------------------------------------------------------
+# No code in the package calls this second route to the primitive bases: it
+# is exported for demo 02, which prints its output under a pinned hash.
 
 def recursive_primitive_basis(k: int, n: int) -> list[Form]:
     """Primitive-form basis for the standard omega, built by peeling off the
@@ -385,12 +383,6 @@ class SymplecticComplex:
 
     def Lambda(self, a: Form) -> Form:
         return self.structure.Lambda(a)
-
-    def H(self, a: Form) -> Form:
-        return self.structure.H(a)
-
-    def primitive_basis(self, k: int) -> list[Form]:
-        return self.structure.primitive_basis(k)
 
     def star(self, a: Form) -> Form:
         return self.structure.star(a)

@@ -65,17 +65,17 @@ component.
 
 And it keeps the star route for the inner product that the engine reads
 as the compound of the inverse metric (``HodgeTheory.gram``): ``pair``
-integrates a ^ *b against the Liouville volume, *b this module's ``jay``
-after the symplectic star, ``wedge_gram`` does so for every pair of a list
-of forms, and ``gram`` reads a blade Gram column as ``top_dual`` of a
-starred blade, the blade-keyed vector that reads a top coefficient off one
-factor.  No step of it reads the engine's compound matrices.
+integrates a ^ *b against the Liouville volume omega^n/n! (``volume``),
+*b this module's ``jay`` after the symplectic star, ``wedge_gram`` does so
+for every pair of a list of forms, and ``gram`` reads a blade Gram column
+as ``top_dual`` of a starred blade, the blade-keyed vector that reads a top
+coefficient off one factor.  No step of it reads the engine's compound matrices.
 
 And it keeps the wedge route for the duality pairing that
 ``HodgeTheory.pairing_matrix`` reads off int rows, the L matrices and the
 signed permutation ``hodge.top_dual``: ``pairing_matrix`` wedges
 omega^(n-k)/(n-k)!, the p+ and the p- form for every pair and integrates
-the product.
+the product (``paper_checks.integrate``).
 
 And it keeps ``matrix_on_blades``, which applies a form operator to each
 blade, where the engine builds its matrices from the structure constants,
@@ -108,6 +108,8 @@ from symcoh.exterior import (
     form_from_coords, form_to_coords, wedge_sign)
 from symcoh.linalg import OperatorMatrix
 from symcoh.reports import CheckResult
+
+from paper_checks import integrate
 
 
 def Lambda(st, a: Form) -> Form:
@@ -491,10 +493,15 @@ def on_blades(image_of_blade, dim: int, k_from: int, k_to: int) -> OperatorMatri
         [form_to_coords(image_of_blade(m), idx) for m in blade_index(dim, k_from)[0]], len(idx))
 
 
+def volume(st) -> Form:
+    """omega^n / n!."""
+    return st.L_power(Form.scalar(st.dim, 1), st.n) / factorial(st.n)
+
+
 def volume_norm(st):
     """The top coefficient of the Liouville volume omega^n/n!, by which the
     star route divides so that <1, 1> = 1."""
-    return st.volume().coeff((1 << st.dim) - 1)
+    return volume(st).coeff((1 << st.dim) - 1)
 
 
 def hodge_star(triple, a: Form) -> Form:
@@ -549,7 +556,7 @@ def pairing_matrix(cx, k: int, reps_plus: list[Form], reps_minus: list[Form]) ->
     for b_minus in reps_minus:
         col = {}
         for i, b_plus in enumerate(reps_plus):
-            v = cx.algebra.integrate(power.wedge(b_plus).wedge(b_minus))
+            v = integrate(cx.algebra, power.wedge(b_plus).wedge(b_minus))
             if v:
                 col[i] = v
         cols.append(col)

@@ -26,6 +26,7 @@ from symcoh.linalg import Subspace
 from symcoh.symbolcheck import DEFAULT_SEED, build_symbols, check_exactness, random_covectors
 
 from conftest import wedge_chain
+from paper_checks import classes_span_equal, de_rham_primitive_part, dlambda_primitive_part
 from test_cohomology import EXPECTED_DIMS, reference_bases
 
 
@@ -39,7 +40,7 @@ def test_criterion_01_table_reproduction(nil_calc, omega):
         assert got == dims, (name, got, dims)
     for (name, k), forms in reference_bases(omega).items():
         group = nil_calc.group(name, k)
-        assert nil_calc.classes_span_equal(group, forms), (name, k)
+        assert classes_span_equal(nil_calc, group, forms), (name, k)
     print("ACCEPTANCE 1 PASS: published table reproduced exactly "
           "(dimensions and representative spans)")
 
@@ -54,13 +55,13 @@ def test_criterion_02_omega_dependence(nil_calc, nil_calc_prime):
 
 def test_criterion_03_strict_inequality_witnesses(nil_calc):
     assert nil_calc.group("p+", 2).dimension == \
-        nil_calc.de_rham_primitive_part(2).dimension + 1
+        de_rham_primitive_part(nil_calc, 2).dimension + 1
     assert nil_calc.group("p-", 2).dimension == \
-        nil_calc.dlambda_primitive_part(2).dimension + 1
+        dlambda_primitive_part(nil_calc, 2).dimension + 1
     # witness classes: e35 - e45 spans the extra + class ...
     extra_plus = parse_form("e35 - e45", 6)
     gp = nil_calc.group("p+", 2)
-    dr_cap = nil_calc.de_rham_primitive_part(2)
+    dr_cap = de_rham_primitive_part(nil_calc, 2)
     coords = nil_calc.class_coordinates(gp, extra_plus)
     assert coords
     lifted = Subspace(len(nil_calc.blade_order(2)),

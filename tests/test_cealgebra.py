@@ -14,6 +14,8 @@ from symcoh.cealgebra import (
 from symcoh.cli import main
 from symcoh.exterior import FormParseError, blades
 
+from paper_checks import integrate, is_abelian
+
 
 def random_form(rng, dim, degree=None, max_terms=4):
     pool = blades(dim, degree) if degree is not None else list(range(1 << dim))
@@ -35,7 +37,7 @@ def test_parse_nilmanifold(nil_algebra):
 
 
 def test_parse_abelian(torus_algebra):
-    assert torus_algebra.is_abelian()
+    assert is_abelian(torus_algebra)
     assert all(f.is_zero() for f in torus_algebra.differentials)
 
 
@@ -197,18 +199,18 @@ def test_d_linear(nil_algebra):
 # -- integration ------------------------------------------------------------------
 
 def test_integrate_normalization(nil_algebra):
-    assert nil_algebra.integrate(Form.e(6, 1, 2, 3, 4, 5, 6)) == 1
-    assert nil_algebra.integrate(Form.e(6, 1, 2)) == 0
+    assert integrate(nil_algebra, Form.e(6, 1, 2, 3, 4, 5, 6)) == 1
+    assert integrate(nil_algebra, Form.e(6, 1, 2)) == 0
 
 
 def test_integrate_kills_exact_top_forms(nil_algebra):
     # unimodularity: enumerate every codimension-one blade
     for m in blades(6, 5):
-        assert nil_algebra.integrate(nil_algebra.d(Form(6, {m: 1}))) == 0
+        assert integrate(nil_algebra, nil_algebra.d(Form(6, {m: 1}))) == 0
 
 
 def test_integrate_kills_exact_random(nil_algebra):
     rng = random.Random(33)
     for _ in range(20):
         beta = random_form(rng, 6, 5)
-        assert nil_algebra.integrate(nil_algebra.d(beta)) == 0
+        assert integrate(nil_algebra, nil_algebra.d(beta)) == 0

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from symcoh.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +236,33 @@ def test_out_to_unwritable_path(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "error: cannot write" in err
     assert not target.exists()
+
+
+def assert_stdout_write_fails(stdout):
+    """``python -m symcoh compute`` in a fresh interpreter, its stdout on
+    ``stdout``, exits 2 with one error line and no traceback."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "symcoh", "compute"], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_2_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        assert_stdout_write_fails(full)
+
+
+def test_a_closed_pipe_on_stdout_exits_2_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        assert_stdout_write_fails(write)
+    finally:
+        os.close(write)
 
 
 @pytest.mark.parametrize("terms", [

@@ -5,10 +5,13 @@ from math import comb
 import pytest
 
 from symcoh import CohomologyCalculator, Form, SymplecticComplex, parse_form, parse_salamon
-from symcoh.cohomology import DegreeRangeError, omega_dependence
+from symcoh.cohomology import DegreeRangeError
 from symcoh.linalg import InclusionError, Subspace, kernel
 
 from conftest import wedge_chain
+from paper_checks import (
+    check_intersection_bounds, check_low_degree_equivalence, classes_span_equal,
+    de_rham_primitive_part, dlambda_primitive_part, omega_dependence)
 
 
 def binom(n, k):
@@ -114,7 +117,7 @@ def test_reference_spans(nil_calc, omega):
     refs = reference_bases(omega)
     for (name, k), forms in sorted(refs.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         group = nil_calc.group(name, k)
-        assert nil_calc.classes_span_equal(group, forms), (name, k)
+        assert classes_span_equal(nil_calc, group, forms), (name, k)
 
 
 def test_dlambda_degree_one_span(nil_calc):
@@ -184,7 +187,7 @@ def test_degree_range_errors(nil_calc):
 
 def test_low_degree_equivalence(nil_calc, nil_calc_prime, torus_calc):
     for calc in (nil_calc, nil_calc_prime, torus_calc):
-        result = calc.check_low_degree_equivalence()
+        result = check_low_degree_equivalence(calc)
         assert result.passed, result.details
 
 
@@ -200,7 +203,7 @@ def test_low_degree_equivalence_names_a_witness(nil_cx, numerator, detail):
     that the other does not contain."""
     calc = CohomologyCalculator(nil_cx)
     calc._ops[("ker_dp", 1)] = Subspace(6, numerator)
-    result = calc.check_low_degree_equivalence()
+    result = check_low_degree_equivalence(calc)
     assert not result.passed
     assert result.details == [f"p+/dR numerator k=1: subspaces differ {detail}"]
 
@@ -291,8 +294,8 @@ def test_lefschetz_power_maps_are_built_once_across_suites():
 # -- intersection groups and bounds ------------------------------------------------------
 
 def test_intersection_dimensions_nilmanifold(nil_calc):
-    assert nil_calc.de_rham_primitive_part(2).dimension == 4
-    assert nil_calc.dlambda_primitive_part(2).dimension == 4
+    assert de_rham_primitive_part(nil_calc, 2).dimension == 4
+    assert dlambda_primitive_part(nil_calc, 2).dimension == 4
     assert nil_calc.group("p+", 2).dimension == 4 + 1
     assert nil_calc.group("p-", 2).dimension == 4 + 1
 
@@ -316,15 +319,35 @@ def test_intersection_witnesses(nil_calc, nil_cx):
 
 def test_torus_equalities_k2(torus_calc):
     assert torus_calc.group("p+", 2).dimension == 14
-    assert torus_calc.de_rham_primitive_part(2).dimension == 14
+    assert de_rham_primitive_part(torus_calc, 2).dimension == 14
     assert torus_calc.group("p-", 2).dimension == 14
-    assert torus_calc.dlambda_primitive_part(2).dimension == 14
+    assert dlambda_primitive_part(torus_calc, 2).dimension == 14
 
 
 def test_intersection_bounds_check(nil_calc, nil_calc_prime, torus_calc):
     for calc in (nil_calc, nil_calc_prime, torus_calc):
-        result = calc.check_intersection_bounds()
+        result = check_intersection_bounds(calc)
         assert result.passed, result.details
+
+
+@pytest.mark.parametrize("numerator, failures", [
+    # wider than ker del_plus on P^1: all of degree 1, so p+(1) has dim 6
+    ([{i: 1} for i in range(6)], ["k=1: p+=6 p-=3 dR^P=3 dL^P=3",
+                                  "k=1: one-sided dimensions differ"]),
+    # narrower: span(e1) also falls below dim(dL-cohomology ^ P^1) = 3
+    ([{0: 1}], ["k=1: p+=1 p-=3 dR^P=3 dL^P=3", "k=1: one-sided dimensions differ",
+                "k=1: lower bound violated (1 < 3)"]),
+])
+def test_intersection_bounds_names_the_failing_degree(nil_cx, numerator, failures):
+    """The p+ numerator in degree 1, replaced by hand in the calculator's
+    cache, makes dim p+(1) differ from dim p-(1); the other degrees keep
+    their one summary line each."""
+    calc = CohomologyCalculator(nil_cx)
+    calc._ops[("ker_dp", 1)] = Subspace(6, numerator)
+    result = check_intersection_bounds(calc)
+    assert not result.passed
+    assert result.details == ["k=0: p+=1 p-=1 dR^P=1 dL^P=1", *failures,
+                              "k=2: p+=5 p-=5 dR^P=4 dL^P=4"]
 
 
 # -- dependence on the symplectic class ---------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from paper_checks import de_rham_primitive_part, dlambda_primitive_part
 from subspace_oracle import subspace_intersect
 from symcoh.linalg import AmbientMismatchError, OperatorMatrix, Subspace, kernel, meet, quotient
 from test_primitive_coordinates import FIXTURES, calc, same
@@ -66,7 +67,7 @@ def test_meet_edge_cases():
 def test_exactness_conditions_equal_the_zassenhaus_route(name):
     c = calc(name)
     for k in range(c.n + 1):
-        closed = subspace_intersect(c.ker_d(k), c.prim(k))
+        closed = subspace_intersect(c.ker_d(k), c.st.primitive_subspace(k))
         spans = [("plus-exact", c.dp_span(k - 1))]
         if k < c.n:
             spans.append(("minus-exact", c.dm_span(k + 1)))
@@ -82,9 +83,9 @@ def test_exactness_conditions_equal_the_zassenhaus_route(name):
 def test_primitive_parts_equal_the_zassenhaus_route(name):
     c = calc(name)
     for k in range(2 * c.n + 1):
-        prim = c.prim(k)
-        for g, ker, im in ((c.de_rham_primitive_part(k), c.ker_d(k), c.im_d(k)),
-                           (c.dlambda_primitive_part(k), c.ker_dl(k), c.im_dl(k))):
+        prim = c.st.primitive_subspace(k)
+        for g, ker, im in ((de_rham_primitive_part(c, k), c.ker_d(k), c.im_d(k)),
+                           (dlambda_primitive_part(c, k), c.ker_dl(k), c.im_dl(k))):
             num, den = subspace_intersect(ker, prim), subspace_intersect(im, prim)
             assert same(g.numerator, num), (g.name, k)
             assert same(g.denominator, den), (g.name, k)

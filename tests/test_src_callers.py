@@ -3,10 +3,12 @@
 The modules are parsed with ``ast``.  A module-level function or class
 counts as used when some module of the package references it as a ``Name``
 or an ``Attribute``; a method only as an ``Attribute``, so a local variable
-or an argument that shares its name does not count.  Dunders and the names
-``symcoh.__all__`` exports are skipped.  A second
-route that only ``tests/`` calls belongs in ``tests/`` as an oracle, so a
-name defined in ``src/`` but never referenced there fails this test.
+or an argument that shares its name does not count.  A reference from
+inside the body of a function or method of the same name does not count
+either, so neither a recursive call nor a passthrough to a method of the
+same name is a caller.  Dunders are skipped.  A second route that only
+``tests/`` calls belongs in ``tests/`` as an oracle, so a name defined in
+``src/`` but never referenced there fails this test.
 
 ``NO_SRC_CALLER`` lists the names that are known to be called only from
 ``tests/`` or ``demos/``; each is to move to ``tests/`` or get a caller,
@@ -21,8 +23,8 @@ import symcoh
 SRC = Path(symcoh.__file__).parent
 
 NO_SRC_CALLER = {
-    "check_intersection_bounds", "check_low_degree_equivalence", "classes_span_equal",
-    "omega_dependence", "integrate", "is_abelian", "support",
+    # the blades of a Form, for the tests
+    "support",
     # their one src caller, the Form-level Lefschetz decomposition and the
     # per-blade del memo, moved to tests/form_oracle.py
     "is_primitive", "is_homogeneous", "coordinates",
@@ -31,9 +33,11 @@ NO_SRC_CALLER = {
     # the Form-level route over the triple's compound matrices, kept for
     # demo 05 and the tests
     "jay",
-    # omega^n/n!: the degeneracy check it fed could not fail after the
-    # determinant check; the tests' volume norm and Pfaffian check read it
-    "volume",
+    # the Form-level sl(2) grading and symplectic star, for demo 02, the
+    # tests and form_oracle.py; the engine reads their matrices instead
+    "H", "star",
+    # a Form wedged with omega r times: form_oracle.py's volume and the tests
+    "L_power",
     # public API: a group's classes as Forms, for demo 03, the tests and
     # library users; the Hodge suite's pairing reads the int rows instead
     "representatives",
@@ -42,6 +46,19 @@ NO_SRC_CALLER = {
     # a Form to a power by repeated wedging: the tests, form_oracle.py and
     # demo 01 use it
     "power",
+    # one coefficient of a Form: paper_checks.py's integral and
+    # form_oracle.py's volume norm read it
+    "coeff",
+    # exported from symcoh: contraction, for demo 01 and the tests
+    "contract",
+    # exported from symcoh: one degree of a Form, for the tests
+    "grade_project",
+    # exported from symcoh: the compatible triple of a 2-form, for the tests
+    # and library users; the Hodge suite builds CompatibleTriple directly
+    "build_triple",
+    # exported from symcoh: the plane-recursion route to the primitive
+    # bases, whose output demo 02 prints under a pinned hash
+    "recursive_primitive_basis",
 }
 
 
@@ -51,31 +68,36 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def defined_and_used() -> tuple[dict[str, str], set[str]]:
     """Each function or class name defined in the package, with where it
     is first defined, and the names it counts as used: every ``Attribute``
-    referenced, and every ``Name`` that is not only ever a method's name."""
+    referenced, and every ``Name`` that is not only ever a method's name,
+    except a reference to a function or method from inside its own body."""
     defined: dict[str, str] = {}
     methods: set[str] = set()
     others: set[str] = set()
     names: set[str] = set()
     attributes: set[str] = set()
+
+    def visit(node: ast.AST, where: str, enclosing: frozenset[str], in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing
+            if isinstance(child, DEFS):
+                defined.setdefault(child.name, f"{where}:{child.lineno}")
+                (methods if in_class else others).add(child.name)
+                if not isinstance(child, ast.ClassDef):
+                    inner = enclosing | {child.name}
+            elif isinstance(child, ast.Name) and child.id not in enclosing:
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr not in enclosing:
+                attributes.add(child.attr)
+            visit(child, where, inner, isinstance(child, ast.ClassDef))
+
     for path in sorted(SRC.glob("*.py")):
-        in_class: set[int] = set()  # the ids of this module's defs in a class body
-        # breadth first: a class is visited before the defs in its body
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, DEFS):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-                (methods if id(node) in in_class else others).add(node.name)
-            if isinstance(node, ast.ClassDef):
-                in_class.update(id(d) for d in node.body if isinstance(d, DEFS))
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
+        visit(ast.parse(path.read_text(), str(path)), path.name, frozenset(), False)
     return defined, attributes | (names - (methods - others))
 
 
 def test_every_src_definition_has_a_src_caller():
     defined, used = defined_and_used()
-    skipped = used | set(symcoh.__all__) | NO_SRC_CALLER
+    skipped = used | NO_SRC_CALLER
     unused = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in skipped
                     and not (name.startswith("__") and name.endswith("__")))
