@@ -5,7 +5,7 @@ grading operator weighs degree k by n-k.  Primitive forms are the highest
 weight vectors; every form splits uniquely into omega-powers of primitives.
 """
 
-from symcoh import Form, SymplecticStructure, parse_form, recursive_primitive_basis, standard_omega
+from symcoh import Form, SymplecticStructure, parse_form, recursive_primitive_basis
 from symcoh.exterior import blade_index, form_from_coords, form_to_coords
 
 st = SymplecticStructure(parse_form("e16 + e25 - e34", 6))

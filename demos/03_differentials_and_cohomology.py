@@ -14,12 +14,12 @@ cx = SymplecticComplex(algebra, omega)
 
 print("the split of d on primitive forms:")
 e4, e6 = Form.e(6, 4), Form.e(6, 6)
-print("  d e4  =", cx.d(e4), "   degree+1 piece:", cx.del_plus(e4))
-print("  d e6  =", cx.d(e6))
+print("  d e4  =", cx.algebra.d(e4), "   degree+1 piece:", cx.del_plus(e4))
+print("  d e6  =", cx.algebra.d(e6))
 print("    degree+1 piece:", cx.del_plus(e6))
 print("    degree-1 piece:", cx.del_minus(e6))
-check = cx.del_plus(e6) + cx.L(cx.del_minus(e6))
-print("  recombining gives d e6 back:", check == cx.d(e6))
+check = cx.del_plus(e6) + cx.structure.L(cx.del_minus(e6))
+print("  recombining gives d e6 back:", check == cx.algebra.d(e6))
 
 calc = CohomologyCalculator(cx)
 print("\ncohomology dimensions per degree:")

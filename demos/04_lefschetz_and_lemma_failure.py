@@ -32,7 +32,8 @@ cx = SymplecticComplex(algebra, omega)
 calc = CohomologyCalculator(cx)
 e12 = Form.e(6, 1, 2)
 print("\nthe witness two-form e12 on the first structure:")
-print("   d-closed:", cx.d(e12).is_zero(), " primitive:", cx.structure.is_primitive(e12))
+print("   d-closed:", cx.algebra.d(e12).is_zero(),
+      " primitive:", cx.structure.is_primitive(e12))
 print("   = degree+1 piece of e4:", cx.del_plus(Form.e(6, 4)) == e12)
 pre = wedge_chain(6, "416") - wedge_chain(6, "425")
 print("   = degree-1 piece of (e416 - e425):", cx.del_minus(pre) == e12)

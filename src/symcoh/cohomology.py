@@ -1,6 +1,9 @@
 """Exact cohomology groups of the invariant complex and structure checks.
 
-Six families are computed as exact quotients with canonical representatives:
+Six families are computed as exact quotients with canonical representatives,
+each reached only through ``CohomologyCalculator.group(name, k)``, which
+checks k against ``legal_degrees`` and reads the family's numerator and
+denominator off ``_spaces``:
 
 * ``dR``    - kernel/image of d on all invariant forms, degree 0..2n;
 * ``dL``    - same for the symplectic adjoint differential;
@@ -42,7 +45,7 @@ from .exterior import Form, blade_index, form_to_coords, row_to_str
 from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, lift_canonical,
                      meet, memo, quotient)
 from .reports import CheckResult
-from .symplectic import SymplecticComplex
+from .symplectic import SymplecticComplex, _size
 
 GROUP_NAMES = ("dR", "dL", "p+", "p-", "d+dL", "ddL")
 
@@ -81,43 +84,30 @@ class CohomologyCalculator:
         self._del = cx.del_matrices  # (del_plus, del_minus) from P^k, primitive coordinates
         self._ops: dict = {}
 
-    # -- coordinates -------------------------------------------------------
-
-    def blade_order(self, k: int) -> list[int]:
-        return blade_index(self.dim, k)[0]
-
     def to_vec(self, f: Form, k: int) -> dict:
         return form_to_coords(f, blade_index(self.dim, k)[1])
-
-    # -- operator matrices ---------------------------------------------------
-
-    def d_matrix(self, k: int) -> OperatorMatrix:
-        return self.cx.op("d", k)
-
-    def dl_matrix(self, k: int) -> OperatorMatrix:
-        return self.cx.op("dLambda", k)
 
     # -- full-complex subspaces ----------------------------------------------
 
     def ker_d(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_d", k), lambda: kernel(self.d_matrix(k)))
+        return memo(self._ops, ("ker_d", k), lambda: kernel(self.cx.op("d", k)))
 
     def im_d(self, k: int) -> Subspace:
         """Image of d inside degree k, from the columns of d_(k-1) outside
         ker_d(k - 1)'s free set."""
         if k == 0:
-            return Subspace.zero(len(self.blade_order(0)))
+            return Subspace.zero(_size(self.dim, 0))
         return memo(self._ops, ("im_d", k),
-                    lambda: image(self.d_matrix(k - 1), self.ker_d(k - 1).pivots))
+                    lambda: image(self.cx.op("d", k - 1), self.ker_d(k - 1).pivots))
 
     def ker_dl(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dl", k), lambda: kernel(self.dl_matrix(k)))
+        return memo(self._ops, ("ker_dl", k), lambda: kernel(self.cx.op("dLambda", k)))
 
     def im_dl(self, k: int) -> Subspace:
         if k == 2 * self.n:
-            return Subspace.zero(len(self.blade_order(k)))
+            return Subspace.zero(_size(self.dim, k))
         return memo(self._ops, ("im_dl", k),
-                    lambda: image(self.dl_matrix(k + 1), self.ker_dl(k + 1).pivots))
+                    lambda: image(self.cx.op("dLambda", k + 1), self.ker_dl(k + 1).pivots))
 
     # -- primitive operator spaces -------------------------------------------
     # Each is eliminated in the primitive coordinates of P^k, on ``_del``'s
@@ -155,58 +145,40 @@ class CohomologyCalculator:
 
     # -- groups ----------------------------------------------------------------
 
+    def legal_degrees(self, name: str) -> range:
+        top = {"dR": 2 * self.n, "dL": 2 * self.n, "p+": self.n - 1, "p-": self.n - 1,
+               "d+dL": self.n, "ddL": self.n}
+        if name not in top:
+            raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
+        return range(0, top[name] + 1)
+
+    def group(self, name: str, k: int) -> CohomologyGroup:
+        """The group ``name`` in degree k, built once."""
+        if k not in (degrees := self.legal_degrees(name)):
+            raise DegreeRangeError(f"{name} degree must be in 0..{degrees.stop - 1}, got {k}")
+        return memo(self._ops, ("group", name, k),
+                    lambda: self._finish(name, k, *self._spaces(name, k)))
+
     def _finish(self, name: str, k: int, num: Subspace, den: Subspace) -> CohomologyGroup:
         return CohomologyGroup(name, k, quotient(num, den), num, den, self.dim)
 
-    def de_rham(self, k: int) -> CohomologyGroup:
-        if not 0 <= k <= 2 * self.n:
-            raise DegreeRangeError(f"dR degree must be in 0..{2 * self.n}, got {k}")
-        return self._finish("dR", k, self.ker_d(k), self.im_d(k))
-
-    def dlambda_cohomology(self, k: int) -> CohomologyGroup:
-        if not 0 <= k <= 2 * self.n:
-            raise DegreeRangeError(f"dL degree must be in 0..{2 * self.n}, got {k}")
-        return self._finish("dL", k, self.ker_dl(k), self.im_dl(k))
-
-    def primitive_plus(self, k: int) -> CohomologyGroup:
-        if not 0 <= k < self.n:
-            raise DegreeRangeError(f"p+ degree must be in 0..{self.n - 1}, got {k}")
-        return self._finish("p+", k, self.ker_dp(k), self.dp_span(k - 1))
-
-    def primitive_minus(self, k: int) -> CohomologyGroup:
-        if not 0 <= k < self.n:
-            raise DegreeRangeError(f"p- degree must be in 0..{self.n - 1}, got {k}")
-        return self._finish("p-", k, self.ker_dm(k), self.dm_span(k + 1))
-
-    def d_plus_dlambda(self, k: int) -> CohomologyGroup:
-        if not 0 <= k <= self.n:
-            raise DegreeRangeError(f"d+dL degree must be in 0..{self.n}, got {k}")
-        # ker P ^ ker M is the kernel of [P; M]
-        num = self._lift(kernel(OperatorMatrix.stack(*self._del(k))), k)
-        return self._finish("d+dL", k, num, self.dpdm_span(k))
-
-    def ddlambda(self, k: int) -> CohomologyGroup:
-        if not 0 <= k <= self.n:
-            raise DegreeRangeError(f"ddL degree must be in 0..{self.n}, got {k}")
+    def _spaces(self, name: str, k: int) -> tuple[Subspace, Subspace]:
+        """The numerator and denominator of the group ``name`` in degree k."""
+        if name == "dR":
+            return self.ker_d(k), self.im_d(k)
+        if name == "dL":
+            return self.ker_dl(k), self.im_dl(k)
+        if name == "p+":
+            return self.ker_dp(k), self.dp_span(k - 1)
+        if name == "p-":
+            return self.ker_dm(k), self.dm_span(k + 1)
+        if name == "d+dL":
+            # ker P ^ ker M is the kernel of [P; M]
+            return (self._lift(kernel(OperatorMatrix.stack(*self._del(k))), k),
+                    self.dpdm_span(k))
+        # ddL: over the sum of both first-order images, P^(n+1) = 0
         rows = [*self.dp_span(k - 1).ints, *(self.dm_span(k + 1).ints if k < self.n else [])]
-        return self._finish("ddL", k, self.ker_dpdm(k), Subspace(len(self.blade_order(k)), rows))
-
-    def legal_degrees(self, name: str) -> range:
-        if name in ("dR", "dL"):
-            return range(0, 2 * self.n + 1)
-        if name in ("p+", "p-"):
-            return range(0, self.n)
-        if name in ("d+dL", "ddL"):
-            return range(0, self.n + 1)
-        raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
-
-    def group(self, name: str, k: int) -> CohomologyGroup:
-        fn = {"dR": self.de_rham, "dL": self.dlambda_cohomology,
-              "p+": self.primitive_plus, "p-": self.primitive_minus,
-              "d+dL": self.d_plus_dlambda, "ddL": self.ddlambda}.get(name)
-        if fn is None:
-            raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
-        return memo(self._ops, ("group", name, k), lambda: fn(k))
+        return self.ker_dpdm(k), Subspace(_size(self.dim, k), rows)
 
     # -- class arithmetic -------------------------------------------------------
 
@@ -276,7 +248,7 @@ class CohomologyCalculator:
         """The d-closed primitive degree-k forms that are exact under
         del_plus, del_minus (k < n) and del_plus del_minus (k > 0): each span
         met with ker d ^ P^k, the kernel of [d; Lambda]."""
-        closed = self.d_matrix(k).stack(self.cx.op("Lambda", k))
+        closed = self.cx.op("d", k).stack(self.cx.op("Lambda", k))
         spans = [("plus-exact", self.dp_span(k - 1))]
         if k < self.n:
             spans.append(("minus-exact", self.dm_span(k + 1)))

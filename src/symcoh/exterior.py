@@ -26,7 +26,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Iterable
 
-from .linalg import OperatorMatrix
+from .linalg import OperatorMatrix, differing_columns
 
 MAX_DIM = 15
 
@@ -391,11 +391,10 @@ def row_to_str(dim: int, k: int, row: dict[int, int], den: int = 1) -> str:
 def counterexample(dim: int, k: int, shift: int, a: OperatorMatrix, b: OperatorMatrix) -> str:
     """"" if the maps a and b from the degree-k blades to degree k + shift
     are equal, else the first blade they send apart, with both images:
-    "first counterexample e1: e12 != 0".  Columns are compared only after
-    ``a != b``, so equal maps cost one comparison."""
-    if a == b:
+    "first counterexample e1: e12 != 0"."""
+    if not (cols := differing_columns(a, b)):
         return ""
-    j = next(j for j in range(a.ncols) if a.column(j) != b.column(j))
+    j = cols[0]
     a_j, b_j = (row_to_str(dim, k + shift, m.cols[j], m.den) for m in (a, b))
     return f"first counterexample {row_to_str(dim, k, {j: 1})}: {a_j} != {b_j}"
 

@@ -11,12 +11,13 @@ g^-1 = T T^T (Cauchy-Binet, ``exterior.compound``); the triple builds both
 once per degree (``op``).  The test suite's oracle reads the Gram matrix by
 the star route, integrating a ^ *a' against the Liouville volume.
 
-``HodgeTheory`` works on int matrices over the primitive bases, each built
-once per degree by ``linalg.memo`` into its one cache, ``_ops``: the
-primitive Gram B^T G_k B and its inverse, the pieces of d and their
-adjoints, and each harmonic space, the kernel of its Laplacian checked
-against the kernel of d_out stacked on d_in*.  Two pieces of the Hodge
-decomposition with basis matrices A and B are orthogonal iff A^T (G B) = 0.
+``HodgeTheory`` reads the blade Gram matrices off its triple's ``op`` and
+works on int matrices over the primitive bases, each built once per degree
+by ``linalg.memo`` into its one cache, ``_ops``: the primitive Gram
+B^T G_k B and its inverse, the pieces of d and their adjoints, and each
+harmonic space, the kernel of its Laplacian checked against the kernel of
+d_out stacked on d_in*.  Two pieces of the Hodge decomposition with basis
+matrices A and B are orthogonal iff A^T (G B) = 0.
 The pairing matrix lifts the p+ classes' int rows by the L matrices and
 reads each top coefficient against the p- rows through the signed
 permutation ``top_dual``.  The splitting-conjugation check compares matrix
@@ -193,16 +194,11 @@ class HodgeTheory:
 
     # -- primitive-basis plumbing ----------------------------------------
 
-    def gram(self, k: int) -> OperatorMatrix:
-        """The Gram matrix of <a, a'> on the degree-k blades: the k-th
-        compound of g^-1, read off the triple."""
-        return self.triple.op("gram", k)
-
     def prim_gram(self, k: int) -> OperatorMatrix:
         """B^T G_k B, B the primitive basis in blade coordinates and G_k the
         blade Gram matrix."""
         return memo(self._ops, ("prim_gram", k), lambda: (
-            b := self.st._primitive_data(k)[1]).transpose() @ self.gram(k) @ b)
+            b := self.st._primitive_data(k)[1]).transpose() @ self.triple.op("gram", k) @ b)
 
     def prim_gram_inverse(self, k: int) -> OperatorMatrix:
         return memo(self._ops, ("prim_gram_inv", k), lambda: self.prim_gram(k).invert())
@@ -295,7 +291,7 @@ class HodgeTheory:
         n, st = self.n, self.st
         jk, jk1 = self.triple.op("jay", k), self.triple.op("jay", k + 1)
         m_dp, m_dm = self.cx.del_blades(k)[0], self.cx.del_blades(k + 1)[1]
-        g_k, g_k1 = self.gram(k), self.gram(k + 1)
+        g_k, g_k1 = self.triple.op("gram", k), self.triple.op("gram", k + 1)
         s_hr_k = st.scale_rs(lambda r, s: n - r - s, k)
         details = []
         # the splitting operator squares to (-1)^k on degree k
@@ -310,13 +306,12 @@ class HodgeTheory:
                                g_k @ jk_inv @ s_hr_k @ m_dm @ jk1):
             details.append(f"conjugate of adjoint(del_plus) != (H+R) del_minus: {w}")
         if k < n:
-            harm = self.harmonic_space(k, "plus").rows
-            mapped = jk @ OperatorMatrix.from_columns([st.lift(r, k) for r in harm], jk.nrows)
+            h, b_k = self.harmonic_space(k, "plus"), st._primitive_data(k)[1]
+            mapped = jk @ (b_k @ OperatorMatrix(h.ambient, h.dim, h.ints))
             st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
             reached, minus = image(st.prim_matrix(mapped, k)), self.harmonic_space(k, "minus")
             if reached != minus:
-                w = _printed(self.dim, k, st._primitive_data(k)[1],
-                             [differing_row(reached, minus)])[0]
+                w = _printed(self.dim, k, b_k, [differing_row(reached, minus)])[0]
                 details.append("splitting operator does not map harmonic(+) onto harmonic(-); "
                                f"witness {w}")
         return CheckResult(name, not details, details)

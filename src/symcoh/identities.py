@@ -28,14 +28,9 @@ from functools import partial
 from math import factorial
 
 from .exterior import counterexample
-from .linalg import OperatorMatrix
+from .linalg import OperatorMatrix, differing_columns
 from .reports import CheckResult
 from .symplectic import SymplecticComplex, _size
-
-
-def _differing(a: OperatorMatrix, b: OperatorMatrix) -> list[int]:
-    """The columns where a and b differ, in order; none if a == b."""
-    return [] if a == b else [j for j in range(a.ncols) if a.column(j) != b.column(j)]
 
 
 def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
@@ -121,8 +116,9 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     for s in range(n + 1):
         b_s = st._primitive_data(s)[1]
         sign = (-1) ** (s * (s + 1) // 2)
-        bad = [set(_differing((S(s + 2 * r) @ Lp(s, r) @ b_s).scale(F(1, factorial(r))),
-                              (Lp(s, n - r - s) @ b_s).scale(F(sign, factorial(n - r - s)))))
+        bad = [set(differing_columns(
+                   (S(s + 2 * r) @ Lp(s, r) @ b_s).scale(F(1, factorial(r))),
+                   (Lp(s, n - r - s) @ b_s).scale(F(sign, factorial(n - r - s)))))
                for r in range(n - s + 1)]
         for j in sorted(set().union(*bad)):
             r = next(r for r, cols in enumerate(bad) if j in cols)
@@ -137,7 +133,7 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
                   (P(s - 1) @ dm_b, (d(s - 1) @ lam_db).scale(c),
                    "del_plus del_minus != (1/(H+1)) d Lambda d"),
                   (dL(s) @ b_s, dm_b.scale(s - n - 1), "d_lambda != -H del_minus")]
-        bad = [(set(_differing(lhs, rhs)), what) for lhs, rhs, what in checks]
+        bad = [(set(differing_columns(lhs, rhs)), what) for lhs, rhs, what in checks]
         for j in sorted(set().union(*(cols for cols, _ in bad))):
             details.extend(f"{what} on {st.primitive_basis(s)[j]}"
                            for cols, what in bad if j in cols)

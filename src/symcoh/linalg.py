@@ -524,6 +524,12 @@ def differing_row(a: Subspace, b: Subspace) -> Vec:
     return next(r for s, t in ((a, b), (b, a)) for r in s.ints if not t.contains(r))
 
 
+def differing_columns(a: OperatorMatrix, b: OperatorMatrix) -> list[int]:
+    """The columns where a and b differ, in order; equal maps cost one
+    comparison."""
+    return [] if a == b else [j for j in range(a.ncols) if a.column(j) != b.column(j)]
+
+
 def lift_canonical(basis: Subspace, b: OperatorMatrix, coords: Subspace) -> Subspace:
     """b·coords, for ``coords`` a subspace in coordinates over ``basis`` and
     b a matrix whose column i is a positive multiple of basis row i, so

@@ -36,9 +36,11 @@ with L into its two pieces on the primitive basis; applied to d it gives
 primitive complex (``symbolcheck``).  The primitive forms of degree k are
 kept as the kernel of Lambda and its basis matrix B_k; ``primitive_basis``
 builds their Forms on each read.  ``prim_matrix`` reads blade-coordinate
-columns in primitive coordinates.  The form-level L,
-Lambda, d, star, del_plus and del_minus apply these matrices degree by
-degree; the form-by-form Lefschetz decomposition is the test suite's oracle.
+columns in primitive coordinates.  The form-level L, Lambda and star of the
+structure, d of the algebra, and del_plus and del_minus of the complex apply
+these matrices degree by degree; the complex gives no second name to its
+parts' operators.  The form-by-form Lefschetz decomposition is the test
+suite's oracle.
 """
 
 from __future__ import annotations
@@ -224,11 +226,6 @@ class SymplecticStructure:
 
     # -- primitive coordinates -----------------------------------------------
 
-    def lift(self, vec: dict, k: int) -> dict:
-        """Degree-k blade coordinates of the form with primitive coordinates
-        ``vec``."""
-        return self._primitive_data(k)[1].apply(vec)
-
     def prim_matrix(self, m: OperatorMatrix, k: int) -> OperatorMatrix:
         """The columns of m, blade coordinates of primitive degree-k forms,
         read at the primitive pivots: m in primitive coordinates.  Unchecked;
@@ -351,7 +348,8 @@ class SymplecticComplex:
     """A unimodular Lie-algebra differential together with a symplectic form.
 
     Provides d, the symplectic adjoint differential as a matrix (``op``),
-    and the two primitive pieces of d.  d is split once per degree on the
+    and the two primitive pieces of d; the form-level d, L, Lambda and star
+    are its ``algebra``'s and ``structure``'s.  d is split once per degree on the
     primitive basis (``del_images``); del_plus and del_minus on the blades
     read each Lefschetz component's pieces off that split (``del_blades``).
     The closed formulas for the pieces, the star route for dLambda and the
@@ -373,19 +371,6 @@ class SymplecticComplex:
         self.dim = algebra.dim
         self.n = self.structure.n
         self._ops: dict = {}
-
-    # convenience passthroughs
-    def d(self, a: Form) -> Form:
-        return self.algebra.d(a)
-
-    def L(self, a: Form) -> Form:
-        return self.structure.L(a)
-
-    def Lambda(self, a: Form) -> Form:
-        return self.structure.Lambda(a)
-
-    def star(self, a: Form) -> Form:
-        return self.structure.star(a)
 
     def op(self, name: str, k: int) -> OperatorMatrix:
         """"d", "L", "Lambda" or "dLambda" on the degree-k blades, each built

@@ -607,7 +607,8 @@ def memo_apply_rs(st, a: Form, fn) -> Form:
 
 def d_lambda(cx, a: Form) -> Form:
     """d Lambda - Lambda d."""
-    return cx.d(cx.Lambda(a)) - cx.Lambda(cx.d(a))
+    d, lam = cx.algebra.d, cx.structure.Lambda
+    return d(lam(a)) - lam(d(a))
 
 
 def d_lambda_via_star(cx, a: Form) -> Form:
@@ -615,7 +616,7 @@ def d_lambda_via_star(cx, a: Form) -> Form:
     out = Form.zero(cx.dim)
     st = cx.structure
     for k in a.degrees():
-        piece = st.star(cx.d(st.star(a.grade(k))))
+        piece = st.star(cx.algebra.d(st.star(a.grade(k))))
         out = out + piece * ((-1) ** (k + 1))
     return out
 
@@ -623,7 +624,7 @@ def d_lambda_via_star(cx, a: Form) -> Form:
 def del_plus_formula(cx, a: Form) -> Form:
     """(H+2R+1)^{-1} [ (H+R+1) d + L d_Lambda ], eigenvalues per component."""
     st, n = cx.structure, cx.n
-    operand = memo_apply_rs(st, cx.d(a), lambda r, s: Fraction(n - r - s + 1)) \
+    operand = memo_apply_rs(st, cx.algebra.d(a), lambda r, s: Fraction(n - r - s + 1)) \
         + st.L(d_lambda(cx, a))
     return memo_apply_rs(st, operand, lambda r, s: Fraction(1, n - s + 1))
 
@@ -637,7 +638,7 @@ def del_minus_formula(cx, a: Form) -> Form:
     """
     st, n = cx.structure, cx.n
     operand = memo_apply_rs(st, d_lambda(cx, a), lambda r, s: Fraction(n - r - s)) \
-        - cx.Lambda(cx.d(a))
+        - st.Lambda(cx.algebra.d(a))
     return memo_apply_rs(st, operand, lambda r, s: Fraction(-1, (n - s + 1) * (n - r - s)))
 
 
@@ -645,7 +646,7 @@ def del_minus_primitive(cx, b: Form) -> Form:
     """(1/H) Lambda d on a primitive form."""
     if not cx.structure.is_primitive(b):
         raise ValueError("argument must be primitive")
-    x = cx.Lambda(cx.d(b))
+    x = cx.structure.Lambda(cx.algebra.d(b))
     out = Form.zero(cx.dim)
     for k in x.degrees():
         out = out + x.grade(k) / (cx.n - k)
@@ -656,7 +657,7 @@ def del_plus_primitive(cx, b: Form) -> Form:
     """d - L (1/H) Lambda d on a primitive form."""
     if not cx.structure.is_primitive(b):
         raise ValueError("argument must be primitive")
-    return cx.d(b) - cx.L(del_minus_primitive(cx, b))
+    return cx.algebra.d(b) - cx.structure.L(del_minus_primitive(cx, b))
 
 
 def scale_by_degree(a: Form, fn) -> Form:
@@ -717,7 +718,7 @@ def identity_battery(cx) -> CheckResult:
 
     # the splitting of d
     check("d = del_plus + L del_minus",
-          cx.d, lambda f: dp(f) + L(dm(f)))
+          cx.algebra.d, lambda f: dp(f) + L(dm(f)))
     check("del_plus^2 = 0", lambda f: dp(dp(f)), lambda f: Form.zero(dim))
     check("del_minus^2 = 0", lambda f: dm(dm(f)), lambda f: Form.zero(dim))
     check("L del_plus del_minus = -L del_minus del_plus",
@@ -732,7 +733,7 @@ def identity_battery(cx) -> CheckResult:
           lambda f: apply_rs(dp(Lam(f)), lambda r, s: Fraction(1, n - r - s + 1))
           - apply_rs(dm(f), lambda r, s: Fraction(n - r - s)))
     check("d d_lambda = -(H+2R+1) del_plus del_minus",
-          lambda f: cx.d(dl(f)),
+          lambda f: cx.algebra.d(dl(f)),
           lambda f: -apply_rs(dp(dm(f)), lambda r, s: Fraction(n - s + 1)))
 
     # two independent routes must agree everywhere
@@ -765,7 +766,7 @@ def identity_battery(cx) -> CheckResult:
             if dp(b) != del_plus_primitive(cx, b):
                 ok = False
                 details.append(f"del_plus != d - L(1/H) Lambda d on {b}")
-            dld = cx.d(Lam(cx.d(b)))
+            dld = cx.algebra.d(Lam(cx.algebra.d(b)))
             via = scale_by_degree(dld, lambda k: Fraction(1, n - k + 1))
             if dp(dm(b)) != via:
                 ok = False

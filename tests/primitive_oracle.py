@@ -23,12 +23,9 @@ from __future__ import annotations
 
 from subspace_oracle import subspace_intersect, subspace_sum
 from symcoh.linalg import OperatorMatrix, Subspace, kernel
+from symcoh.symplectic import _size
 
 PRIMITIVE_GROUPS = ("p+", "p-", "d+dL", "ddL")
-
-
-def _blades(calc, k: int) -> int:
-    return len(calc.blade_order(k))
 
 
 def prim_kernel(calc, m: OperatorMatrix, k_to: int, k: int) -> Subspace:
@@ -46,15 +43,15 @@ def dpdm(calc, k: int) -> OperatorMatrix:
 
 
 def dp_span(calc, k: int) -> Subspace:
-    return Subspace(_blades(calc, k + 1), calc.cx.del_images(k)[0].cols)
+    return Subspace(_size(calc.dim, k + 1), calc.cx.del_images(k)[0].cols)
 
 
 def dm_span(calc, k: int) -> Subspace:
-    return Subspace(_blades(calc, k - 1), calc.cx.del_images(k)[1].cols)
+    return Subspace(_size(calc.dim, k - 1), calc.cx.del_images(k)[1].cols)
 
 
 def dpdm_span(calc, k: int) -> Subspace:
-    return Subspace(_blades(calc, k), dpdm(calc, k).cols)
+    return Subspace(_size(calc.dim, k), dpdm(calc, k).cols)
 
 
 def ker_dp(calc, k: int) -> Subspace:
@@ -71,7 +68,7 @@ def ker_dpdm(calc, k: int) -> Subspace:
 
 def groups(calc, name: str, k: int) -> tuple[Subspace, Subspace]:
     """(numerator, denominator) of primitive group ``name`` in degree k."""
-    zero = Subspace.zero(_blades(calc, k))
+    zero = Subspace.zero(_size(calc.dim, k))
     if name == "p+":
         return ker_dp(calc, k), dp_span(calc, k - 1) if k >= 1 else zero
     if name == "p-":

@@ -68,7 +68,7 @@ def test_blade_maps_match_form_oracle(name, data):
     assert st.Lambda(a) == oracle.Lambda(st, a)
     assert st.L(a) == oracle.L(st, a)
     assert st.L_power(a, r) == oracle.L_power(st, a, r)
-    assert cx.d(a) == oracle.d(cx.algebra, a)
+    assert cx.algebra.d(a) == oracle.d(cx.algebra, a)
     assert triple.jay(a) == oracle.jay(triple, a)
 
 
@@ -89,7 +89,7 @@ def test_blade_images_are_kept_per_structure():
 def test_blade_maps_reject_another_dimension(dim):
     cx, triple = _fixture("N6")
     f = Form.e(dim, 1, 2)
-    for op in (cx.structure.L, cx.structure.Lambda, cx.d, triple.jay):
+    for op in (cx.structure.L, cx.structure.Lambda, cx.algebra.d, triple.jay):
         with pytest.raises(DimensionMismatchError):
             op(f)
 
@@ -114,7 +114,7 @@ def test_blade_maps_are_freed_with_their_owners():
         ht = HodgeTheory(cx, triple)
         calc = CohomologyCalculator(cx)
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
-        for op in (cx.d, cx.L, cx.Lambda, triple.jay):
+        for op in (cx.algebra.d, cx.structure.L, cx.structure.Lambda, triple.jay):
             op(f)
         triple.op("gram", 3)
         cx.op("dLambda", 3)

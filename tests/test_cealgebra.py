@@ -7,7 +7,6 @@ import pytest
 from symcoh import Form, parse_form, parse_salamon
 from symcoh.cealgebra import (
     AlgebraValidationError,
-    LieAlgebraSpec,
     parse_algebra,
     parse_algebra_json,
 )

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from symcoh import CohomologyCalculator, Form, SymplecticComplex, parse_form, parse_salamon
-from symcoh.cohomology import DegreeRangeError
-from symcoh.linalg import InclusionError, Subspace, kernel
+from symcoh.cohomology import GROUP_NAMES, DegreeRangeError
+from symcoh.linalg import Subspace
 
 from conftest import wedge_chain
 from paper_checks import (
@@ -171,16 +171,22 @@ def test_elliptic_index_zero(nil_calc, nil_calc_prime, torus_calc):
 
 
 def test_degree_range_errors(nil_calc):
-    with pytest.raises(DegreeRangeError):
-        nil_calc.group("p+", 3)
-    with pytest.raises(DegreeRangeError):
-        nil_calc.group("p-", 3)
-    with pytest.raises(DegreeRangeError):
-        nil_calc.group("d+dL", 4)
-    with pytest.raises(DegreeRangeError):
-        nil_calc.group("dR", 7)
-    with pytest.raises(ValueError):
-        nil_calc.group("??", 0)
+    """On N6 (n = 3), each group refuses the degree below its range and the
+    one above it, naming the range; an unknown name is a plain ValueError."""
+    tops = {"dR": 6, "dL": 6, "p+": 2, "p-": 2, "d+dL": 3, "ddL": 3}
+    assert tuple(tops) == GROUP_NAMES
+    for name, top in tops.items():
+        assert nil_calc.legal_degrees(name) == range(0, top + 1)
+        for k in (-1, top + 1):
+            with pytest.raises(DegreeRangeError) as info:
+                nil_calc.group(name, k)
+            assert str(info.value) == f"{name} degree must be in 0..{top}, got {k}"
+    unknown = ("unknown group '??'; expected one of "
+               "('dR', 'dL', 'p+', 'p-', 'd+dL', 'ddL')")
+    for call in (nil_calc.group, lambda name, _: nil_calc.legal_degrees(name)):
+        with pytest.raises(ValueError) as info:
+            call("??", 0)
+        assert type(info.value) is ValueError and str(info.value) == unknown
 
 
 # -- low degree equivalences ----------------------------------------------------------
@@ -247,7 +253,7 @@ def test_lemma_fails_on_nilmanifold_with_witness(nil_calc, nil_cx):
     e12 = Form.e(6, 1, 2)
     vec = nil_calc.to_vec(e12, 2)
     # d-closed and primitive
-    assert nil_cx.d(e12).is_zero()
+    assert nil_cx.algebra.d(e12).is_zero()
     assert nil_cx.structure.is_primitive(e12)
     # exact for both first-order pieces
     assert nil_cx.del_plus(Form.e(6, 4)) == e12
@@ -303,7 +309,7 @@ def test_intersection_dimensions_nilmanifold(nil_calc):
 def test_intersection_witnesses(nil_calc, nil_cx):
     # the extra class on the + side is a form that is not closed
     extra = parse_form("e35 - e45", 6)
-    assert not nil_cx.d(extra).is_zero()
+    assert not nil_cx.algebra.d(extra).is_zero()
     assert nil_calc.ker_dp(2).contains(nil_calc.to_vec(extra, 2))
     g = nil_calc.group("p+", 2)
     coords = nil_calc.class_coordinates(g, extra)

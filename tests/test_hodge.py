@@ -17,7 +17,7 @@ from symcoh import (
 )
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.hodge import adjoint_in_bases, run_hodge_suite
-from symcoh.linalg import OperatorMatrix, Subspace, image, vec_dot
+from symcoh.linalg import OperatorMatrix, image, vec_dot
 
 import form_oracle
 from dense_oracle import det
@@ -27,7 +27,8 @@ from qi_oracle import ComplexSplitting, imag_part, real_part
 
 def adjoint(ht, op, dom_degree, cod_degree):
     """Adjoint over blade bases: <Op a, b> = <a, adjoint(Op) b>."""
-    return adjoint_in_bases(op, ht.gram(dom_degree).invert(), ht.gram(cod_degree))
+    return adjoint_in_bases(op, ht.triple.op("gram", dom_degree).invert(),
+                            ht.triple.op("gram", cod_degree))
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,7 @@ def test_jay_preserves_primitivity(nil_cx, nil_hodge):
 
 def test_gram_positive_definite(nil_hodge):
     for k in range(7):
-        g = nil_hodge.gram(k)
+        g = nil_hodge.triple.op("gram", k)
         nk = g.nrows
         rows = [[g.entry(i, j) for j in range(nk)] for i in range(nk)]
         for t in range(1, nk + 1):
@@ -157,13 +158,13 @@ def test_gram_positive_definite(nil_hodge):
 def test_adjoint_of_identity_and_involution(nil_hodge):
     ident = OperatorMatrix.identity(len(blades(6, 2)))
     assert adjoint(nil_hodge, ident, 2, 2) == ident
-    m = matrix_on_blades(nil_hodge.cx.d, 6, 2, 3)
+    m = matrix_on_blades(nil_hodge.cx.algebra.d, 6, 2, 3)
     assert adjoint(nil_hodge, adjoint(nil_hodge, m, 2, 3), 3, 2) == m
 
 
 def test_adjoint_defining_property(nil_hodge):
     cx, tr = nil_hodge.cx, nil_hodge.triple
-    m = matrix_on_blades(cx.d, 6, 1, 2)
+    m = matrix_on_blades(cx.algebra.d, 6, 1, 2)
     adj = adjoint(nil_hodge, m, 1, 2)
     rng = random.Random(53)
     for _ in range(10):
@@ -190,7 +191,8 @@ def test_del_plus_adjoint_formula(nil_cx, nil_hodge):
     for k in range(6):
         m_dp = matrix_on_blades(nil_cx.del_plus, 6, k, k + 1)
         lhs = adjoint(nil_hodge, m_dp, k, k + 1)          # degree k+1 -> k
-        m_dstar = adjoint(nil_hodge, matrix_on_blades(nil_cx.d, 6, k, k + 1), k, k + 1)
+        m_dstar = adjoint(nil_hodge, matrix_on_blades(nil_cx.algebra.d, 6, k, k + 1),
+                          k, k + 1)
         s1 = _scalar_matrix(st, lambda r, s: Fraction(n - r - s + 1), 6, k + 1)
         if k >= 1:
             m_dlstar = adjoint(
@@ -221,7 +223,8 @@ def test_del_minus_adjoint_formula(nil_cx, nil_hodge):
         m_dlstar = adjoint(
             nil_hodge, matrix_on_blades(d_lambda, 6, k, k - 1), k, k - 1)
         if k + 1 <= 6:
-            m_dstar = adjoint(nil_hodge, matrix_on_blades(nil_cx.d, 6, k, k + 1), k, k + 1)
+            m_dstar = adjoint(nil_hodge, matrix_on_blades(nil_cx.algebra.d, 6, k, k + 1),
+                              k, k + 1)
             s_mid = _scalar_matrix(st, lambda r, s: Fraction(1, n - r - s + 1), 6, k + 1)
             m_l = matrix_on_blades(st.L, 6, k - 1, k + 1)
             second = m_dstar @ s_mid @ m_l

@@ -63,7 +63,7 @@ def test_gram_matrices_match_wedge_route(name, reverse):
     dim = ht.dim
     for k in range(dim + 1):
         blades = [Form(dim, {m: 1}) for m in blade_index(dim, k)[0]]
-        assert ht.gram(k) == form_oracle.gram(ht.triple, k) == \
+        assert ht.triple.op("gram", k) == form_oracle.gram(ht.triple, k) == \
             form_oracle.wedge_gram(ht.triple, blades)
     for k in range(-1, ht.n + 2):
         assert ht.prim_gram(k) == form_oracle.wedge_gram(ht.triple,
@@ -121,7 +121,7 @@ def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
 def test_conjugation_check_fails_on_a_perturbed_gram():
     ht = hodge("N6", False)
     assert ht.check_jay_conjugation(1).passed
-    g = ht.gram(2)
+    g = ht.triple.op("gram", 2)
     ht.triple._ops["gram", 2] = g + OperatorMatrix.identity(g.nrows)
     result = ht.check_jay_conjugation(1)
     assert result.details == [

@@ -119,7 +119,7 @@ def test_scale_rs_matches_form_oracle(name):
             assert st.scale_rs(fn, k) == form_oracle.matrix_on_blades(
                 lambda a: form_oracle.apply_rs(st, a, fn), cx.dim, k, k)
             assert st.scale_rs(fn, k, d) == form_oracle.matrix_on_blades(
-                lambda a: form_oracle.apply_rs(st, cx.d(a), fn), cx.dim, k - 1, k)
+                lambda a: form_oracle.apply_rs(st, cx.algebra.d(a), fn), cx.dim, k - 1, k)
 
 
 def test_undefined_eigenvalue_on_a_surviving_component_raises():

@@ -50,7 +50,7 @@ def divided(m):
 def test_cached_matrices_match_form_routes(name):
     cx = build(name)
     st = cx.structure
-    routes = {"d": (cx.d, 1), "L": (st.L, 2), "Lambda": (st.Lambda, -2),
+    routes = {"d": (cx.algebra.d, 1), "L": (st.L, 2), "Lambda": (st.Lambda, -2),
               "dLambda": (partial(d_lambda, cx), -1)}
     dens = set()
     for k in range(cx.dim + 1):

@@ -13,6 +13,10 @@ same name is a caller.  Dunders are skipped.  A second route that only
 ``NO_SRC_CALLER`` lists the names that are known to be called only from
 ``tests/`` or ``demos/``; each is to move to ``tests/`` or get a caller,
 and then leave this list.
+
+No method may only forward to a method of a public attribute of its
+object: its callers read that attribute instead, so each operation has one
+name.
 """
 
 import ast
@@ -62,7 +66,8 @@ NO_SRC_CALLER = {
 }
 
 
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCS, ast.ClassDef)
 
 
 def defined_and_used() -> tuple[dict[str, str], set[str]]:
@@ -109,3 +114,26 @@ def test_allowed_names_are_still_defined_and_uncalled():
     defined, used = defined_and_used()
     assert NO_SRC_CALLER <= defined.keys()
     assert NO_SRC_CALLER.isdisjoint(used)
+
+
+def forwarders() -> list[str]:
+    """Each method whose body, docstring aside, is only
+    ``return self.<attr>.<method>(...)`` with ``<attr>`` public."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, FUNCS):
+                    continue
+                body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+                match body:
+                    case [ast.Return(value=ast.Call(func=ast.Attribute(value=ast.Attribute(
+                            value=ast.Name(id="self"), attr=attr))))] if not attr.startswith("_"):
+                        found.append(f"{cls.name}.{fn.name} ({path.name}:{fn.lineno})")
+    return found
+
+
+def test_no_method_only_forwards_to_a_public_attribute():
+    assert forwarders() == []

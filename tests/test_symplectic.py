@@ -290,7 +290,7 @@ def test_d_lambda_componentwise_shift(nil_cx):
                 continue
             r = 1
             lr = st.L_power(b, r) / _factorial(r)
-            db = nil_cx.d(b)
+            db = nil_cx.algebra.d(b)
             comps = form_oracle.decompose_degree(st, db, s + 1)
             b0 = comps.get(0, Form.zero(6))
             b1 = comps.get(1, Form.zero(6))
@@ -335,7 +335,7 @@ def test_del_plus_del_minus_on_closed_forms(nil_cx):
 def test_del_plus_del_minus_cross_check_on_generator(nil_cx):
     # second-order composition vs the scaled d d_lambda on a primitive 1-form
     e6 = Form.e(6, 6)
-    ddl = nil_cx.d(d_lambda(nil_cx, e6))
+    ddl = nil_cx.algebra.d(d_lambda(nil_cx, e6))
     s = 1
     assert nil_cx.del_plus(nil_cx.del_minus(e6)) == ddl / Fraction(-(nil_cx.n - s + 1))
 
