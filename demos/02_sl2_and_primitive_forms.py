@@ -21,8 +21,10 @@ print("  Lambda(omega) =", st.Lambda(st.omega))
 print("\nLefschetz decomposition of a 3-form, one projection matrix per component:")
 f = parse_form("e125 + e236", 6)
 order, index = blade_index(6, 3)
-parts = {rs: form_from_coords(pi.apply(form_to_coords(f, index)), order, 6)
-         for rs, pi in st.projections(3).items()}
+# the projection onto the (r, s) component is L^r/r! on P^s after C_r
+parts = {(r, 3 - 2 * r): form_from_coords(
+             (st.lift(3 - 2 * r, r) @ c).apply(form_to_coords(f, index)), order, 6)
+         for r, c in st.lefschetz_components(3).items()}
 for (r, s), part in parts.items():
     print(f"  omega^{r}/{r}! ^ (primitive {s}-form): {part}")
 print("  the parts sum to the form:", sum(parts.values(), Form.zero(6)) == f)

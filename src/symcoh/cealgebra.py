@@ -24,6 +24,7 @@ Input grammars:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .exterior import (
@@ -31,6 +32,7 @@ from .exterior import (
     FormParseError,
     _by_degree,
     _CHAR_TO_INDEX,
+    _decimal,
     blade_from_indices,
     blade_index,
     blade_operator,
@@ -128,7 +130,7 @@ def _parse_structure_entry(entry: str, dim: int, text: str, offset: int) -> Form
         if pos < len(s) and s[pos] == "*":
             if pos == start:
                 raise FormParseError("expected a coefficient before '*'", text, offset + pos)
-            coeff = int(s[start:pos])
+            coeff = _decimal(s[start:pos], text, offset + start)
             pos += 1
             start = pos
         else:
@@ -181,10 +183,10 @@ def _is_int(x) -> bool:
 def _json_coefficient(c, term) -> Fraction:
     if _is_int(c):
         return Fraction(c)
-    if isinstance(c, str):
+    if isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c):
         try:
             return Fraction(c)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
             pass
     raise AlgebraValidationError(f"coefficient must be an integer or 'p/q': {term!r}")
 
@@ -193,7 +195,7 @@ def parse_algebra_json(text: str) -> LieAlgebraSpec:
     """Parse the JSON structure-constant format (see module docstring)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise AlgebraValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise AlgebraValidationError("invalid JSON: nested too deeply") from None

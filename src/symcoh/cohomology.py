@@ -116,7 +116,7 @@ class CohomologyCalculator:
     def _lift(self, sub: Subspace, k: int) -> Subspace:
         """sub, in the primitive coordinates of P^k, lifted to degree-k blades
         by B_k, whose column i is row i of P^k over its pivot entry."""
-        return lift_canonical(*self.st._primitive_data(k), sub)
+        return lift_canonical(self.st.primitive_subspace(k), self.st.lift(k, 0), sub)
 
     def _dpdm(self, k: int) -> OperatorMatrix:
         """del_plus del_minus on P^k in primitive coordinates."""

@@ -427,13 +427,20 @@ def _parse_blade(text: str, pos: int, dim: int) -> tuple[int, int]:
     return blade_from_indices(indices), pos
 
 
+def _decimal(digits: str, text: str, pos: int) -> int:
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        return int(digits)
+    except ValueError:
+        raise FormParseError("number has too many digits", text, pos) from None
+
+
 def _parse_number(text: str, pos: int) -> tuple[Fraction, int]:
     start = pos
     while pos < len(text) and text[pos].isdecimal():
         pos += 1
     if pos == start:
         raise FormParseError("expected a number", text, start)
-    num = int(text[start:pos])
+    num = _decimal(text[start:pos], text, start)
     den = 1
     if pos < len(text) and text[pos] == "/":
         pos += 1
@@ -442,7 +449,7 @@ def _parse_number(text: str, pos: int) -> tuple[Fraction, int]:
             pos += 1
         if pos == dstart:
             raise FormParseError("expected a denominator", text, dstart)
-        den = int(text[dstart:pos])
+        den = _decimal(text[dstart:pos], text, dstart)
         if den == 0:
             raise FormParseError("zero denominator", text, dstart)
     return Fraction(num, den), pos

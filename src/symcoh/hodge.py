@@ -14,14 +14,15 @@ the star route, integrating a ^ *a' against the Liouville volume.
 ``HodgeTheory`` reads the blade Gram matrices off its triple's ``op`` and
 works on int matrices over the primitive bases, each built once per degree
 by ``linalg.memo`` into its one cache, ``_ops``: the primitive Gram
-B^T G_k B and its inverse, the pieces of d and their adjoints, and each
-harmonic space, the kernel of its Laplacian checked against the kernel of
-d_out stacked on d_in*.  Two pieces of the Hodge decomposition with basis
-matrices A and B are orthogonal iff A^T (G B) = 0.
-The pairing matrix lifts the p+ classes' int rows by the L matrices and
-reads each top coefficient against the p- rows through the signed
-permutation ``top_dual``.  The splitting-conjugation check compares matrix
-identities multiplied through by blade Gram matrices, so it inverts none.
+B^T G_k B, B = ``lift(k, 0)``, and its inverse, the pieces of d and their
+adjoints, and each harmonic space, the kernel of its Laplacian checked
+against the kernel of d_out stacked on d_in*.  Two pieces of the Hodge
+decomposition with basis matrices A and B are orthogonal iff A^T (G B) = 0.
+The pairing matrix lifts the p+ classes, in primitive coordinates, by
+``lift(k, n-k)`` = L^{n-k}/(n-k)! and reads each top coefficient against
+the p- rows through the signed permutation ``top_dual``.  The
+splitting-conjugation check compares matrix identities multiplied through
+by blade Gram matrices, so it inverts none.
 A failing check names its witness forms, printed by ``exterior.row_to_str``.
 """
 
@@ -36,7 +37,7 @@ from .exterior import (Form, _by_degree, blade_index, compound, counterexample, 
 from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, leading_minors,
                      memo, vec_dot)
 from .reports import CheckResult
-from .symplectic import SymplecticComplex, SymplecticStructure, _factorial, _size
+from .symplectic import SymplecticComplex, SymplecticStructure, _size
 
 
 def darboux_basis(structure: SymplecticStructure,
@@ -195,10 +196,10 @@ class HodgeTheory:
     # -- primitive-basis plumbing ----------------------------------------
 
     def prim_gram(self, k: int) -> OperatorMatrix:
-        """B^T G_k B, B the primitive basis in blade coordinates and G_k the
-        blade Gram matrix."""
+        """B^T G_k B, B = lift(k, 0) the primitive basis in blade coordinates
+        and G_k the blade Gram matrix."""
         return memo(self._ops, ("prim_gram", k), lambda: (
-            b := self.st._primitive_data(k)[1]).transpose() @ self.triple.op("gram", k) @ b)
+            b := self.st.lift(k, 0)).transpose() @ self.triple.op("gram", k) @ b)
 
     def prim_gram_inverse(self, k: int) -> OperatorMatrix:
         return memo(self._ops, ("prim_gram_inv", k), lambda: self.prim_gram(k).invert())
@@ -270,7 +271,7 @@ class HodgeTheory:
                            for r in col]
                 if entries:
                     r, c = min(entries)
-                    a, b = _printed(self.dim, k, self.st._primitive_data(k)[1],
+                    a, b = _printed(self.dim, k, self.st.lift(k, 0),
                                     [mats[i].cols[r], mats[j].cols[c]])
                     details.append(f"{pieces[i][0]} not orthogonal to {pieces[j][0]}: "
                                    f"<{a}, {b}> != 0")
@@ -306,7 +307,7 @@ class HodgeTheory:
                                g_k @ jk_inv @ s_hr_k @ m_dm @ jk1):
             details.append(f"conjugate of adjoint(del_plus) != (H+R) del_minus: {w}")
         if k < n:
-            h, b_k = self.harmonic_space(k, "plus"), st._primitive_data(k)[1]
+            h, b_k = self.harmonic_space(k, "plus"), st.lift(k, 0)
             mapped = jk @ (b_k @ OperatorMatrix(h.ambient, h.dim, h.ints))
             st.check_primitive(mapped, k, "the splitting operator on harmonic(+)")
             reached, minus = image(st.prim_matrix(mapped, k)), self.harmonic_space(k, "minus")
@@ -322,14 +323,13 @@ class HodgeTheory:
         entry (i, j) integrates omega^(n-k)/(n-k)! ^ b_plus_i ^ b_minus_j.
         ``plus`` and ``minus`` are (pivot, int row) pairs in blade
         coordinates, each row over its pivot entry a b (``CohomologyGroup``'s
-        rows).  The b_plus are lifted by the L matrices, and each top
-        coefficient is read against ``top_dual`` of a b_minus."""
+        rows).  The b_plus, read in primitive coordinates, are lifted by
+        ``lift(k, n-k)``, and each top coefficient is read against
+        ``top_dual`` of a b_minus."""
         size = _size(self.dim, k)
-        lifted = OperatorMatrix.over_pivots(plus, size)
-        for j in range(k, self.dim - k, 2):
-            lifted = self.st.op("L", j) @ lifted
+        plus_prim = self.st.prim_matrix(OperatorMatrix.over_pivots(plus, size), k)
         dual = top_dual(self.dim, k) @ OperatorMatrix.over_pivots(minus, size)
-        return (lifted.transpose() @ dual).scale(Fraction(1, _factorial(self.n - k)))
+        return (self.st.lift(k, self.n - k) @ plus_prim).transpose() @ dual
 
     def _pairing_witness(self, k: int, pm: OperatorMatrix, plus: list[tuple[int, dict]],
                          minus: list[tuple[int, dict]]) -> str:

@@ -7,9 +7,9 @@ as A b = B a.  The sides keep their own producers: d, L, Lambda and dLambda
 come from ``SymplecticComplex.op``; del_plus and del_minus on the blades
 from ``SymplecticComplex.del_blades`` and the symplectic star from
 ``SymplecticStructure.star_matrix``; an eigenvalue operator sigma(H, R) is
-``SymplecticStructure.scale_rs``, the sum of sigma(r, s) times the
-Lefschetz projections.  The last three are built from the same Lefschetz
-components C_r, which the "two routes" identities therefore share.  All
+``SymplecticStructure.scale_rs``, the sum of sigma(r, s) lift(s, r) C_r.
+The last three are built from the same Lefschetz components C_r and lifts
+L^r/r! on P^s, which the "two routes" identities therefore share.  All
 are built once per degree and kept by the complex, so a second run builds
 nothing.  Degrees and blades are walked in the canonical order; only when
 the two sides differ are their columns compared, and the first differing
@@ -111,10 +111,10 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
     # symplectic star: involution
     check("star star = 1", 0, lambda k: S(dim - k) @ S(k), one)
 
-    # on the primitive basis matrices B_s: the star on each omega-power of a
+    # on the primitive basis matrices B_s = lift(s, 0): the star on each omega-power of a
     # primitive form reflects the power, and the simplified expressions
     for s in range(n + 1):
-        b_s = st._primitive_data(s)[1]
+        b_s = st.lift(s, 0)
         sign = (-1) ** (s * (s + 1) // 2)
         bad = [set(differing_columns(
                    (S(s + 2 * r) @ Lp(s, r) @ b_s).scale(F(1, factorial(r))),
@@ -124,7 +124,7 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
             r = next(r for r, cols in enumerate(bad) if j in cols)
             details.append(f"star reflection fails at (r={r}, s={s}): {st.primitive_basis(s)[j]}")
     for s in range(n + 1):
-        b_s = st._primitive_data(s)[1]
+        b_s = st.lift(s, 0)
         db = d(s) @ b_s
         lam_db, dm_b, c = Lam(s + 1) @ db, M(s) @ b_s, F(1, n - s + 1)
         checks = [(dm_b, lam_db.scale(c), "del_minus != (1/H) Lambda d"),

@@ -15,39 +15,39 @@ bivector are kept only as ``OperatorMatrix``es (``omega_matrix``,
 ``inverse``), and omega is degenerate exactly when inverting its matrix
 fails.  L, Lambda and d are built on the blade masks
 (``exterior.blade_operator``) from the terms of omega, of its inverse and
-of the structure constants; dLambda is their product.  The Lefschetz decomposition is linear: on degree k its
-component r is C_r = sum over l of c_{r,l} L^l Lambda^{r+l},
-the closed sl(2) formula (``lefschetz_components``), and with s = k-2r
-every other Lefschetz operator is a sum of powers of L applied to the C_r,
-summed by Horner's rule:
+of the structure constants; dLambda is their product.  The primitive
+degree-s forms P^s are kept as the kernel of Lambda (``primitive_subspace``),
+in which ``prim_matrix`` reads primitive coordinates; ``primitive_basis``
+builds their Forms on each read.
 
-- the projection onto the (r, s) component, Pi_{r,s} = L^r C_r / r!
-  (``projections``); a scalar operator such as 1/(H+2R+1), R counting the
-  omega wedges, is the sum of its eigenvalues times the projections
-  (``scale_rs``), evaluated only on blocks that do not vanish;
-- the star on degree k, the sum over r of (-1)^{s(s+1)/2} L^{n-r-s} C_r /
-  (n-r-s)! (``star_matrix``);
-- del_plus and del_minus on the blades, the sums over r of L^r/r! P_s C_r
-  and L^r/r! M_s C_r, C_r read in primitive coordinates (``del_blades``).
+Every Lefschetz operator goes through one map, ``lift(s, r)``: L^r/r! from
+the primitive coordinates of P^s to the degree s+2r blades, lift(s, 0)
+being the basis matrix B_s.  On degree k the Lefschetz component C_r maps
+to the primitive coordinates of P^s, s = k-2r, by the closed sl(2) formula
+(``lefschetz_components``), and each other operator sums over r a lift
+times a primitive-coordinate block times C_r:
 
-``SymplecticStructure.split`` splits any degree +1 operator that commutes
-with L into its two pieces on the primitive basis; applied to d it gives
-(P_s, M_s) (``del_images``), applied to xi ^ it gives the symbols of the
-primitive complex (``symbolcheck``).  The primitive forms of degree k are
-kept as the kernel of Lambda and its basis matrix B_k; ``primitive_basis``
-builds their Forms on each read.  ``prim_matrix`` reads blade-coordinate
-columns in primitive coordinates.  The form-level L, Lambda and star of the
-structure, d of the algebra, and del_plus and del_minus of the complex apply
-these matrices degree by degree; the complex gives no second name to its
-parts' operators.  The form-by-form Lefschetz decomposition is the test
-suite's oracle.
+- an eigenvalue operator such as 1/(H+2R+1), R counting the omega wedges:
+  fn(r, s) lift(s, r) C_r, on blocks that do not vanish (``scale_rs``);
+- the star: (-1)^{s(s+1)/2} lift(s, n-r-s) C_r (``star_matrix``);
+- del_plus and del_minus on the blades: lift(s+1, r) P_s C_r and
+  lift(s-1, r) M_s C_r (``del_blades``), (P_s, M_s) the pieces of d in
+  primitive coordinates (``del_matrices``).
+
+``SymplecticStructure.split`` splits a degree +1 operator that commutes
+with L into its two pieces on the primitive basis, in blade coordinates:
+of d it gives (P_s, M_s), of xi ^ the symbols of the primitive complex
+(``symbolcheck``).  The form-level L, Lambda and star, d of the algebra,
+and del_plus and del_minus apply these matrices degree by degree; the
+complex gives no second name to its parts' operators.  The form-by-form
+Lefschetz decomposition is the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial as _factorial, prod
+from math import factorial, prod
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
@@ -137,79 +137,68 @@ class SymplecticStructure:
 
     # -- Lefschetz decomposition ------------------------------------------
 
+    def lift(self, s: int, r: int) -> OperatorMatrix:
+        """L^r/r! on the primitive degree-s forms, from their primitive
+        coordinates to the degree s+2r blades: lift(s, 0) is B_s, whose
+        column i is basis row i of P^s over its pivot entry, and lift(s, r)
+        = L lift(s, r-1)/r.  No columns outside 0..n; injective for r <=
+        n-s.  Built once per (s, r)."""
+        if r:
+            return memo(self._ops, ("lift", s, r), lambda: (
+                self.op("L", s + 2 * r - 2) @ self.lift(s, r - 1)).scale(Fraction(1, r)))
+        p = self.primitive_subspace(s)
+        return memo(self._ops, ("lift", s, 0),
+                    lambda: OperatorMatrix.over_pivots(list(zip(p.pivots, p.ints)), p.ambient))
+
     def lefschetz_components(self, k: int) -> dict[int, OperatorMatrix]:
-        """C_r on degree k, keyed by r: the map to the primitive
-        (k-2r)-form b_r, where a degree-k form is the sum of L^r b_r / r!.
-        A C_r that is 0 is left out.  Built once per degree."""
+        """C_r on degree k, keyed by r: a degree-k form a is the sum over r
+        of L^r b_r / r! = lift(k-2r, r) C_r a, b_r primitive, and C_r a is
+        b_r in primitive coordinates.  Each C_r is checked primitive as it
+        is built; one that is 0 is left out.  Built once per degree."""
         return memo(self._ops, ("C", k), lambda: self._components(k))
 
     def _components(self, k: int) -> dict[int, OperatorMatrix]:
         lam = [OperatorMatrix.identity(_size(self.dim, k))]
         for j in range(k // 2):
             lam.append(self.op("Lambda", k - 2 * j) @ lam[-1])
-        return {r: c for r in range(max(k - self.n, 0), k // 2 + 1)
-                if not (c := self._component(lam, k, r)).is_zero()}
+        out = {}
+        for r in range(max(k - self.n, 0), k // 2 + 1):
+            if not (c := self._component(lam, k, r)).is_zero():
+                self.check_primitive(c, k - 2 * r, f"Lefschetz component {r} of degree {k}")
+                out[r] = self.prim_matrix(c, k - 2 * r)
+        return out
 
     def _component(self, lam: list[OperatorMatrix], k: int, r: int) -> OperatorMatrix:
-        """C_r on degree k by the closed sl(2) formula, from lam[j] =
-        Lambda^j on degree k: the sum over l of (-1)^l m^2 L^l Lambda^{r+l}
-        / (m (m-1) ... (m-r) m (m+1) ... (m+l) l!), m = n-k+2r+1."""
-        m = self.n - k + 2 * r + 1
+        """C_r on degree k in blade coordinates by the closed sl(2) formula,
+        from lam[j] = Lambda^j on degree k: the sum over l of (-1)^l m^2
+        L^l Lambda^{r+l} / (m (m-1) ... (m-r) m (m+1) ... (m+l) l!), m =
+        n-k+2r+1, summed by Horner's rule, one L product per power of L."""
+        m, j = self.n - k + 2 * r + 1, k - 2 * r
         den_r = prod(range(m - r, m + 1))
-        terms, den_l = [], 1
-        for l in range(len(lam) - r):
-            den_l *= m + l
-            terms.append((Fraction((-1) ** l * m * m, den_r * den_l * _factorial(l)), lam[r + l]))
-        return self._L_series(terms, k - 2 * r, lam[0].ncols)
-
-    def _L_series(self, terms: list, j: int, ncols: int) -> OperatorMatrix:
-        """The sum of c L^i M over the (c, M) = terms[i], None for 0, each M
-        with values in degree j - 2i, by Horner's rule: one L product per
-        power of L."""
         acc = None
-        for i in reversed(range(len(terms))):
-            step = [] if acc is None else [(1, self.op("L", j - 2 * i - 2) @ acc)]
-            if terms[i] is not None:
-                step.append(terms[i])
-            if step:
-                acc = OperatorMatrix.combination(step, _size(self.dim, j - 2 * i), ncols)
-        if acc is None:
-            return OperatorMatrix(_size(self.dim, j), ncols, [{} for _ in range(ncols)])
+        for l in reversed(range(len(lam) - r)):
+            c = Fraction((-1) ** l * m * m, den_r * prod(range(m, m + l + 1)) * factorial(l))
+            step = [] if acc is None else [(1, self.op("L", j - 2 * l - 2) @ acc)]
+            acc = OperatorMatrix.combination(step + [(c, lam[r + l])], _size(self.dim, j - 2 * l),
+                                             lam[0].ncols)
         return acc
 
-    def projections(self, k: int) -> dict[tuple[int, int], OperatorMatrix]:
-        """The Lefschetz projections of degree k, keyed by (r, s): Pi_{r,s}
-        = L^r C_r / r!.  Built once per degree."""
-        return memo(self._ops, ("Pi", k), lambda: {
-            (r, k - 2 * r): self._L_series([None] * r + [(Fraction(1, _factorial(r)), c)],
-                                           k, c.ncols)
-            for r, c in sorted(self.lefschetz_components(k).items())})
-
     def scale_rs(self, fn: RS, k: int, operand: OperatorMatrix | None = None) -> OperatorMatrix:
-        """The sum of fn(r, s) Pi_{r,s} on degree k, times ``operand`` if
-        given.  fn is evaluated only on the blocks Pi_{r,s} operand that are
-        not zero: a component that cancels is never scaled, and one that
-        survives where fn divides by 0 raises."""
+        """The sum of fn(r, s) lift(s, r) C_r on degree k, times ``operand``
+        if given.  fn is evaluated only on the blocks C_r operand that are
+        not zero, as is each projected block, lift(s, r) being injective:
+        a component that cancels is never scaled, and one that survives
+        where fn divides by 0 raises."""
         size = _size(self.dim, k)
-        terms = [(fn(r, s), block) for (r, s), p in self.projections(k).items()
-                 if not (block := p if operand is None else p @ operand).is_zero()]
+        terms = [(fn(r, k - 2 * r), self.lift(k - 2 * r, r) @ block)
+                 for r, c in self.lefschetz_components(k).items()
+                 if not (block := c if operand is None else c @ operand).is_zero()]
         return OperatorMatrix.combination(terms, size, size if operand is None else operand.ncols)
 
     # -- primitive forms ---------------------------------------------------
 
     def is_primitive(self, a: Form) -> bool:
         return self.Lambda(a).is_zero()
-
-    def _primitive_data(self, k: int) -> tuple[Subspace, OperatorMatrix]:
-        """Kernel of Lambda in blade coordinates (0 outside 0..n) and the
-        matrix B_k whose columns are its normalized basis rows.  Built once
-        per degree."""
-        return memo(self._ops, ("prim", k), lambda: self._primitive_pair(k))
-
-    def _primitive_pair(self, k: int) -> tuple[Subspace, OperatorMatrix]:
-        size = _size(self.dim, k)
-        sub = kernel(self.op("Lambda", k)) if 0 <= k <= self.n else Subspace(size)
-        return sub, OperatorMatrix.over_pivots(list(zip(sub.pivots, sub.ints)), size)
 
     def primitive_basis(self, k: int) -> list[Form]:
         """Canonical basis of the primitive degree-k forms (kernel of Lambda),
@@ -220,9 +209,11 @@ class SymplecticStructure:
         return [form_from_coords(row, order, self.dim) for row in self.primitive_subspace(k).rows]
 
     def primitive_subspace(self, k: int) -> Subspace:
-        """Primitive forms as a subspace over the degree-k blade basis, in
-        which ``prim_matrix`` reads primitive coordinates."""
-        return self._primitive_data(k)[0]
+        """Primitive forms as a subspace over the degree-k blade basis, the
+        kernel of Lambda (0 outside 0..n), in which ``prim_matrix`` reads
+        primitive coordinates.  Built once per degree."""
+        return memo(self._ops, ("prim", k), lambda: kernel(self.op("Lambda", k))
+                    if 0 <= k <= self.n else Subspace(_size(self.dim, k)))
 
     # -- primitive coordinates -----------------------------------------------
 
@@ -246,7 +237,7 @@ class SymplecticStructure:
         D = d B_k by the closed primitive formulas del_minus =
         Lambda_{k+1} D/(n-k+1) and del_plus = D - L_{k-1} del_minus; Lambda
         kills both."""
-        db = d @ self._primitive_data(k)[1]
+        db = d @ self.lift(k, 0)
         dm = (self.op("Lambda", k + 1) @ db).scale(Fraction(1, self.n - k + 1))
         dp = db - self.op("L", k - 1) @ dm
         self.check_primitive(dp, k + 1, f"a primitive piece from degree {k}")
@@ -257,17 +248,16 @@ class SymplecticStructure:
 
     def star_matrix(self, k: int) -> OperatorMatrix:
         """The star from degree k to 2n-k: the sum over r of
-        (-1)^{s(s+1)/2} L^{n-r-s} C_r / (n-r-s)!, s = k-2r.  Built once per
+        (-1)^{s(s+1)/2} lift(s, n-r-s) C_r, s = k-2r.  Built once per
         degree."""
         return memo(self._ops, ("star", k), lambda: self._star(k))
 
     def _star(self, k: int) -> OperatorMatrix:
-        # C_r has values in degree k-2r = (2n-k) - 2i for the power i = n-r-s of L
-        terms = [None] * (self.n + 1)
+        terms = []
         for r, c in self.lefschetz_components(k).items():
-            s, i = k - 2 * r, self.n - k + r
-            terms[i] = (Fraction((-1) ** (s * (s + 1) // 2), _factorial(i)), c)
-        return self._L_series(terms, self.dim - k, _size(self.dim, k))
+            s = k - 2 * r
+            terms.append(((-1) ** (s * (s + 1) // 2), self.lift(s, self.n - r - s) @ c))
+        return OperatorMatrix.combination(terms, _size(self.dim, self.dim - k), _size(self.dim, k))
 
     def star(self, a: Form) -> Form:
         """Symplectic star: reflects Lefschetz components across the middle."""
@@ -349,12 +339,12 @@ class SymplecticComplex:
 
     Provides d, the symplectic adjoint differential as a matrix (``op``),
     and the two primitive pieces of d; the form-level d, L, Lambda and star
-    are its ``algebra``'s and ``structure``'s.  d is split once per degree on the
-    primitive basis (``del_images``); del_plus and del_minus on the blades
-    read each Lefschetz component's pieces off that split (``del_blades``).
-    The closed formulas for the pieces, the star route for dLambda and the
-    projection route, which decomposes d of each component, are their
-    oracles in the test suite.
+    are its ``algebra``'s and ``structure``'s.  d is split once per degree
+    on the primitive basis and kept in primitive coordinates
+    (``del_matrices``); del_plus and del_minus on the blades lift each
+    Lefschetz component's pieces (``del_blades``).  The closed formulas for
+    the pieces, the star route for dLambda and the projection route, which
+    decomposes d of each component, are their oracles in the test suite.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, omega: Form):
@@ -385,31 +375,15 @@ class SymplecticComplex:
 
     # -- primitive pieces of d ----------------------------------------------
 
-    def del_images(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-        """``SymplecticStructure.split`` of d on degree k, built once: the
-        columns of P and M are del_plus and del_minus of the primitive basis
-        in blade coordinates."""
-        return memo(self._ops, ("del", k), lambda: self.structure.split(self.op("d", k), k))
-
     def del_blades(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-        """(del_plus, del_minus) from the degree-k blades: the sum over r of
-        L^r/r! P_s C_r, and the same with M_s, where (P_s, M_s) =
-        ``del_images(s)``, s = k-2r, and C_r is read in primitive
-        coordinates.  Built once per degree."""
-        return memo(self._ops, ("del_blades", k), lambda: self._del_blades(k))
-
-    def _del_blades(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+        """(del_plus, del_minus) from the degree-k blades: the sums over r of
+        lift(s+1, r) P_s C_r and lift(s-1, r) M_s C_r, where (P_s, M_s) =
+        ``del_matrices(s)``, s = k-2r.  Built once per degree."""
         st = self.structure
-        comps = st.lefschetz_components(k)
-        terms = [[None] * (max(comps, default=-1) + 1) for _ in range(2)]
-        for r, c in comps.items():
-            s = k - 2 * r
-            st.check_primitive(c, s, f"Lefschetz component {r} of degree {k}")
-            prim = st.prim_matrix(c, s)
-            for t, piece in zip(terms, self.del_images(s)):
-                t[r] = (Fraction(1, _factorial(r)), piece @ prim)
-        return tuple(st._L_series(t, k + step, _size(self.dim, k))
-                     for t, step in zip(terms, (1, -1)))
+        return memo(self._ops, ("del_blades", k), lambda: tuple(OperatorMatrix.combination(
+            [(1, st.lift(k - 2 * r + step, r) @ (self.del_matrices(k - 2 * r)[i] @ c))
+             for r, c in st.lefschetz_components(k).items()],
+            _size(self.dim, k + step), _size(self.dim, k)) for i, step in enumerate((1, -1))))
 
     def _del_piece(self, which: int, a: Form) -> Form:
         """Piece ``which`` of d on a form, 0 for del_plus and 1 for
@@ -427,10 +401,12 @@ class SymplecticComplex:
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive
-        coordinates, exact, built once per degree from ``del_images``; the
-        projection routes ``del_plus``/``del_minus`` are their oracle."""
+        coordinates, exact: ``SymplecticStructure.split`` of d on degree k
+        read at the primitive pivots, built once per degree; the projection
+        routes ``del_plus``/``del_minus`` are their oracle."""
+        st = self.structure
         return memo(self._ops, ("del_matrices", k), lambda: tuple(
-            map(self.structure.prim_matrix, self.del_images(k), (k + 1, k - 1))))
+            map(st.prim_matrix, st.split(self.op("d", k), k), (k + 1, k - 1))))
 
 
 def _size(dim: int, k: int) -> int:

@@ -54,11 +54,12 @@ Lefschetz matrices: ``pieces_of_blade`` decomposes one blade, and
 ``lefschetz_piece``, ``star_of_blade`` and ``del_pieces_of_blade`` (with
 ``del_of_blade``) give the blade's column of a projection Pi_{r,s}, of the
 star and of del_plus and del_minus, the last by reading the per-degree
-split of d at each component's primitive coordinates.  ``on_blades``
+split of d (``SymplecticComplex.del_matrices``) at each component's
+primitive coordinates.  ``on_blades``
 makes a matrix of such a per-blade route.
 
 And it keeps the projection route for the two pieces of d that the
-engine reads off the per-degree split (``SymplecticComplex.del_images``):
+engine reads off the per-degree split (``SymplecticComplex.del_matrices``):
 ``split_d_primitive`` decomposes d of one primitive form by the closed
 formula, and ``del_plus``/``del_minus`` apply it to each Lefschetz
 component.
@@ -85,7 +86,7 @@ And it keeps the form-by-form identity battery (``identity_battery``) that
 the engine checks as per-degree matrix equations, with the form routes only
 it calls: ``memo_components`` and ``memo_apply_rs`` sum and scale the
 columns of the engine's C_r blade by blade, where the engine sums the
-Lefschetz projections per degree (``SymplecticStructure.scale_rs``);
+lifted components per degree (``SymplecticStructure.scale_rs``);
 ``d_lambda`` is d Lambda - Lambda d with the engine's form-level d and
 Lambda;
 ``d_lambda_via_star``, ``del_plus_formula`` and ``del_minus_formula`` are
@@ -467,14 +468,14 @@ def star_of_blade(st, mask: int) -> Form:
 
 def del_pieces_of_blade(cx, mask: int) -> tuple[Form, Form]:
     """(del_plus, del_minus) of one blade: each Lefschetz component's two
-    pieces are the ``del_images`` columns at its primitive coordinates,
-    wedged with omega^r/r!."""
+    pieces are the ``del_matrices`` columns at its primitive coordinates,
+    lifted to blades by B = ``lift(j, 0)`` and wedged with omega^r/r!."""
     st = cx.structure
     out = [Form.zero(st.dim), Form.zero(st.dim)]
     for (r, s), b in pieces_of_blade(st, mask).items():
         coords = prim_coords(st, b, s)
-        for which, (m, k) in enumerate(zip(cx.del_images(s), (s + 1, s - 1))):
-            if col := m.apply(coords):
+        for which, (m, k) in enumerate(zip(cx.del_matrices(s), (s + 1, s - 1))):
+            if col := st.lift(k, 0).apply(m.apply(coords)):
                 piece = form_from_coords(col, blade_index(st.dim, k)[0], st.dim)
                 out[which] = out[which] + st.L_power(piece, r) / factorial(r)
     return out[0], out[1]
@@ -581,18 +582,19 @@ def matrix_on_blades(op, dim: int, k_from: int, k_to: int) -> OperatorMatrix:
 def memo_components(st, a: Form) -> dict[tuple[int, int], Form]:
     """Primitive components of an arbitrary form, keyed by (r, s): the
     sums of its blades' columns of the engine's C_r
-    (``SymplecticStructure.lefschetz_components``), with the zero sums
-    dropped."""
+    (``SymplecticStructure.lefschetz_components``), each lifted to blades by
+    B_s = ``lift(s, 0)``, with the zero sums dropped."""
     st.omega._check_dim(a)
     sums: dict[tuple[int, int], dict] = {}
     for mask, v in a._c.items():
         k = mask.bit_count()
         j = blade_index(st.dim, k)[1][mask]
         for r, comp in st.lefschetz_components(k).items():
-            c = sums.setdefault((r, k - 2 * r), {})
-            order = blade_index(st.dim, k - 2 * r)[0]
-            for i, w in comp.cols[j].items():
-                c[order[i]] = c.get(order[i], 0) + v * Fraction(w, comp.den)
+            s = k - 2 * r
+            c = sums.setdefault((r, s), {})
+            order = blade_index(st.dim, s)[0]
+            for i, w in st.lift(s, 0).apply(comp.column(j)).items():
+                c[order[i]] = c.get(order[i], 0) + v * w
     return {rs: b for rs, c in sums.items() if (b := Form(st.dim, c))}
 
 

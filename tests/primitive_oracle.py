@@ -9,7 +9,8 @@ This module keeps the earlier bodies:
 * a kernel is taken in primitive coordinates, lifted through B_k, and the
   lifted rows are eliminated again by ``Subspace`` (lift-then-``rref``);
 * an image is eliminated in blade coordinates, from the blade columns of
-  ``SymplecticComplex.del_images``;
+  the pieces of d, ``SymplecticComplex.del_matrices`` lifted by B
+  (``del_images``);
 * the d+dL numerator is the Zassenhaus intersection of ker del_plus and
   ker del_minus (``subspace_intersect``, kept in ``subspace_oracle``);
 * the ddL denominator is two chained ``subspace_sum`` calls, the first a sum
@@ -33,21 +34,29 @@ def prim_kernel(calc, m: OperatorMatrix, k_to: int, k: int) -> Subspace:
     the primitive degree-``k_to`` forms, the columns of ``m``: lifted through
     B_k and eliminated again."""
     kern = kernel(calc.st.prim_matrix(m, k_to))
-    b = calc.st._primitive_data(k)[1]
+    b = calc.st.lift(k, 0)
     return Subspace(b.nrows, (b @ OperatorMatrix(b.ncols, kern.dim, kern.ints)).cols)
+
+
+def del_images(cx, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Blade coordinates of del_plus and del_minus of the primitive degree-k
+    basis: the pieces of d in primitive coordinates, lifted by B_{k+1} and
+    B_{k-1}."""
+    return tuple(cx.structure.lift(j, 0) @ m
+                 for m, j in zip(cx.del_matrices(k), (k + 1, k - 1)))
 
 
 def dpdm(calc, k: int) -> OperatorMatrix:
     """Blade coordinates of del_plus del_minus of the primitive degree-k basis."""
-    return calc.cx.del_images(k - 1)[0] @ calc.st.prim_matrix(calc.cx.del_images(k)[1], k - 1)
+    return del_images(calc.cx, k - 1)[0] @ calc.st.prim_matrix(del_images(calc.cx, k)[1], k - 1)
 
 
 def dp_span(calc, k: int) -> Subspace:
-    return Subspace(_size(calc.dim, k + 1), calc.cx.del_images(k)[0].cols)
+    return Subspace(_size(calc.dim, k + 1), del_images(calc.cx, k)[0].cols)
 
 
 def dm_span(calc, k: int) -> Subspace:
-    return Subspace(_size(calc.dim, k - 1), calc.cx.del_images(k)[1].cols)
+    return Subspace(_size(calc.dim, k - 1), del_images(calc.cx, k)[1].cols)
 
 
 def dpdm_span(calc, k: int) -> Subspace:
@@ -55,11 +64,11 @@ def dpdm_span(calc, k: int) -> Subspace:
 
 
 def ker_dp(calc, k: int) -> Subspace:
-    return prim_kernel(calc, calc.cx.del_images(k)[0], k + 1, k)
+    return prim_kernel(calc, del_images(calc.cx, k)[0], k + 1, k)
 
 
 def ker_dm(calc, k: int) -> Subspace:
-    return prim_kernel(calc, calc.cx.del_images(k)[1], k - 1, k)
+    return prim_kernel(calc, del_images(calc.cx, k)[1], k - 1, k)
 
 
 def ker_dpdm(calc, k: int) -> Subspace:

@@ -102,8 +102,8 @@ def test_blade_maps_are_freed_with_their_owners():
     """No reference cycle: each owner's one cache of per-degree builds,
     ``_ops``, goes when the last reference to its owner does, without
     waiting for the cycle collector.  The owners are the algebra (d), the
-    structure (L, Lambda, the primitive bases), the complex (dLambda and the
-    pieces of d), the triple (the J and g^-1 compound matrices), the Hodge
+    structure (L, Lambda, the primitive bases and their lifts), the complex
+    (dLambda and the pieces of d), the triple (the J and g^-1 compound matrices), the Hodge
     theory (Gram matrices, adjoints, harmonic spaces) and the calculator
     (subspaces and groups).  A probe stored in each cache goes with it."""
     gc.disable()
@@ -123,8 +123,8 @@ def test_blade_maps_are_freed_with_their_owners():
         assert {("jay", 2), ("jay", 3), ("gram", 3)} <= triple._ops.keys()
         assert {2, 3} <= alg._ops.keys()
         assert {("L", 2), ("L", 3), ("Lambda", 2), ("Lambda", 3),
-                ("prim", 1)} <= cx.structure._ops.keys()
-        assert {("dLambda", 3), ("del", 1), ("del_matrices", 1)} <= cx._ops.keys()
+                ("prim", 1), ("lift", 1, 0)} <= cx.structure._ops.keys()
+        assert {("dLambda", 3), ("del_matrices", 1)} <= cx._ops.keys()
         assert {("prim_gram", 1), ("updown", "plus", 1), ("harmonic", 1, "plus")} \
             <= ht._ops.keys()
         assert ("group", "p+", 1) in calc._ops

@@ -51,11 +51,21 @@ def test_degenerate_omega_without_a_zero_row_is_input_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("option", ["--omega=²*e13+e24", "--omega=13+²*24",
-                                    "--algebra=(0,0,0,²*12)"])
+# one past int()'s default limit on the digits it converts
+HUGE = "9" * 4301
+
+
+@pytest.mark.parametrize("option", [
+    "--omega=²*e13+e24", "--omega=13+²*24", "--algebra=(0,0,0,²*12)",
+    pytest.param(f"--omega={HUGE}*e13+e24", id="huge-numerator"),
+    pytest.param(f"--omega=1/{HUGE}*e13+e24", id="huge-denominator"),
+    pytest.param(f"--omega=13+{HUGE}*24", id="huge-shorthand"),
+    pytest.param(f"--algebra=(0,0,0,{HUGE}*12)", id="huge-tuple"),
+])
 def test_a_non_decimal_digit_is_input_error(capsys, option):
     """'²' passes str.isdigit, but int() refuses it; the parsers read the
-    characters int() reads, the str.isdecimal ones."""
+    characters int() reads, the str.isdecimal ones.  A number of more
+    digits than int() converts is an input error too."""
     code, out, err = run_cli(capsys, "compute", option)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -267,6 +277,9 @@ def test_a_closed_pipe_on_stdout_exits_2_without_a_traceback():
 
 @pytest.mark.parametrize("terms", [
     '[[true, 2, 1]]', '[[1, 2, false]]', '[[1, 2, "x"]]', '[[1, 2, "1/0"]]', '5',
+    # a coefficient string is an integer or p/q, not any string Fraction reads
+    '[[1, 2, "1e3"]]', '[[1, 2, "0.5"]]',
+    pytest.param(f'[[1, 2, {HUGE}]]', id="huge-int"),
     pytest.param("[" * 100000, id="deeply-nested"),
     # bytes go through --algebra-file
     pytest.param(b'[[1, 2, "\xff\xfe"]]', id="file-not-utf8"),

@@ -131,7 +131,7 @@ def test_undefined_eigenvalue_on_a_surviving_component_raises():
     st, n = cx.structure, cx.n
     m = (st.scale_rs(lambda r, s: n - r - s, 3, cx.op("dLambda", 4))
          - cx.op("Lambda", 5) @ cx.op("d", 4))
-    assert (st.projections(3)[0, 3] @ m).is_zero() and not m.is_zero()
+    assert (st.lift(3, 0) @ st.lefschetz_components(3)[0] @ m).is_zero() and not m.is_zero()
 
     def inverse(r, s):
         return Fraction(-1, (n - s + 1) * (n - r - s))
@@ -161,14 +161,14 @@ def test_both_batteries_raise_on_a_surviving_boundary_component():
 
 
 def test_battery_caches_are_freed_with_their_owners():
-    """The Lefschetz components and projections, the star, del_plus and
+    """The Lefschetz components and their lifts, the star, del_plus and
     del_minus matrices and the operator matrices hold neither the complex
     nor the structure."""
     gc.disable()
     try:
         cx = build("N6")
         assert run_identity_suite(cx).passed
-        assert {("C", 2), ("Pi", 2), ("star", 2)} <= cx.structure._ops.keys()
+        assert {("C", 2), ("lift", 0, 1), ("star", 2)} <= cx.structure._ops.keys()
         assert ("del_blades", 2) in cx._ops
         refs = [weakref.ref(cx), weakref.ref(cx.structure)]
         del cx

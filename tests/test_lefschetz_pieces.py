@@ -1,11 +1,14 @@
 """The per-degree Lefschetz matrices against the form-level routes.
 
 ``SymplecticStructure`` keeps, per degree, the Lefschetz components C_r of
-the closed sl(2) formula, and from them the projections Pi_{r,s} and the
-symplectic star; ``SymplecticComplex`` keeps del_plus and del_minus on the
-blades (``del_blades``).  Each matrix must equal the per-blade routes of
-``form_oracle``, which decompose one blade at a time by the closed formula
-on Forms, in every degree.  The sums and scalings of the C_r columns
+the closed sl(2) formula in primitive coordinates, and from them, through
+``lift(s, r)`` = L^r/r! on P^s, the projections Pi_{r,s} = lift(s, r) C_r
+and the symplectic star; ``SymplecticComplex`` keeps del_plus and del_minus
+on the blades (``del_blades``).  ``lift`` must equal L^r/r! of each
+primitive basis form and be injective up to r = n-s, and the lifts and the
+components must invert each other.  Each matrix must equal the per-blade
+routes of ``form_oracle``, which decompose one blade at a time by the
+closed formula on Forms, in every degree.  The sums and scalings of the C_r columns
 (``form_oracle.memo_components`` and ``memo_apply_rs``), ``star``,
 ``del_plus`` and ``del_minus`` must equal the routes of ``form_oracle``
 that decompose the whole form on every call, on random inhomogeneous forms.
@@ -20,12 +23,14 @@ import random
 import weakref
 from fractions import Fraction
 from functools import partial
+from math import factorial
 
 import pytest
 
 import form_oracle
 from symcoh import SymplecticComplex, parse_algebra
-from symcoh.exterior import DimensionMismatchError, Form, blade_index
+from symcoh.exterior import DimensionMismatchError, Form, blade_index, form_to_coords
+from symcoh.linalg import OperatorMatrix
 from symcoh.identities import run_identity_suite
 from symcoh.symplectic import SymplecticStructure, parse_omega
 
@@ -191,7 +196,7 @@ def test_identity_battery_reads_the_split_of_d():
     """The battery's del_plus is the engine's: doubling one non-zero column
     of the degree-1 split of d fails the splitting identity at that blade."""
     cx = build(*FIXTURES["N6"])
-    plus = cx.del_images(1)[0]
+    plus = cx.del_matrices(1)[0]
     j = next(j for j, col in enumerate(plus.cols) if col)
     plus.cols[j] = {i: 2 * v for i, v in plus.cols[j].items()}
     result = run_identity_suite(cx)
@@ -223,18 +228,62 @@ MATRIX_FIXTURES = {"N6": FIXTURES["N6"], "N8": N8, "scrambled-N6": SCRAMBLED_N6}
 
 @pytest.mark.parametrize("name", list(MATRIX_FIXTURES))
 def test_lefschetz_matrices_match_form_oracle(name):
-    """Every Pi_{r,s}, del_plus, del_minus and star matrix equals the
-    per-blade form route in every degree, keys included."""
+    """Every Pi_{r,s} = lift(s, r) C_r, del_plus, del_minus and star matrix
+    equals the per-blade form route in every degree, keys included."""
     cx = build(*MATRIX_FIXTURES[name])
     st, dim = cx.structure, cx.dim
     for k in range(dim + 1):
         keys = {rs for m in blade_index(dim, k)[0] for rs in form_oracle.pieces_of_blade(st, m)}
-        assert list(st.projections(k)) == sorted(keys)
-        for rs, pi in st.projections(k).items():
-            assert pi == form_oracle.on_blades(
+        comps = st.lefschetz_components(k)
+        assert [(r, k - 2 * r) for r in comps] == sorted(keys)
+        for r, c in comps.items():
+            rs = (r, k - 2 * r)
+            assert st.lift(rs[1], r) @ c == form_oracle.on_blades(
                 partial(form_oracle.lefschetz_piece, st, rs), dim, k, k), (k, rs)
         assert st.star_matrix(k) == form_oracle.on_blades(
             partial(form_oracle.star_of_blade, st), dim, k, dim - k), k
         for which, step in ((0, 1), (1, -1)):
             assert cx.del_blades(k)[which] == form_oracle.on_blades(
                 partial(form_oracle.del_of_blade, cx, which), dim, k, k + step), (k, which)
+
+
+LIFT_FIXTURES = {"N6": FIXTURES["N6"], "N8": N8, "T6": FIXTURES["T6"],
+                 "scrambled-N6": SCRAMBLED_N6}
+
+
+@pytest.mark.parametrize("name", list(LIFT_FIXTURES))
+def test_lift_is_L_power_over_factorial_on_the_primitive_basis(name):
+    """Column j of lift(s, r) is omega^r/r! wedged onto primitive basis form
+    j, for r up to one past n-s, where it is 0; outside 0..n there are no
+    columns.  Up to r = n-s it is injective."""
+    st = build(*LIFT_FIXTURES[name]).structure
+    dim, n = st.dim, st.n
+    for s in range(-1, n + 2):
+        basis = st.primitive_basis(s) if 0 <= s <= n else []
+        for r in range(max(n - s + 2, 1)):
+            m, index = st.lift(s, r), blade_index(dim, s + 2 * r)[1]
+            assert (m.nrows, m.ncols) == (len(index), len(basis)), (s, r)
+            assert [m.column(j) for j in range(m.ncols)] == [
+                form_to_coords(form_oracle.L_power(st, b, r) / factorial(r), index)
+                for b in basis], (s, r)
+            if 0 <= s <= n:
+                assert m.rank() == (len(basis) if r <= n - s else 0), (s, r)
+
+
+@pytest.mark.parametrize("name", list(LIFT_FIXTURES))
+def test_lifts_and_components_invert_each_other(name):
+    """The sum over r of lift(s, r) C_r is the identity on each degree, and
+    C_r' lift(s, r) is the identity for r' = r and 0 otherwise."""
+    st = build(*LIFT_FIXTURES[name]).structure
+    dim, n = st.dim, st.n
+    for k in range(dim + 1):
+        size, comps = len(blade_index(dim, k)[0]), st.lefschetz_components(k)
+        assert OperatorMatrix.combination(
+            [(1, st.lift(k - 2 * r, r) @ c) for r, c in comps.items()], size, size) \
+            == OperatorMatrix.identity(size), k
+        for r in comps:
+            lift = st.lift(k - 2 * r, r)
+            for r2, c in comps.items():
+                expected = OperatorMatrix.identity(lift.ncols) if r2 == r \
+                    else OperatorMatrix(c.nrows, lift.ncols, [{}] * lift.ncols)
+                assert c @ lift == expected, (k, r, r2)

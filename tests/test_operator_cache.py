@@ -2,12 +2,14 @@
 
 ``SymplecticComplex.op`` keeps d, L, Lambda and dLambda on each degree as an
 int matrix over one positive int denominator; divided by it, each must
-equal ``matrix_on_blades`` of the form route, and ``del_images`` must hold
-the blade coordinates of the projection routes ``del_plus``/``del_minus``
-on each primitive basis form.  In the ``-half`` fixtures omega^-1 has
-entries of 1/2; in N6 with d e4 = e12/2 (JSON notation) the structure
-constants do too, so the two products in dLambda_k have different
-denominators in degrees 1 and 2; N6 under omega/2 has L with denominator 2.
+equal ``matrix_on_blades`` of the form route, and the del images, the
+pieces of d in primitive coordinates (``del_matrices``) lifted to blades by
+B = ``lift(j, 0)``, must hold the blade coordinates of the projection
+routes ``del_plus``/``del_minus`` on each primitive basis form.  In the
+``-half`` fixtures omega^-1 has entries of 1/2; in N6 with d e4 = e12/2
+(JSON notation) the structure constants do too, so the two products in
+dLambda_k have different denominators in degrees 1 and 2; N6 under
+omega/2 has L with denominator 2.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from symcoh.symplectic import parse_omega
 
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
 from form_oracle import d_lambda, matrix_on_blades, prim_forms
+from primitive_oracle import del_images
 
 FIXTURES = {
     "N6": (NIL_ALGEBRA, "16+25-34"),
@@ -67,7 +70,7 @@ def test_cached_matrices_match_form_routes(name):
 def test_del_images_match_projection_routes(name):
     cx = build(name)
     for k in range(-1, cx.n + 1):
-        dp, dm = cx.del_images(k)
+        dp, dm = del_images(cx, k)
         basis = prim_forms(cx.structure, k)
         assert dp.ncols == dm.ncols == len(basis)
         for j, b in enumerate(basis):
@@ -100,4 +103,4 @@ def test_each_matrix_built_once_per_complex(name, monkeypatch):
     assert len(built) == len(set(built))
     for op in ("d", "L", "Lambda", "dLambda"):
         assert cx.op(op, 2) is cx.op(op, 2)
-    assert cx.del_images(1) is cx.del_images(1)
+    assert cx.del_matrices(1) is cx.del_matrices(1)

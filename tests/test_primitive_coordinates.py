@@ -88,7 +88,7 @@ def test_canonical_lift_equals_elimination_of_lifted_rows(name, k, data):
     """For int combinations of B_k's columns, ``_lift`` of their span in
     primitive coordinates is the ``rref`` of the lifted rows."""
     c = calc(name)
-    prim, b = c.st._primitive_data(k)
+    prim, b = c.st.primitive_subspace(k), c.st.lift(k, 0)
     entry = hst.integers(-3, 3)
     rows = data.draw(hst.lists(hst.dictionaries(hst.integers(0, prim.dim - 1), entry,
                                                 max_size=4), max_size=prim.dim + 1))

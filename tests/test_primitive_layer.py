@@ -57,7 +57,7 @@ def test_lift_inverts_prim_coords(cx):
         for j, b in enumerate(st.primitive_basis(k)):
             coords = form_oracle.prim_coords(st, b, k)
             assert coords == {j: 1}
-            assert st._primitive_data(k)[1].apply(coords) == form_to_coords(b, index)
+            assert st.lift(k, 0).apply(coords) == form_to_coords(b, index)
 
 
 def test_prim_coords_rejects_non_primitive(cx):

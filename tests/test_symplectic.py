@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 def binom(n, k):
@@ -21,7 +21,7 @@ from symcoh import (
 from symcoh.exterior import blade_indices, blades, form_to_coords
 from symcoh.identities import run_identity_suite
 from symcoh.linalg import OperatorMatrix, Subspace
-from symcoh.symplectic import _factorial, parse_omega
+from symcoh.symplectic import parse_omega
 
 import form_oracle
 from dense_oracle import det
@@ -82,7 +82,7 @@ def lefschetz_oracle(st, a, k):
     for r in range(max(k - st.n, 0), k // 2 + 1):
         s = k - 2 * r
         for p in st.primitive_basis(s):
-            cols.append(st.L_power(p, r) / _factorial(r))
+            cols.append(st.L_power(p, r) / factorial(r))
             meta.append((r, p))
     idx = {m: i for i, m in enumerate(blades(st.dim, k))}
     m = OperatorMatrix.from_columns([form_to_coords(c, idx) for c in cols],
@@ -289,13 +289,13 @@ def test_d_lambda_componentwise_shift(nil_cx):
             if b.is_zero() or s + 1 > n:
                 continue
             r = 1
-            lr = st.L_power(b, r) / _factorial(r)
+            lr = st.L_power(b, r) / factorial(r)
             db = nil_cx.algebra.d(b)
             comps = form_oracle.decompose_degree(st, db, s + 1)
             b0 = comps.get(0, Form.zero(6))
             b1 = comps.get(1, Form.zero(6))
-            expected = st.L_power(b0, r - 1) / _factorial(r - 1) \
-                - st.L_power(b1, r) * Fraction(n - r - (s - 1), _factorial(r))
+            expected = st.L_power(b0, r - 1) / factorial(r - 1) \
+                - st.L_power(b1, r) * Fraction(n - r - (s - 1), factorial(r))
             assert d_lambda(nil_cx, lr) == expected
 
 

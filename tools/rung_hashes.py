@@ -74,6 +74,9 @@ RUNGS = [
      "254c1c747828", 0),
     ("scrambled N8 ddlambda", _fixture(["check", "--suite=ddlambda"], SCRAMBLED_N8),
      "d6f989b37b7c", 1),
+    # dense Lefschetz components, star and del_plus/del_minus on the blades
+    ("scrambled N8 identities", _fixture(["check", "--suite=identities"], SCRAMBLED_N8),
+     "26599a695f76", 0),
     # the passing path of the ddLambda-lemma: the flat torus satisfies it
     ("T8 ddlambda", _fixture(["check", "--suite=ddlambda"], T8), "eec9943d29a2", 0),
 ]
@@ -107,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         if code != pinned_code:
             status += f", exit {code}, pinned {pinned_code}"
         mismatches += prefix != pinned or code != pinned_code
-        print(f"{name:<22} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
+        print(f"{name:<23} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
     return 1 if mismatches else 0
 
 
