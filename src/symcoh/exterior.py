@@ -39,8 +39,12 @@ class DimensionMismatchError(ValueError):
 
 
 class FormParseError(ValueError):
+    """The message shows a text over 80 characters only within 30 of ``pos``."""
+
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        shown = text if len(text) <= 80 else ("…" * (pos > 30) + text[max(pos - 30, 0):pos + 30]
+                                              + "…" * (pos + 30 < len(text)))
+        super().__init__(f"{message} at position {pos}: {shown!r}")
         self.text = text
         self.pos = pos
 

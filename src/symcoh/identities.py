@@ -28,7 +28,7 @@ from functools import partial
 from math import factorial
 
 from .exterior import counterexample
-from .linalg import OperatorMatrix, differing_columns
+from .linalg import OperatorMatrix, differing_columns, memo
 from .reports import CheckResult
 from .symplectic import SymplecticComplex, _size
 
@@ -43,11 +43,11 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
         return OperatorMatrix.identity(_size(dim, k))
 
     def Lp(k: int, r: int) -> OperatorMatrix:
-        """L^r from degree k, kept for the run: L^i = L_{k+2i-2} L^{i-1}."""
+        """L^r from degree k, kept for the run: L^i = L_{k+2i-2} L^{i-1}, by a
+        loop, as a recursive closure would hold the complex in a cycle."""
         for i in range(r + 1):
-            if (k, i) not in powers:
-                powers[k, i] = L(k + 2 * i - 2) @ powers[k, i - 1] if i else one(k)
-        return powers[k, r]
+            p = memo(powers, (k, i), lambda: L(k + 2 * i - 2) @ p if i else one(k))
+        return p
 
     L, Lam, d, dL = (partial(cx.op, name) for name in ("L", "Lambda", "d", "dLambda"))
     P, M, S = (lambda k: cx.del_blades(k)[0]), (lambda k: cx.del_blades(k)[1]), st.star_matrix

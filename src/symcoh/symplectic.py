@@ -22,10 +22,11 @@ builds their Forms on each read.
 
 Every Lefschetz operator goes through one map, ``lift(s, r)``: L^r/r! from
 the primitive coordinates of P^s to the degree s+2r blades, lift(s, 0)
-being the basis matrix B_s.  On degree k the Lefschetz component C_r maps
-to the primitive coordinates of P^s, s = k-2r, by the closed sl(2) formula
-(``lefschetz_components``), and each other operator sums over r a lift
-times a primitive-coordinate block times C_r:
+being the basis matrix B_s.  Side by side, the lifts into degree k are a
+basis of the degree-k forms, and the row blocks of that matrix's inverse
+are the Lefschetz components C_r, each to the primitive coordinates of
+P^s, s = k-2r (``lefschetz_components``).  Each other operator sums over
+r a lift times a primitive-coordinate block times C_r:
 
 - an eigenvalue operator such as 1/(H+2R+1), R counting the omega wedges:
   fn(r, s) lift(s, r) C_r, on blocks that do not vanish (``scale_rs``);
@@ -46,8 +47,7 @@ Lefschetz decomposition is the test suite's oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import factorial, prod
+from functools import partial, reduce
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
@@ -153,35 +153,21 @@ class SymplecticStructure:
     def lefschetz_components(self, k: int) -> dict[int, OperatorMatrix]:
         """C_r on degree k, keyed by r: a degree-k form a is the sum over r
         of L^r b_r / r! = lift(k-2r, r) C_r a, b_r primitive, and C_r a is
-        b_r in primitive coordinates.  Each C_r is checked primitive as it
-        is built; one that is 0 is left out.  Built once per degree."""
+        b_r in primitive coordinates: row block r of the inverse of the
+        lifts side by side, r from max(k-n, 0) to k/2.  No components
+        outside 0..2n.  Built once per degree."""
         return memo(self._ops, ("C", k), lambda: self._components(k))
 
     def _components(self, k: int) -> dict[int, OperatorMatrix]:
-        lam = [OperatorMatrix.identity(_size(self.dim, k))]
-        for j in range(k // 2):
-            lam.append(self.op("Lambda", k - 2 * j) @ lam[-1])
-        out = {}
-        for r in range(max(k - self.n, 0), k // 2 + 1):
-            if not (c := self._component(lam, k, r)).is_zero():
-                self.check_primitive(c, k - 2 * r, f"Lefschetz component {r} of degree {k}")
-                out[r] = self.prim_matrix(c, k - 2 * r)
-        return out
-
-    def _component(self, lam: list[OperatorMatrix], k: int, r: int) -> OperatorMatrix:
-        """C_r on degree k in blade coordinates by the closed sl(2) formula,
-        from lam[j] = Lambda^j on degree k: the sum over l of (-1)^l m^2
-        L^l Lambda^{r+l} / (m (m-1) ... (m-r) m (m+1) ... (m+l) l!), m =
-        n-k+2r+1, summed by Horner's rule, one L product per power of L."""
-        m, j = self.n - k + 2 * r + 1, k - 2 * r
-        den_r = prod(range(m - r, m + 1))
-        acc = None
-        for l in reversed(range(len(lam) - r)):
-            c = Fraction((-1) ** l * m * m, den_r * prod(range(m, m + l + 1)) * factorial(l))
-            step = [] if acc is None else [(1, self.op("L", j - 2 * l - 2) @ acc)]
-            acc = OperatorMatrix.combination(step + [(c, lam[r + l])], _size(self.dim, j - 2 * l),
-                                             lam[0].ncols)
-        return acc
+        lifts = {r: self.lift(k - 2 * r, r) for r in range(max(k - self.n, 0), k // 2 + 1)}
+        if not lifts:
+            return {}
+        # the lifts side by side are A; the inverse of A^T, the transposed
+        # lifts stacked, is (A^-1)^T, whose column block r is C_r^T
+        inv = reduce(OperatorMatrix.stack, [m.transpose() for m in lifts.values()]).invert()
+        cols = iter(inv.cols)
+        return {r: OperatorMatrix(inv.nrows, m.ncols, [next(cols) for _ in range(m.ncols)],
+                                  inv.den).transpose() for r, m in lifts.items()}
 
     def scale_rs(self, fn: RS, k: int, operand: OperatorMatrix | None = None) -> OperatorMatrix:
         """The sum of fn(r, s) lift(s, r) C_r on degree k, times ``operand``

@@ -38,11 +38,12 @@ before ``SymplecticStructure.split`` and ``prim_matrix``:
 * ``prim_op_matrix`` builds a matrix in primitive coordinates one basis
   form at a time, and ``symbol_maps`` the whole symbol sequence with it.
 
-And it keeps the form-level Lefschetz decomposition, where the engine
-builds the decomposition of each degree as matrices C_r, products of its
-L and Lambda matrices (``SymplecticStructure.lefschetz_components``):
-``decompose_degree`` applies the same closed formula to one homogeneous
-form with the engine's form-level L and Lambda, and
+And it keeps the closed sl(2) formula for the Lefschetz decomposition,
+where the engine reads the components C_r of each degree off the inverse
+of its lifts L^r/r! on P^s side by side
+(``SymplecticStructure.lefschetz_components``): ``decompose_degree``
+applies the closed formula, the sum over l of c_{r,l} L^l Lambda^{r+l}, to
+one homogeneous form with the engine's form-level L and Lambda, and
 ``lefschetz_decompose`` wraps it in ``LefschetzComponents``, which checks
 that each component is primitive and that they rebuild the form.
 ``components`` decomposes every degree of a form on each call, and

@@ -71,6 +71,18 @@ def test_a_non_decimal_digit_is_input_error(capsys, option):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, pos", [
+    pytest.param(f"--omega={'1' * 4301}*e16+e25-e34", 0, id="omega"),
+    pytest.param(f"--algebra=(0,0,0,12,14,{'1' * 4301}*15+23+24)", 13, id="algebra"),
+])
+def test_a_long_input_is_not_echoed_whole(capsys, option, pos):
+    """The error shows a window of the input around the failing position."""
+    code, out, err = run_cli(capsys, "compute", option)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and "\n" not in err[:-1] and len(err) < 200, len(err)
+    assert f"position {pos}:" in err and "…" in err
+
+
 def test_non_closed_omega_is_distinguished(capsys):
     code, _, err = run_cli(capsys, "compute", "--omega", "16+25-34+46")
     assert code == 2

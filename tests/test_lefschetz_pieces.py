@@ -1,8 +1,8 @@
 """The per-degree Lefschetz matrices against the form-level routes.
 
-``SymplecticStructure`` keeps, per degree, the Lefschetz components C_r of
-the closed sl(2) formula in primitive coordinates, and from them, through
-``lift(s, r)`` = L^r/r! on P^s, the projections Pi_{r,s} = lift(s, r) C_r
+``SymplecticStructure`` keeps, per degree, the Lefschetz components C_r in
+primitive coordinates, the inverse of the lifts ``lift(s, r)`` = L^r/r! on
+P^s side by side, and from them the projections Pi_{r,s} = lift(s, r) C_r
 and the symplectic star; ``SymplecticComplex`` keeps del_plus and del_minus
 on the blades (``del_blades``).  ``lift`` must equal L^r/r! of each
 primitive basis form and be injective up to r = n-s, and the lifts and the
@@ -129,42 +129,38 @@ def test_boundary_components_cancel_before_scaling():
 
 def count_splits_and_components(monkeypatch):
     """Record the degree of every ``SymplecticStructure.split`` call and
-    the (k, r) of every C_r built (the closed Lefschetz decomposition)."""
-    calls = {"split": [], "component": []}
-    split, component = SymplecticStructure.split, SymplecticStructure._component
+    the degree k of every build of the Lefschetz components C_r."""
+    calls = {"split": [], "components": []}
+    split, components = SymplecticStructure.split, SymplecticStructure._components
 
     def counting_split(self, d, k):
         calls["split"].append(k)
         return split(self, d, k)
 
-    def counting_component(self, lam, k, r):
-        calls["component"].append((k, r))
-        return component(self, lam, k, r)
+    def counting_components(self, k):
+        calls["components"].append(k)
+        return components(self, k)
 
     monkeypatch.setattr(SymplecticStructure, "split", counting_split)
-    monkeypatch.setattr(SymplecticStructure, "_component", counting_component)
+    monkeypatch.setattr(SymplecticStructure, "_components", counting_components)
     return calls
 
 
-def every_component(cx):
-    """Each (k, r) of the closed formula, in order."""
-    return [(k, r) for k in range(cx.dim + 1) for r in range(max(k - cx.n, 0), k // 2 + 1)]
-
-
 def test_second_identity_run_decomposes_nothing(monkeypatch):
-    """The first run splits d once in each degree 0..n and builds each C_r
-    once per (k, r); the second splits and builds nothing and adds no entry
-    to the operator caches."""
+    """The first run splits d once in each degree 0..n and builds the C_r
+    of each degree at most once, every degree 0..2n among them; the second
+    splits and builds nothing and adds no entry to the operator caches."""
     cx = build(*N8)
     calls = count_splits_and_components(monkeypatch)
     assert run_identity_suite(cx).passed
     assert sorted(calls["split"]) == list(range(cx.n + 1))
-    assert sorted(calls["component"]) == every_component(cx)
+    assert len(set(calls["components"])) == len(calls["components"]), calls["components"]
+    assert set(range(cx.dim + 1)) <= set(calls["components"]), calls["components"]
     calls["split"].clear()
-    calls["component"].clear()
+    calls["components"].clear()
     caches = (len(cx._ops), len(cx.structure._ops))
     assert run_identity_suite(cx).passed
-    assert calls == {"split": [], "component": []}
+    assert calls == {"split": [], "components": []}
     assert (len(cx._ops), len(cx.structure._ops)) == caches
 
 
@@ -181,15 +177,16 @@ def test_corrupted_star_image_is_named():
 
 def test_each_lefschetz_component_is_split_once(monkeypatch):
     """del_plus and del_minus of every blade read each component's pieces
-    off the one split of its degree: d is split once per degree, and each
-    C_r is built once per (k, r); d of a component is never decomposed."""
+    off the one split of its degree: d is split once per degree, and the
+    C_r of each degree are built once; d of a component is never
+    decomposed."""
     cx = build(*FIXTURES["N6"])
     calls = count_splits_and_components(monkeypatch)
     for mask in range(1 << cx.dim):
         cx.del_plus(Form(cx.dim, {mask: 1}))
         cx.del_minus(Form(cx.dim, {mask: 1}))
     assert sorted(calls["split"]) == list(range(cx.n + 1))
-    assert sorted(calls["component"]) == every_component(cx)
+    assert sorted(calls["components"]) == list(range(cx.dim + 1))
 
 
 def test_identity_battery_reads_the_split_of_d():
@@ -223,7 +220,8 @@ def test_piece_maps_are_freed_with_their_owners():
         gc.enable()
 
 
-MATRIX_FIXTURES = {"N6": FIXTURES["N6"], "N8": N8, "scrambled-N6": SCRAMBLED_N6}
+MATRIX_FIXTURES = {"N6": FIXTURES["N6"], "N6-prime": FIXTURES["N6-prime"], "N8": N8,
+                   "T6": FIXTURES["T6"], "scrambled-N6": SCRAMBLED_N6}
 
 
 @pytest.mark.parametrize("name", list(MATRIX_FIXTURES))

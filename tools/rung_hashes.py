@@ -79,6 +79,10 @@ RUNGS = [
      "26599a695f76", 0),
     # the passing path of the ddLambda-lemma: the flat torus satisfies it
     ("T8 ddlambda", _fixture(["check", "--suite=ddlambda"], T8), "eec9943d29a2", 0),
+    # the Lefschetz components of every degree (identities) and of degrees
+    # 0..n (hodge) on the flat torus
+    ("T8 identities", _fixture(["check", "--suite=identities"], T8), "c2261b0cb296", 0),
+    ("T8 hodge", _fixture(["check", "--suite=hodge"], T8), "b9bb5d4227c9", 0),
 ]
 
 
