@@ -38,6 +38,6 @@ print("   = degree+1 piece of e4:", cx.del_plus(Form.e(6, 4)) == e12)
 pre = wedge_chain(6, "416") - wedge_chain(6, "425")
 print("   = degree-1 piece of (e416 - e425):", cx.del_minus(pre) == e12)
 print("   in the image of the second-order composition:",
-      calc.dpdm_span(2).contains(calc.to_vec(e12, 2)))
+      calc.im("dpdm", 2).contains(calc.to_vec(e12, 2)))
 print("\nso the three exactness notions disagree here, exactly as the")
 print("degree-2 dimension jump predicts.")

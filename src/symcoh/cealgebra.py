@@ -107,7 +107,10 @@ class LieAlgebraSpec:
 # ---------------------------------------------------------------------------
 
 def _parse_structure_entry(entry: str, dim: int, text: str, offset: int) -> Form:
+    """One entry of the tuple notation, or the omega shorthand; ``offset`` is
+    where the raw entry starts in ``text``, and positions count from there."""
     s = entry.strip()
+    offset += len(entry) - len(entry.lstrip())
     if s == "0":
         return Form.zero(dim)
     coeffs: dict[int, Fraction] = {}
@@ -168,7 +171,7 @@ def parse_salamon(text: str) -> LieAlgebraSpec:
     if dim > 15:
         raise AlgebraValidationError("at most 15 generators are supported")
     diffs = []
-    offset = 1 if s.startswith("(") else 0
+    offset = len(text) - len(text.lstrip()) + s.startswith("(")
     for entry in entries:
         diffs.append(_parse_structure_entry(entry, dim, text, offset))
         offset += len(entry) + 1

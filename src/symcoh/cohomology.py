@@ -1,31 +1,30 @@
 """Exact cohomology groups of the invariant complex and structure checks.
 
-Six families are computed as exact quotients with canonical representatives,
-each reached only through ``CohomologyCalculator.group(name, k)``, which
-checks k against ``legal_degrees`` and reads the family's numerator and
-denominator off ``_spaces``:
+Each of the six families is a kernel modulo an image, reached only through
+``CohomologyCalculator.group(name, k)``.  One table (``_family``) gives each
+family's top degree, the operator of its numerator and those of its
+denominator:
 
-* ``dR``    - kernel/image of d on all invariant forms, degree 0..2n;
-* ``dL``    - same for the symplectic adjoint differential;
-* ``p+``    - primitive forms killed by the degree +1 piece of d, modulo its
-              image, degree 0..n-1;
-* ``p-``    - the degree -1 analogue, degree 0..n-1;
-* ``d+dL``  - primitive forms killed by both pieces, modulo the image of
-              their second-order composition, degree 0..n;
-* ``ddL``   - primitive forms killed by the composition, modulo the sum of
-              both first-order images, degree 0..n.
+* ``dR``   - ker d / im d on all invariant forms, degree 0..2n;
+* ``dL``   - the same for the symplectic adjoint differential;
+* ``p+``   - ker del_plus / im del_plus on primitive forms, degree 0..n-1;
+* ``p-``   - the same for del_minus, degree 0..n-1;
+* ``d+dL`` - ker del_plus ^ ker del_minus / im del_plus del_minus, 0..n;
+* ``ddL``  - ker del_plus del_minus / im del_plus + im del_minus, 0..n.
 
-del_plus and del_minus map primitive forms to primitive forms, so the four
-primitive families are quotients of subspaces of P^k, eliminated in its
-primitive coordinates (dim P^k columns, not C(2n, k)) and lifted by B_k with
-no second elimination (``_lift``).  Every intersection is a kernel: the d+dL
-numerator is the kernel of [del_plus; del_minus], and the exactness lemma
-meets each span with ker d ^ P^k, the kernel of [d; Lambda] (``linalg.meet``).
-
-The images of d and dL are eliminated on the columns outside the free set of
-the memoized kernel of the same matrix (``linalg.image`` given the kernel's
-pivots), which checks that rank and nullity add up; the primitive spans
-eliminate every column.
+Every subspace is ``ker(op, k)`` or ``im(op, k)``, op from degree k, read
+off one operator table (``_OPS``).  d and dL act on the blades, and an image
+of either is eliminated on the columns outside the free set of the memoized
+kernel of the same matrix (``linalg.image`` given its pivots), which checks
+that rank and nullity add up.  del_plus and del_minus map primitive forms to
+primitive forms, so dp, dm, their composition dpdm and the stacked "dp;dm"
+(whose kernel is ker dp ^ ker dm) act in the primitive coordinates of P^k,
+dim P^k columns, not C(2n, k); their images eliminate every column, and each
+subspace is lifted to blades by B with no second elimination (``_lift``).
+At the edge degrees the matrices are empty and so are the subspaces; only
+ddL drops im del_minus at k = n, where ``split`` would divide by 0.  The
+exactness lemma meets each primitive image with ker d ^ P^k, the kernel of
+[d; Lambda] (``linalg.meet``).
 
 Before every quotient the denominator is checked to lie inside the
 numerator; a failure indicates a broken operator, never bad input.  Every
@@ -45,9 +44,25 @@ from .exterior import Form, blade_index, form_to_coords, row_to_str
 from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, lift_canonical,
                      meet, memo, quotient)
 from .reports import CheckResult
-from .symplectic import SymplecticComplex, _size
+from .symplectic import SymplecticComplex
 
 GROUP_NAMES = ("dR", "dL", "p+", "p-", "d+dL", "ddL")
+
+
+# op: (its matrix from degree k, given the calculator, the degree step of its
+# image, and whether it acts in the primitive coordinates of P^k).  d and dL
+# act on the blades; dp, dm and dpdm (del_plus del_minus) on P^k, and "dp;dm",
+# the two pieces stacked, has a kernel only.
+_OPS = {
+    "d": (lambda c, k: c.cx.op("d", k), 1, False),
+    "dL": (lambda c, k: c.cx.op("dLambda", k), -1, False),
+    "dp": (lambda c, k: c.cx.del_matrices(k)[0], 1, True),
+    "dm": (lambda c, k: c.cx.del_matrices(k)[1], -1, True),
+    # ker and im of the composition both read it: built once
+    "dpdm": (lambda c, k: memo(c._ops, ("dpdm", k), lambda: (
+        c.cx.del_matrices(k - 1)[0] @ c.cx.del_matrices(k)[1])), 0, True),
+    "dp;dm": (lambda c, k: OperatorMatrix.stack(*c.cx.del_matrices(k)), None, True),
+}
 
 
 class DegreeRangeError(ValueError):
@@ -81,76 +96,62 @@ class CohomologyCalculator:
         self.st = cx.structure
         self.dim = cx.dim
         self.n = cx.n
-        self._del = cx.del_matrices  # (del_plus, del_minus) from P^k, primitive coordinates
         self._ops: dict = {}
 
     def to_vec(self, f: Form, k: int) -> dict:
         return form_to_coords(f, blade_index(self.dim, k)[1])
 
-    # -- full-complex subspaces ----------------------------------------------
-
-    def ker_d(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_d", k), lambda: kernel(self.cx.op("d", k)))
-
-    def im_d(self, k: int) -> Subspace:
-        """Image of d inside degree k, from the columns of d_(k-1) outside
-        ker_d(k - 1)'s free set."""
-        if k == 0:
-            return Subspace.zero(_size(self.dim, 0))
-        return memo(self._ops, ("im_d", k),
-                    lambda: image(self.cx.op("d", k - 1), self.ker_d(k - 1).pivots))
-
-    def ker_dl(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dl", k), lambda: kernel(self.cx.op("dLambda", k)))
-
-    def im_dl(self, k: int) -> Subspace:
-        if k == 2 * self.n:
-            return Subspace.zero(_size(self.dim, k))
-        return memo(self._ops, ("im_dl", k),
-                    lambda: image(self.cx.op("dLambda", k + 1), self.ker_dl(k + 1).pivots))
-
-    # -- primitive operator spaces -------------------------------------------
-    # Each is eliminated in the primitive coordinates of P^k, on ``_del``'s
-    # pieces, and lifted to blades by ``_lift``.
+    # -- kernels and images ----------------------------------------------------
 
     def _lift(self, sub: Subspace, k: int) -> Subspace:
         """sub, in the primitive coordinates of P^k, lifted to degree-k blades
         by B_k, whose column i is row i of P^k over its pivot entry."""
         return lift_canonical(self.st.primitive_subspace(k), self.st.lift(k, 0), sub)
 
-    def _dpdm(self, k: int) -> OperatorMatrix:
-        """del_plus del_minus on P^k in primitive coordinates."""
-        return memo(self._ops, ("dpdm", k), lambda: self._del(k - 1)[0] @ self._del(k)[1])
+    def ker(self, op: str, k: int) -> Subspace:
+        """The kernel of ``op`` on degree k, over the degree-k blades."""
+        matrix, _, primitive = _OPS[op]
 
-    def dp_span(self, k: int) -> Subspace:
-        """Image of the degree +1 piece on primitive degree-k forms; 0 for
-        k = -1, as P^-1 = 0."""
-        return memo(self._ops, ("dp_span", k), lambda: self._lift(image(self._del(k)[0]), k + 1))
+        def build():
+            sub = kernel(matrix(self, k))
+            return self._lift(sub, k) if primitive else sub
+        return memo(self._ops, ("ker", op, k), build)
 
-    def dm_span(self, k: int) -> Subspace:
-        """Image of the degree -1 piece on primitive degree-k forms."""
-        return memo(self._ops, ("dm_span", k), lambda: self._lift(image(self._del(k)[1]), k - 1))
+    def im(self, op: str, k: int) -> Subspace:
+        """The image of ``op`` from degree k, over the blades of the degree it
+        maps to; the zero space where there are no degree-k forms.  d and dL
+        eliminate only the columns outside the free set of ``ker(op, k)``."""
+        matrix, step, primitive = _OPS[op]
+        if step is None:
+            raise ValueError(f"{op} has no image in one degree")
 
-    def dpdm_span(self, k: int) -> Subspace:
-        return memo(self._ops, ("dpdm_span", k), lambda: self._lift(image(self._dpdm(k)), k))
-
-    def ker_dp(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dp", k), lambda: self._lift(kernel(self._del(k)[0]), k))
-
-    def ker_dm(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dm", k), lambda: self._lift(kernel(self._del(k)[1]), k))
-
-    def ker_dpdm(self, k: int) -> Subspace:
-        return memo(self._ops, ("ker_dpdm", k), lambda: self._lift(kernel(self._dpdm(k)), k))
+        def build():
+            if primitive:
+                return self._lift(image(matrix(self, k)), k + step)
+            return image(matrix(self, k), self.ker(op, k).pivots)
+        return memo(self._ops, ("im", op, k), build)
 
     # -- groups ----------------------------------------------------------------
 
-    def legal_degrees(self, name: str) -> range:
-        top = {"dR": 2 * self.n, "dL": 2 * self.n, "p+": self.n - 1, "p-": self.n - 1,
-               "d+dL": self.n, "ddL": self.n}
-        if name not in top:
+    def _family(self, name: str, k: int) -> tuple[int, str, list[tuple[str, int]]]:
+        """The family ``name`` in degree k: its top degree, the operator whose
+        kernel is its numerator and the (operator, source degree) pairs whose
+        images span its denominator."""
+        n = self.n
+        table = {"dR": (2 * n, "d", [("d", k - 1)]),
+                 "dL": (2 * n, "dL", [("dL", k + 1)]),
+                 "p+": (n - 1, "dp", [("dp", k - 1)]),
+                 "p-": (n - 1, "dm", [("dm", k + 1)]),
+                 # ker dp ^ ker dm is the kernel of [dp; dm]
+                 "d+dL": (n, "dp;dm", [("dpdm", k)]),
+                 # P^(n+1) = 0, and ``split`` divides by n-k+1 there
+                 "ddL": (n, "dpdm", [("dp", k - 1), *([("dm", k + 1)] if k < n else [])])}
+        if name not in table:
             raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
-        return range(0, top[name] + 1)
+        return table[name]
+
+    def legal_degrees(self, name: str) -> range:
+        return range(0, self._family(name, 0)[0] + 1)
 
     def group(self, name: str, k: int) -> CohomologyGroup:
         """The group ``name`` in degree k, built once."""
@@ -164,21 +165,10 @@ class CohomologyCalculator:
 
     def _spaces(self, name: str, k: int) -> tuple[Subspace, Subspace]:
         """The numerator and denominator of the group ``name`` in degree k."""
-        if name == "dR":
-            return self.ker_d(k), self.im_d(k)
-        if name == "dL":
-            return self.ker_dl(k), self.im_dl(k)
-        if name == "p+":
-            return self.ker_dp(k), self.dp_span(k - 1)
-        if name == "p-":
-            return self.ker_dm(k), self.dm_span(k + 1)
-        if name == "d+dL":
-            # ker P ^ ker M is the kernel of [P; M]
-            return (self._lift(kernel(OperatorMatrix.stack(*self._del(k))), k),
-                    self.dpdm_span(k))
-        # ddL: over the sum of both first-order images, P^(n+1) = 0
-        rows = [*self.dp_span(k - 1).ints, *(self.dm_span(k + 1).ints if k < self.n else [])]
-        return self.ker_dpdm(k), Subspace(_size(self.dim, k), rows)
+        _, op, sources = self._family(name, k)
+        images = [self.im(o, j) for o, j in sources]
+        return self.ker(op, k), (images[0] if len(images) == 1 else
+                                 Subspace(images[0].ambient, [r for s in images for r in s.ints]))
 
     # -- class arithmetic -------------------------------------------------------
 
@@ -249,11 +239,11 @@ class CohomologyCalculator:
         del_plus, del_minus (k < n) and del_plus del_minus (k > 0): each span
         met with ker d ^ P^k, the kernel of [d; Lambda]."""
         closed = self.cx.op("d", k).stack(self.cx.op("Lambda", k))
-        spans = [("plus-exact", self.dp_span(k - 1))]
+        spans = [("plus-exact", self.im("dp", k - 1))]
         if k < self.n:
-            spans.append(("minus-exact", self.dm_span(k + 1)))
+            spans.append(("minus-exact", self.im("dm", k + 1)))
         if k > 0:
-            spans.append(("composite-exact", self.dpdm_span(k)))
+            spans.append(("composite-exact", self.im("dpdm", k)))
         return [(label, meet(span, closed)) for label, span in spans]
 
     def check_ddlambda_lemma(self) -> CheckResult:

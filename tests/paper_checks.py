@@ -45,13 +45,13 @@ def is_abelian(algebra: LieAlgebraSpec) -> bool:
 def de_rham_primitive_part(calc: CohomologyCalculator, k: int) -> CohomologyGroup:
     """(ker d ^ P^k) / (im d ^ P^k), P^k = ker Lambda."""
     return calc._finish("dR^P", k, meet(calc.st.primitive_subspace(k), calc.cx.op("d", k)),
-                        meet(calc.im_d(k), calc.cx.op("Lambda", k)))
+                        meet(calc.im("d", k - 1), calc.cx.op("Lambda", k)))
 
 
 def dlambda_primitive_part(calc: CohomologyCalculator, k: int) -> CohomologyGroup:
     """(ker dL ^ P^k) / (im dL ^ P^k)."""
     return calc._finish("dL^P", k, meet(calc.st.primitive_subspace(k), calc.cx.op("dLambda", k)),
-                        meet(calc.im_dl(k), calc.cx.op("Lambda", k)))
+                        meet(calc.im("dL", k + 1), calc.cx.op("Lambda", k)))
 
 
 # -- class arithmetic ----------------------------------------------------------

@@ -71,8 +71,8 @@ def test_criterion_03_strict_inequality_witnesses(nil_calc):
     gm = nil_calc.group("p-", 2)
     coords = nil_calc.class_coordinates(gm, e24)
     assert coords
-    assert nil_calc.im_dl(2).contains(nil_calc.to_vec(e24, 2))
-    assert not nil_calc.dm_span(3).contains(nil_calc.to_vec(e24, 2))
+    assert nil_calc.im("dL", 3).contains(nil_calc.to_vec(e24, 2))
+    assert not nil_calc.im("dm", 3).contains(nil_calc.to_vec(e24, 2))
     print("ACCEPTANCE 3 PASS: both strict-inequality witnesses pin the "
           "extra classes (e35 - e45 and e24)")
 
@@ -83,7 +83,7 @@ def test_criterion_04_exactness_lemma_witness(nil_calc, nil_cx, torus_calc):
     assert nil_cx.structure.is_primitive(e12)
     assert nil_cx.del_plus(Form.e(6, 4)) == e12
     assert nil_cx.del_minus(wedge_chain(6, "416") - wedge_chain(6, "425")) == e12
-    assert not nil_calc.dpdm_span(2).contains(nil_calc.to_vec(e12, 2))
+    assert not nil_calc.im("dpdm", 2).contains(nil_calc.to_vec(e12, 2))
     assert not nil_calc.check_ddlambda_lemma().passed
     assert torus_calc.check_ddlambda_lemma().passed
     print("ACCEPTANCE 4 PASS: e12 witnesses the lemma failure; the torus "

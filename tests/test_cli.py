@@ -95,6 +95,26 @@ def test_parse_error_has_position(capsys):
     assert "position" in err
 
 
+TERM = "expected a two-index term like '12' at position"
+
+
+@pytest.mark.parametrize("option, message", [
+    pytest.param("--algebra=(0,0,0,1x)", f"bad algebra: {TERM} 7: '(0,0,0,1x)'", id="tuple"),
+    pytest.param("--algebra=   (0,0,0,1x)", f"bad algebra: {TERM} 10: '   (0,0,0,1x)'",
+                 id="padded-tuple"),
+    pytest.param("--algebra=(0,0,0,  1x)", f"bad algebra: {TERM} 9: '(0,0,0,  1x)'",
+                 id="padded-entry"),
+    pytest.param("--omega=16+2x5", f"bad omega: {TERM} 3: '16+2x5'", id="shorthand"),
+    pytest.param("--omega=  16+2x5", f"bad omega: {TERM} 5: '  16+2x5'",
+                 id="padded-shorthand"),
+])
+def test_parse_positions_count_from_the_raw_text(capsys, option, message):
+    """Blanks before the tuple, before an entry or before the omega
+    shorthand count toward the position of the bad term."""
+    code, out, err = run_cli(capsys, "compute", option)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bad_algebra_is_input_error(capsys):
     code, _, err = run_cli(capsys, "compute", "--algebra", "(0,0,12)")
     assert code == 2

@@ -189,6 +189,22 @@ def test_degree_range_errors(nil_calc):
         assert type(info.value) is ValueError and str(info.value) == unknown
 
 
+def test_images_from_the_edge_degrees_are_zero(nil_calc, torus_calc):
+    """On N6 and T6, the image of d from degree -1, of dL from degree 2n+1
+    and of dp from degree -1 is read off an empty matrix: the zero subspace
+    of the one-blade degree 0 or 2n forms, and the denominator of its group
+    there.  The stacked pieces, whose images lie in two degrees, have none."""
+    for calc in (nil_calc, torus_calc):
+        top = 2 * calc.n
+        for op, k, name, degree in (("d", -1, "dR", 0), ("dL", top + 1, "dL", top),
+                                    ("dp", -1, "p+", 0)):
+            sub = calc.im(op, k)
+            assert sub == Subspace.zero(1), (op, k)
+            assert calc.group(name, degree).denominator is sub, (op, k)
+        with pytest.raises(ValueError, match="dp;dm has no image in one degree"):
+            calc.im("dp;dm", 1)
+
+
 # -- low degree equivalences ----------------------------------------------------------
 
 def test_low_degree_equivalence(nil_calc, nil_calc_prime, torus_calc):
@@ -208,7 +224,7 @@ def test_low_degree_equivalence_names_a_witness(nil_cx, numerator, detail):
     cache, differs from ker d; the detail names a basis row of one space
     that the other does not contain."""
     calc = CohomologyCalculator(nil_cx)
-    calc._ops[("ker_dp", 1)] = Subspace(6, numerator)
+    calc._ops[("ker", "dp", 1)] = Subspace(6, numerator)
     result = check_low_degree_equivalence(calc)
     assert not result.passed
     assert result.details == [f"p+/dR numerator k=1: subspaces differ {detail}"]
@@ -229,7 +245,7 @@ def test_one_step_kernel_contains_first_generator(nil_calc):
     coords = nil_calc.class_coordinates(g1, e1)
     assert coords
     image = nil_calc.cx.omega.wedge(e1)
-    assert nil_calc.im_d(3).contains(nil_calc.to_vec(image, 3))
+    assert nil_calc.im("d", 2).contains(nil_calc.to_vec(image, 3))
     ker = nil_calc.diagnostic_one_step_kernel()
     assert ker.dim == 1
     # kernel vector is the e1 class direction
@@ -258,10 +274,10 @@ def test_lemma_fails_on_nilmanifold_with_witness(nil_calc, nil_cx):
     # exact for both first-order pieces
     assert nil_cx.del_plus(Form.e(6, 4)) == e12
     assert nil_cx.del_minus(wedge_chain(6, "416") - wedge_chain(6, "425")) == e12
-    assert nil_calc.dp_span(1).contains(vec)
-    assert nil_calc.dm_span(3).contains(vec)
+    assert nil_calc.im("dp", 1).contains(vec)
+    assert nil_calc.im("dm", 3).contains(vec)
     # but not exact for the second-order composition
-    assert not nil_calc.dpdm_span(2).contains(vec)
+    assert not nil_calc.im("dpdm", 2).contains(vec)
 
 
 def test_lemma_holds_on_torus(torus_calc):
@@ -310,14 +326,14 @@ def test_intersection_witnesses(nil_calc, nil_cx):
     # the extra class on the + side is a form that is not closed
     extra = parse_form("e35 - e45", 6)
     assert not nil_cx.algebra.d(extra).is_zero()
-    assert nil_calc.ker_dp(2).contains(nil_calc.to_vec(extra, 2))
+    assert nil_calc.ker("dp", 2).contains(nil_calc.to_vec(extra, 2))
     g = nil_calc.group("p+", 2)
     coords = nil_calc.class_coordinates(g, extra)
     assert coords
     # the extra class on the - side is the image observed only at full-space level
     e24 = Form.e(6, 2, 4)
-    assert nil_calc.im_dl(2).contains(nil_calc.to_vec(e24, 2))
-    assert not nil_calc.dm_span(3).contains(nil_calc.to_vec(e24, 2))
+    assert nil_calc.im("dL", 3).contains(nil_calc.to_vec(e24, 2))
+    assert not nil_calc.im("dm", 3).contains(nil_calc.to_vec(e24, 2))
     gm = nil_calc.group("p-", 2)
     coords = nil_calc.class_coordinates(gm, e24)
     assert coords
@@ -349,7 +365,7 @@ def test_intersection_bounds_names_the_failing_degree(nil_cx, numerator, failure
     cache, makes dim p+(1) differ from dim p-(1); the other degrees keep
     their one summary line each."""
     calc = CohomologyCalculator(nil_cx)
-    calc._ops[("ker_dp", 1)] = Subspace(6, numerator)
+    calc._ops[("ker", "dp", 1)] = Subspace(6, numerator)
     result = check_intersection_bounds(calc)
     assert not result.passed
     assert result.details == ["k=0: p+=1 p-=1 dR^P=1 dL^P=1", *failures,

@@ -67,12 +67,12 @@ def test_meet_edge_cases():
 def test_exactness_conditions_equal_the_zassenhaus_route(name):
     c = calc(name)
     for k in range(c.n + 1):
-        closed = subspace_intersect(c.ker_d(k), c.st.primitive_subspace(k))
-        spans = [("plus-exact", c.dp_span(k - 1))]
+        closed = subspace_intersect(c.ker("d", k), c.st.primitive_subspace(k))
+        spans = [("plus-exact", c.im("dp", k - 1))]
         if k < c.n:
-            spans.append(("minus-exact", c.dm_span(k + 1)))
+            spans.append(("minus-exact", c.im("dm", k + 1)))
         if k > 0:
-            spans.append(("composite-exact", c.dpdm_span(k)))
+            spans.append(("composite-exact", c.im("dpdm", k)))
         got = c.exactness_conditions(k)
         assert [label for label, _ in got] == [label for label, _ in spans]
         for (label, sub), (_, span) in zip(got, spans):
@@ -84,8 +84,8 @@ def test_primitive_parts_equal_the_zassenhaus_route(name):
     c = calc(name)
     for k in range(2 * c.n + 1):
         prim = c.st.primitive_subspace(k)
-        for g, ker, im in ((de_rham_primitive_part(c, k), c.ker_d(k), c.im_d(k)),
-                           (dlambda_primitive_part(c, k), c.ker_dl(k), c.im_dl(k))):
+        for g, ker, im in ((de_rham_primitive_part(c, k), c.ker("d", k), c.im("d", k - 1)),
+                           (dlambda_primitive_part(c, k), c.ker("dL", k), c.im("dL", k + 1))):
             num, den = subspace_intersect(ker, prim), subspace_intersect(im, prim)
             assert same(g.numerator, num), (g.name, k)
             assert same(g.denominator, den), (g.name, k)

@@ -53,12 +53,13 @@ def same(a: Subspace, b: Subspace) -> bool:
 def test_subspaces_equal_the_blade_routes(name):
     c = calc(name)
     for k in range(c.n + 1):
-        for method in ("ker_dp", "ker_dm", "ker_dpdm", "dpdm_span"):
-            assert same(getattr(c, method)(k), getattr(oracle, method)(c, k)), (method, k)
+        for op in ("dp", "dm", "dpdm"):
+            assert same(c.ker(op, k), getattr(oracle, f"ker_{op}")(c, k)), ("ker", op, k)
+        assert same(c.im("dpdm", k), oracle.dpdm_span(c, k)), ("im", "dpdm", k)
         if k < c.n:
-            assert same(c.dp_span(k), oracle.dp_span(c, k)), ("dp_span", k)
+            assert same(c.im("dp", k), oracle.dp_span(c, k)), ("im", "dp", k)
         if k >= 1:
-            assert same(c.dm_span(k), oracle.dm_span(c, k)), ("dm_span", k)
+            assert same(c.im("dm", k), oracle.dm_span(c, k)), ("im", "dm", k)
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))

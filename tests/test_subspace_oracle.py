@@ -259,11 +259,9 @@ def real_calc(name: str) -> CohomologyCalculator:
 def test_d_and_dlambda_kernels_and_images_match_the_oracle(name):
     c = real_calc(name)
     for k in range(c.dim + 1):
-        assert same(c.ker_d(k), oracle.kernel(c.cx.op("d", k))), ("ker_d", k)
-        assert same(c.ker_dl(k), oracle.kernel(c.cx.op("dLambda", k))), ("ker_dl", k)
-        if k > 0:
-            d = c.cx.op("d", k - 1)
-            assert same(c.im_d(k), Subspace(d.nrows, d.cols)), ("im_d", k)
-        if k < c.dim:
-            dl = c.cx.op("dLambda", k + 1)
-            assert same(c.im_dl(k), Subspace(dl.nrows, dl.cols)), ("im_dl", k)
+        assert same(c.ker("d", k), oracle.kernel(c.cx.op("d", k))), ("ker", "d", k)
+        assert same(c.ker("dL", k), oracle.kernel(c.cx.op("dLambda", k))), ("ker", "dL", k)
+        d = c.cx.op("d", k - 1)
+        assert same(c.im("d", k - 1), Subspace(d.nrows, d.cols)), ("im", "d", k - 1)
+        dl = c.cx.op("dLambda", k + 1)
+        assert same(c.im("dL", k + 1), Subspace(dl.nrows, dl.cols)), ("im", "dL", k + 1)
