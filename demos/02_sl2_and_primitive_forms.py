@@ -12,11 +12,13 @@ st = SymplecticStructure(parse_form("e16 + e25 - e34", 6))
 
 print("commutator check on a sample form:")
 a = parse_form("e13 + 2*e145 - e2", 6)
-lhs = st.Lambda(st.L(a)) - st.L(st.Lambda(a))
-print("  [Lambda, L] a == H a :", lhs == st.H(a))
+lhs = st.apply("Lambda", st.apply("L", a)) - st.apply("L", st.apply("Lambda", a))
+# H weighs the degree-k part by n-k
+h_a = sum((a.grade(k) * (st.n - k) for k in a.degrees()), Form.zero(6))
+print("  [Lambda, L] a == H a :", lhs == h_a)
 
 print("\ncontracting omega itself returns the half-dimension:")
-print("  Lambda(omega) =", st.Lambda(st.omega))
+print("  Lambda(omega) =", st.apply("Lambda", st.omega))
 
 print("\nLefschetz decomposition of a 3-form, one projection matrix per component:")
 f = parse_form("e125 + e236", 6)
@@ -28,7 +30,7 @@ parts = {(r, 3 - 2 * r): form_from_coords(
 for (r, s), part in parts.items():
     print(f"  omega^{r}/{r}! ^ (primitive {s}-form): {part}")
 print("  the parts sum to the form:", sum(parts.values(), Form.zero(6)) == f)
-print("  the omega^0 part is primitive:", st.is_primitive(parts[0, 3]))
+print("  the omega^0 part is primitive:", st.apply("Lambda", parts[0, 3]).is_zero())
 
 print("\nprimitive basis sizes match the binomial difference:")
 for k in range(4):

@@ -32,11 +32,11 @@ cx = SymplecticComplex(algebra, omega)
 calc = CohomologyCalculator(cx)
 e12 = Form.e(6, 1, 2)
 print("\nthe witness two-form e12 on the first structure:")
-print("   d-closed:", cx.algebra.d(e12).is_zero(),
-      " primitive:", cx.structure.is_primitive(e12))
-print("   = degree+1 piece of e4:", cx.del_plus(Form.e(6, 4)) == e12)
+print("   d-closed:", cx.apply("d", e12).is_zero(),
+      " primitive:", cx.apply("Lambda", e12).is_zero())
+print("   = degree+1 piece of e4:", cx.apply("del_plus", Form.e(6, 4)) == e12)
 pre = wedge_chain(6, "416") - wedge_chain(6, "425")
-print("   = degree-1 piece of (e416 - e425):", cx.del_minus(pre) == e12)
+print("   = degree-1 piece of (e416 - e425):", cx.apply("del_minus", pre) == e12)
 print("   in the image of the second-order composition:",
       calc.im("dpdm", 2).contains(calc.to_vec(e12, 2)))
 print("\nso the three exactness notions disagree here, exactly as the")

@@ -22,8 +22,8 @@ ht = HodgeTheory(cx)
 calc = CohomologyCalculator(cx)
 
 print("splitting operator on sample forms (exact, over the rationals):")
-print("  on 1:", ht.triple.jay(Form.scalar(6, 1)))
-print("  on omega:", ht.triple.jay(omega) == omega)
+print("  on 1:", ht.triple.apply("jay", Form.scalar(6, 1)))
+print("  on omega:", ht.triple.apply("jay", omega) == omega)
 
 print("\nharmonic dimensions equal quotient dimensions:")
 for k in range(3):

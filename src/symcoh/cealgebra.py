@@ -1,13 +1,16 @@
 """Nilpotent Lie (co)algebra layer.
 
 A ``LieAlgebraSpec`` records, for each generator ``e_i`` of a 2n-dimensional
-dual space, its exterior derivative as a 2-form.  ``d`` extends to the whole
-exterior algebra as an anti-derivation: d_k, from the degree-k blades, is an
-int matrix built once from the structure constants (``d_matrix``).
-Construction validates that d is a differential (d_2 d_1 = 0, d o d = 0 on
-every generator, i.e. the Jacobi identity) and that the algebra is
-unimodular (d_{2n-1}, into the top degree, is 0), so that top-coefficient
-extraction behaves like integration over a compact quotient.
+dual space, its exterior derivative as a 2-form.  d extends to the whole
+exterior algebra as an anti-derivation, the one row of the algebra's
+operator table (``exterior.BladeOperators``): d_k, from the degree-k blades,
+is an int matrix built once from the structure constants (``op("d", k)``),
+and ``apply("d", form)`` applies it to a Form.  Construction validates that
+d is a differential (d_2 d_1 = 0, d o d = 0 on every generator, i.e. the
+Jacobi identity, a failing column printed by ``exterior.row_to_str``) and
+that the algebra is unimodular (d_{2n-1}, into the top degree, is 0), so
+that top-coefficient extraction behaves like integration over a compact
+quotient.
 
 Nilpotency itself is deliberately not checked: the engine is correct for any
 unimodular Lie algebra.
@@ -28,26 +31,31 @@ import re
 from fractions import Fraction
 
 from .exterior import (
+    BladeOperators,
     Form,
     FormParseError,
-    _by_degree,
     _CHAR_TO_INDEX,
     _decimal,
     blade_from_indices,
     blade_index,
     blade_operator,
+    row_to_str,
 )
-from .linalg import OperatorMatrix, memo
 
 
 class AlgebraValidationError(ValueError):
     """The structure constants do not define a unimodular differential."""
 
 
-class LieAlgebraSpec:
-    """Dimension 2n plus the differential of each generator as a 2-form."""
+class LieAlgebraSpec(BladeOperators):
+    """Dimension 2n plus the differential of each generator as a 2-form.
+
+    Its one operator is d: d e_I is the sum over its factors e_i of d(e_i)
+    ^ (e_I with e_i contracted), one term for each term of each d(e_i)."""
 
     __slots__ = ("dim", "differentials", "_ops")
+    OPS = {"d": (lambda a, k: k + 1, lambda a, k: blade_operator(a.dim, k, k + 1, [
+        (1 << i, m, c) for i, f in enumerate(a.differentials) for m, c in f.items()]))}
 
     def __init__(self, differentials: list[Form]):
         dim = len(differentials)
@@ -68,30 +76,18 @@ class LieAlgebraSpec:
         raise AttributeError("LieAlgebraSpec is immutable")
 
     def _validate(self):
-        for i, col in enumerate((self.d_matrix(2) @ self.d_matrix(1)).cols):
+        dd = self.op("d", 2) @ self.op("d", 1)
+        for i, col in enumerate(dd.cols):
             if col:
                 raise AlgebraValidationError(
-                    f"d(d(e_{i + 1})) = {self.d(self.differentials[i])} != 0: "
+                    f"d(d(e_{i + 1})) = {row_to_str(self.dim, 3, col, dd.den)} != 0: "
                     "structure constants violate the Jacobi identity")
         for beta, col in zip(blade_index(self.dim, self.dim - 1)[0],
-                             self.d_matrix(self.dim - 1).cols):
+                             self.op("d", self.dim - 1).cols):
             if col:
                 raise AlgebraValidationError(
                     "algebra is not unimodular: d of a codimension-one form has "
                     f"a top-degree part ({Form(self.dim, {beta: 1})})")
-
-    # -- the differential ----------------------------------------------
-
-    def d_matrix(self, k: int) -> OperatorMatrix:
-        """d from the degree-k blades, built once: d e_I is the sum over its
-        factors e_i of d(e_i) ^ (e_I with e_i contracted), one term for each
-        term of each d(e_i)."""
-        return memo(self._ops, k, lambda: blade_operator(self.dim, k, k + 1, [
-            (1 << i, m, c) for i, f in enumerate(self.differentials) for m, c in f.items()]))
-
-    def d(self, a: Form) -> Form:
-        """Exterior derivative, extended as an anti-derivation."""
-        return _by_degree(a, self.dim, self.d_matrix, lambda k: k + 1)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebraSpec):

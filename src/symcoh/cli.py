@@ -224,9 +224,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if not cfg.degrees:
                 raise InputError("--degrees names no degree")
     else:
-        if args.suite is None:
-            raise InputError("check requires --suite")
-        cfg.suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+        # no --suite is an empty list, which cmd_check refuses
+        cfg.suites = [s.strip() for s in (args.suite or "").split(",") if s.strip()]
         for s in cfg.suites:
             if s not in SUITES:
                 raise InputError(f"unknown suite {s!r}; expected one of {', '.join(SUITES)}")

@@ -16,6 +16,11 @@ bare coefficient; a coefficient of +-1 on a blade is elided.  One renderer,
 ``row_to_str``, prints a degree-k int row over the ``blade_index`` basis and
 a positive int denominator; ``form_to_str`` prints each degree of a Form
 through it.  ``parse_form`` inverts ``form_to_str`` exactly.
+
+Operators on the blades are built by ``blade_operator`` and ``compound``,
+one matrix per degree, and owned by the subclasses of ``BladeOperators``:
+one table per owner, one ``op(name, k)`` and one Form adapter,
+``apply(name, form)``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Iterable
 
-from .linalg import OperatorMatrix, differing_columns
+from .linalg import OperatorMatrix, differing_columns, memo
 
 MAX_DIM = 15
 
@@ -352,18 +357,48 @@ def compound(a: OperatorMatrix, k: int, lower: OperatorMatrix | None) -> Operato
                           den // g)
 
 
-def _by_degree(a: Form, dim: int, matrix: Callable[[int], OperatorMatrix],
-              to: Callable[[int], int]) -> Form:
-    """The form whose degree to(k) part is matrix(k) applied to the degree-k
-    part of a, in blade coordinates."""
-    if a.dim != dim:
-        raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {dim}")
-    c = {}
-    for k in a.degrees():
-        order = blade_index(dim, to(k))[0]
-        col = matrix(k).apply(form_to_coords(a.grade(k), blade_index(dim, k)[1]))
-        c.update((order[i], v) for i, v in col.items())
-    return Form(dim, c)
+class BladeOperators:
+    """An owner of operators on the blades, one matrix per degree.
+
+    ``OPS`` is the owner's one table: each row, name -> (to, build), gives
+    the degree to(owner, k) that the operator sends degree k to, and its
+    builder, build(owner, k), the matrix from the degree-k blades to the
+    degree-to(k) blades.  ``op`` builds each matrix once, by ``linalg.memo``
+    into the owner's one cache, ``_ops``, under (name, k); ``apply`` is every
+    operator's one Form adapter.  A name outside ``OPS`` is a row of one of
+    the owners named by ``PARTS``, which builds and keeps its own matrix."""
+
+    __slots__ = ()
+    OPS: dict[str, tuple[Callable[..., int], Callable[..., OperatorMatrix]]] = {}
+    PARTS: tuple[str, ...] = ()
+
+    def _row(self, name: str):
+        """The owner of the row ``name``, this one or a part, and the row."""
+        if name in self.OPS:
+            return self, self.OPS[name]
+        for part in self.PARTS:
+            if name in (owner := getattr(self, part)).OPS:
+                return owner, owner.OPS[name]
+        raise KeyError(f"unknown operator {name!r}")
+
+    def op(self, name: str, k: int) -> OperatorMatrix:
+        """The operator ``name`` from the degree-k blades, built once by its
+        owner."""
+        owner, (_, build) = self._row(name)
+        return memo(owner._ops, (name, k), lambda: build(owner, k))
+
+    def apply(self, name: str, a: Form) -> Form:
+        """The form whose degree to(k) part is op(name, k) applied to the
+        degree-k part of a, in blade coordinates."""
+        if a.dim != self.dim:
+            raise DimensionMismatchError(f"ambient dimensions differ: {a.dim} vs {self.dim}")
+        owner, (to, _) = self._row(name)
+        c = {}
+        for k in a.degrees():
+            order = blade_index(self.dim, to(owner, k))[0]
+            col = owner.op(name, k).apply(form_to_coords(a.grade(k), blade_index(self.dim, k)[1]))
+            c.update((order[i], v) for i, v in col.items())
+        return Form(self.dim, c)
 
 
 def grade_project(a: Form, k: int) -> Form:

@@ -7,11 +7,13 @@ positive definite by its leading minors, read off one fraction-free pass
 over g's int columns (``linalg.leading_minors``).  On each degree the
 splitting operator, i^(p-q) on the (p, q) component, is a compound of J^T,
 and the Gram matrix of the blades for the metric g induces is a compound of
-g^-1 = T T^T (Cauchy-Binet, ``exterior.compound``); the triple builds both
-once per degree (``op``).  The test suite's oracle reads the Gram matrix by
+g^-1 = T T^T (Cauchy-Binet, ``exterior.compound``): the two rows, "jay"
+and "gram", of the triple's operator table (``exterior.BladeOperators``),
+each built once per degree, read by ``op(name, k)`` and applied to a Form
+by ``apply(name, form)``.  The test suite's oracle reads the Gram matrix by
 the star route, integrating a ^ *a' against the Liouville volume.
 
-``HodgeTheory`` reads the blade Gram matrices off its triple's ``op`` and
+``HodgeTheory`` reads the blade Gram matrices off its triple's table and
 works on int matrices over the primitive bases, each built once per degree
 by ``linalg.memo`` into its one cache, ``_ops``: the primitive Gram
 B^T G_k B, B = ``lift(k, 0)``, and its inverse, the pieces of d and their
@@ -21,18 +23,18 @@ decomposition with basis matrices A and B are orthogonal iff A^T (G B) = 0.
 The pairing matrix lifts the p+ classes, in primitive coordinates, by
 ``lift(k, n-k)`` = L^{n-k}/(n-k)! and reads each top coefficient against
 the p- rows through the signed permutation ``top_dual``.  The
-splitting-conjugation check compares matrix identities multiplied through
-by blade Gram matrices, so it inverts none.
+splitting-conjugation check reads del_plus and del_minus on the blades off
+the complex's table and compares matrix identities multiplied through by
+blade Gram matrices, so it inverts none.
 A failing check names its witness forms, printed by ``exterior.row_to_str``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .cohomology import CohomologyCalculator
-from .exterior import (Form, _by_degree, blade_index, compound, counterexample, row_to_str,
+from .exterior import (BladeOperators, blade_index, compound, counterexample, row_to_str,
                        wedge_sign)
 from .linalg import (OperatorMatrix, Subspace, differing_row, image, kernel, leading_minors,
                      memo, vec_dot)
@@ -82,12 +84,21 @@ def darboux_basis(structure: SymplecticStructure,
     return pairs
 
 
-class CompatibleTriple:
-    """omega together with an exact compatible complex structure and metric."""
+class CompatibleTriple(BladeOperators):
+    """omega together with an exact compatible complex structure and metric.
+
+    Its operators are the compounds of J^T and of g^-1 on each degree
+    (``exterior.compound``).  "jay" is the splitting operator, which sends
+    e_i to row i of J and multiplies each (p, q) component by i^(p - q);
+    "gram" sends e_i to row i of g^-1, so it is the Gram matrix of the
+    degree-k blades (Cauchy-Binet), checked symmetric."""
+
+    OPS = {"jay": (lambda t, k: k, lambda t, k: t._compound("jay", k)),
+           "gram": (lambda t, k: k, lambda t, k: t._compound("gram", k))}
 
     def __init__(self, structure: SymplecticStructure, order: list[int] | None = None):
         self.structure = structure
-        dim = structure.dim
+        self.dim = dim = structure.dim
         n = structure.n
         pairs = darboux_basis(structure, order)
         self.basis = OperatorMatrix.from_columns([c for pair in pairs for c in pair], dim)
@@ -100,7 +111,7 @@ class CompatibleTriple:
         self._validate(w_mat)
         # The basis is orthonormal for g, so g^-1 = basis basis^T.  Each of J
         # and g^-1 induces an algebra map on forms, whose blade matrices are
-        # its compounds (``op``).
+        # its compounds (``OPS``).
         ginv = self.basis @ self.basis.transpose()
         if ginv @ self.metric != OperatorMatrix.identity(dim):
             raise AssertionError("basis basis^T is not the inverse metric")
@@ -121,25 +132,12 @@ class CompatibleTriple:
         if (self.J.transpose() @ w_mat @ self.J) != w_mat:
             raise AssertionError("J does not preserve omega")
 
-    def op(self, name: str, k: int) -> OperatorMatrix:
-        """"jay" or "gram" on the degree-k blades, built once per degree as
-        the compound of J^T or of g^-1 (``exterior.compound``).  "jay" is the
-        splitting operator, which sends e_i to row i of J and multiplies each
-        (p, q) component by i^(p - q); "gram" sends e_i to row i of g^-1, so
-        it is the Gram matrix of the degree-k blades (Cauchy-Binet), checked
-        symmetric."""
-        return memo(self._ops, (name, k), lambda: self._compound(name, k))
-
     def _compound(self, name: str, k: int) -> OperatorMatrix:
-        lower = self.op(name, k - 1) if 0 < k <= self.structure.dim else None
+        lower = self.op(name, k - 1) if 0 < k <= self.dim else None
         m = compound(self._generators[name], k, lower)
         if name == "gram" and m != m.transpose():
             raise AssertionError(f"Gram matrix at degree {k} is not symmetric")
         return m
-
-    def jay(self, a: Form) -> Form:
-        """The splitting operator on a form, degree by degree."""
-        return _by_degree(a, self.structure.dim, partial(self.op, "jay"), lambda k: k)
 
 
 def build_triple(omega, order: list[int] | None = None) -> CompatibleTriple:
@@ -291,7 +289,7 @@ class HodgeTheory:
         name = f"jay-conjugation(k={k})"
         n, st = self.n, self.st
         jk, jk1 = self.triple.op("jay", k), self.triple.op("jay", k + 1)
-        m_dp, m_dm = self.cx.del_blades(k)[0], self.cx.del_blades(k + 1)[1]
+        m_dp, m_dm = self.cx.op("del_plus", k), self.cx.op("del_minus", k + 1)
         g_k, g_k1 = self.triple.op("gram", k), self.triple.op("gram", k + 1)
         s_hr_k = st.scale_rs(lambda r, s: n - r - s, k)
         details = []

@@ -3,18 +3,18 @@
 Every identity is linear, so it holds exactly when it holds as a matrix
 equation on each degree.  Each side is an ``OperatorMatrix``, int columns
 over its own denominator, and the two are compared with ``==``, A/a = B/b
-as A b = B a.  The sides keep their own producers: d, L, Lambda and dLambda
-come from ``SymplecticComplex.op``; del_plus and del_minus on the blades
-from ``SymplecticComplex.del_blades`` and the symplectic star from
-``SymplecticStructure.star_matrix``; an eigenvalue operator sigma(H, R) is
-``SymplecticStructure.scale_rs``, the sum of sigma(r, s) lift(s, r) C_r.
-The last three are built from the same Lefschetz components C_r and lifts
-L^r/r! on P^s, which the "two routes" identities therefore share.  All
-are built once per degree and kept by the complex, so a second run builds
-nothing.  Degrees and blades are walked in the canonical order; only when
-the two sides differ are their columns compared, and the first differing
-column is the first counterexample blade, printed with both its columns
-by ``exterior.counterexample``.  The star reflection and the simplified
+as A b = B a.  Every operator is read off the complex's one
+``op(name, k)``: d, L, Lambda, dLambda, del_plus and del_minus on the
+blades and the symplectic star, each built by its owner's table; an
+eigenvalue operator sigma(H, R) is ``SymplecticStructure.scale_rs``, the
+sum of sigma(r, s) lift(s, r) C_r.  The pieces of d, the star and sigma are
+built from the same Lefschetz components C_r and lifts L^r/r! on P^s,
+which the "two routes" identities therefore share.  All are built once per
+degree and kept by their owners, so a second run builds nothing.  Degrees
+and blades are walked in the canonical order; only when the two sides
+differ are their columns compared, and the first differing column is the
+first counterexample blade, printed with both its columns by
+``exterior.counterexample``.  The star reflection and the simplified
 expressions on primitive forms are checked on the primitive basis matrices,
 and a primitive Form is built only to name a failing column.  The
 form-by-form battery, which decomposes each blade on its own, is the test
@@ -49,8 +49,8 @@ def run_identity_suite(cx: SymplecticComplex) -> CheckResult:
             p = memo(powers, (k, i), lambda: L(k + 2 * i - 2) @ p if i else one(k))
         return p
 
-    L, Lam, d, dL = (partial(cx.op, name) for name in ("L", "Lambda", "d", "dLambda"))
-    P, M, S = (lambda k: cx.del_blades(k)[0]), (lambda k: cx.del_blades(k)[1]), st.star_matrix
+    L, Lam, d, dL, P, M, S = (partial(cx.op, name) for name in (
+        "L", "Lambda", "d", "dLambda", "del_plus", "del_minus", "star"))
     sigma = st.scale_rs
 
     def check(name: str, shift: int, lhs, rhs) -> None:

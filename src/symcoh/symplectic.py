@@ -1,16 +1,21 @@
 """Symplectic linear algebra on invariant forms.
 
-``SymplecticStructure`` wraps a non-degenerate 2-form: the sl(2) triple
-(L, Lambda, H), the Lefschetz decomposition into primitive pieces,
-primitive bases and coordinates, and the symplectic star.
-``SymplecticComplex`` adds a Lie-algebra differential: d, its symplectic
-adjoint dLambda, and the degree +1/-1 pieces of d.
+``SymplecticStructure`` wraps a non-degenerate 2-form: the sl(2) action of
+L and Lambda, the Lefschetz decomposition into primitive pieces, primitive
+bases and coordinates, and the symplectic star.  ``SymplecticComplex`` adds
+a Lie-algebra differential: d, its symplectic adjoint dLambda, and the
+degree +1/-1 pieces of d.
 
-Every operator is an ``OperatorMatrix`` on each degree, int columns over
-one denominator, built once by ``linalg.memo`` into its owner's one cache,
-``_ops``: d in the algebra's, L, Lambda, the Lefschetz pieces and the
-primitive bases in the structure's, dLambda and the pieces of d in the
-complex's; no cached value holds its owner.  omega and its inverse
+Both own blade operators (``exterior.BladeOperators``), each with one
+table: the structure's rows are L, Lambda and "star", the complex's
+"dLambda", "del_plus" and "del_minus", and the complex reaches its
+algebra's d and its structure's rows as its parts'.  ``op(name, k)`` reads
+each operator, an ``OperatorMatrix`` per degree, int columns over one
+denominator, and ``apply(name, form)`` applies it to a Form.  Each matrix
+is built once by ``linalg.memo`` into its owner's one cache, ``_ops``, as
+are the Lefschetz pieces and the primitive bases in the structure's and
+the pieces of d in primitive coordinates in the complex's; no cached value
+holds its owner.  omega and its inverse
 bivector are kept only as ``OperatorMatrix``es (``omega_matrix``,
 ``inverse``), and omega is degenerate exactly when inverting its matrix
 fails.  L, Lambda and d are built on the blade masks
@@ -30,30 +35,28 @@ r a lift times a primitive-coordinate block times C_r:
 
 - an eigenvalue operator such as 1/(H+2R+1), R counting the omega wedges:
   fn(r, s) lift(s, r) C_r, on blocks that do not vanish (``scale_rs``);
-- the star: (-1)^{s(s+1)/2} lift(s, n-r-s) C_r (``star_matrix``);
+- the star: (-1)^{s(s+1)/2} lift(s, n-r-s) C_r;
 - del_plus and del_minus on the blades: lift(s+1, r) P_s C_r and
-  lift(s-1, r) M_s C_r (``del_blades``), (P_s, M_s) the pieces of d in
-  primitive coordinates (``del_matrices``).
+  lift(s-1, r) M_s C_r, (P_s, M_s) the pieces of d in primitive
+  coordinates (``del_matrices``).
 
 ``SymplecticStructure.split`` splits a degree +1 operator that commutes
 with L into its two pieces on the primitive basis, in blade coordinates:
 of d it gives (P_s, M_s), of xi ^ the symbols of the primitive complex
-(``symbolcheck``).  The form-level L, Lambda and star, d of the algebra,
-and del_plus and del_minus apply these matrices degree by degree; the
-complex gives no second name to its parts' operators.  The form-by-form
-Lefschetz decomposition is the test suite's oracle.
+(``symbolcheck``).  The form-by-form Lefschetz decomposition is the test
+suite's oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable
 
 from .cealgebra import LieAlgebraSpec
 from .exterior import (
+    BladeOperators,
     Form,
-    _by_degree,
     blade_index,
     blade_indices,
     blade_operator,
@@ -72,12 +75,21 @@ class NotSymplecticError(ValueError):
         self.reason = reason  # "not_2form" | "degenerate" | "not_closed"
 
 
-class SymplecticStructure:
+class SymplecticStructure(BladeOperators):
     """A non-degenerate 2-form with its inverse bivector and sl(2) action.
 
-    Closedness is not checked here (that needs a differential); see
+    Its operators are L, which wedges each term of omega, Lambda, which
+    contracts e_j, then e_i, for each term e_ij of the inverse bivector, and
+    the star, the sum over r of (-1)^{s(s+1)/2} lift(s, n-r-s) C_r, s =
+    k-2r.  Closedness is not checked here (that needs a differential); see
     ``SymplecticComplex``.
     """
+
+    OPS = {"L": (lambda st, k: k + 2,
+                 lambda st, k: blade_operator(st.dim, k, k + 2, st._terms["L"])),
+           "Lambda": (lambda st, k: k - 2,
+                      lambda st, k: blade_operator(st.dim, k, k - 2, st._terms["Lambda"])),
+           "star": (lambda st, k: st.dim - k, lambda st, k: st._star(k))}
 
     def __init__(self, omega: Form):
         if omega.is_zero() or omega.degrees() != {2}:
@@ -104,36 +116,11 @@ class SymplecticStructure:
                 "degenerate") from None
         if self.inverse @ self.omega_matrix != OperatorMatrix.identity(self.dim):
             raise AssertionError("inverse bivector check failed")
-        # L wedges each term of omega; Lambda contracts e_j, then e_i, for
-        # each term e_ij of the inverse bivector
         inv = self.inverse
-        self._terms = {"L": (2, [(0, m, c) for m, c in omega.items()]), "Lambda": (
-            -2, [(1 << i | 1 << j, 0, Fraction(v, inv.den)) for i, row in enumerate(inv.rows())
-                 for j, v in row.items() if i < j])}
+        self._terms = {"L": [(0, m, c) for m, c in omega.items()], "Lambda": [
+            (1 << i | 1 << j, 0, Fraction(v, inv.den)) for i, row in enumerate(inv.rows())
+            for j, v in row.items() if i < j]}
         self._ops: dict = {}
-
-    # -- sl(2) action ----------------------------------------------------
-
-    def L(self, a: Form) -> Form:
-        """Wedge with omega."""
-        return _by_degree(a, self.dim, partial(self.op, "L"), lambda k: k + 2)
-
-    def L_power(self, a: Form, r: int) -> Form:
-        return self.L_power(self.L(a), r - 1) if r else a
-
-    def Lambda(self, a: Form) -> Form:
-        """Contraction with the inverse bivector (degree -2)."""
-        return _by_degree(a, self.dim, partial(self.op, "Lambda"), lambda k: k - 2)
-
-    def op(self, name: str, k: int) -> OperatorMatrix:
-        """L or Lambda on degree k as in ``SymplecticComplex.op``, built once
-        on the blade masks from the terms of omega or of its inverse."""
-        step, terms = self._terms[name]
-        return memo(self._ops, (name, k), lambda: blade_operator(self.dim, k, k + step, terms))
-
-    def H(self, a: Form) -> Form:
-        """Grading operator: multiplies the degree-k part by n-k."""
-        return Form(a.dim, {m: c * (self.n - m.bit_count()) for m, c in a.items()})
 
     # -- Lefschetz decomposition ------------------------------------------
 
@@ -183,9 +170,6 @@ class SymplecticStructure:
 
     # -- primitive forms ---------------------------------------------------
 
-    def is_primitive(self, a: Form) -> bool:
-        return self.Lambda(a).is_zero()
-
     def primitive_basis(self, k: int) -> list[Form]:
         """Canonical basis of the primitive degree-k forms (kernel of Lambda),
         as Forms built on each read."""
@@ -232,22 +216,14 @@ class SymplecticStructure:
 
     # -- symplectic star ----------------------------------------------------
 
-    def star_matrix(self, k: int) -> OperatorMatrix:
-        """The star from degree k to 2n-k: the sum over r of
-        (-1)^{s(s+1)/2} lift(s, n-r-s) C_r, s = k-2r.  Built once per
-        degree."""
-        return memo(self._ops, ("star", k), lambda: self._star(k))
-
     def _star(self, k: int) -> OperatorMatrix:
+        """The star from degree k to 2n-k, reflecting each Lefschetz
+        component across the middle."""
         terms = []
         for r, c in self.lefschetz_components(k).items():
             s = k - 2 * r
             terms.append(((-1) ** (s * (s + 1) // 2), self.lift(s, self.n - r - s) @ c))
         return OperatorMatrix.combination(terms, _size(self.dim, self.dim - k), _size(self.dim, k))
-
-    def star(self, a: Form) -> Form:
-        """Symplectic star: reflects Lefschetz components across the middle."""
-        return _by_degree(a, self.dim, self.star_matrix, lambda k: self.dim - k)
 
 
 def standard_omega(n: int) -> Form:
@@ -320,18 +296,25 @@ def recursive_primitive_basis(k: int, n: int) -> list[Form]:
 # the differential pair
 # ---------------------------------------------------------------------------
 
-class SymplecticComplex:
+class SymplecticComplex(BladeOperators):
     """A unimodular Lie-algebra differential together with a symplectic form.
 
-    Provides d, the symplectic adjoint differential as a matrix (``op``),
-    and the two primitive pieces of d; the form-level d, L, Lambda and star
-    are its ``algebra``'s and ``structure``'s.  d is split once per degree
-    on the primitive basis and kept in primitive coordinates
-    (``del_matrices``); del_plus and del_minus on the blades lift each
-    Lefschetz component's pieces (``del_blades``).  The closed formulas for
-    the pieces, the star route for dLambda and the projection route, which
+    Its own operators are the symplectic adjoint differential, dLambda_k =
+    d_{k-2} Lambda_k - Lambda_{k+1} d_k, and the two primitive pieces of d
+    on the blades, del_plus and del_minus; ``op`` and ``apply`` reach its
+    parts' d, L, Lambda and star too, which the parts keep.  d is split
+    once per degree on the primitive basis and kept in primitive
+    coordinates (``del_matrices``); del_plus and del_minus on the blades
+    lift each Lefschetz component's pieces.  The closed formulas for the
+    pieces, the star route for dLambda and the projection route, which
     decomposes d of each component, are their oracles in the test suite.
     """
+
+    PARTS = ("algebra", "structure")
+    OPS = {"dLambda": (lambda cx, k: k - 1, lambda cx, k: cx.op("d", k - 2) @ cx.op("Lambda", k)
+                       - cx.op("Lambda", k + 1) @ cx.op("d", k)),
+           "del_plus": (lambda cx, k: k + 1, lambda cx, k: cx._del(k, 0)),
+           "del_minus": (lambda cx, k: k - 1, lambda cx, k: cx._del(k, 1))}
 
     def __init__(self, algebra: LieAlgebraSpec, omega: Form):
         if algebra.dim != omega.dim:
@@ -339,7 +322,7 @@ class SymplecticComplex:
                 f"algebra dimension {algebra.dim} != omega dimension {omega.dim}")
         self.algebra = algebra
         self.structure = SymplecticStructure(omega)
-        d_omega = algebra.d(omega)  # d_2 omega
+        d_omega = algebra.apply("d", omega)  # d_2 omega
         if d_omega:
             raise NotSymplecticError(
                 f"omega is not closed: d(omega) = {d_omega}", "not_closed")
@@ -348,48 +331,24 @@ class SymplecticComplex:
         self.n = self.structure.n
         self._ops: dict = {}
 
-    def op(self, name: str, k: int) -> OperatorMatrix:
-        """"d", "L", "Lambda" or "dLambda" on the degree-k blades, each built
-        once by its owner: d by the algebra, L and Lambda by the structure,
-        and dLambda_k = d_{k-2} Lambda_k - Lambda_{k+1} d_k by the complex."""
-        if name == "d":
-            return self.algebra.d_matrix(k)
-        if name != "dLambda":
-            return self.structure.op(name, k)
-        return memo(self._ops, (name, k), lambda: self.op("d", k - 2) @ self.op("Lambda", k)
-                    - self.op("Lambda", k + 1) @ self.op("d", k))
-
     # -- primitive pieces of d ----------------------------------------------
 
-    def del_blades(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-        """(del_plus, del_minus) from the degree-k blades: the sums over r of
-        lift(s+1, r) P_s C_r and lift(s-1, r) M_s C_r, where (P_s, M_s) =
-        ``del_matrices(s)``, s = k-2r.  Built once per degree."""
-        st = self.structure
-        return memo(self._ops, ("del_blades", k), lambda: tuple(OperatorMatrix.combination(
-            [(1, st.lift(k - 2 * r + step, r) @ (self.del_matrices(k - 2 * r)[i] @ c))
+    def _del(self, k: int, piece: int) -> OperatorMatrix:
+        """Piece ``piece`` of d from the degree-k blades, 0 for del_plus and
+        1 for del_minus: the sum over r of lift(s+1, r) P_s C_r or of
+        lift(s-1, r) M_s C_r, where (P_s, M_s) = ``del_matrices(s)``, s =
+        k-2r."""
+        st, step = self.structure, 1 - 2 * piece
+        return OperatorMatrix.combination(
+            [(1, st.lift(k - 2 * r + step, r) @ (self.del_matrices(k - 2 * r)[piece] @ c))
              for r, c in st.lefschetz_components(k).items()],
-            _size(self.dim, k + step), _size(self.dim, k)) for i, step in enumerate((1, -1))))
-
-    def _del_piece(self, which: int, a: Form) -> Form:
-        """Piece ``which`` of d on a form, 0 for del_plus and 1 for
-        del_minus, through ``del_blades``."""
-        return _by_degree(a, self.dim, lambda k: self.del_blades(k)[which],
-                          lambda k: k + 1 - 2 * which)
-
-    def del_plus(self, a: Form) -> Form:
-        """The primitive part of d on each Lefschetz component of a."""
-        return self._del_piece(0, a)
-
-    def del_minus(self, a: Form) -> Form:
-        """The omega-wedge part of d on each Lefschetz component of a."""
-        return self._del_piece(1, a)
+            _size(self.dim, k + step), _size(self.dim, k))
 
     def del_matrices(self, k: int) -> tuple[OperatorMatrix, OperatorMatrix]:
         """(del_plus: P^k -> P^{k+1}, del_minus: P^k -> P^{k-1}) in primitive
         coordinates, exact: ``SymplecticStructure.split`` of d on degree k
         read at the primitive pivots, built once per degree; the projection
-        routes ``del_plus``/``del_minus`` are their oracle."""
+        routes of the test suite are their oracle."""
         st = self.structure
         return memo(self._ops, ("del_matrices", k), lambda: tuple(
             map(st.prim_matrix, st.split(self.op("d", k), k), (k + 1, k - 1))))

@@ -87,7 +87,7 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
         col_t, row_t = pivoted[t]
         pv = row_t[col_t]
         for s in range(t):
-            col_s, row_s = pivoted[s]
+            _, row_s = pivoted[s]
             f = row_s.get(col_t)
             if f:
                 factor = _exact_div(f, pv)

@@ -43,7 +43,8 @@ where the engine reads the components C_r of each degree off the inverse
 of its lifts L^r/r! on P^s side by side
 (``SymplecticStructure.lefschetz_components``): ``decompose_degree``
 applies the closed formula, the sum over l of c_{r,l} L^l Lambda^{r+l}, to
-one homogeneous form with the engine's form-level L and Lambda, and
+one homogeneous form with the engine's L and Lambda (``apply``) and L^r
+as r of its L (``engine_L_power``), and
 ``lefschetz_decompose`` wraps it in ``LefschetzComponents``, which checks
 that each component is primitive and that they rebuild the form.
 ``components`` decomposes every degree of a form on each call, and
@@ -88,8 +89,8 @@ the engine checks as per-degree matrix equations, with the form routes only
 it calls: ``memo_components`` and ``memo_apply_rs`` sum and scale the
 columns of the engine's C_r blade by blade, where the engine sums the
 lifted components per degree (``SymplecticStructure.scale_rs``);
-``d_lambda`` is d Lambda - Lambda d with the engine's form-level d and
-Lambda;
+``d_lambda`` is d Lambda - Lambda d with the engine's d and Lambda
+(``apply``);
 ``d_lambda_via_star``, ``del_plus_formula`` and ``del_minus_formula`` are
 the second routes the battery compares; ``del_minus_primitive``,
 ``del_plus_primitive`` and ``scale_by_degree`` give the simplified
@@ -132,6 +133,13 @@ def L(st, a: Form) -> Form:
 def L_power(st, a: Form, r: int) -> Form:
     for _ in range(r):
         a = st.omega.wedge(a)
+    return a
+
+
+def engine_L_power(st, a: Form, r: int) -> Form:
+    """L^r a through the engine's L matrices, one ``apply`` per wedge."""
+    for _ in range(r):
+        a = st.apply("L", a)
     return a
 
 
@@ -285,20 +293,20 @@ def _symbol_plus(st, xi: Form, mu: Form) -> Form:
     """(1 - L H^{-1} Lambda)(xi ^ mu)."""
     k = 0 if mu.is_zero() else mu.degree()
     t = xi.wedge(mu)
-    u = st.Lambda(t)                      # degree k-1
-    return t - st.L(u) * Fraction(1, st.n - k + 1)
+    u = st.apply("Lambda", t)             # degree k-1
+    return t - st.apply("L", u) * Fraction(1, st.n - k + 1)
 
 
 def _symbol_minus(st, xi: Form, mu: Form) -> Form:
     """H^{-1} Lambda (xi ^ mu)."""
     k = 0 if mu.is_zero() else mu.degree()
-    return st.Lambda(xi.wedge(mu)) * Fraction(1, st.n - k + 1)
+    return st.apply("Lambda", xi.wedge(mu)) * Fraction(1, st.n - k + 1)
 
 
 def _symbol_middle(st, xi: Form, mu: Form) -> Form:
     """(H+1)^{-1} [ xi ^ (Lambda (xi ^ mu)) ]."""
     k = 0 if mu.is_zero() else mu.degree()
-    return xi.wedge(st.Lambda(xi.wedge(mu))) * Fraction(1, st.n - k + 1)
+    return xi.wedge(st.apply("Lambda", xi.wedge(mu))) * Fraction(1, st.n - k + 1)
 
 
 def symbol_maps(st, xi: Form) -> list[OperatorMatrix]:
@@ -323,7 +331,7 @@ def decompose_degree(st, a: Form, k: int) -> dict[int, Form]:
     n, max_pow = st.n, k // 2
     lam_pows = [a]
     for _ in range(max_pow):
-        lam_pows.append(st.Lambda(lam_pows[-1]))
+        lam_pows.append(st.apply("Lambda", lam_pows[-1]))
     for r in range(max(k - n, 0), max_pow + 1):
         m = n - k + 2 * r + 1
         denom_r = 1
@@ -336,7 +344,7 @@ def decompose_degree(st, a: Form, k: int) -> dict[int, Form]:
             coeff = Fraction((-1) ** l * m * m, denom_r * denom_l * factorial(l))
             term = lam_pows[r + l]
             if term:
-                b = b + st.L_power(term, l) * coeff
+                b = b + engine_L_power(st, term, l) * coeff
         if b:
             comps[r] = b
     return comps
@@ -357,7 +365,7 @@ class LefschetzComponents:
         self.degree = degree
         self.components = components
         for r, b in components.items():
-            if not structure.is_primitive(b):
+            if structure.apply("Lambda", b):
                 raise AssertionError(f"component r={r} is not primitive: {b}")
         if self.reconstruct() != original:
             raise AssertionError("Lefschetz reconstruction does not match input")
@@ -365,7 +373,7 @@ class LefschetzComponents:
     def reconstruct(self) -> Form:
         out = Form.zero(self.structure.dim)
         for r, b in self.components.items():
-            out = out + self.structure.L_power(b, r) / factorial(r)
+            out = out + engine_L_power(self.structure, b, r) / factorial(r)
         return out
 
 
@@ -393,7 +401,7 @@ def apply_rs(st, a: Form, fn) -> Form:
     """Scale each (r, s) Lefschetz component by fn(r, s) and reassemble."""
     out = Form.zero(st.dim)
     for (r, s), b in components(st, a).items():
-        out = out + st.L_power(b, r) * (Fraction(fn(r, s)) / factorial(r))
+        out = out + engine_L_power(st, b, r) * (Fraction(fn(r, s)) / factorial(r))
     return out
 
 
@@ -403,7 +411,7 @@ def star(st, a: Form) -> Form:
     for (r, s), b in components(st, a).items():
         sign = (-1) ** (s * (s + 1) // 2)
         p = st.n - r - s
-        out = out + st.L_power(b, p) * Fraction(sign, factorial(p))
+        out = out + engine_L_power(st, b, p) * Fraction(sign, factorial(p))
     return out
 
 
@@ -429,7 +437,7 @@ def _del_piece(cx, a: Form, which: int) -> Form:
     for (r, s), b in components(st, a).items():
         piece = split_d_primitive(cx, b, s)[which]
         if piece:
-            out = out + st.L_power(piece, r) / factorial(r)
+            out = out + engine_L_power(st, piece, r) / factorial(r)
     return out
 
 
@@ -455,7 +463,7 @@ def pieces_of_blade(st, mask: int) -> dict[tuple[int, int], Form]:
 def lefschetz_piece(st, rs: tuple[int, int], mask: int) -> Form:
     """The (r, s) component L^r b / r! of one blade."""
     b = pieces_of_blade(st, mask).get(rs)
-    return st.L_power(b, rs[0]) / factorial(rs[0]) if b else Form.zero(st.dim)
+    return engine_L_power(st, b, rs[0]) / factorial(rs[0]) if b else Form.zero(st.dim)
 
 
 def star_of_blade(st, mask: int) -> Form:
@@ -463,7 +471,8 @@ def star_of_blade(st, mask: int) -> Form:
     out = Form.zero(st.dim)
     for (r, s), b in pieces_of_blade(st, mask).items():
         p = st.n - r - s
-        out = out + st.L_power(b, p) * Fraction((-1) ** (s * (s + 1) // 2), factorial(p))
+        sign = (-1) ** (s * (s + 1) // 2)
+        out = out + engine_L_power(st, b, p) * Fraction(sign, factorial(p))
     return out
 
 
@@ -478,7 +487,7 @@ def del_pieces_of_blade(cx, mask: int) -> tuple[Form, Form]:
         for which, (m, k) in enumerate(zip(cx.del_matrices(s), (s + 1, s - 1))):
             if col := st.lift(k, 0).apply(m.apply(coords)):
                 piece = form_from_coords(col, blade_index(st.dim, k)[0], st.dim)
-                out[which] = out[which] + st.L_power(piece, r) / factorial(r)
+                out[which] = out[which] + engine_L_power(st, piece, r) / factorial(r)
     return out[0], out[1]
 
 
@@ -497,7 +506,7 @@ def on_blades(image_of_blade, dim: int, k_from: int, k_to: int) -> OperatorMatri
 
 def volume(st) -> Form:
     """omega^n / n!."""
-    return st.L_power(Form.scalar(st.dim, 1), st.n) / factorial(st.n)
+    return engine_L_power(st, Form.scalar(st.dim, 1), st.n) / factorial(st.n)
 
 
 def volume_norm(st):
@@ -509,7 +518,7 @@ def volume_norm(st):
 def hodge_star(triple, a: Form) -> Form:
     """Riemannian star of the triple: the splitting operator after the
     symplectic star."""
-    return jay(triple, triple.structure.star(a))
+    return jay(triple, triple.structure.apply("star", a))
 
 
 def _integral(st, f: Form):
@@ -604,13 +613,13 @@ def memo_apply_rs(st, a: Form, fn) -> Form:
     is evaluated only on the components that do not cancel."""
     out = Form.zero(st.dim)
     for (r, s), b in memo_components(st, a).items():
-        out = out + st.L_power(b, r) * (Fraction(fn(r, s)) / factorial(r))
+        out = out + engine_L_power(st, b, r) * (Fraction(fn(r, s)) / factorial(r))
     return out
 
 
 def d_lambda(cx, a: Form) -> Form:
     """d Lambda - Lambda d."""
-    d, lam = cx.algebra.d, cx.structure.Lambda
+    d, lam = partial(cx.apply, "d"), partial(cx.apply, "Lambda")
     return d(lam(a)) - lam(d(a))
 
 
@@ -619,7 +628,7 @@ def d_lambda_via_star(cx, a: Form) -> Form:
     out = Form.zero(cx.dim)
     st = cx.structure
     for k in a.degrees():
-        piece = st.star(cx.algebra.d(st.star(a.grade(k))))
+        piece = st.apply("star", cx.apply("d", st.apply("star", a.grade(k))))
         out = out + piece * ((-1) ** (k + 1))
     return out
 
@@ -627,8 +636,8 @@ def d_lambda_via_star(cx, a: Form) -> Form:
 def del_plus_formula(cx, a: Form) -> Form:
     """(H+2R+1)^{-1} [ (H+R+1) d + L d_Lambda ], eigenvalues per component."""
     st, n = cx.structure, cx.n
-    operand = memo_apply_rs(st, cx.algebra.d(a), lambda r, s: Fraction(n - r - s + 1)) \
-        + st.L(d_lambda(cx, a))
+    operand = memo_apply_rs(st, cx.apply("d", a), lambda r, s: Fraction(n - r - s + 1)) \
+        + st.apply("L", d_lambda(cx, a))
     return memo_apply_rs(st, operand, lambda r, s: Fraction(1, n - s + 1))
 
 
@@ -641,15 +650,15 @@ def del_minus_formula(cx, a: Form) -> Form:
     """
     st, n = cx.structure, cx.n
     operand = memo_apply_rs(st, d_lambda(cx, a), lambda r, s: Fraction(n - r - s)) \
-        - st.Lambda(cx.algebra.d(a))
+        - st.apply("Lambda", cx.apply("d", a))
     return memo_apply_rs(st, operand, lambda r, s: Fraction(-1, (n - s + 1) * (n - r - s)))
 
 
 def del_minus_primitive(cx, b: Form) -> Form:
     """(1/H) Lambda d on a primitive form."""
-    if not cx.structure.is_primitive(b):
+    if cx.structure.apply("Lambda", b):
         raise ValueError("argument must be primitive")
-    x = cx.structure.Lambda(cx.algebra.d(b))
+    x = cx.structure.apply("Lambda", cx.apply("d", b))
     out = Form.zero(cx.dim)
     for k in x.degrees():
         out = out + x.grade(k) / (cx.n - k)
@@ -658,9 +667,9 @@ def del_minus_primitive(cx, b: Form) -> Form:
 
 def del_plus_primitive(cx, b: Form) -> Form:
     """d - L (1/H) Lambda d on a primitive form."""
-    if not cx.structure.is_primitive(b):
+    if cx.structure.apply("Lambda", b):
         raise ValueError("argument must be primitive")
-    return cx.algebra.d(b) - cx.structure.L(del_minus_primitive(cx, b))
+    return cx.apply("d", b) - cx.structure.apply("L", del_minus_primitive(cx, b))
 
 
 def scale_by_degree(a: Form, fn) -> Form:
@@ -694,8 +703,10 @@ def identity_battery(cx) -> CheckResult:
         if not _check_on_blades(name, dim, lhs, rhs, details):
             ok = False
 
-    L, Lam, H = st.L, st.Lambda, st.H
-    dp, dm = cx.del_plus, cx.del_minus
+    L, Lam, dp, dm = (partial(cx.apply, name) for name in ("L", "Lambda", "del_plus", "del_minus"))
+
+    def H(a):
+        return scale_by_degree(a, lambda k: n - k)
     dl = partial(d_lambda, cx)
 
     def apply_rs(a, fn):
@@ -709,9 +720,9 @@ def identity_battery(cx) -> CheckResult:
     # powers of L against Lambda, and the two mixed products
     for r in range(1, n + 1):
         check(f"[Lambda,L^{r}] = {r} (H+{r}-1) L^{r - 1}",
-              lambda f, r=r: Lam(st.L_power(f, r)) - st.L_power(Lam(f), r),
+              lambda f, r=r: Lam(engine_L_power(st, f, r)) - engine_L_power(st, Lam(f), r),
               lambda f, r=r: scale_by_degree(
-                  st.L_power(f, r - 1), lambda k, r=r: r * (n - k + r - 1)))
+                  engine_L_power(st, f, r - 1), lambda k, r=r: r * (n - k + r - 1)))
     check("L Lambda = (H+R+1) R",
           lambda f: L(Lam(f)),
           lambda f: apply_rs(f, lambda r, s: Fraction(r * (n - r - s + 1))))
@@ -721,7 +732,7 @@ def identity_battery(cx) -> CheckResult:
 
     # the splitting of d
     check("d = del_plus + L del_minus",
-          cx.algebra.d, lambda f: dp(f) + L(dm(f)))
+          partial(cx.apply, "d"), lambda f: dp(f) + L(dm(f)))
     check("del_plus^2 = 0", lambda f: dp(dp(f)), lambda f: Form.zero(dim))
     check("del_minus^2 = 0", lambda f: dm(dm(f)), lambda f: Form.zero(dim))
     check("L del_plus del_minus = -L del_minus del_plus",
@@ -736,7 +747,7 @@ def identity_battery(cx) -> CheckResult:
           lambda f: apply_rs(dp(Lam(f)), lambda r, s: Fraction(1, n - r - s + 1))
           - apply_rs(dm(f), lambda r, s: Fraction(n - r - s)))
     check("d d_lambda = -(H+2R+1) del_plus del_minus",
-          lambda f: cx.algebra.d(dl(f)),
+          lambda f: cx.apply("d", dl(f)),
           lambda f: -apply_rs(dp(dm(f)), lambda r, s: Fraction(n - s + 1)))
 
     # two independent routes must agree everywhere
@@ -745,15 +756,16 @@ def identity_battery(cx) -> CheckResult:
     check("del_minus two routes", dm, partial(del_minus_formula, cx))
 
     # symplectic star: involution
-    check("star star = 1", lambda f: st.star(st.star(f)), lambda f: f)
+    check("star star = 1", lambda f: st.apply("star", st.apply("star", f)), lambda f: f)
 
     # star on each omega-power of a primitive form reflects the power
     for s in range(n + 1):
         for b in st.primitive_basis(s):
             for r in range(n - s + 1):
-                lhs = st.star(st.L_power(b, r) / factorial(r))
+                lhs = st.apply("star", engine_L_power(st, b, r) / factorial(r))
                 p = n - r - s
-                rhs = st.L_power(b, p) * Fraction((-1) ** (s * (s + 1) // 2), factorial(p))
+                sign = (-1) ** (s * (s + 1) // 2)
+                rhs = engine_L_power(st, b, p) * Fraction(sign, factorial(p))
                 if lhs != rhs:
                     ok = False
                     details.append(
@@ -769,7 +781,7 @@ def identity_battery(cx) -> CheckResult:
             if dp(b) != del_plus_primitive(cx, b):
                 ok = False
                 details.append(f"del_plus != d - L(1/H) Lambda d on {b}")
-            dld = cx.algebra.d(Lam(cx.algebra.d(b)))
+            dld = cx.apply("d", Lam(cx.apply("d", b)))
             via = scale_by_degree(dld, lambda k: Fraction(1, n - k + 1))
             if dp(dm(b)) != via:
                 ok = False

@@ -79,10 +79,10 @@ def test_criterion_03_strict_inequality_witnesses(nil_calc):
 
 def test_criterion_04_exactness_lemma_witness(nil_calc, nil_cx, torus_calc):
     e12 = Form.e(6, 1, 2)
-    assert nil_cx.algebra.d(e12).is_zero()
-    assert nil_cx.structure.is_primitive(e12)
-    assert nil_cx.del_plus(Form.e(6, 4)) == e12
-    assert nil_cx.del_minus(wedge_chain(6, "416") - wedge_chain(6, "425")) == e12
+    assert nil_cx.apply("d", e12).is_zero()
+    assert nil_cx.structure.apply("Lambda", e12).is_zero()
+    assert nil_cx.apply("del_plus", Form.e(6, 4)) == e12
+    assert nil_cx.apply("del_minus", wedge_chain(6, "416") - wedge_chain(6, "425")) == e12
     assert not nil_calc.im("dpdm", 2).contains(nil_calc.to_vec(e12, 2))
     assert not nil_calc.check_ddlambda_lemma().passed
     assert torus_calc.check_ddlambda_lemma().passed

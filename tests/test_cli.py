@@ -248,6 +248,7 @@ def test_check_lefschetz_reports_failure(capsys):
 def test_check_lefschetz_second_form_diagnostic(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "lefschetz",
                            "--omega", "13+26-45")
+    assert code == 1  # omega^2: H^1 -> H^5 has rank 2 there
     report = json.loads(out)
     assert any("H^1 -> H^3 injective" in d
                for d in report["checks"]["lefschetz"]["details"])
@@ -268,8 +269,10 @@ def test_check_unknown_suite(capsys):
 
 
 def test_check_requires_suite(capsys):
-    code, _, err = run_cli(capsys, "check")
-    assert code == 2
+    """A missing --suite and one that names no suite get the same error."""
+    for suite in ((), ("--suite", ",")):
+        code, out, err = run_cli(capsys, "check", *suite)
+        assert (code, out, err) == (2, "", "error: check requires --suite\n"), suite
 
 
 def test_out_to_unwritable_path(tmp_path, capsys):

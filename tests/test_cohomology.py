@@ -269,11 +269,11 @@ def test_lemma_fails_on_nilmanifold_with_witness(nil_calc, nil_cx):
     e12 = Form.e(6, 1, 2)
     vec = nil_calc.to_vec(e12, 2)
     # d-closed and primitive
-    assert nil_cx.algebra.d(e12).is_zero()
-    assert nil_cx.structure.is_primitive(e12)
+    assert nil_cx.apply("d", e12).is_zero()
+    assert nil_cx.structure.apply("Lambda", e12).is_zero()
     # exact for both first-order pieces
-    assert nil_cx.del_plus(Form.e(6, 4)) == e12
-    assert nil_cx.del_minus(wedge_chain(6, "416") - wedge_chain(6, "425")) == e12
+    assert nil_cx.apply("del_plus", Form.e(6, 4)) == e12
+    assert nil_cx.apply("del_minus", wedge_chain(6, "416") - wedge_chain(6, "425")) == e12
     assert nil_calc.im("dp", 1).contains(vec)
     assert nil_calc.im("dm", 3).contains(vec)
     # but not exact for the second-order composition
@@ -325,7 +325,7 @@ def test_intersection_dimensions_nilmanifold(nil_calc):
 def test_intersection_witnesses(nil_calc, nil_cx):
     # the extra class on the + side is a form that is not closed
     extra = parse_form("e35 - e45", 6)
-    assert not nil_cx.algebra.d(extra).is_zero()
+    assert not nil_cx.apply("d", extra).is_zero()
     assert nil_calc.ker("dp", 2).contains(nil_calc.to_vec(extra, 2))
     g = nil_calc.group("p+", 2)
     coords = nil_calc.class_coordinates(g, extra)

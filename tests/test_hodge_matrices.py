@@ -106,7 +106,7 @@ def test_conjugation_check_fails_on_one_perturbed_column(which, blade, extra):
     assert ht.check_jay_conjugation(1).passed
     # del_plus from degree 1 and del_minus from degree 2 enter the check at k = 1
     k = blade.bit_count()
-    m = ht.cx.del_blades(k)[("del_plus", "del_minus").index(which)]
+    m = ht.cx.op(which, k)
     j = blade_index(6, k)[1][blade]
     col = dict(m.cols[j])
     for i, v in form_to_coords(extra, blade_index(6, extra.degree())[1]).items():

@@ -4,7 +4,7 @@
 primitive coordinates, the inverse of the lifts ``lift(s, r)`` = L^r/r! on
 P^s side by side, and from them the projections Pi_{r,s} = lift(s, r) C_r
 and the symplectic star; ``SymplecticComplex`` keeps del_plus and del_minus
-on the blades (``del_blades``).  ``lift`` must equal L^r/r! of each
+on the blades (its ``op`` rows).  ``lift`` must equal L^r/r! of each
 primitive basis form and be injective up to r = n-s, and the lifts and the
 components must invert each other.  Each matrix must equal the per-blade
 routes of ``form_oracle``, which decompose one blade at a time by the
@@ -65,11 +65,11 @@ def oracle_formulas(cx, a):
     ``apply_rs``."""
     st, n = cx.structure, cx.n
     plus = form_oracle.apply_rs(
-        st, form_oracle.apply_rs(st, cx.algebra.d(a), lambda r, s: Fraction(n - r - s + 1))
-        + st.L(form_oracle.d_lambda(cx, a)), lambda r, s: Fraction(1, n - s + 1))
+        st, form_oracle.apply_rs(st, cx.apply("d", a), lambda r, s: Fraction(n - r - s + 1))
+        + st.apply("L", form_oracle.d_lambda(cx, a)), lambda r, s: Fraction(1, n - s + 1))
     operand = form_oracle.apply_rs(
         st, form_oracle.d_lambda(cx, a), lambda r, s: Fraction(n - r - s)) \
-        - st.Lambda(cx.algebra.d(a))
+        - st.apply("Lambda", cx.apply("d", a))
     minus = form_oracle.apply_rs(
         st, operand, lambda r, s: Fraction(-1, (n - s + 1) * (n - r - s)))
     return plus, minus
@@ -89,9 +89,9 @@ def test_memoised_routes_match_form_oracle(name):
         assert form_oracle.memo_components(st, a) == form_oracle.components(st, a), a
         for fn in fns:
             assert form_oracle.memo_apply_rs(st, a, fn) == form_oracle.apply_rs(st, a, fn), a
-        assert st.star(a) == form_oracle.star(st, a), a
-        assert cx.del_plus(a) == form_oracle.del_plus(cx, a), a
-        assert cx.del_minus(a) == form_oracle.del_minus(cx, a), a
+        assert st.apply("star", a) == form_oracle.star(st, a), a
+        assert cx.apply("del_plus", a) == form_oracle.del_plus(cx, a), a
+        assert cx.apply("del_minus", a) == form_oracle.del_minus(cx, a), a
         assert (form_oracle.del_plus_formula(cx, a),
                 form_oracle.del_minus_formula(cx, a)) == oracle_formulas(cx, a)
 
@@ -103,7 +103,8 @@ def test_pieces_reject_another_dimension(dim):
     st = cx.structure
     for op in (partial(form_oracle.memo_components, st),
                lambda a: form_oracle.memo_apply_rs(st, a, lambda r, s: 1),
-               cx.structure.star, cx.del_plus, cx.del_minus):
+               partial(st.apply, "star"), partial(cx.apply, "del_plus"),
+               partial(cx.apply, "del_minus")):
         with pytest.raises(DimensionMismatchError):
             op(f)
 
@@ -117,7 +118,7 @@ def test_boundary_components_cancel_before_scaling():
     a = Form.e(6, 1, 3, 5, 6)
     operand = form_oracle.memo_apply_rs(st, form_oracle.d_lambda(cx, a),
                                         lambda r, s: Fraction(n - r - s)) \
-        - st.Lambda(cx.algebra.d(a))
+        - st.apply("Lambda", cx.apply("d", a))
     assert operand == Form(6, {0b10011: Fraction(3, 2), 0b01101: Fraction(-3, 2)})
     for mask in operand.support():
         assert (0, 3) in form_oracle.memo_components(st, Form(6, {mask: 1}))
@@ -166,7 +167,7 @@ def test_second_identity_run_decomposes_nothing(monkeypatch):
 
 def test_corrupted_star_image_is_named():
     cx = build(*FIXTURES["N6"])
-    star = cx.structure.star_matrix(1)
+    star = cx.op("star", 1)
     # e1 is the first 1-blade
     star.cols[0] = {i: -v for i, v in star.cols[0].items()}
     result = run_identity_suite(cx)
@@ -183,8 +184,8 @@ def test_each_lefschetz_component_is_split_once(monkeypatch):
     cx = build(*FIXTURES["N6"])
     calls = count_splits_and_components(monkeypatch)
     for mask in range(1 << cx.dim):
-        cx.del_plus(Form(cx.dim, {mask: 1}))
-        cx.del_minus(Form(cx.dim, {mask: 1}))
+        cx.apply("del_plus", Form(cx.dim, {mask: 1}))
+        cx.apply("del_minus", Form(cx.dim, {mask: 1}))
     assert sorted(calls["split"]) == list(range(cx.n + 1))
     assert sorted(calls["components"]) == list(range(cx.dim + 1))
 
@@ -210,9 +211,10 @@ def test_piece_maps_are_freed_with_their_owners():
     try:
         cx = build(*FIXTURES["N6"])
         f = Form.e(6, 1, 2, 4) + Form.e(6, 3, 6)
-        cx.structure.star(f), cx.del_plus(f), cx.del_minus(f)
+        cx.structure.apply("star", f), cx.apply("del_plus", f), cx.apply("del_minus", f)
         assert {("C", 3), ("star", 3), ("C", 2), ("star", 2)} <= cx.structure._ops.keys()
-        assert {("del_blades", 3), ("del_blades", 2)} <= cx._ops.keys()
+        assert {("del_plus", 3), ("del_minus", 3), ("del_plus", 2),
+                ("del_minus", 2)} <= cx._ops.keys()
         refs = [weakref.ref(cx), weakref.ref(cx.structure)]
         del cx
         assert [r() for r in refs] == [None, None]
@@ -238,11 +240,11 @@ def test_lefschetz_matrices_match_form_oracle(name):
             rs = (r, k - 2 * r)
             assert st.lift(rs[1], r) @ c == form_oracle.on_blades(
                 partial(form_oracle.lefschetz_piece, st, rs), dim, k, k), (k, rs)
-        assert st.star_matrix(k) == form_oracle.on_blades(
+        assert cx.op("star", k) == form_oracle.on_blades(
             partial(form_oracle.star_of_blade, st), dim, k, dim - k), k
-        for which, step in ((0, 1), (1, -1)):
-            assert cx.del_blades(k)[which] == form_oracle.on_blades(
-                partial(form_oracle.del_of_blade, cx, which), dim, k, k + step), (k, which)
+        for which, (name, step) in enumerate((("del_plus", 1), ("del_minus", -1))):
+            assert cx.op(name, k) == form_oracle.on_blades(
+                partial(form_oracle.del_of_blade, cx, which), dim, k, k + step), (k, name)
 
 
 LIFT_FIXTURES = {"N6": FIXTURES["N6"], "N8": N8, "T6": FIXTURES["T6"],
@@ -273,7 +275,7 @@ def test_lifts_and_components_invert_each_other(name):
     """The sum over r of lift(s, r) C_r is the identity on each degree, and
     C_r' lift(s, r) is the identity for r' = r and 0 otherwise."""
     st = build(*LIFT_FIXTURES[name]).structure
-    dim, n = st.dim, st.n
+    dim = st.dim
     for k in range(dim + 1):
         size, comps = len(blade_index(dim, k)[0]), st.lefschetz_components(k)
         assert OperatorMatrix.combination(

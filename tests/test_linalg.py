@@ -21,7 +21,6 @@ from symcoh.linalg import (
 )
 
 from dense_oracle import det
-from form_oracle import matrix_on_blades
 from quotient_oracle import solve
 from subspace_oracle import subspace_intersect, subspace_sum
 
@@ -77,7 +76,7 @@ def test_kernel_identity():
 
 def test_kernel_of_d_on_one_forms(nil_cx):
     # closed generators span the first three coordinates
-    m = matrix_on_blades(nil_cx.algebra.d, 6, 1, 2)
+    m = nil_cx.op("d", 1)
     ker = kernel(m)
     assert ker.dim == 3
     expected = Subspace(6, [{0: 1}, {1: 1}, {2: 1}])
@@ -86,7 +85,7 @@ def test_kernel_of_d_on_one_forms(nil_cx):
 
 def test_image_zero_and_d(nil_cx):
     assert image(OperatorMatrix.from_columns([{}, {}], 3)).dim == 0
-    m = matrix_on_blades(nil_cx.algebra.d, 6, 1, 2)
+    m = nil_cx.op("d", 1)
     assert image(m).dim == 3
 
 
@@ -259,8 +258,8 @@ def test_quotient_inclusion_error():
 
 
 def test_quotient_second_betti_number(nil_cx):
-    z = kernel(matrix_on_blades(nil_cx.algebra.d, 6, 2, 3))
-    b = image(matrix_on_blades(nil_cx.algebra.d, 6, 1, 2))
+    z = kernel(nil_cx.op("d", 2))
+    b = image(nil_cx.op("d", 1))
     kept = assert_matches_oracle(z, b)
     assert len(kept) == 5
     assert len(kept) == z.dim - b.dim

@@ -22,8 +22,9 @@ from symcoh import cealgebra, exterior, symplectic
 from symcoh.exterior import blade_index, form_to_coords
 from symcoh.symplectic import parse_omega
 
+import form_oracle
 from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
-from form_oracle import d_lambda, matrix_on_blades, prim_forms
+from form_oracle import d_lambda, del_minus, del_plus, matrix_on_blades, prim_forms
 from primitive_oracle import del_images
 
 FIXTURES = {
@@ -53,7 +54,8 @@ def divided(m):
 def test_cached_matrices_match_form_routes(name):
     cx = build(name)
     st = cx.structure
-    routes = {"d": (cx.algebra.d, 1), "L": (st.L, 2), "Lambda": (st.Lambda, -2),
+    routes = {"d": (partial(form_oracle.d, cx.algebra), 1), "L": (partial(form_oracle.L, st), 2),
+              "Lambda": (partial(form_oracle.Lambda, st), -2),
               "dLambda": (partial(d_lambda, cx), -1)}
     dens = set()
     for k in range(cx.dim + 1):
@@ -74,9 +76,9 @@ def test_del_images_match_projection_routes(name):
         basis = prim_forms(cx.structure, k)
         assert dp.ncols == dm.ncols == len(basis)
         for j, b in enumerate(basis):
-            for m, route, deg in ((dp, cx.del_plus, k + 1), (dm, cx.del_minus, k - 1)):
+            for m, route, deg in ((dp, del_plus, k + 1), (dm, del_minus, k - 1)):
                 index = blade_index(cx.dim, deg)[1]
-                assert divided(m)[j] == form_to_coords(route(b), index)
+                assert divided(m)[j] == form_to_coords(route(cx, b), index)
 
 
 @pytest.mark.parametrize("name", ["N6", "KT4-half"])

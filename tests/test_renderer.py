@@ -135,7 +135,7 @@ def test_lefschetz_power_maps_equal_the_form_route(name):
     n = calc.n
     for k, p in [(k, n - k) for k in range(n + 1)] + [(1, 1)]:
         src, dst = calc.group("dR", k), calc.group("dR", k + 2 * p)
-        cols = [oracle.class_coordinates(calc, dst, calc.st.L_power(r, p))
+        cols = [oracle.class_coordinates(calc, dst, calc.st.omega.power(p).wedge(r))
                 for r in src.representatives]
         expected = OperatorMatrix.from_columns([dict(enumerate(c)) for c in cols],
                                                dst.dimension)

@@ -31,17 +31,7 @@ NO_SRC_CALLER = {
     "support",
     # their one src caller, the Form-level Lefschetz decomposition and the
     # per-blade del memo, moved to tests/form_oracle.py
-    "is_primitive", "is_homogeneous", "coordinates",
-    # the Form-level route over del_blades, kept for demos 03/04 and the tests
-    "del_plus", "del_minus",
-    # the Form-level route over the triple's compound matrices, kept for
-    # demo 05 and the tests
-    "jay",
-    # the Form-level sl(2) grading and symplectic star, for demo 02, the
-    # tests and form_oracle.py; the engine reads their matrices instead
-    "H", "star",
-    # a Form wedged with omega r times: form_oracle.py's volume and the tests
-    "L_power",
+    "is_homogeneous", "coordinates",
     # public API: a group's classes as Forms, for demo 03, the tests and
     # library users; the Hodge suite's pairing reads the int rows instead
     "representatives",

@@ -52,7 +52,7 @@ def test_split_rejects_an_operator_that_leaves_the_primitive_forms():
     commute with L: its degree -1 piece is not primitive."""
     st = SymplecticStructure(standard_omega(3))
     idx = blade_index(6, 4)[1]
-    omega2 = {idx[m]: c for m, c in st.L_power(Form.scalar(6, 1), 2).items()}
+    omega2 = {idx[m]: c for m, c in st.omega.power(2).items()}
     cols = [{i: c * (j + 1) for i, c in omega2.items()} for j in range(len(blade_index(6, 3)[0]))]
     with pytest.raises(AssertionError, match="leaves the primitive forms"):
         st.split(OperatorMatrix.from_columns(cols, len(idx)), 3)
