@@ -22,6 +22,8 @@ Input grammars:
   single-character indices and optional integer coefficient;
 * a JSON object ``{"dim": 6, "d": {"4": [[1,2,1]], ...}}`` listing triples
   ``[a, b, c]`` meaning d(e_i) += c * e_a ^ e_b (the general escape hatch).
+  Each key of ``"d"`` is the generator index i in ASCII digits, and names
+  its generator at most once; no JSON object may repeat a key.
 """
 
 from __future__ import annotations
@@ -190,10 +192,22 @@ def _json_coefficient(c, term) -> Fraction:
     raise AlgebraValidationError(f"coefficient must be an integer or 'p/q': {term!r}")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise AlgebraValidationError(f"JSON key {key!r} given twice")
+        out[key] = value
+    return out
+
+
 def parse_algebra_json(text: str) -> LieAlgebraSpec:
     """Parse the JSON structure-constant format (see module docstring)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
+    except AlgebraValidationError:
+        raise
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise AlgebraValidationError(f"invalid JSON: {exc}") from exc
     except RecursionError:
@@ -207,13 +221,19 @@ def parse_algebra_json(text: str) -> LieAlgebraSpec:
     if not isinstance(table, dict):
         raise AlgebraValidationError('"d" must map generator indices to term lists')
     diffs = [Form.zero(dim) for _ in range(dim)]
+    named: set[int] = set()
     for key, terms in table.items():
         try:
-            gen = int(key)
-        except (TypeError, ValueError):
-            raise AlgebraValidationError(f"bad generator index {key!r}") from None
+            gen = int(key) if re.fullmatch("[0-9]+", key) else None
+        except ValueError:  # more digits than int() reads
+            gen = None
+        if gen is None:
+            raise AlgebraValidationError(f"bad generator index {key!r}")
         if not 1 <= gen <= dim:
             raise AlgebraValidationError(f"generator index {gen} out of range 1..{dim}")
+        if gen in named:
+            raise AlgebraValidationError(f"generator {gen} named twice")
+        named.add(gen)
         if not isinstance(terms, list):
             raise AlgebraValidationError(f"d({key}) must be a list of terms, got {terms!r}")
         coeffs: dict[int, Fraction] = {}

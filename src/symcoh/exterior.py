@@ -189,17 +189,11 @@ class Form:
         """(blade, coefficient) pairs in canonical blade order."""
         return sorted(self._c.items(), key=lambda kv: (kv[0].bit_count(), blade_indices(kv[0])))
 
-    def support(self) -> set[int]:
-        return set(self._c)
-
     def is_zero(self) -> bool:
         return not self._c
 
     def degrees(self) -> set[int]:
         return {blade_degree(m) for m in self._c}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> int:
         """Degree of a homogeneous non-zero form."""

@@ -7,10 +7,12 @@ basis by substituting e^i = f^i - c f^j.  The move is unimodular, so the
 result is an isomorphic fixture with integer structure constants and every
 cohomology dimension is unchanged.
 
-``scramble`` applies one move for every pair i < j of the first ``moved``
-generators, as the benchmark's input generator does, so that the change of
-basis is a dense unit upper-triangular matrix: half of the moves have
-|c| = 2 and the rest |c| = 1, in seeded places and with seeded signs.
+``scramble`` applies a list of moves in order.  Two seeded lists move every
+pair i < j of the first ``moved`` generators, so that the change of basis
+is a dense unit upper-triangular matrix: ``triangle_moves``, as the
+benchmark's input generator does, gives half of the moves |c| = 2 and the
+rest |c| = 1, in seeded places and with seeded signs; ``matrix_moves``
+draws each c from +-1 and +-2, row by row, as the entries of f = P e.
 """
 
 from __future__ import annotations
@@ -50,11 +52,18 @@ def triangle_moves(moved: int, rng: random.Random) -> list[tuple[int, int, int]]
     return [(i, j, m * rng.choice((1, -1))) for (i, j), m in zip(pairs, magnitudes)]
 
 
-def scramble(alg: LieAlgebraSpec, omega: Form, moved: int, seed: int
+def matrix_moves(moved: int, rng: random.Random) -> list[tuple[int, int, int]]:
+    """The moves (i, j, P_ij), i < j <= ``moved`` in ascending i, of the unit
+    upper-triangular P whose entries above the diagonal are drawn row by row
+    from +-1 and +-2: each move runs before any move that changes e^j."""
+    return [(i, j, rng.choice((-2, -1, 1, 2)))
+            for i in range(1, moved + 1) for j in range(i + 1, moved + 1)]
+
+
+def scramble(alg: LieAlgebraSpec, omega: Form, moves: list[tuple[int, int, int]]
              ) -> tuple[LieAlgebraSpec, Form]:
-    """The fixture with its first ``moved`` generators scrambled by
-    ``random.Random(seed)``."""
+    """The fixture after ``moves``, applied in order."""
     diffs = list(alg.differentials)
-    for move in triangle_moves(moved, random.Random(seed)):
+    for move in moves:
         diffs, omega = apply_move(diffs, omega, move)
     return LieAlgebraSpec(diffs), omega

@@ -1,18 +1,7 @@
 import pytest
 
-from symcoh import (
-    CohomologyCalculator,
-    Form,
-    SymplecticComplex,
-    parse_form,
-    parse_salamon,
-    standard_omega,
-)
-
-NIL_ALGEBRA = "(0,0,0,12,14,15+23+24)"
-OMEGA = "e16 + e25 - e34"
-OMEGA_PRIME = "e13 + e26 - e45"
-TORUS_ALGEBRA = "(0,0,0,0,0,0)"
+from fixtures import parse
+from symcoh import CohomologyCalculator, Form, SymplecticComplex
 
 
 def wedge_chain(dim, index_string):
@@ -25,22 +14,22 @@ def wedge_chain(dim, index_string):
 
 @pytest.fixture(scope="session")
 def nil_algebra():
-    return parse_salamon(NIL_ALGEBRA)
+    return parse("N6")[0]
 
 
 @pytest.fixture(scope="session")
 def torus_algebra():
-    return parse_salamon(TORUS_ALGEBRA)
+    return parse("T6")[0]
 
 
 @pytest.fixture(scope="session")
 def omega():
-    return parse_form(OMEGA, 6)
+    return parse("N6")[1]
 
 
 @pytest.fixture(scope="session")
 def omega_prime():
-    return parse_form(OMEGA_PRIME, 6)
+    return parse("N6-prime")[1]
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +44,7 @@ def nil_cx_prime(nil_algebra, omega_prime):
 
 @pytest.fixture(scope="session")
 def torus_cx(torus_algebra):
-    return SymplecticComplex(torus_algebra, standard_omega(3))
+    return SymplecticComplex(torus_algebra, parse("T6")[1])
 
 
 @pytest.fixture(scope="session")

@@ -380,7 +380,7 @@ class LefschetzComponents:
 def lefschetz_decompose(st, a: Form, k: int | None = None) -> LefschetzComponents:
     if a.is_zero():
         return LefschetzComponents(st, k if k is not None else 0, {}, a)
-    if not a.is_homogeneous():
+    if len(a.degrees()) > 1:
         raise ValueError(f"form is not homogeneous: {a}")
     deg = a.degree()
     if k is not None and k != deg:

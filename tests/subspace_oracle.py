@@ -119,3 +119,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         if all(j >= n for j in r):
             inter.append({j - n: v for j, v in r.items()})
     return Subspace(n, inter)
+
+
+def same(a: Subspace, b: Subspace) -> bool:
+    """Equal subspaces with equal pivots: equal canonical int rows."""
+    return a == b and a.pivots == b.pivots

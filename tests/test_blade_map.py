@@ -12,34 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import form_oracle as oracle
-from symcoh import CohomologyCalculator, SymplecticComplex, SymplecticStructure, parse_salamon
+from fixtures import build, select
+from symcoh import CohomologyCalculator
 from symcoh.exterior import DimensionMismatchError, Form
 from symcoh.hodge import HodgeTheory, build_triple
-from symcoh.symplectic import parse_omega
-
-# N6 under a dense unit upper-triangular integer change of basis of all six
-# generators, with omega doubled so that its inverse has entries +-1/2.
-SCRAMBLED_N6 = (
-    "(-12-13-14+3*16-3*23-24-2*25+2*26+34-2*35-8*36-2*45-3*46-6*56,"
-    "12+13+2*14-2*16+4*23+24+2*25-4*26-3*34+2*35+8*36+4*45+2*46+4*56,"
-    "-12-13-2*14+4*15+10*16+7*24-10*25-12*26+11*34-18*35-24*36-8*45+22*46-52*56,"
-    "12+13+14-2*15-7*16+23-3*24+6*25+6*26-5*34+10*35+16*36+4*45-9*46+30*56,"
-    "14-3*15-5*16-2*23-6*24+6*25+10*26-8*34+12*35+12*36+5*45-19*46+34*56,"
-    "15+2*16+23+2*24-2*25-4*26+2*34-4*35-4*36-45+6*46-12*56)",
-    "2*16+2*25-2*34+4*35-2*36+4*45+2*46+4*56")
-
-FIXTURES = {
-    "N6": ("(0,0,0,12,14,15+23+24)", "16+25-34"),
-    "N8": ("(0,0,0,12,14,15+23+24,0,0)", "16+25-34+78"),
-    "scrambled-N6": SCRAMBLED_N6,
-}
 
 
 @lru_cache(maxsize=None)
 def _fixture(name):
-    algebra, omega = FIXTURES[name]
-    alg = parse_salamon(algebra)
-    cx = SymplecticComplex(alg, parse_omega(omega, alg.dim))
+    cx = build(name)
     return cx, build_triple(cx.structure)
 
 
@@ -57,7 +38,7 @@ def test_scrambled_fixture_has_a_non_integer_inverse():
                for i in range(inverse.nrows) for j in range(inverse.ncols))
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", select("N6", "N8", "scrambled-N6"))
 @settings(max_examples=40, deadline=None)
 @given(data=hst.data())
 def test_blade_maps_match_form_oracle(name, data):
@@ -75,8 +56,7 @@ def test_blade_maps_match_form_oracle(name, data):
 def test_blade_images_are_kept_per_structure():
     """Two omegas on the same dimension: each structure keeps its own
     images, whichever is used first."""
-    first = SymplecticStructure(parse_omega("16+25-34", 6))
-    second = SymplecticStructure(parse_omega("13+26-45", 6))
+    first, second = build("N6").structure, build("N6-prime").structure
     f = Form.e(6, 1, 3, 6) + Form.e(6, 2, 6)
     for st in (first, second, first):
         assert st.apply("Lambda", f) == oracle.Lambda(st, f)
@@ -109,8 +89,8 @@ def test_blade_maps_are_freed_with_their_owners():
     (subspaces and groups).  A probe stored in each cache goes with it."""
     gc.disable()
     try:
-        alg = parse_salamon("(0,0,0,12,14,15+23+24)")
-        cx = SymplecticComplex(alg, parse_omega("16+25-34", 6))
+        cx = build("N6")
+        alg = cx.algebra
         triple = build_triple(cx.structure)
         ht = HodgeTheory(cx, triple)
         calc = CohomologyCalculator(cx)

@@ -98,6 +98,33 @@ def test_json_errors(bad):
         parse_algebra_json(bad)
 
 
+# a key of "d" is ASCII digits and names its generator once, and no JSON key
+# repeats: each refusal is one error line and exit 2, where the last entry won
+KEY_REJECTIONS = [
+    pytest.param('{"dim": 4, "d": {"4": [[1, 2, 1]], "04": []}}', "generator 4 named twice",
+                 id="padded-twice"),
+    pytest.param('{"dim": 4, "d": {"4": [[1, 2, 1]], "4": []}}', "JSON key '4' given twice",
+                 id="key-twice"),
+    pytest.param('{"dim": 4, "dim": 4, "d": {}}', "JSON key 'dim' given twice", id="dim-twice"),
+    pytest.param('{"dim": 4, "d": {"+4": []}}', "bad generator index '+4'", id="sign"),
+    pytest.param('{"dim": 4, "d": {" 4": []}}', "bad generator index ' 4'", id="blank"),
+    pytest.param('{"dim": 4, "d": {"\\u0664": []}}', "bad generator index '\u0664'",
+                 id="arabic-digit"),
+    pytest.param('{"dim": 4, "d": {"4_0": []}}', "bad generator index '4_0'", id="underscore"),
+]
+
+
+@pytest.mark.parametrize("text, message", KEY_REJECTIONS)
+def test_json_generator_keys_are_digits_named_once(text, message, capsys):
+    assert main(["compute", "--algebra", text, "--omega", "13+24"]) == 2
+    assert capsys.readouterr().err == f"error: bad algebra: {message}\n"
+
+
+def test_json_generator_key_may_have_leading_zeros():
+    assert parse_algebra_json('{"dim": 4, "d": {"04": [[1, 2, 1]]}}') == \
+        parse_salamon("(0,0,0,12)")
+
+
 def test_json_string_coefficients_still_parse():
     a = parse_algebra_json(json.dumps({"dim": 4, "d": {"3": [[1, 2, "-1/2"]]}}))
     b = parse_algebra_json(json.dumps({"dim": 4, "d": {"3": [[2, 1, "1/2"]]}}))

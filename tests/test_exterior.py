@@ -231,7 +231,7 @@ def test_form_items_sorted_like_basis():
 
 def test_form_immutable_and_zero_free():
     a = Form(6, {3: Fraction(1), 5: Fraction(0)})
-    assert a.support() == {3}
+    assert a.items() == [(3, 1)]
     with pytest.raises(AttributeError):
         a.dim = 4
 

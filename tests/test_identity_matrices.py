@@ -20,30 +20,14 @@ from fractions import Fraction
 import pytest
 
 import form_oracle
-from symcoh import SymplecticComplex, parse_algebra
+from fixtures import build, select
 from symcoh.exterior import blade_index
 from symcoh.identities import run_identity_suite
-from symcoh.symplectic import parse_omega
 
-from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
-from test_blade_map import SCRAMBLED_N6
-
-FIXTURES = {
-    "N6": (NIL_ALGEBRA, "16+25-34"),
-    "N6-prime": (NIL_ALGEBRA, "13+26-45"),
-    "KT4": ("(0,0,0,12)", "13+24"),
-    "T6": (TORUS_ALGEBRA, "12+34+56"),
-    "scrambled-N6": SCRAMBLED_N6,
-}
+NAMES = select("core", "scrambled-N6")
 
 
-def build(name):
-    algebra, omega = FIXTURES[name]
-    alg = parse_algebra(algebra)
-    return SymplecticComplex(alg, parse_omega(omega, alg.dim))
-
-
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_matrix_battery_equals_form_battery(name):
     result = run_identity_suite(build(name))
     assert result.passed, result.details
@@ -98,7 +82,7 @@ def test_d_perturbations_fail_the_identities_of_a_doubled_generator():
         "del_plus two routes", "del_minus two routes"}
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_scale_rs_matches_form_oracle(name):
     cx = build(name)
     st, n = cx.structure, cx.n

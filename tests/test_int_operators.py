@@ -16,10 +16,11 @@ g^-1 = T T^T, T the symplectic basis, in every degree.  The top
 coefficient of the volume form omega^n/n! is the Pfaffian of omega, so its
 square is the determinant of omega's matrix.
 
-The inputs are every ladder fixture, dimensions 2 and 14, a seeded dense
-integer change of basis of N8, and a JSON algebra with p/q structure
-constants under an omega with Fraction coefficients, where all three
-operators have denominators above 1.
+The inputs come from ``tests/fixtures.py``: the ``ladder`` (N6 to N14 and
+T8), ``dim-2``, ``scrambled-N8-seed8`` (N8 under the seeded dense change of
+basis f = P e, built by ``basis_change.matrix_moves``) and ``N6-p/q``, a
+JSON algebra with p/q structure constants under an omega with Fraction
+coefficients, where all three operators have denominators above 1.
 """
 
 import random
@@ -29,71 +30,15 @@ from functools import lru_cache
 import pytest
 
 import form_oracle as oracle
-from symcoh import SymplecticComplex, parse_algebra
-from symcoh.cealgebra import LieAlgebraSpec
-from symcoh.exterior import Form, blade_indices
+from fixtures import build, select
+from symcoh.exterior import Form
 from symcoh.hodge import build_triple
-from symcoh.symplectic import parse_omega
 
 from dense_oracle import det
 
-FIXTURES = {
-    "dim-2": ("(0,0)", "12"),
-    "N6": ("(0,0,0,12,14,15+23+24)", "16+25-34"),
-    "N8": ("(0,0,0,12,14,15+23+24,0,0)", "16+25-34+78"),
-    "T8": ("(0,0,0,0,0,0,0,0)", "12+34+56+78"),
-    "N10": ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a"),
-    "N12": ("(0,0,0,12,14,15+23+24,0,0,0,0,0,0)", "16+25-34+78+9a+bc"),
-    "N14": ("(0,0,0,12,14,15+23+24,0,0,0,0,0,0,0,0)", "16+25-34+78+9a+bc+de"),
-    # d e4 = 2/3 e12 and d e5 = 3/5 e14; omega is closed for these ratios
-    "N6-p/q": ('{"dim": 6, "d": {"4": [[1, 2, "2/3"]], "5": [[1, 4, "3/5"]], '
-               '"6": [[1, 5, 1], [2, 3, 1], [2, 4, 1]]}}', "1/2*e16 + 5/6*e25 - 3/4*e34"),
-}
-
-
-def substitute(a: Form, q: list[list[int]]) -> Form:
-    """a with each e_i replaced by the 1-form with coefficients row i of q."""
-    dim = a.dim
-    out = Form.zero(dim)
-    for mask, c in a.items():
-        term = Form.scalar(dim, c)
-        for i in blade_indices(mask):
-            term = term.wedge(Form(dim, {1 << j: q[i - 1][j] for j in range(dim)}))
-        out = out + term
-    return out
-
-
-def scrambled(algebra: str, omega: str, seed: int) -> SymplecticComplex:
-    """The fixture in the basis f = P e, P a seeded unit upper-triangular
-    int matrix with entries +-1 and +-2 above the diagonal: d f_i is the sum
-    of P_ij d e_j, and every form is rewritten in the f by e = Q f, Q = P^-1,
-    which is an int matrix too."""
-    alg = parse_algebra(algebra)
-    dim, rng = alg.dim, random.Random(seed)
-    p = [[int(i == j) or (rng.choice((-2, -1, 1, 2)) if j > i else 0) for j in range(dim)]
-         for i in range(dim)]
-    q = [[0] * dim for _ in range(dim)]
-    for i in reversed(range(dim)):
-        q[i][i] = 1
-        for j in range(i + 1, dim):
-            q[i][j] = -sum(p[i][m] * q[m][j] for m in range(i + 1, j + 1))
-    assert all(sum(p[i][m] * q[m][j] for m in range(dim)) == (i == j)
-               for i in range(dim) for j in range(dim))
-    diffs = [substitute(sum((alg.differentials[j] * p[i][j] for j in range(dim)),
-                            Form.zero(dim)), q) for i in range(dim)]
-    return SymplecticComplex(LieAlgebraSpec(diffs), substitute(parse_omega(omega, dim), q))
-
-
-@lru_cache(maxsize=None)
-def build(name: str) -> SymplecticComplex:
-    if name == "scrambled-N8":
-        return scrambled(*FIXTURES["N8"], seed=8)
-    algebra, omega = FIXTURES[name]
-    alg = parse_algebra(algebra)
-    return SymplecticComplex(alg, parse_omega(omega, alg.dim))
-
-
-NAMES = [*FIXTURES, "scrambled-N8"]
+# each complex is only read here, so one is kept per fixture
+built = lru_cache(maxsize=None)(build)
+NAMES = select("dim-2", "ladder", "N6-p/q", "scrambled-N8-seed8")
 
 
 def pairs(cx):
@@ -108,7 +53,7 @@ def pairs(cx):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_int_matrices_equal_the_form_wedge_route(name):
-    for op, k, got, want in pairs(build(name)):
+    for op, k, got, want in pairs(built(name)):
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols), (op, k)
         assert got.cols == want.cols, (op, k)
         assert got.den == want.den, (op, k)
@@ -119,20 +64,20 @@ def test_inputs_reach_denominators_and_dense_constants():
     the scrambled N8 d of each of the first six generators is non-zero,
     omega has more terms than N8's and some constant is not +-1."""
     dens = {}
-    for op, _, got, _ in pairs(build("N6-p/q")):
+    for op, _, got, _ in pairs(built("N6-p/q")):
         dens[op] = max(dens.get(op, 1), got.den)
     assert min(dens.values()) > 1, dens
-    cx = build("scrambled-N8")
+    cx = built("scrambled-N8-seed8")
     assert all(cx.algebra.differentials[:6]) and len(cx.omega.items()) > 4
     assert any(c.denominator == 1 and abs(c) > 1
                for f in cx.algebra.differentials for _, c in f.items())
 
 
-@pytest.mark.parametrize("name", ["N6-p/q", "scrambled-N8"])
+@pytest.mark.parametrize("name", select("N6-p/q", "scrambled-N8-seed8"))
 def test_form_level_operators_apply_the_matrices(name):
     """d, L, L^r and Lambda of a mixed-degree form with Fraction
     coefficients equal the oracle blade maps applied to it."""
-    cx = build(name)
+    cx = built(name)
     st, rng = cx.structure, random.Random(17)
     a = Form(cx.dim, {rng.randrange(1 << cx.dim): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in range(12)})
@@ -147,16 +92,16 @@ def test_form_level_operators_apply_the_matrices(name):
 def test_volume_is_a_pfaffian(name):
     """(omega^n/n!)[top]^2 = det(omega's matrix), so omega^n vanishes only
     where the determinant check has already refused omega."""
-    st = build(name).structure
+    st = built(name).structure
     w = [[st.omega_matrix.entry(i, j) for j in range(st.dim)] for i in range(st.dim)]
     assert oracle.volume_norm(st) ** 2 == det(w, st.dim)
 
 
-@pytest.mark.parametrize("name", ["dim-2", "N6", "N8", "N6-p/q", "scrambled-N8"])
+@pytest.mark.parametrize("name", select("dim-2", "N6", "N8", "N6-p/q", "scrambled-N8-seed8"))
 def test_compound_matrices_equal_the_form_wedge_route(name):
     """``op("jay", k)`` and ``op("gram", k)`` against the blade maps of the
     rows of J and of T T^T, from degree -1 to dim + 1."""
-    cx = build(name)
+    cx = built(name)
     triple, dim = build_triple(cx.structure), cx.dim
     j_rows = [[triple.J.entry(i, j) for j in range(dim)] for i in range(dim)]
     t_rows = [[triple.basis.entry(i, j) for j in range(dim)] for i in range(dim)]
@@ -171,5 +116,5 @@ def test_compound_matrices_equal_the_form_wedge_route(name):
 
 def test_compound_inputs_reach_denominators():
     """On the p/q fixture J and g^-1 both have denominators above 1."""
-    triple = build_triple(build("N6-p/q").structure)
+    triple = build_triple(built("N6-p/q").structure)
     assert triple.op("jay", 1).den > 1 and triple.op("gram", 1).den > 1

@@ -4,20 +4,30 @@ Zassenhaus intersection kept in ``subspace_oracle``.
 ``meet(V, m)`` is V ^ ker m: V's basis matrix b times ker(m·b), lifted
 canonically with no second elimination.  It is checked on random small int
 subspaces and matrices, the zero subspace, a matrix with no rows and the
-zero matrix among them, and then in every degree of the primitive-coordinate
-fixtures on the exactness lemma's three conditions and on the numerators and
-denominators of the primitive parts of the d- and dL-cohomologies.  Equality
+zero matrix among them, and then in every degree of the table's
+``primitive`` fixtures on the exactness lemma's three conditions and on the
+numerators and denominators of the primitive parts of the d- and
+dL-cohomologies.  Equality
 is of canonical int rows and pivots, so the witnesses the checks print are
 the same by either route."""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from fixtures import build, select
 from paper_checks import de_rham_primitive_part, dlambda_primitive_part
-from subspace_oracle import subspace_intersect
+from subspace_oracle import same, subspace_intersect
+from symcoh import CohomologyCalculator
 from symcoh.linalg import AmbientMismatchError, OperatorMatrix, Subspace, kernel, meet, quotient
-from test_primitive_coordinates import FIXTURES, calc, same
+
+
+@lru_cache(maxsize=None)
+def calc(name: str) -> CohomologyCalculator:
+    return CohomologyCalculator(build(name))
+
 
 ENTRIES = hst.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
 
@@ -63,7 +73,7 @@ def test_meet_edge_cases():
         subspace_intersect(v, Subspace.zero(2))
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", select("primitive"))
 def test_exactness_conditions_equal_the_zassenhaus_route(name):
     c = calc(name)
     for k in range(c.n + 1):
@@ -79,7 +89,7 @@ def test_exactness_conditions_equal_the_zassenhaus_route(name):
             assert same(sub, subspace_intersect(span, closed)), (label, k)
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", select("primitive"))
 def test_primitive_parts_equal_the_zassenhaus_route(name):
     c = calc(name)
     for k in range(2 * c.n + 1):

@@ -16,16 +16,11 @@ from math import comb
 
 import pytest
 
-from symcoh import SymplecticComplex, parse_algebra
+from fixtures import build, select
 from symcoh.exterior import Form, blade_index
 from symcoh.hodge import CompatibleTriple
-from symcoh.symplectic import parse_omega
 
-from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
-from test_blade_map import SCRAMBLED_N6
-
-FIXTURES = {"N6": (NIL_ALGEBRA, "16+25-34"), "scrambled-N6": SCRAMBLED_N6,
-            "T6": (TORUS_ALGEBRA, "12+34+56")}
+NAMES = select("N6", "scrambled-N6", "T6")
 
 # the degree each operator sends degree k to, on 2n = dim
 DEGREE = {"d": lambda dim, k: k + 1, "L": lambda dim, k: k + 2, "Lambda": lambda dim, k: k - 2,
@@ -38,10 +33,8 @@ ROWS = {"algebra": {"d"}, "structure": {"L", "Lambda", "star"},
 
 
 def owners(name):
-    algebra, omega = FIXTURES[name]
-    alg = parse_algebra(algebra)
-    cx = SymplecticComplex(alg, parse_omega(omega, alg.dim))
-    return {"algebra": alg, "structure": cx.structure, "complex": cx,
+    cx = build(name)
+    return {"algebra": cx.algebra, "structure": cx.structure, "complex": cx,
             "triple": CompatibleTriple(cx.structure)}
 
 
@@ -49,7 +42,7 @@ def size(dim, k):
     return comb(dim, k) if 0 <= k <= dim else 0
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_every_row_keeps_its_degree_shape_and_form_adapter(name):
     by_owner = owners(name)
     for owner_name, rows in ROWS.items():
@@ -68,7 +61,7 @@ def test_every_row_keeps_its_degree_shape_and_form_adapter(name):
                     assert owner.apply(row, Form(dim, {mask: 1})) == column, (row, mask)
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_the_complex_reaches_its_parts_rows_without_keeping_them(name):
     by_owner = owners(name)
     cx = by_owner["complex"]

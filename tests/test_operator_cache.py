@@ -5,11 +5,12 @@ int matrix over one positive int denominator; divided by it, each must
 equal ``matrix_on_blades`` of the form route, and the del images, the
 pieces of d in primitive coordinates (``del_matrices``) lifted to blades by
 B = ``lift(j, 0)``, must hold the blade coordinates of the projection
-routes ``del_plus``/``del_minus`` on each primitive basis form.  In the
-``-half`` fixtures omega^-1 has entries of 1/2; in N6 with d e4 = e12/2
-(JSON notation) the structure constants do too, so the two products in
-dLambda_k have different denominators in degrees 1 and 2; N6 under
-omega/2 has L with denominator 2.
+routes ``del_plus``/``del_minus`` on each primitive basis form.  The fixtures are
+N6 under both omegas and the table's ``half`` entries, and exactly the
+``half`` ones have a denominator: where omega is doubled, omega^-1 has
+entries of 1/2; in N6 with d e4 = e12/2 (JSON notation) the structure
+constants do too, so the two products in dLambda_k have different
+denominators in degrees 1 and 2; N6 under omega/2 has L with denominator 2.
 """
 
 from fractions import Fraction
@@ -17,40 +18,23 @@ from functools import partial
 
 import pytest
 
-from symcoh import CohomologyCalculator, SymplecticComplex, parse_algebra
+from symcoh import CohomologyCalculator
 from symcoh import cealgebra, exterior, symplectic
 from symcoh.exterior import blade_index, form_to_coords
-from symcoh.symplectic import parse_omega
 
 import form_oracle
-from conftest import NIL_ALGEBRA, TORUS_ALGEBRA
+from fixtures import TABLE, build, select
 from form_oracle import d_lambda, del_minus, del_plus, matrix_on_blades, prim_forms
 from primitive_oracle import del_images
 
-FIXTURES = {
-    "N6": (NIL_ALGEBRA, "16+25-34"),
-    "N6-prime": (NIL_ALGEBRA, "13+26-45"),
-    "N6-half": (NIL_ALGEBRA, "2*16+2*25-2*34"),
-    "KT4-half": ("(0,0,0,12)", "2*13+24"),
-    "T6-half": (TORUS_ALGEBRA, "2*12+34+56"),
-    "N6-half-d": ('{"dim": 6, "d": {"4": [[1, 2, "1/2"]], "5": [[1, 4, 1]], '
-                  '"6": [[1, 5, 1], [2, 3, 1], [2, 4, 1]]}}', "16+25-2*34"),
-    "N6-half-omega": (NIL_ALGEBRA, "1/2*e16 + 1/2*e25 - 1/2*e34"),
-}
-
-
-def build(name):
-    algebra, omega = FIXTURES[name]
-    alg = parse_algebra(algebra)
-    return SymplecticComplex(alg, parse_omega(omega, alg.dim))
-
+NAMES = select("N6", "N6-prime", "half")
 
 def divided(m):
     assert m.den > 0 and all(isinstance(v, int) for c in m.cols for v in c.values())
     return [{i: Fraction(v, m.den) for i, v in c.items()} for c in m.cols]
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_cached_matrices_match_form_routes(name):
     cx = build(name)
     st = cx.structure
@@ -65,10 +49,10 @@ def test_cached_matrices_match_form_routes(name):
             assert (cached.nrows, cached.ncols) == (oracle.nrows, oracle.ncols)
             assert divided(cached) == [oracle.column(j) for j in range(oracle.ncols)], (op, k)
             dens.add(cached.den)
-    assert (dens != {1}) == ("-half" in name)
+    assert (dens != {1}) == ("half" in TABLE[name].tags)
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_del_images_match_projection_routes(name):
     cx = build(name)
     for k in range(-1, cx.n + 1):

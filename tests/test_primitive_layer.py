@@ -8,29 +8,19 @@ two must give the same matrix in every degree.
 
 import pytest
 
-from symcoh import Form, SymplecticComplex, parse_form, parse_salamon, standard_omega
+from symcoh import Form
 from symcoh.exterior import blade_index, form_to_coords
 from symcoh.hodge import HodgeTheory
 from symcoh.linalg import OperatorMatrix
 from symcoh.symbolcheck import build_symbols
 
 import form_oracle
-from conftest import NIL_ALGEBRA, OMEGA, OMEGA_PRIME, TORUS_ALGEBRA
-
-FIXTURES = {
-    "N6": (NIL_ALGEBRA, OMEGA),
-    "N6-prime": (NIL_ALGEBRA, OMEGA_PRIME),
-    "T6": (TORUS_ALGEBRA, None),
-    "KT4": ("(0,0,0,12)", "e13 + e24"),
-}
+from fixtures import build, select
 
 
-@pytest.fixture(scope="module", params=sorted(FIXTURES))
+@pytest.fixture(scope="module", params=select("core"))
 def cx(request):
-    algebra, omega = FIXTURES[request.param]
-    alg = parse_salamon(algebra)
-    w = standard_omega(alg.dim // 2) if omega is None else parse_form(omega, alg.dim)
-    return SymplecticComplex(alg, w)
+    return build(request.param)
 
 
 def test_del_matrices_match_projection_routes(cx):

@@ -16,8 +16,8 @@ from symcoh.cli import RunConfig, _build_complex, cmd_compute
 from symcoh.cohomology import GROUP_NAMES
 from symcoh.exterior import Form, blade_index, form_to_str, parse_form, row_to_str
 from symcoh.linalg import OperatorMatrix
-from test_blade_map import SCRAMBLED_N6
-from test_int_operators import FIXTURES as INT_FIXTURES
+
+from fixtures import select, texts
 
 COEFFS = hst.one_of(hst.sampled_from([Fraction(1), Fraction(-1)]),
                     hst.builds(Fraction, hst.integers(-30, 30), hst.integers(1, 12)))
@@ -71,27 +71,22 @@ def test_row_to_str_prints_the_form_of_the_row(case):
 
 # -- the groups' int rows -------------------------------------------------------
 
-FIXTURES = {
-    "N6": ("(0,0,0,12,14,15+23+24)", "16+25-34"),
-    "N8": ("(0,0,0,12,14,15+23+24,0,0)", "16+25-34+78"),
-    "T6": ("(0,0,0,0,0,0)", "12+34+56"),
-    "scrambled-N6": SCRAMBLED_N6,
-    # rational structure constants: dR rows in degrees 2 and 3 have pivot
-    # entries 6 and 3, so the representatives are not the rows themselves
-    "N6-p/q": INT_FIXTURES["N6-p/q"],
-}
+# N6-p/q has rational structure constants: dR rows in degrees 2 and 3 have
+# pivot entries 6 and 3, so the representatives are not the rows themselves
+NAMES = select("N6", "N8", "T6", "scrambled-N6", "N6-p/q")
 
 
 @lru_cache(maxsize=None)
 def computed(name):
-    """A calculator of the fixture and the ``compute`` table the CLI prints."""
-    cfg = RunConfig("compute", *FIXTURES[name])
+    """A calculator of the fixture and the ``compute`` table the CLI prints,
+    both from the fixture's texts."""
+    cfg = RunConfig("compute", *texts(name))
     code, text = cmd_compute(cfg)
     assert code == 0
     return CohomologyCalculator(_build_complex(cfg)), json.loads(text)["groups"]
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_printed_bases_and_representatives_equal_the_fraction_route(name):
     calc, table = computed(name)
     for g in GROUP_NAMES:
@@ -103,7 +98,7 @@ def test_printed_bases_and_representatives_equal_the_fraction_route(name):
             assert table[g][str(k)]["basis"] == [oracle.form_to_str(f) for f in reps], (g, k)
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+@pytest.mark.parametrize("name", NAMES)
 def test_class_coordinates_equal_the_solve_route(name):
     """On each group: a combination of the representatives shifted by the
     denominator, one representative, and a blade that may lie outside the
@@ -127,7 +122,7 @@ def test_class_coordinates_equal_the_solve_route(name):
                 assert calc.class_coordinates(grp, f) == expected
 
 
-@pytest.mark.parametrize("name", ["N6", "N8", "scrambled-N6", "N6-p/q"])
+@pytest.mark.parametrize("name", select("N6", "N8", "scrambled-N6", "N6-p/q"))
 def test_lefschetz_power_maps_equal_the_form_route(name):
     """omega^p on classes, against L^p of each representative Form decomposed
     by the solve route."""

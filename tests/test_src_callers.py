@@ -27,11 +27,9 @@ import symcoh
 SRC = Path(symcoh.__file__).parent
 
 NO_SRC_CALLER = {
-    # the blades of a Form, for the tests
-    "support",
-    # their one src caller, the Form-level Lefschetz decomposition and the
+    # its one src caller, the Form-level Lefschetz decomposition and the
     # per-blade del memo, moved to tests/form_oracle.py
-    "is_homogeneous", "coordinates",
+    "coordinates",
     # public API: a group's classes as Forms, for demo 03, the tests and
     # library users; the Hodge suite's pairing reads the int rows instead
     "representatives",

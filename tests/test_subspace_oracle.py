@@ -21,7 +21,6 @@ a free set that leaves dependent columns.
 
 import copy
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -30,10 +29,10 @@ from hypothesis import strategies as hst
 
 import dense_oracle
 import subspace_oracle as oracle
-from basis_change import scramble
-from symcoh import CohomologyCalculator, SymplecticComplex, parse_salamon
+from fixtures import build, select
+from subspace_oracle import same
+from symcoh import CohomologyCalculator
 from symcoh.linalg import OperatorMatrix, Subspace, image, kernel
-from symcoh.symplectic import parse_omega
 
 SCALAR = hst.one_of(
     hst.integers(-4, 4),
@@ -201,10 +200,6 @@ def matrices(draw):
     return OperatorMatrix.from_columns([{place[i]: v for i, v in c.items()} for c in cols], tall)
 
 
-def same(a: Subspace, b: Subspace) -> bool:
-    return a == b and a.pivots == b.pivots
-
-
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_image_from_the_kernel_free_set_is_the_column_space(m):
@@ -237,27 +232,11 @@ def test_image_refuses_a_free_set_that_is_not_the_kernels():
             image(m, wrong)
 
 
-REAL = {
-    "N10": ("(0,0,0,12,14,15+23+24,0,0,0,0)", "16+25-34+78+9a", None),
-    # d = 0: every free column of every kernel is untouched by the reduced rows
-    "T8": ("(0,0,0,0,0,0,0,0)", "12+34+56+78", None),
-    "scrambled-N8": ("(0,0,0,12,14,15+23+24,0,0)", "16+25-34+78", 11),
-}
-
-
-@lru_cache(maxsize=None)
-def real_calc(name: str) -> CohomologyCalculator:
-    algebra, omega, seed = REAL[name]
-    alg = parse_salamon(algebra)
-    w = parse_omega(omega, alg.dim)
-    if seed is not None:
-        alg, w = scramble(alg, w, alg.dim, seed)
-    return CohomologyCalculator(SymplecticComplex(alg, w))
-
-
-@pytest.mark.parametrize("name", list(REAL))
+# T8 has d = 0: every free column of every kernel is untouched by the
+# reduced rows
+@pytest.mark.parametrize("name", select("N10", "T8", "scrambled-N8"))
 def test_d_and_dlambda_kernels_and_images_match_the_oracle(name):
-    c = real_calc(name)
+    c = CohomologyCalculator(build(name))
     for k in range(c.dim + 1):
         assert same(c.ker("d", k), oracle.kernel(c.cx.op("d", k))), ("ker", "d", k)
         assert same(c.ker("dL", k), oracle.kernel(c.cx.op("dLambda", k))), ("ker", "dL", k)
