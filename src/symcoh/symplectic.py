@@ -34,7 +34,9 @@ P^s, s = k-2r (``lefschetz_components``).  Each other operator sums over
 r a lift times a primitive-coordinate block times C_r:
 
 - an eigenvalue operator such as 1/(H+2R+1), R counting the omega wedges:
-  fn(r, s) lift(s, r) C_r, on blocks that do not vanish (``scale_rs``);
+  fn(r, s) lift(s, r) C_r, on blocks that do not vanish, or a sum of such
+  operators, each times its operand, with one lift per component
+  (``scale_rs``);
 - the star: (-1)^{s(s+1)/2} lift(s, n-r-s) C_r;
 - del_plus and del_minus on the blades: lift(s+1, r) P_s C_r and
   lift(s-1, r) M_s C_r, (P_s, M_s) the pieces of d in primitive
@@ -156,17 +158,27 @@ class SymplecticStructure(BladeOperators):
         return {r: OperatorMatrix(inv.nrows, m.ncols, [next(cols) for _ in range(m.ncols)],
                                   inv.den).transpose() for r, m in lifts.items()}
 
-    def scale_rs(self, fn: RS, k: int, operand: OperatorMatrix | None = None) -> OperatorMatrix:
+    def scale_rs(self, fn: RS | list[tuple[RS, OperatorMatrix]], k: int,
+                 operand: OperatorMatrix | None = None) -> OperatorMatrix:
         """The sum of fn(r, s) lift(s, r) C_r on degree k, times ``operand``
-        if given.  fn is evaluated only on the blocks C_r operand that are
-        not zero, as is each projected block, lift(s, r) being injective:
-        a component that cancels is never scaled, and one that survives
-        where fn divides by 0 raises."""
-        size = _size(self.dim, k)
-        terms = [(fn(r, k - 2 * r), self.lift(k - 2 * r, r) @ block)
-                 for r, c in self.lefschetz_components(k).items()
-                 if not (block := c if operand is None else c @ operand).is_zero()]
-        return OperatorMatrix.combination(terms, size, size if operand is None else operand.ncols)
+        if given; or, for fn a list of (fn, operand) pairs with operands of
+        one shape, the sum of their terms, one lift product per component.
+        Each fn is evaluated only on its blocks C_r operand that are not
+        zero, as is each projected block, lift(s, r) being injective: a
+        component that cancels is never scaled, and one that survives where
+        fn divides by 0 raises."""
+        pairs = fn if isinstance(fn, list) else [(fn, operand)]
+        size, first = _size(self.dim, k), pairs[0][1]
+        ncols = size if first is None else first.ncols
+        terms = []
+        for r, c in self.lefschetz_components(k).items():
+            blocks = [(f(r, k - 2 * r), b) for f, x in pairs
+                      if not (b := c if x is None else c @ x).is_zero()]
+            if blocks:
+                f, b = blocks[0] if len(blocks) == 1 else (
+                    1, OperatorMatrix.combination(blocks, c.nrows, ncols))
+                terms.append((f, self.lift(k - 2 * r, r) @ b))
+        return OperatorMatrix.combination(terms, size, ncols)
 
     # -- primitive forms ---------------------------------------------------
 

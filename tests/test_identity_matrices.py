@@ -9,8 +9,9 @@ Lefschetz components C_r.  So on every fixture, and after one perturbed
 column of any of them, the two must return the same result, detail for
 detail.  ``scale_rs`` is the
 eigenvalue-operator route of the battery and of the Hodge suite's H+R: it
-must equal the oracle's ``apply_rs`` on every degree, and, like it, raise
-rather than scale a surviving component by an undefined eigenvalue.
+must equal the oracle's ``apply_rs`` on every degree, for one operand or
+a sum of (fn, operand) pairs, and, like it, raise rather than scale a
+surviving component by an undefined eigenvalue.
 """
 
 import gc
@@ -52,7 +53,12 @@ def perturbed(family, mask):
     return cx
 
 
-@pytest.mark.parametrize("family, mask", [*PERTURBED, ("pieces", 0b1)])
+# the last three double a column of an N6 component in degrees 2, 3 and 4,
+# after which the components no longer invert the lifts: the battery must
+# then run every eigenvalue identity on the blades
+@pytest.mark.parametrize("family, mask", [
+    *PERTURBED, ("pieces", 0b1), ("pieces", 0b100001), ("pieces", 0b10011),
+    ("pieces", 0b110011)])
 def test_perturbation_gives_the_form_batterys_details(family, mask):
     result = run_identity_suite(perturbed(family, mask))
     assert not result.passed
@@ -95,6 +101,15 @@ def test_scale_rs_matches_form_oracle(name):
                 lambda a: form_oracle.apply_rs(st, a, fn), cx.dim, k, k)
             assert st.scale_rs(fn, k, d) == form_oracle.matrix_on_blades(
                 lambda a: form_oracle.apply_rs(st, cx.apply("d", a), fn), cx.dim, k - 1, k)
+        # a sum of two (fn, operand) pairs from degree k + 1, the operands of
+        # the del_minus formula; the first fused factor is 0 where n-r-s is
+        x, y = cx.op("dLambda", k + 1), cx.op("Lambda", k + 2) @ cx.op("d", k + 1)
+        for f, g in [(fns[0], fns[2]), (lambda r, s: Fraction(-1, n - s + 1) if n - r - s else 0,
+                                        fns[3])]:
+            assert st.scale_rs([(f, x), (g, y)], k) == form_oracle.matrix_on_blades(
+                lambda a: form_oracle.apply_rs(st, form_oracle.d_lambda(cx, a), f)
+                + form_oracle.apply_rs(st, st.apply("Lambda", cx.apply("d", a)), g),
+                cx.dim, k + 1, k)
 
 
 def test_undefined_eigenvalue_on_a_surviving_component_raises():
