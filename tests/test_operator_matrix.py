@@ -246,3 +246,62 @@ def test_over_pivots_divides_each_row_by_its_pivot_entry(case):
     got = oracle.dense(OperatorMatrix.over_pivots(pairs, m.nrows))
     assert [[r[i] for r in got] for i in range(len(pairs))] == \
         [[Fraction(r.get(j, 0), r[p]) for j in range(m.nrows)] for p, r in pairs]
+
+
+# A (3x4 over 2), whose column 3 is -2 times column 0, and B (4x4 over 3),
+# one column per case of the column product: empty, one entry (negative),
+# two entries that cancel to {} and two that cancel only in part
+A = OperatorMatrix(3, 4, [{0: 1, 1: 2}, {0: 1, 1: 2, 2: -1}, {0: -1, 2: 4}, {0: -2, 1: -4}], 2)
+B = OperatorMatrix(4, 4, [{}, {1: -3}, {0: 2, 3: 1}, {0: 1, 1: -1}], 3)
+
+
+def snapshot(*ms: OperatorMatrix) -> list:
+    return [(m.den, [dict(c) for c in m.cols]) for m in ms]
+
+
+def assert_fresh(out: OperatorMatrix, *operands: OperatorMatrix):
+    """No stored 0, and every column a dict of its own: writing into each
+    leaves the operands as they were."""
+    assert all(v for c in out.cols for v in c.values())
+    before = snapshot(*operands)
+    assert len({id(c) for c in out.cols}) == out.ncols
+    for c in out.cols:
+        c[99] = 7
+    assert snapshot(*operands) == before
+
+
+def test_each_column_case_of_the_product():
+    c = A @ B
+    assert c.den == 6
+    assert c.cols == [{}, {0: -3, 1: -6, 2: 3}, {}, {2: 1}]
+    assert oracle.dense(c) == oracle.matmul(oracle.dense(A), oracle.dense(B), 4, 4)
+    assert_fresh(c, A, B)
+    # one stored column of A taken whole is still a fresh dict
+    one = A @ OperatorMatrix.identity(4)
+    assert one == A and one.cols == A.cols
+    assert_fresh(one, A)
+
+
+def test_each_column_case_of_apply():
+    """``apply`` runs the same kernel on one vector; an explicit 0 entry,
+    alone or beside others, contributes nothing."""
+    assert A.apply({}) == {} and A.apply({1: 0}) == {}
+    assert A.apply({1: -3}) == {0: Fraction(-3, 2), 1: -3, 2: Fraction(3, 2)}
+    assert A.apply({0: 2, 3: 1}) == {} and A.apply({0: 2, 2: 0, 3: 1}) == {}
+    assert A.apply({0: 1, 1: -1}) == {2: Fraction(1, 2)}
+    for j in range(4):
+        assert A.apply({j: 1}) == A.column(j)
+
+
+def test_scale_by_zero_and_by_a_fraction():
+    zero = A.scale(0)
+    assert zero.is_zero() and zero.den == A.den
+    assert oracle.dense(zero) == oracle.scale(oracle.dense(A), 0)
+    assert_fresh(zero, A)
+    s = Fraction(-3, 2)
+    half = A.scale(s)
+    assert half.den == 4 and half.cols == [{i: -3 * v for i, v in c.items()} for c in A.cols]
+    assert oracle.dense(half) == oracle.scale(oracle.dense(A), s)
+    assert_fresh(half, A)
+    # a sum is still summed and filtered: A + A.scale(-1) stores nothing
+    assert (A + A.scale(-1)).cols == [{}] * 4

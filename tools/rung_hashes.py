@@ -8,6 +8,15 @@ Standard library only; pytest does not collect it.
 
     python tools/rung_hashes.py                  # this checkout's source
     python tools/rung_hashes.py --src OTHER/src  # another checkout's source
+    python tools/rung_hashes.py --only "N14 identities" --only "N12 identities"
+
+Given two or more ``--src`` trees, or ``--rounds N``, each rung runs N
+times on every tree, the trees alternating in order from round to round so
+that a drifting host weighs on each alike.  Every run's prefix and exit
+code is checked, and each tree's line gives the rung's median wall time
+over its runs and its largest peak RSS:
+
+    python tools/rung_hashes.py --only "N14 identities" --src A/src --src B/src --rounds 6
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import argparse
 import hashlib
 import os
 import subprocess
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -106,19 +116,65 @@ def run(argv: list[str], src: Path) -> tuple[float, float, str, int]:
     return wall, usage.ru_maxrss / 1024, hashlib.sha256(out).hexdigest()[:12], proc.returncode
 
 
+def select(names: list[str] | None) -> list[tuple]:
+    """The rungs named exactly in ``names``, in table order; every rung when
+    ``names`` is None.  An unknown name raises KeyError."""
+    if names is None:
+        return list(RUNGS)
+    unknown = set(names) - {rung[0] for rung in RUNGS}
+    if unknown:
+        raise KeyError(", ".join(sorted(unknown)))
+    return [rung for rung in RUNGS if rung[0] in names]
+
+
+def status(prefix: str, code: int, pinned: str, pinned_code: int) -> str:
+    out = "ok" if prefix == pinned else f"MISMATCH, pinned {pinned}"
+    if code != pinned_code:
+        out += f", exit {code}, pinned {pinned_code}"
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-                   help="the source directory to run (default: this checkout's src)")
+    p.add_argument("--src", type=Path, action="append",
+                   help="a source directory to run, repeatable (default: this checkout's src)")
+    p.add_argument("--only", action="append", metavar="NAME",
+                   help="run only the rung of this exact name, repeatable")
+    p.add_argument("--rounds", type=int, default=1,
+                   help="runs of each rung on each tree, alternating the trees (default 1)")
     args = p.parse_args(argv)
+    try:
+        rungs = select(args.only)
+    except KeyError as exc:
+        p.error(f"unknown rung {exc.args[0]}; expected one of {', '.join(r[0] for r in RUNGS)}")
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    srcs = args.src or [Path(__file__).resolve().parent.parent / "src"]
     mismatches = 0
-    for name, rung_argv, pinned, pinned_code in RUNGS:
-        wall, rss, prefix, code = run(rung_argv, args.src)
-        status = "ok" if prefix == pinned else f"MISMATCH, pinned {pinned}"
-        if code != pinned_code:
-            status += f", exit {code}, pinned {pinned_code}"
-        mismatches += prefix != pinned or code != pinned_code
-        print(f"{name:<23} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {status}", flush=True)
+    if len(srcs) == 1 and args.rounds == 1:
+        for name, rung_argv, pinned, pinned_code in rungs:
+            wall, rss, prefix, code = run(rung_argv, srcs[0])
+            text = status(prefix, code, pinned, pinned_code)
+            mismatches += text != "ok"
+            print(f"{name:<23} {wall:7.2f} s {rss:7.1f} MB  {prefix}  {text}", flush=True)
+        return 1 if mismatches else 0
+    for i, src in enumerate(srcs, 1):
+        print(f"tree {i}: {src}", flush=True)
+    for name, rung_argv, pinned, pinned_code in rungs:
+        runs: list[list[tuple]] = [[] for _ in srcs]
+        for r in range(args.rounds):
+            for j in range(len(srcs)):
+                i = (r + j) % len(srcs)
+                runs[i].append(run(rung_argv, srcs[i]))
+        for i, got in enumerate(runs, 1):
+            walls, rsss, prefixes, codes = zip(*got)
+            bad = sorted({f"{prefix} {status(prefix, code, pinned, pinned_code)}"
+                          for prefix, code in zip(prefixes, codes)
+                          if (prefix, code) != (pinned, pinned_code)})
+            mismatches += len(bad)
+            print(f"{name:<23} tree {i} {statistics.median(walls):7.2f} s {max(rsss):7.1f} MB  "
+                  f"{'; '.join(bad) or 'ok'}  ({' '.join(f'{w:.2f}' for w in walls)})",
+                  flush=True)
     return 1 if mismatches else 0
 
 
