@@ -15,7 +15,9 @@ stopped inverting blade Gram matrices; ``identities`` on the two fixtures
 with a non-integer omega^-1, where every Lambda, Pi_{r,s} and del_plus/del_minus
 has a denominator above 1, before the operator matrices carried their own
 denominator; the two ``compute --format=md`` hashes before the cohomology
-representatives stayed int rows printed by one renderer.  The
+representatives stayed int rows printed by one renderer; the two
+``check --format=md`` hashes before ``compute`` and ``check`` shared one
+report renderer.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
@@ -78,19 +80,27 @@ def test_stdout_matches_pinned_hash(capsys, name, command, exit_code, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-# compute --format=md: the markdown table prints the same basis strings as
-# the JSON; the (0,0,0,12) basis under 2*13+24 holds 1/2 coefficients
+# --format=md: the compute rows print the same basis strings as the JSON;
+# the (0,0,0,12) basis under 2*13+24 holds 1/2 coefficients.  The check rows
+# print the check list, and N6 fails lefschetz and ddlambda, so exit 1.
+# (fixture, --suite value or None for compute, exit code, stdout sha256)
 MARKDOWN = [
-    ("N8", "96339974f6c8d8ad34fdf1b6825a9e08e7ca418e9242c95446f0d43831337cca"),
-    ("KT4-half", "3efd46f14cac5cbb088ef800fe52401d1d2635c57c250b8908653af164a4f2a3"),
+    ("N8", None, 0, "96339974f6c8d8ad34fdf1b6825a9e08e7ca418e9242c95446f0d43831337cca"),
+    ("KT4-half", None, 0, "3efd46f14cac5cbb088ef800fe52401d1d2635c57c250b8908653af164a4f2a3"),
+    ("N6", "lefschetz,ddlambda,index", 1,
+     "8cb7979c2da935cc3a73a90ea225ba68b058607f03a86f8ba2b70711666f28a0"),
+    ("KT4-half", "identities,hodge", 0,
+     "eb9b70b8ee540aba68c3411dcd13fa0b4d32a9fd6d97415fd3c2b8961a28c0e2"),
 ]
 
 
-@pytest.mark.parametrize("name,sha256", MARKDOWN,
-                         ids=["-".join((*texts(n), "compute-md")) for n, _ in MARKDOWN])
-def test_markdown_stdout_matches_pinned_hash(capsys, name, sha256):
+@pytest.mark.parametrize("name,suites,exit_code,sha256", MARKDOWN,
+                         ids=["-".join((*texts(n), s or "compute", "md"))
+                              for n, s, _, _ in MARKDOWN])
+def test_markdown_stdout_matches_pinned_hash(capsys, name, suites, exit_code, sha256):
+    argv = ["compute"] if suites is None else ["check", f"--suite={suites}"]
     algebra, omega = texts(name)
-    code = main(["compute", "--format=md", "--algebra", algebra, "--omega", omega])
+    code = main(argv + ["--format=md", "--algebra", algebra, "--omega", omega])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
