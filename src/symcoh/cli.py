@@ -3,8 +3,11 @@
 Output is deterministic: the same input produces byte-identical JSON
 (canonical key order, canonical form printing).  Exit codes: 0 on success,
 1 when a requested check fails, 2 on input errors and when the report
-cannot be written, to ``--out`` or to stdout.  A check suite's module
-is imported only when that suite runs, so ``compute`` never loads one.
+cannot be written, to ``--out`` or to stdout.  A run has four stages:
+``parse_args``, ``_build_complex``, the command (``cmd_compute`` or
+``cmd_check``, each returning its exit code and report) and ``render``.
+A check suite's module is imported only when that suite runs, so
+``compute`` never loads one.
 """
 
 from __future__ import annotations
@@ -23,35 +26,19 @@ from .symplectic import NotSymplecticError, SymplecticComplex, parse_omega
 
 DEFAULT_ALGEBRA = "(0,0,0,12,14,15+23+24)"
 DEFAULT_OMEGA = "16+25-34"
-SUITES = ("identities", "symbol", "hodge", "lefschetz", "ddlambda", "index")
 
 
 class InputError(ValueError):
     pass
 
 
-class RunConfig:
-    """One command's settings; ``groups`` defaults to every group."""
-
-    def __init__(self, command: str, algebra_source: str = DEFAULT_ALGEBRA,
-                 omega_source: str = DEFAULT_OMEGA, groups: list[str] | None = None,
-                 degrees: list[int] | None = None, suites: list[str] | None = None,
-                 fmt: str = "json", seed: int = DEFAULT_SEED, symbol_n: int = 3,
-                 out: str | None = None):
-        self.command = command
-        self.algebra_source, self.omega_source = algebra_source, omega_source
-        self.groups = list(GROUP_NAMES) if groups is None else groups
-        self.degrees, self.suites = degrees, [] if suites is None else suites
-        self.fmt, self.seed, self.symbol_n, self.out = fmt, seed, symbol_n, out
-
-
-def _build_complex(cfg: RunConfig) -> SymplecticComplex:
+def _build_complex(algebra_text: str, omega_text: str) -> SymplecticComplex:
     try:
-        algebra = parse_algebra(cfg.algebra_source)
+        algebra = parse_algebra(algebra_text)
     except (FormParseError, AlgebraValidationError) as exc:
         raise InputError(f"bad algebra: {exc}") from exc
     try:
-        omega = parse_omega(cfg.omega_source, algebra.dim)
+        omega = parse_omega(omega_text, algebra.dim)
     except FormParseError as exc:
         raise InputError(f"bad omega: {exc}") from exc
     try:
@@ -64,94 +51,75 @@ def _build_complex(cfg: RunConfig) -> SymplecticComplex:
         raise InputError(f"omega is not symplectic: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# compute
-# ---------------------------------------------------------------------------
-
-def cmd_compute(cfg: RunConfig) -> tuple[int, str]:
-    cx = _build_complex(cfg)
-    calc = CohomologyCalculator(cx)
-    for g in cfg.groups:
+def cmd_compute(args: argparse.Namespace) -> tuple[int, dict]:
+    calc = CohomologyCalculator(_build_complex(args.algebra, args.omega))
+    for g in args.groups:
         if g not in GROUP_NAMES:
             raise InputError(f"unknown group {g!r}; expected one of {', '.join(GROUP_NAMES)}")
-    groups = [g for g in GROUP_NAMES if g in cfg.groups]
     table: dict[str, dict[str, dict]] = {}
-    for g in groups:
+    for g in [g for g in GROUP_NAMES if g in args.groups]:
         legal = calc.legal_degrees(g)
-        if cfg.degrees is None:
+        if args.degrees is None:
             degrees = list(legal)
         else:
-            bad = [k for k in cfg.degrees if k not in legal]
+            bad = [k for k in args.degrees if k not in legal]
             if bad:
                 raise InputError(
                     f"degree {bad[0]} is out of range for group {g!r} "
                     f"(legal: {legal.start}..{legal.stop - 1})")
-            degrees = sorted(set(cfg.degrees))
+            degrees = sorted(set(args.degrees))
         entry: dict[str, dict] = {}
         for k in degrees:
             grp = calc.group(g, k)
             entry[str(k)] = {"dim": grp.dimension,
-                             "basis": [row_to_str(cx.dim, k, r, r[p]) for p, r in grp.rows]}
+                             "basis": [row_to_str(calc.dim, k, r, r[p]) for p, r in grp.rows]}
         table[g] = entry
-    report = {"algebra": cfg.algebra_source, "omega": cfg.omega_source,
-              "groups": table, "checks": {}}
-    if cfg.fmt == "md":
-        return 0, _markdown_table(report)
-    return 0, json.dumps(report, indent=2) + "\n"
+    return 0, {"algebra": args.algebra, "omega": args.omega, "groups": table, "checks": {}}
 
 
-def _markdown_table(report: dict) -> str:
+def _suite(module: str):  # imported when its suite runs
+    return import_module(f".{module}", __package__)
+
+
+# each check suite's runner on the parsed arguments and the calculator
+SUITES = {
+    "identities": lambda args, calc: _suite("identities").run_identity_suite(calc.cx),
+    "symbol": lambda args, calc: _suite("symbolcheck").run_symbol_suite(
+        args.symbol_n, count=20, seed=args.seed),
+    "hodge": lambda args, calc: _suite("hodge").run_hodge_suite(calc.cx, calc),
+    "lefschetz": lambda args, calc: calc.check_strong_lefschetz(),
+    "ddlambda": lambda args, calc: calc.check_ddlambda_lemma(),
+    "index": lambda args, calc: calc.check_index(),
+}
+
+
+def cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
+    calc = CohomologyCalculator(_build_complex(args.algebra, args.omega))
+    results = {name: SUITES[name](args, calc) for name in args.suite}
+    return (0 if all(r.passed for r in results.values()) else 1), {
+        "algebra": args.algebra, "omega": args.omega,
+        "checks": {name: {"passed": r.passed, "details": list(r.details)}
+                   for name, r in results.items()}}
+
+
+def render(report: dict, fmt: str) -> str:
+    """The report as JSON, or as markdown: the header, then the groups table
+    if the report has one, then the check list."""
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
     lines = [f"algebra: `{report['algebra']}`  ", f"omega: `{report['omega']}`", ""]
-    groups = report["groups"]
-    all_degrees = sorted({int(k) for entry in groups.values() for k in entry},
-                         key=int)
-    header = "| group | " + " | ".join(f"k={k}" for k in all_degrees) + " |"
-    sep = "|---" * (len(all_degrees) + 1) + "|"
-    lines += [header, sep]
-    for g, entry in groups.items():
-        row = [g]
-        for k in all_degrees:
-            cell = entry.get(str(k))
-            row.append("" if cell is None
-                       else f"dim {cell['dim']}: " + ", ".join(cell["basis"]))
-        lines.append("| " + " | ".join(row) + " |")
+    if "groups" in report:
+        degrees = sorted({int(k) for entry in report["groups"].values() for k in entry})
+        lines += ["| group | " + " | ".join(f"k={k}" for k in degrees) + " |",
+                  "|---" * (len(degrees) + 1) + "|"]
+        for g, entry in report["groups"].items():
+            cells = [g] + ["" if str(k) not in entry else f"dim {entry[str(k)]['dim']}: "
+                           + ", ".join(entry[str(k)]["basis"]) for k in degrees]
+            lines.append("| " + " | ".join(cells) + " |")
+    for name, chk in report["checks"].items():
+        lines.append(f"* {name}: {'pass' if chk['passed'] else 'FAIL'}")
+        lines.extend(f"    * {d}" for d in chk["details"])
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# check
-# ---------------------------------------------------------------------------
-
-def cmd_check(cfg: RunConfig) -> tuple[int, str]:
-    if not cfg.suites:
-        raise InputError("check requires --suite")
-    cx = _build_complex(cfg)
-    calc = CohomologyCalculator(cx)
-
-    def suite(module: str):  # imported when its suite runs
-        return import_module(f".{module}", __package__)
-
-    suites = {"identities": lambda: suite("identities").run_identity_suite(cx),
-              "symbol": lambda: suite("symbolcheck").run_symbol_suite(
-                  cfg.symbol_n, count=20, seed=cfg.seed),
-              "hodge": lambda: suite("hodge").run_hodge_suite(cx, calc),
-              "lefschetz": calc.check_strong_lefschetz,
-              "ddlambda": calc.check_ddlambda_lemma,
-              "index": calc.check_index}
-    results = {name: suites[name]() for name in cfg.suites}
-    report = {"algebra": cfg.algebra_source, "omega": cfg.omega_source,
-              "checks": {name: {"passed": r.passed, "details": list(r.details)}
-                         for name, r in results.items()}}
-    all_pass = all(r.passed for r in results.values())
-    if cfg.fmt == "md":
-        lines = [f"algebra: `{report['algebra']}`  ", f"omega: `{report['omega']}`", ""]
-        for name, chk in report["checks"].items():
-            lines.append(f"* {name}: {'pass' if chk['passed'] else 'FAIL'}")
-            lines.extend(f"    * {d}" for d in chk["details"])
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report, indent=2) + "\n"
-    return (0 if all_pass else 1), text
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="file with structure constants (JSON or tuple notation)")
         sp.add_argument("--omega", default=DEFAULT_OMEGA,
                         help=f"symplectic form (default: {DEFAULT_OMEGA})")
-        sp.add_argument("--format", dest="fmt", choices=("json", "md"), default="json")
+        sp.add_argument("--format", choices=("json", "md"), default="json")
         sp.add_argument("--out", default=None, help="write the report to this path")
 
     pc = sub.add_parser("compute", help="compute cohomology groups")
@@ -193,68 +161,66 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed arguments, checked and normalized in place: ``algebra`` is
+    the algebra text, ``groups``, ``degrees`` and ``suite`` are lists, and
+    each suite is named once, in first-given order."""
+    args = build_parser().parse_args(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse reads the value "--" as []
-            option = {"fmt": "format", "symbol_n": "n"}.get(name, name).replace("_", "-")
+            option = "n" if name == "symbol_n" else name.replace("_", "-")
             raise InputError(f"--{option} needs a value, got '--'")
     if args.algebra is not None and args.algebra_file is not None:
         raise InputError("use either --algebra or --algebra-file, not both")
     if args.algebra_file is not None:
         try:
             with open(args.algebra_file, "r", encoding="utf-8") as fh:
-                algebra_source = fh.read().strip()
+                args.algebra = fh.read().strip()
         except OSError as exc:
             raise InputError(f"cannot read algebra file: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"bad algebra: file is not UTF-8 text ({exc})") from exc
-    else:
-        algebra_source = args.algebra if args.algebra is not None else DEFAULT_ALGEBRA
-    cfg = RunConfig(command=args.command, algebra_source=algebra_source,
-                    omega_source=args.omega, fmt=args.fmt, out=args.out)
+    elif args.algebra is None:
+        args.algebra = DEFAULT_ALGEBRA
     if args.command == "compute":
-        cfg.groups = [g.strip() for g in args.groups.split(",") if g.strip()]
-        if not cfg.groups:
+        args.groups = [g.strip() for g in args.groups.split(",") if g.strip()]
+        if not args.groups:
             raise InputError("--groups names no group")
         if args.degrees is not None:
             try:
-                cfg.degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
+                args.degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
             except ValueError:
                 raise InputError(f"bad --degrees value: {args.degrees!r}") from None
-            if not cfg.degrees:
+            if not args.degrees:
                 raise InputError("--degrees names no degree")
-    else:
-        # no --suite is an empty list, which cmd_check refuses
-        cfg.suites = [s.strip() for s in (args.suite or "").split(",") if s.strip()]
-        for s in cfg.suites:
-            if s not in SUITES:
-                raise InputError(f"unknown suite {s!r}; expected one of {', '.join(SUITES)}")
-        if "symbol" in cfg.suites and not 1 <= args.symbol_n <= 7:
-            # 2n is capped at 15 by the single-character index grammar
-            raise InputError(f"--n must be in 1..7, got {args.symbol_n}")
-        cfg.seed = args.seed
-        cfg.symbol_n = args.symbol_n
-    return cfg
+        return args
+    args.suite = list(dict.fromkeys(s.strip() for s in (args.suite or "").split(",")
+                                    if s.strip()))
+    for s in args.suite:
+        if s not in SUITES:
+            raise InputError(f"unknown suite {s!r}; expected one of {', '.join(SUITES)}")
+    if "symbol" in args.suite and not 1 <= args.symbol_n <= 7:
+        # 2n is capped at 15 by the single-character index grammar
+        raise InputError(f"--n must be in 1..7, got {args.symbol_n}")
+    if not args.suite:
+        raise InputError("check requires --suite")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "compute":
-            code, text = cmd_compute(cfg)
-        else:
-            code, text = cmd_check(cfg)
+        args = parse_args(argv)
+        code, report = (cmd_compute if args.command == "compute" else cmd_check)(args)
     except (InputError, FormParseError, AlgebraValidationError, NotSymplecticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
+    text = render(report, args.format)
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
         try:

@@ -360,8 +360,15 @@ class OperatorMatrix:
         a, b = self.den, other.den
         if a == b:
             return self.cols == other.cols
-        return all({i: x * b for i, x in u.items()} == {i: y * a for i, y in v.items()}
-                   for u, v in zip(self.cols, other.cols))
+        # u/a == v/b entry by entry: no column stores a 0, so a column of v
+        # of u's length that meets each x·b with y·a has u's support
+        for u, v in zip(self.cols, other.cols):
+            if len(u) != len(v):
+                return False
+            for i, x in u.items():
+                if v.get(i, 0) * a != x * b:
+                    return False
+        return True
 
     def rank(self) -> int:
         """By elimination on the columns, with the sparsest rows as the first

@@ -17,7 +17,7 @@ from symcoh import (
     recursive_primitive_basis,
     standard_omega,
 )
-from symcoh.cli import RunConfig, cmd_compute
+from symcoh.cli import cmd_compute, parse_args, render
 from symcoh.exterior import blades, form_to_coords
 from symcoh.hodge import CompatibleTriple
 from symcoh.identities import run_identity_suite
@@ -164,10 +164,10 @@ def test_criterion_09_dimension_formulas(n):
 
 
 def test_criterion_10_determinism():
-    cfg = RunConfig(command="compute")
-    code1, text1 = cmd_compute(cfg)
-    code2, text2 = cmd_compute(cfg)
+    args = parse_args(["compute"])
+    (code1, report1), (code2, report2) = cmd_compute(args), cmd_compute(args)
     assert code1 == code2 == 0
+    text1, text2 = render(report1, args.format), render(report2, args.format)
     assert text1 == text2
     json.loads(text1)
     print("ACCEPTANCE 10 PASS: repeated computation is byte-identical")

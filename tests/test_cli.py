@@ -373,3 +373,24 @@ def test_hodge_shares_the_check_calculator(capsys, monkeypatch):
         counts[suites] = len(computed)
     assert counts["hodge"] > 0 and counts["index"] > 0
     assert counts["hodge,index"] == counts["hodge"]
+
+
+def test_a_suite_named_twice_runs_once(capsys, monkeypatch):
+    """Each named suite runs once, in first-given order, and the report is
+    the one of the suites named once."""
+    from symcoh.cohomology import CohomologyCalculator
+
+    calls = []
+    check = CohomologyCalculator.check_ddlambda_lemma
+
+    def counting(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(CohomologyCalculator, "check_ddlambda_lemma", counting)
+    once = run_cli(capsys, "check", "--suite=ddlambda,index")
+    assert len(calls) == 1
+    calls.clear()
+    assert run_cli(capsys, "check", "--suite=ddlambda,index,ddlambda,index") == once
+    assert len(calls) == 1
+    assert list(json.loads(once[1])["checks"]) == ["ddlambda", "index"]

@@ -191,6 +191,19 @@ def test_equality_is_rational():
     assert OperatorMatrix.from_columns([a.column(j) for j in range(2)], 2) == plain
 
 
+def test_equality_over_unequal_denominators():
+    """u/a == v/b column by column: supports of different sizes, the same
+    support with one entry off, and an entry outside the other support."""
+    m = OperatorMatrix(3, 2, [{0: 1, 2: -3}, {}], 2)
+    assert m == OperatorMatrix(3, 2, [{0: 3, 2: -9}, {}], 6)
+    assert m != OperatorMatrix(3, 2, [{0: 3}, {}], 6)
+    assert m != OperatorMatrix(3, 2, [{0: 3, 1: 1, 2: -9}, {}], 6)
+    assert m != OperatorMatrix(3, 2, [{0: 3, 2: 9}, {}], 6)
+    assert m != OperatorMatrix(3, 2, [{0: 3, 1: -9}, {}], 6)
+    assert m != OperatorMatrix(3, 2, [{0: 3, 2: -9}, {1: 1}], 6)
+    assert OperatorMatrix(3, 2, [{}, {1: 2}], 3) != m
+
+
 @st.composite
 def symmetric(draw):
     """(m, its dense oracle): a symmetric int matrix over a denominator, the

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 
 import quotient_oracle as oracle
 from symcoh import CohomologyCalculator
-from symcoh.cli import RunConfig, _build_complex, cmd_compute
+from symcoh.cli import _build_complex, cmd_compute, parse_args, render
 from symcoh.cohomology import GROUP_NAMES
 from symcoh.exterior import Form, blade_index, form_to_str, parse_form, row_to_str
 from symcoh.linalg import OperatorMatrix
@@ -80,10 +80,11 @@ NAMES = select("N6", "N8", "T6", "scrambled-N6", "N6-p/q")
 def computed(name):
     """A calculator of the fixture and the ``compute`` table the CLI prints,
     both from the fixture's texts."""
-    cfg = RunConfig("compute", *texts(name))
-    code, text = cmd_compute(cfg)
+    algebra, omega = texts(name)
+    code, report = cmd_compute(parse_args(["compute", "--algebra", algebra, "--omega", omega]))
     assert code == 0
-    return CohomologyCalculator(_build_complex(cfg)), json.loads(text)["groups"]
+    return (CohomologyCalculator(_build_complex(algebra, omega)),
+            json.loads(render(report, "json"))["groups"])
 
 
 @pytest.mark.parametrize("name", NAMES)
