@@ -68,12 +68,11 @@ def cmd_compute(args: argparse.Namespace) -> tuple[int, dict]:
                     f"degree {bad[0]} is out of range for group {g!r} "
                     f"(legal: {legal.start}..{legal.stop - 1})")
             degrees = sorted(set(args.degrees))
-        entry: dict[str, dict] = {}
+        table[g] = {}
         for k in degrees:
             grp = calc.group(g, k)
-            entry[str(k)] = {"dim": grp.dimension,
-                             "basis": [row_to_str(calc.dim, k, r, r[p]) for p, r in grp.rows]}
-        table[g] = entry
+            table[g][str(k)] = {"dim": grp.dimension,
+                                "basis": [row_to_str(calc.dim, k, r, r[p]) for p, r in grp.rows]}
     return 0, {"algebra": args.algebra, "omega": args.omega, "groups": table, "checks": {}}
 
 
@@ -96,10 +95,10 @@ SUITES = {
 def cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     calc = CohomologyCalculator(_build_complex(args.algebra, args.omega))
     results = {name: SUITES[name](args, calc) for name in args.suite}
-    return (0 if all(r.passed for r in results.values()) else 1), {
-        "algebra": args.algebra, "omega": args.omega,
-        "checks": {name: {"passed": r.passed, "details": list(r.details)}
-                   for name, r in results.items()}}
+    code = 0 if all(r.passed for r in results.values()) else 1
+    return code, {"algebra": args.algebra, "omega": args.omega,
+                  "checks": {name: {"passed": r.passed, "details": list(r.details)}
+                             for name, r in results.items()}}
 
 
 def render(report: dict, fmt: str) -> str:
@@ -113,9 +112,10 @@ def render(report: dict, fmt: str) -> str:
         lines += ["| group | " + " | ".join(f"k={k}" for k in degrees) + " |",
                   "|---" * (len(degrees) + 1) + "|"]
         for g, entry in report["groups"].items():
-            cells = [g] + ["" if str(k) not in entry else f"dim {entry[str(k)]['dim']}: "
-                           + ", ".join(entry[str(k)]["basis"]) for k in degrees]
-            lines.append("| " + " | ".join(cells) + " |")
+            cells = (entry.get(str(k)) for k in degrees)
+            row = [g, *("" if c is None else f"dim {c['dim']}: " + ", ".join(c["basis"])
+                        for c in cells)]
+            lines.append("| " + " | ".join(row) + " |")
     for name, chk in report["checks"].items():
         lines.append(f"* {name}: {'pass' if chk['passed'] else 'FAIL'}")
         lines.extend(f"    * {d}" for d in chk["details"])
