@@ -17,7 +17,8 @@ has a denominator above 1, before the operator matrices carried their own
 denominator; the two ``compute --format=md`` hashes before the cohomology
 representatives stayed int rows printed by one renderer; the two
 ``check --format=md`` hashes before ``compute`` and ``check`` shared one
-report renderer.  The
+report renderer; scrambled N6 ``hodge``, whose J^T and g^-1 are dense with
+Fraction entries, before each compound column was wedged directly.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
@@ -66,6 +67,8 @@ GOLDEN = [
      "3191196b41472327e6c6a627d04b1a34a9a4f9d1796873f78a7989819c410cc8"),
     ("N8", "hodge", 0, "8f0538ca2f58ad7312b03d1ae456b4e08fd70ab5d8f0ba0eddde3f3958bb47d9"),
     ("N10", "hodge", 0, "657347e2ae27d3310391fc57b26a60dd1a183af622477fefae1c9d81e7932e47"),
+    ("scrambled-N6", "hodge", 0,
+     "78185b8d7a148113402157fb89cc4287edd1dc6bdd17cfd443f1664dbc303c27"),
 ]
 
 
