@@ -17,10 +17,11 @@ bare coefficient; a coefficient of +-1 on a blade is elided.  One renderer,
 a positive int denominator; ``form_to_str`` prints each degree of a Form
 through it.  ``parse_form`` inverts ``form_to_str`` exactly.
 
-Operators on the blades are built by ``blade_operator`` and ``compound``,
-one matrix per degree, and owned by the subclasses of ``BladeOperators``:
-one table per owner, one ``op(name, k)`` and one Form adapter,
-``apply(name, form)``.
+Operators on the blades are built one matrix per degree: ``blade_operator``
+from contract-and-wedge terms, ``compound`` as the algebra map of a square
+matrix, each column wedged directly from a column of the degree below.  The
+subclasses of ``BladeOperators`` own them: one table per owner, one
+``op(name, k)`` and one Form adapter, ``apply(name, form)``.
 """
 
 from __future__ import annotations
@@ -329,22 +330,29 @@ def blade_operator(dim: int, k_from: int, k_to: int, terms: list) -> OperatorMat
 def compound(a: OperatorMatrix, k: int, lower: OperatorMatrix | None) -> OperatorMatrix:
     """The degree-k matrix of the algebra map that sends e_{i+1} to column i
     of the square matrix a.  A blade's column is the image of its lowest
-    factor wedged onto the image of the rest, which is the rest's column of
-    ``lower``, the degree k-1 matrix.  At k = 0 it is the 1x1 identity and
-    outside 0..dim the 0x0 matrix; ``lower`` is not read there."""
+    factor, a's column low, wedged onto the image of the rest, the rest's
+    column of ``lower``, the degree k-1 matrix: an entry v there at blade m
+    and an entry w of a's column at a row j outside m give +-v·w at
+    m | 1<<j, the sign of e_j ^ e_m, the parity of m's bits below j.  At
+    k = 0 it is the 1x1 identity and outside 0..dim the 0x0 matrix;
+    ``lower`` is not read there."""
     dim = a.nrows
-    order = blade_index(dim, k)[0]
+    order, idx = blade_index(dim, k)
     if not 0 < k <= dim:
         return OperatorMatrix.identity(len(order))
-    rest = blade_index(dim, k - 1)[1]
-    wedges: dict[int, OperatorMatrix] = {}
+    below, rest = blade_index(dim, k - 1)
     cols = []
     for mask in order:
         low = (mask & -mask).bit_length() - 1
-        if low not in wedges:
-            wedges[low] = blade_operator(dim, k - 1, k,
-                                         [(0, 1 << j, v) for j, v in a.cols[low].items()])
-        cols.append(wedges[low]._times(lower.cols[rest[mask ^ 1 << low]]))
+        col: dict[int, int] = {}
+        get = col.get
+        for i, v in lower.cols[rest[mask ^ 1 << low]].items():
+            m = below[i]
+            for j, w in a.cols[low].items():
+                if not m >> j & 1:
+                    p = idx[m | 1 << j]
+                    col[p] = get(p, 0) + (-v * w if (m & (1 << j) - 1).bit_count() & 1 else v * w)
+        cols.append({p: x for p, x in col.items() if x})
     den = a.den * lower.den
     g = gcd(den, *(v for c in cols for v in c.values()))
     return OperatorMatrix(len(order), len(order), [{i: v // g for i, v in c.items()} for c in cols],

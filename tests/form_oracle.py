@@ -27,6 +27,10 @@ blade with each pair of the bivector (``Lambda_of_blade``), and
 ``algebra_map`` wedges the images of a blade's lowest factor and the rest
 (``image_of_blade``), for J and g^-1 given the image of each covector.
 ``blade_matrix`` of each must equal the engine's matrix.
+``wedge_matrix_compound`` is the compound route the engine took before it
+wedged each column directly: one wedge matrix per lowest generator, from
+``blade_operator``, applied to one column of the degree below.  It must
+return the engine's ints and den exactly.
 
 It also keeps the form-level primitive-coordinate route the engine used
 before ``SymplecticStructure.split`` and ``prim_matrix``:
@@ -104,10 +108,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, gcd
 
 from symcoh.exterior import (
-    DimensionMismatchError, Form, blade_index, blade_indices, blades, contract,
+    DimensionMismatchError, Form, blade_index, blade_indices, blade_operator, blades, contract,
     form_from_coords, form_to_coords, wedge_sign)
 from symcoh.linalg import OperatorMatrix
 from symcoh.reports import CheckResult
@@ -207,6 +211,33 @@ def algebra_map(rows) -> BladeMap:
     images.update({1 << i: Form(dim, {1 << j: v for j, v in enumerate(r)})
                    for i, r in enumerate(rows)})
     return images
+
+
+def wedge_matrix_compound(a: OperatorMatrix, k: int,
+                          lower: OperatorMatrix | None) -> OperatorMatrix:
+    """``exterior.compound`` by the route the engine took before it wedged
+    each column directly: per degree, one ``blade_operator`` matrix per
+    lowest generator, the wedge with its image (column low of a), applied
+    to the rest's column of ``lower`` as a one-column product.  The result
+    is reduced by the same den·gcd, so its ints and den are the engine's."""
+    dim = a.nrows
+    order = blade_index(dim, k)[0]
+    if not 0 < k <= dim:
+        return OperatorMatrix.identity(len(order))
+    rest = blade_index(dim, k - 1)[1]
+    wedges: dict[int, OperatorMatrix] = {}
+    cols = []
+    for mask in order:
+        low = (mask & -mask).bit_length() - 1
+        if low not in wedges:
+            wedges[low] = blade_operator(dim, k - 1, k,
+                                         [(0, 1 << j, v) for j, v in a.cols[low].items()])
+        column = OperatorMatrix(len(rest), 1, [lower.cols[rest[mask ^ 1 << low]]])
+        cols.append((wedges[low] @ column).cols[0])
+    den = a.den * lower.den
+    g = gcd(den, *(v for c in cols for v in c.values()))
+    return OperatorMatrix(len(order), len(order), [{i: v // g for i, v in c.items()} for c in cols],
+                          den // g)
 
 
 def d_of_blade(images: BladeMap, mask: int) -> Form:
