@@ -330,12 +330,12 @@ def blade_operator(dim: int, k_from: int, k_to: int, terms: list) -> OperatorMat
 def compound(a: OperatorMatrix, k: int, lower: OperatorMatrix | None) -> OperatorMatrix:
     """The degree-k matrix of the algebra map that sends e_{i+1} to column i
     of the square matrix a.  A blade's column is the image of its lowest
-    factor, a's column low, wedged onto the image of the rest, the rest's
-    column of ``lower``, the degree k-1 matrix: an entry v there at blade m
-    and an entry w of a's column at a row j outside m give +-v·w at
-    m | 1<<j, the sign of e_j ^ e_m, the parity of m's bits below j.  At
-    k = 0 it is the 1x1 identity and outside 0..dim the 0x0 matrix;
-    ``lower`` is not read there."""
+    factor e_{low+1}, column low of a, wedged onto the image of the rest,
+    the rest's column of ``lower``, the degree k-1 matrix.  It is built
+    directly: an entry v of the rest's column at blade m and an entry w of
+    column low at a row j outside m add +-v·w at m | 1<<j, with the sign of
+    e_j ^ e_m, the parity of m's bits below j.  At k = 0 it is the 1x1
+    identity and outside 0..dim the 0x0 matrix; ``lower`` is not read there."""
     dim = a.nrows
     order, idx = blade_index(dim, k)
     if not 0 < k <= dim:
