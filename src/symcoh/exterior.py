@@ -341,17 +341,20 @@ def compound(a: OperatorMatrix, k: int, lower: OperatorMatrix | None) -> Operato
     if not 0 < k <= dim:
         return OperatorMatrix.identity(len(order))
     below, rest = blade_index(dim, k - 1)
+    # each column of a as (bit j, the bits under it, w) for its entries (j, w)
+    images = [[(1 << j, (1 << j) - 1, w) for j, w in c.items()] for c in a.cols]
     cols = []
     for mask in order:
         low = (mask & -mask).bit_length() - 1
+        image = images[low]
         col: dict[int, int] = {}
         get = col.get
         for i, v in lower.cols[rest[mask ^ 1 << low]].items():
             m = below[i]
-            for j, w in a.cols[low].items():
-                if not m >> j & 1:
-                    p = idx[m | 1 << j]
-                    col[p] = get(p, 0) + (-v * w if (m & (1 << j) - 1).bit_count() & 1 else v * w)
+            for bit, under, w in image:
+                if not m & bit:
+                    p = idx[m | bit]
+                    col[p] = get(p, 0) + (-v * w if (m & under).bit_count() & 1 else v * w)
         cols.append({p: x for p, x in col.items() if x})
     den = a.den * lower.den
     g = gcd(den, *(v for c in cols for v in c.values()))
