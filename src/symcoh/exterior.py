@@ -17,11 +17,10 @@ bare coefficient; a coefficient of +-1 on a blade is elided.  One renderer,
 a positive int denominator; ``form_to_str`` prints each degree of a Form
 through it.  ``parse_form`` inverts ``form_to_str`` exactly.
 
-Operators on the blades are built one matrix per degree: ``blade_operator``
-from contract-and-wedge terms, ``compound`` as the algebra map of a square
-matrix, each column wedged directly from a column of the degree below.  The
-subclasses of ``BladeOperators`` own them: one table per owner, one
-``op(name, k)`` and one Form adapter, ``apply(name, form)``.
+Operators on the blades are built one matrix per degree by ``blade_operator``
+and by ``compound``, which wedges each column directly from a column of the
+degree below, and owned by the subclasses of ``BladeOperators``: one table
+per owner, one ``op(name, k)`` and one Form adapter, ``apply(name, form)``.
 """
 
 from __future__ import annotations
@@ -329,19 +328,17 @@ def blade_operator(dim: int, k_from: int, k_to: int, terms: list) -> OperatorMat
 
 def compound(a: OperatorMatrix, k: int, lower: OperatorMatrix | None) -> OperatorMatrix:
     """The degree-k matrix of the algebra map that sends e_{i+1} to column i
-    of the square matrix a.  A blade's column is the image of its lowest
-    factor e_{low+1}, column low of a, wedged onto the image of the rest,
-    the rest's column of ``lower``, the degree k-1 matrix.  It is built
-    directly: an entry v of the rest's column at blade m and an entry w of
-    column low at a row j outside m add +-v·w at m | 1<<j, with the sign of
-    e_j ^ e_m, the parity of m's bits below j.  At k = 0 it is the 1x1
-    identity and outside 0..dim the 0x0 matrix; ``lower`` is not read there."""
+    of the square matrix a.  A blade's column is its lowest factor's image,
+    column low of a, wedged directly onto the rest's column of ``lower``,
+    the degree k-1 matrix: entries v at blade m and w at a row j outside m
+    add +-v·w at m | 1<<j, signed as e_j ^ e_m by the parity of m's bits
+    below j.  At k = 0 it is the 1x1 identity and outside 0..dim the 0x0
+    matrix; ``lower`` is not read there."""
     dim = a.nrows
     order, idx = blade_index(dim, k)
     if not 0 < k <= dim:
         return OperatorMatrix.identity(len(order))
     below, rest = blade_index(dim, k - 1)
-    # each column of a as (bit j, the bits under it, w) for its entries (j, w)
     images = [[(1 << j, (1 << j) - 1, w) for j, w in c.items()] for c in a.cols]
     cols = []
     for mask in order:
