@@ -17,8 +17,9 @@ has a denominator above 1, before the operator matrices carried their own
 denominator; the two ``compute --format=md`` hashes before the cohomology
 representatives stayed int rows printed by one renderer; the two
 ``check --format=md`` hashes before ``compute`` and ``check`` shared one
-report renderer; scrambled N6 ``hodge``, whose J^T and g^-1 are dense with
-Fraction entries, before each compound column was wedged directly.  The
+report renderer; scrambled N6 ``hodge``, whose J^T and g^-1 fill half
+their entries over denominators 2 and 4, before each compound column was
+wedged directly.  The
 ladder and check hashes equal the matching entries of
 ``perfbench/reference.json``.  A check suite that finds
 a failure exits 1: ``lefschetz`` and ``ddlambda`` do on N6.  Any change of a
